@@ -33,18 +33,13 @@ from .localpower import (
     power_ordering,
 )
 from .montecarlo import SimulationConfig, default_workers, simulate
-from .teststats import ALL_KINDS, TestKind, compute_statistics
+from .teststats import ALL_KINDS, compute_statistics
 
 __all__ = ["main", "run"]
 
-_KIND_LABEL = {
-    TestKind.LR: "lr",
-    TestKind.WALD: "wald",
-    TestKind.SCORE: "score",
-    TestKind.GRADIENT: "gradient",
-}
-
 _SOURCE_FLAG = {"consistent": SOURCE_CHAIN, "table": SOURCE_TABLE}
+# start:stop:step grids longer than this are refused before they are built
+_MAX_GRID_POINTS = 10 ** 6
 
 
 class _UsageError(Exception):
@@ -93,10 +88,14 @@ def _parse_grid(text: str, flag: str) -> list[float]:
             a, b, step = (float(p) for p in parts)
         except ValueError:
             raise _UsageError(f"{flag} grid {text!r} contains a non-number")
+        if not all(math.isfinite(v) for v in (a, b, step)):
+            raise _UsageError(f"{flag} grid {text!r} must have finite start, stop and step")
         if step <= 0 or b < a:
             raise _UsageError(f"{flag} grid {text!r} must have step > 0 and stop >= start")
-        count = int(math.floor((b - a) / step + 1e-9)) + 1
-        return [a + i * step for i in range(count)]
+        steps = (b - a) / step + 1e-9
+        if steps >= _MAX_GRID_POINTS:  # also catches an overflow to inf
+            raise _UsageError(f"{flag} grid {text!r} has more than {_MAX_GRID_POINTS} points")
+        return [a + i * step for i in range(int(math.floor(steps)) + 1)]
     if "," in text:
         try:
             return [float(p) for p in text.split(",")]
@@ -213,25 +212,13 @@ def _cmd_stat(args) -> list[str]:
         ("model", args.model), ("fixed", args.fixed or "-"),
         ("theta0", _fmt(args.theta0)), ("data", args.data), ("format", args.format),
     ])
+    pairs = [("n", str(result.n)), ("d_bar", _fmt(result.d_bar)),
+             ("theta_hat", _fmt(result.theta_hat))]
+    pairs += [(f"s_{kind.label}", _fmt(result.statistic(kind))) for kind in ALL_KINDS]
+    pairs += [(f"p_{kind.label}", _fmt(result.p_value(kind))) for kind in ALL_KINDS]
     if args.format == "csv":
-        cols = ["n", "d_bar", "theta_hat"]
-        vals = [str(result.n), _fmt(result.d_bar), _fmt(result.theta_hat)]
-        for kind in ALL_KINDS:
-            cols.append(f"s_{_KIND_LABEL[kind]}")
-            vals.append(_fmt(result.statistic(kind)))
-        for kind in ALL_KINDS:
-            cols.append(f"p_{_KIND_LABEL[kind]}")
-            vals.append(_fmt(result.p_value(kind)))
-        return header + [",".join(cols), ",".join(vals)]
-    lines = header
-    lines.append(f"n: {result.n}")
-    lines.append(f"d_bar: {_fmt(result.d_bar)}")
-    lines.append(f"theta_hat: {_fmt(result.theta_hat)}")
-    for kind in ALL_KINDS:
-        lines.append(f"s_{_KIND_LABEL[kind]}: {_fmt(result.statistic(kind))}")
-    for kind in ALL_KINDS:
-        lines.append(f"p_{_KIND_LABEL[kind]}: {_fmt(result.p_value(kind))}")
-    return lines
+        return header + [",".join(k for k, _ in pairs), ",".join(v for _, v in pairs)]
+    return header + [f"{k}: {v}" for k, v in pairs]
 
 
 def _cmd_power(args) -> list[str]:
@@ -274,7 +261,7 @@ def _cmd_order(args) -> list[str]:
     for (i, j), cert in sorted(report.certificates.items()):
         ctxt = ",".join(_fmt(c) for c in cert.partial)
         lines.append(
-            f"pair {_KIND_LABEL[i]} vs {_KIND_LABEL[j]}: {cert.relation}"
+            f"pair {i.label} vs {j.label}: {cert.relation}"
             f" ({'uniform' if cert.uniform else 'grid-certified'});"
             f" csum={_fmt(cert.csum)}; C=({ctxt})"
         )
@@ -327,14 +314,14 @@ def _cmd_simulate(args) -> list[str]:
     lines.append(f"critical_value: {_fmt(report.critical_value)}")
     for kind in ALL_KINDS:
         lines.append(
-            f"rejection_rate_{_KIND_LABEL[kind]}: {_fmt(report.rejection_rate[kind - 1])}"
+            f"rejection_rate_{kind.label}: {_fmt(report.rejection_rate[kind - 1])}"
         )
     for kind in ALL_KINDS:
-        lines.append(f"mc_stderr_{_KIND_LABEL[kind]}: {_fmt(report.mc_stderr[kind - 1])}")
+        lines.append(f"mc_stderr_{kind.label}: {_fmt(report.mc_stderr[kind - 1])}")
     for src, powers in report.predicted_power.items():
         for kind in ALL_KINDS:
             lines.append(
-                f"predicted_power_{src}_{_KIND_LABEL[kind]}: {_fmt(powers[kind - 1])}"
+                f"predicted_power_{src}_{kind.label}: {_fmt(powers[kind - 1])}"
             )
     est = report.st_moment_estimates
     lines.append(f"s4_mean: {_fmt(est.mean)}")

@@ -13,8 +13,10 @@ arrays, the simple case (q = 0), and the scalar case (p = 1), plus the
 matching first three moments in two variants whose leading terms disagree;
 both are exposed so simulation can arbitrate.
 
-Contractions are written as direct triple loops over dense arrays: dimensions
-are small and transparency beats cleverness here.
+Contractions are single ``np.einsum`` calls over dense arrays, bit-identical to
+direct triple loops.  The tested-block contraction zero-pads the drift to
+length p rather than slicing the tensor: a sliced tensor sums in another order
+and can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -155,40 +157,17 @@ def _clamp(raw: float) -> ClampedProbability:
 
 
 # ------------------------------------------------------------------ #
-# Contractions (direct loops; p is small)
+# Contractions
 # ------------------------------------------------------------------ #
 
 
 def _contract_vvv(t: np.ndarray, a, b, c) -> float:
-    p = t.shape[0]
-    total = 0.0
-    for r in range(p):
-        for s in range(p):
-            for u in range(p):
-                total += t[r, s, u] * a[r] * b[s] * c[u]
-    return total
+    return float(np.einsum("rsu,r,s,u->", t, a, b, c))
 
 
 def _contract_mv(t: np.ndarray, m: np.ndarray, b) -> float:
     # matrix pairs with the first two indices, vector with the third
-    p = t.shape[0]
-    total = 0.0
-    for r in range(p):
-        for s in range(p):
-            for u in range(p):
-                total += t[r, s, u] * m[r, s] * b[u]
-    return total
-
-
-def _contract_block_vvv(t: np.ndarray, a2, b, c, q: int) -> float:
-    # first index restricted to the tested block r = q..p-1
-    p = t.shape[0]
-    total = 0.0
-    for r in range(q, p):
-        for s in range(p):
-            for u in range(p):
-                total += t[r, s, u] * a2[r - q] * b[s] * c[u]
-    return total
+    return float(np.einsum("rsu,rs,u->", t, m, b))
 
 
 def _eps_star_and_a(t: CumulantTensors, eps: np.ndarray):
@@ -230,13 +209,16 @@ def composite_coefficients(t: CumulantTensors, eps) -> PowerExpansion:
     e = _validate_eps(t, eps)
     es, A = _eps_star_and_a(t, e)
     K_inv = np.linalg.inv(t.K)
-    k3, k21, q = t.k3, t.k21, t.q
+    k3, k21 = t.k3, t.k21
+    # first index of the block term runs over the tested coordinates only
+    e_pad = np.zeros(t.p)
+    e_pad[t.q :] = e
 
     a1 = 0.25 * (
         _contract_mv(k3, K_inv, es)
         - _contract_mv(4.0 * k21 + 3.0 * k3, A, es)
         - 2.0 * _contract_vvv(k3 + 2.0 * k21, es, es, es)
-        - 2.0 * _contract_block_vvv(k3 + k21, e, es, es, q)
+        - 2.0 * _contract_vvv(k3 + k21, e_pad, es, es)
     )
     a2 = -0.25 * (
         _contract_mv(k3, K_inv - A, es)
@@ -298,10 +280,12 @@ def cdf_expansion(e: PowerExpansion, n, x: float) -> ClampedProbability:
         # all mixture components reach 1 and the coefficients sum to zero
         return ClampedProbability(1.0, 1.0, False)
     scale = 0.0 if math.isinf(n) else 1.0 / math.sqrt(n)
-    raw = nc_chisq_cdf(ChiSquareParams(e.f, e.lam), x)
+    g0 = nc_chisq_cdf(ChiSquareParams(e.f, e.lam), x)
+    raw = g0
     for k in range(4):
         if e.a[k] != 0.0 and scale != 0.0:
-            raw += scale * e.a[k] * nc_chisq_cdf(ChiSquareParams(e.f + 2 * k, e.lam), x)
+            g = g0 if k == 0 else nc_chisq_cdf(ChiSquareParams(e.f + 2 * k, e.lam), x)
+            raw += scale * e.a[k] * g
     return _clamp(raw)
 
 

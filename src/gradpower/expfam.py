@@ -313,23 +313,7 @@ def _nm_v(var, x):
     return -x * x / (2.0 * var) - 0.5 * math.log(2.0 * math.pi * var)
 
 
-# inverse normal, shape tested (mean fixed)
-def _ivt_log_zeta(t):
-    return -0.5 * math.log(t)
-
-
-def _ivt_beta(t):
-    return -0.5 / t
-
-
-def _ivt_beta_d1(t):
-    return 0.5 / (t * t)
-
-
-def _ivt_beta_d2(t):
-    return -1.0 / t ** 3
-
-
+# inverse normal, shape tested (mean fixed): zeta and beta are gamma's at k = 1/2
 def _ivt_d(mu, x):
     return (x - mu) ** 2 / (2.0 * mu * mu * x)
 
@@ -398,14 +382,6 @@ def _par_beta(k, t):
     return -1.0 / t - math.log(k)
 
 
-def _par_beta_d1(t):
-    return 1.0 / (t * t)
-
-
-def _par_beta_d2(t):
-    return -2.0 / t ** 3
-
-
 def _log_d(x):
     return np.log(x)
 
@@ -436,17 +412,9 @@ def _pow_beta(phi, t):
     return 1.0 / t - math.log(phi)
 
 
-def _pow_beta_d1(t):
-    return -1.0 / (t * t)
-
-
 # closed-form MLE roots of beta(theta) + dbar = 0
 def _mle_dbar(dbar):
     return dbar
-
-
-def _mle_half_recip(dbar):
-    return 0.5 / dbar
 
 
 def _mle_scaled_recip(k, dbar):
@@ -542,16 +510,16 @@ def _build_normal_mean(fixed):
 
 def _build_invnormal_theta(fixed):
     mu = _require_fixed("invnormal-theta", fixed, "mu", positive=True)
-    closed = _mle_half_recip
+    closed = partial(_mle_scaled_recip, 0.5)
     return ExpFamModel(
         name="invnormal-theta",
         alpha=_identity,
         alpha_d1=partial(_const, 1.0),
         alpha_d2=partial(_const, 0.0),
-        log_zeta=_ivt_log_zeta,
-        beta=_ivt_beta,
-        beta_d1=_ivt_beta_d1,
-        beta_d2=_ivt_beta_d2,
+        log_zeta=partial(_gam_log_zeta, 0.5),
+        beta=partial(_gam_beta, 0.5),
+        beta_d1=partial(_gam_beta_d1, 0.5),
+        beta_d2=partial(_gam_beta_d2, 0.5),
         d=partial(_ivt_d, mu),
         v=_ivt_v,
         support=Support(lo=0.0),
@@ -642,8 +610,8 @@ def _build_pareto(fixed):
         alpha_d2=partial(_const, 0.0),
         log_zeta=partial(_par_log_zeta, k),
         beta=partial(_par_beta, k),
-        beta_d1=_par_beta_d1,
-        beta_d2=_par_beta_d2,
+        beta_d1=partial(_gam_beta_d1, 1.0),
+        beta_d2=partial(_gam_beta_d2, 1.0),
         d=_log_d,
         v=_zero_v,
         support=Support(lo=k),
@@ -690,7 +658,7 @@ def _build_power(fixed):
         alpha_d2=partial(_const, 0.0),
         log_zeta=partial(_pow_log_zeta, phi),
         beta=partial(_pow_beta, phi),
-        beta_d1=_pow_beta_d1,
+        beta_d1=_neg_recip_sq,
         beta_d2=_two_over_cube,
         d=_log_d,
         v=_zero_v,
@@ -890,7 +858,7 @@ def _brent(f, a: float, b: float, xtol: float = 1e-14, maxiter: int = 200) -> fl
     return b
 
 
-def mle_from_dbar(model: ExpFamModel, d_bar: float, n_hint: int = 1) -> float:
+def mle_from_dbar(model: ExpFamModel, d_bar: float) -> float:
     """Solve ``beta(theta) + d_bar = 0`` for theta.
 
     Uses the model's closed form when available, otherwise Brent iteration on
@@ -932,7 +900,7 @@ def mle(model: ExpFamModel, data) -> float:
         raise DomainError(
             f"data contain values outside the support {model.support} of {model.name!r}"
         )
-    return mle_from_dbar(model, float(np.mean(model.d(x))), n_hint=x.size)
+    return mle_from_dbar(model, float(np.mean(model.d(x))))
 
 
 def sample(

@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError
-from .expansion import ClampedProbability
+from .expansion import ClampedProbability, _clamp
 from .expfam import ExpFamModel
 from .specfun import ChiSquareParams, central_chisq_quantile, nc_chisq_cdf, nc_chisq_pdf
 from .teststats import ALL_KINDS, TestKind
@@ -149,15 +149,16 @@ def local_power(
     table = power_coefficients(query.model, query.theta0, query.eps, source)
     lam = 0.5 * query.model.fisher_information(query.theta0) * query.eps ** 2
     x = _crit(query.alpha)
-    raw = 1.0 - nc_chisq_cdf(ChiSquareParams(1.0, lam), x)
+    g0 = nc_chisq_cdf(ChiSquareParams(1.0, lam), x)
+    raw = 1.0 - g0
     scale = 0.0 if math.isinf(query.n) else 1.0 / math.sqrt(query.n)
     if scale != 0.0:
         row = table.row(test)
         for k in range(4):
             if row[k] != 0.0:
-                raw -= scale * row[k] * nc_chisq_cdf(ChiSquareParams(1.0 + 2 * k, lam), x)
-    value = min(max(raw, 0.0), 1.0)
-    return ClampedProbability(value=value, raw=raw, clamped=value != raw)
+                g = g0 if k == 0 else nc_chisq_cdf(ChiSquareParams(1.0 + 2 * k, lam), x)
+                raw -= scale * row[k] * g
+    return _clamp(raw)
 
 
 def _difference_terms(table: CoefficientTable, i: TestKind, j: TestKind):
@@ -204,16 +205,21 @@ class PairCertificate:
     partial: tuple[float, float, float]
 
 
-def _relation_from_weights(csum: float, C, tol: float) -> str:
-    # positive contribution to Pi_i - Pi_j: csum > 0 or C_m < 0
-    vals = (-csum,) + tuple(C)
-    if all(abs(v) <= tol for v in vals):
+def _relation(signs) -> str:
+    # ``signs``: the set of nonzero signs seen for Pi_i - Pi_j or its parts
+    if not signs:
         return "equal"
-    if all(v <= tol for v in vals):
+    if signs == {1}:
         return "greater"
-    if all(v >= -tol for v in vals):
+    if signs == {-1}:
         return "less"
     return "mixed"
+
+
+def _relation_from_weights(csum: float, C, tol: float) -> str:
+    # positive contribution to Pi_i - Pi_j: csum > 0 or C_m < 0; NaN counts both ways
+    vals = (-csum, *C)
+    return _relation({1 for v in vals if not v >= -tol} | {-1 for v in vals if not v <= tol})
 
 
 @dataclass(frozen=True)
@@ -228,13 +234,7 @@ class OrderingReport:
     certificates: Mapping[tuple[TestKind, TestKind], PairCertificate]
 
     def describe(self) -> str:
-        names = {
-            TestKind.LR: "lr",
-            TestKind.WALD: "wald",
-            TestKind.SCORE: "score",
-            TestKind.GRADIENT: "gradient",
-        }
-        parts = [" = ".join(names[k] for k in grp) for grp in self.groups]
+        parts = [" = ".join(k.label for k in grp) for grp in self.groups]
         tag = "uniform in x" if self.uniform else "grid-certified only"
         return " > ".join(parts) + f" ({tag})"
 
@@ -262,17 +262,15 @@ def power_ordering(
     if not eps_grid or any(e <= 0.0 for e in eps_grid):
         raise DomainError("eps_grid must contain positive magnitudes")
     sign = 1.0 if eps_sign == "above" else -1.0
+    tables = [power_coefficients(model, theta0, sign * eps, source) for eps in eps_grid]
+    tols = [_COEF_TOL * max(1.0, float(np.max(np.abs(t.a)))) for t in tables]
 
     certificates = {}
     for idx, i in enumerate(ALL_KINDS):
         for j in ALL_KINDS[idx + 1 :]:
             relations = set()
-            csum = 0.0
-            C = (0.0, 0.0, 0.0)
-            for eps in eps_grid:
-                table = power_coefficients(model, theta0, sign * eps, source)
+            for table, tol in zip(tables, tols):
                 csum, C = _difference_terms(table, i, j)
-                tol = _COEF_TOL * max(1.0, float(np.max(np.abs(table.a))))
                 relations.add(_relation_from_weights(csum, C, tol))
             if len(relations) == 1 and "mixed" not in relations:
                 relation = relations.pop()
@@ -305,13 +303,7 @@ def _grid_relation(model, theta0, sign, eps_grid, alpha, source, i, j) -> str:
             diff = power_difference(q, i, j, source)
             if abs(diff) > 1e-14:
                 signs.add(1 if diff > 0 else -1)
-    if not signs:
-        return "equal"
-    if signs == {1}:
-        return "greater"
-    if signs == {-1}:
-        return "less"
-    return "mixed"
+    return _relation(signs)
 
 
 def _assemble_groups(certificates) -> tuple[tuple[TestKind, ...], ...]:

@@ -236,7 +236,9 @@ def simulate(config: SimulationConfig) -> SimulationReport:
         for lo in range(0, config.reps, _CHUNK)
     ]
     if config.workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # the pool starts every worker at the first submit; more than one per
+        # chunk would sit idle
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(chunks))) as pool:
             partials = list(pool.map(_chunk_task, chunks, chunksize=1))
     else:
         partials = [_run_chunk(*c) for c in chunks]

@@ -41,6 +41,11 @@ class TestKind(IntEnum):
     SCORE = 3
     GRADIENT = 4
 
+    @property
+    def label(self) -> str:
+        """Lower-case name used in CLI output (``lr``, ``wald``, ...)."""
+        return self.name.lower()
+
 
 ALL_KINDS = (TestKind.LR, TestKind.WALD, TestKind.SCORE, TestKind.GRADIENT)
 
@@ -130,8 +135,3 @@ def compute_statistics_generic(
     s3 = u0 ** 2 / (n * K0)
     s4 = (theta_hat - theta0) * u0
     return theta_hat, (s1, s2, s3, s4)
-
-
-def reject(result: TestResult, critical: float) -> tuple[bool, bool, bool, bool]:
-    """Rejection indicators ``S_i > critical`` in TestKind order."""
-    return tuple(si > critical for si in result.s)

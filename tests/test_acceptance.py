@@ -352,6 +352,7 @@ def test_criterion_06_equal_power_conditions():
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_monte_carlo_size():
     """Empirical size of all four tests at the null within 0.05 +/- 0.012."""
     t0 = time.perf_counter()
@@ -370,6 +371,7 @@ def test_criterion_07_monte_carlo_size():
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_monte_carlo_local_power():
     """Empirical power within 0.025 of the second-order prediction, each test."""
     cfg = SimulationConfig(
@@ -387,6 +389,7 @@ def test_criterion_08_monte_carlo_local_power():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_mean_adjudication():
     """Empirical mean of the gradient statistic within 0.05 of the
     mixture-implied mean; distance to the literal formula is reported."""
@@ -402,6 +405,7 @@ def test_criterion_09_mean_adjudication():
     _verdict(9, "second-order mean arbitration", gap_mixture <= 0.05, detail)
 
 
+@pytest.mark.slow
 def test_criterion_10_gradient_source_adjudication():
     """The full-scale convention arbitration completes with a well-formed
     verdict; the verdict itself is informational."""

@@ -217,7 +217,132 @@ class TestSimulateCommand:
         assert out1.replace("threads=1", "threads=2") == out2
 
 
+class TestGoldenOutput:
+    """Full stdout pinned across versions: a refactor must not move one byte."""
+
+    @pytest.fixture(autouse=True)
+    def _in_tmp(self, tmp_path, monkeypatch):
+        # the config header echoes file paths, so run on relative ones
+        monkeypatch.chdir(tmp_path)
+
+    POWER = (
+        "eps,lambda,pi_lr,pi_wald,pi_score,pi_gradient\n"
+        "0,0,0.050000000000000822,0.050000000000000822,0.050000000000000822,"
+        "0.050000000000000822\n"
+        "0.5,0.25,0.10286459830320409,0.081017778604726157,0.081017778604726157,"
+        "0.11378800815244307\n"
+        "1,1,0.24969173005772072,0.20584808569260202,0.20584808569260202,"
+        "0.27161355224028011\n"
+    )
+
+    @pytest.mark.parametrize("flag,source", [("consistent", "consistent-chain"),
+                                             ("table", "table")])
+    def test_power(self, capsys, flag, source):
+        code, out, _ = _capture(
+            capsys,
+            ["power", *GAMMA_ARGS, "--eps", "0:1:0.5", "--n", "50", "--alpha", "0.05",
+             "--source", flag],
+        )
+        assert code == 0
+        assert out == (
+            "# gradpower power model=gamma fixed=k=2 theta0=1 eps=0:1:0.5 n=50"
+            f" alpha=0.050000000000000003 source={source}\n" + self.POWER
+        )
+
+    def test_order(self, capsys):
+        code, out, _ = _capture(
+            capsys,
+            ["order", "--model", "tev", "--theta0", "1", "--alpha", "0.05",
+             "--direction", "above"],
+        )
+        assert code == 0
+        assert out == (
+            "# gradpower order model=tev fixed=- theta0=1 alpha=0.050000000000000003"
+            " direction=above source=consistent-chain eps_grid=0.25,0.5,1,2\n"
+            "ordering: score = gradient > lr > wald (uniform in x)\n"
+            "uniform: true\n"
+            "pair lr vs wald: greater (uniform); csum=8.8817841970012523e-16;"
+            " C=(8.8817841970012523e-16,-3.9999999999999996,-5.333333333333333)\n"
+            "pair lr vs score: less (uniform); csum=0; C=(0,2,2.6666666666666665)\n"
+            "pair lr vs gradient: less (uniform); csum=0; C=(0,2,2.6666666666666665)\n"
+            "pair wald vs score: less (uniform); csum=0; C=(0,6,8)\n"
+            "pair wald vs gradient: less (uniform); csum=0; C=(0,6,8)\n"
+            "pair score vs gradient: equal (uniform); csum=0; C=(0,0,0)\n"
+        )
+
+    def test_expand(self, capsys):
+        idx = range(3)
+        doc = {
+            "p": 3,
+            "q": 1,
+            "K": [[2.0, 0.5, 0.25], [0.5, 1.5, 0.125], [0.25, 0.125, 1.0]],
+            "k3": [[[0.1 * (r + s + u) + 0.05 * r * s * u for u in idx] for s in idx]
+                   for r in idx],
+            "k21": [[[0.2 * r - 0.1 * (s + u) + 0.03 * s * u for u in idx] for s in idx]
+                    for r in idx],
+        }
+        with open("tensors.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, out, _ = _capture(
+            capsys,
+            ["expand", "--tensors", "tensors.json", "--eps", "0.5,-0.25", "--n", "50",
+             "--x", "0.5:4:0.5"],
+        )
+        assert code == 0
+        assert out == (
+            "# gradpower expand tensors=tensors.json eps=0.5,-0.25 n=50 x=0.5:4:0.5\n"
+            "# f=2\n"
+            "# lambda=0.1943359375\n"
+            "# a0=-6.7943336142424942e-18\n"
+            "# a1=-0.017555147058823526\n"
+            "# a2=0.017555147058823533\n"
+            "# a3=-1.4456028966473392e-19\n"
+            "# mean_literal=2.1993012829120087\n"
+            "# mean_mixture=2.3936372204120087\n"
+            "# variance=4.8170665132960675\n"
+            "# third_moment=20.708750608708076\n"
+            "x,cdf,clamped\n"
+            "0.5,0.18635464563148704,0\n"
+            "1,0.33847446362563882,0\n"
+            "1.5,0.46253519889557299,0\n"
+            "2,0.56362499259609411,0\n"
+            "2.5,0.64592963803581549,0\n"
+            "3,0.71288780748592651,0\n"
+            "3.5,0.76732073416202884,0\n"
+            "4,0.8115402651278143,0\n"
+        )
+
+    def test_stat_csv(self, capsys):
+        with open("obs.txt", "w", encoding="utf-8") as fh:
+            fh.write("\n".join(str(v) for v in [1.0, 3.0, 1.5, 2.5, 2.0, 2.0, 1.2, 2.8,
+                                                 0.8, 3.2]) + "\n")
+        code, out, _ = _capture(
+            capsys,
+            ["stat", "--model", "gamma", "--fixed", "k=1", "--theta0", "1",
+             "--data", "obs.txt", "--format", "csv"],
+        )
+        assert code == 0
+        assert out == (
+            "# gradpower stat model=gamma fixed=k=1 theta0=1 data=obs.txt format=csv\n"
+            "n,d_bar,theta_hat,s_lr,s_wald,s_score,s_gradient,"
+            "p_lr,p_wald,p_score,p_gradient\n"
+            "10,2,0.5,6.1370563888010938,10,10,5,0.013237750156171457,"
+            "0.0015654022580025018,0.0015654022580025018,0.025347318677468311\n"
+        )
+
+
 class TestCliContract:
+    @pytest.mark.parametrize("grid", ["0:nan:0.1", "0:1:nan", "0:inf:0.1",
+                                      "0:2000000:1", "0:1e300:1"])
+    def test_bad_grid_is_usage_error(self, capsys, grid):
+        code, out, err = _capture(
+            capsys,
+            ["power", *GAMMA_ARGS, "--eps", grid, "--n", "50", "--alpha", "0.05"],
+        )
+        assert code == 1
+        assert "usage error" in err
+        assert out == ""
+
     def test_unknown_flag_exit_1(self, capsys):
         code, _, err = _capture(capsys, ["power", *GAMMA_ARGS, "--eps", "0",
                                          "--n", "50", "--alpha", "0.05", "--bogus", "1"])

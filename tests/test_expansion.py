@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gradpower import expansion
 from gradpower.errors import DomainError
 from gradpower.expfam import catalog_model, cumulants
 from gradpower.expansion import (
@@ -86,6 +87,46 @@ class TestCompositeCoefficients:
             p=3, q=1, K=t.K, k3=np.zeros((3, 3, 3)), k21=np.zeros((3, 3, 3))
         )
         assert composite_coefficients(zeroed, eps).lam == composite_coefficients(t, eps).lam
+
+
+class TestContractions:
+    """The einsum contractions against the triple loops they replaced, bit for bit."""
+
+    @staticmethod
+    def loop_vvv(t, a, b, c, r0=0):
+        p = t.shape[0]
+        total = 0.0
+        for r in range(r0, p):
+            for s in range(p):
+                for u in range(p):
+                    total += t[r, s, u] * a[r - r0] * b[s] * c[u]
+        return total
+
+    @staticmethod
+    def loop_mv(t, m, b):
+        p = t.shape[0]
+        total = 0.0
+        for r in range(p):
+            for s in range(p):
+                for u in range(p):
+                    total += t[r, s, u] * m[r, s] * b[u]
+        return total
+
+    def test_bit_identical_to_loops(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            p = int(rng.integers(1, 13))
+            q = int(rng.integers(0, p))
+            t = rng.normal(size=(p, p, p))
+            a, b, c = rng.normal(size=(3, p))
+            m = rng.normal(size=(p, p))
+            assert expansion._contract_vvv(t, a, b, c) == self.loop_vvv(t, a, b, c)
+            assert expansion._contract_mv(t, m, b) == self.loop_mv(t, m, b)
+            # the tested-block term: first index over q..p-1 via a zero-padded drift
+            e = rng.normal(size=p - q)
+            e_pad = np.zeros(p)
+            e_pad[q:] = e
+            assert expansion._contract_vvv(t, e_pad, b, c) == self.loop_vvv(t, e, b, c, q)
 
 
 class TestReductionChain:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gradpower import montecarlo
 from gradpower.errors import DomainError, EstimationError
 from gradpower.expfam import catalog_model
 from gradpower.montecarlo import (
@@ -41,6 +42,31 @@ class TestDeterminism:
         cfg3 = dataclasses.replace(cfg1, workers=3)
         r1, r3 = simulate(cfg1), simulate(cfg3)
         assert dataclasses.replace(r3, workers=1) == r1
+
+    def test_pool_size_capped_at_chunk_count(self, monkeypatch):
+        built = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        cfg1 = SimulationConfig(
+            model=GAMMA, theta0=1.0, eps=0.5, n=10, reps=2 * montecarlo._CHUNK + 1,
+            alpha=0.05, seed=3,
+        )
+        r64 = simulate(dataclasses.replace(cfg1, workers=64))
+        assert built == [3]
+        assert dataclasses.replace(r64, workers=1) == simulate(cfg1)
 
     def test_replicate_depends_only_on_seed_and_index(self):
         a = replicate_statistics(GAMMA, 1.05, 1.0, 50, 31337, 12)
