@@ -233,8 +233,7 @@ def _cmd_power(args) -> list[str]:
     clamped = 0
     for eps in eps_values:
         query = PowerQuery(model=model, theta0=args.theta0, eps=eps, n=args.n, alpha=args.alpha)
-        lam = 0.5 * model.fisher_information(args.theta0) * eps ** 2
-        row = [_fmt(eps), _fmt(lam)]
+        row = [_fmt(eps), _fmt(query.lam)]
         for kind in ALL_KINDS:
             value = local_power(query, kind, source)
             clamped += value.clamped
@@ -365,7 +364,7 @@ def run(argv: list[str]) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    except (EstimationError, GradpowerError, np.linalg.LinAlgError) as exc:
+    except (EstimationError, GradpowerError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

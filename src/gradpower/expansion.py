@@ -170,29 +170,26 @@ def _contract_mv(t: np.ndarray, m: np.ndarray, b) -> float:
     return float(np.einsum("rsu,rs,u->", t, m, b))
 
 
-def _eps_star_and_a(t: CumulantTensors, eps: np.ndarray):
+def _drift_terms(t: CumulantTensors, eps: np.ndarray):
+    # (eps*, A, lam): the full-length drift, the padded inverse nuisance block
+    # and half the drift's quadratic form in the Schur-complement information
     p, q = t.p, t.q
     A = np.zeros((p, p))
     if q == 0:
-        return -eps.astype(float), A
+        return -eps.astype(float), A, 0.5 * float(eps @ t.K @ eps)
     K11 = t.K[:q, :q]
     K12 = t.K[:q, q:]
+    K21 = t.K[q:, :q]
     K11_inv = np.linalg.inv(K11)
     top = K11_inv @ K12 @ eps
     A[:q, :q] = K11_inv
-    return np.concatenate([top, -eps]), A
+    eff = t.K[q:, q:] - K21 @ K11_inv @ K12
+    return np.concatenate([top, -eps]), A, 0.5 * float(eps @ eff @ eps)
 
 
-def _schur_lambda(t: CumulantTensors, eps: np.ndarray) -> float:
-    if t.q == 0:
-        eff = t.K
-    else:
-        K11 = t.K[: t.q, : t.q]
-        K12 = t.K[: t.q, t.q :]
-        K21 = t.K[t.q :, : t.q]
-        K22 = t.K[t.q :, t.q :]
-        eff = K22 - K21 @ np.linalg.inv(K11) @ K12
-    return 0.5 * float(eps @ eff @ eps)
+def _inv_sqrt(n) -> float:
+    # the n^-1/2 factor of the second-order term; 0 at n = inf
+    return 0.0 if math.isinf(n) else 1.0 / math.sqrt(n)
 
 
 def _validate_eps(t: CumulantTensors, eps) -> np.ndarray:
@@ -207,7 +204,7 @@ def _validate_eps(t: CumulantTensors, eps) -> np.ndarray:
 def composite_coefficients(t: CumulantTensors, eps) -> PowerExpansion:
     """Expansion for a composite null: nuisance block estimated, last p-q tested."""
     e = _validate_eps(t, eps)
-    es, A = _eps_star_and_a(t, e)
+    es, A, lam = _drift_terms(t, e)
     K_inv = np.linalg.inv(t.K)
     k3, k21 = t.k3, t.k21
     # first index of the block term runs over the tested coordinates only
@@ -226,7 +223,7 @@ def composite_coefficients(t: CumulantTensors, eps) -> PowerExpansion:
     )
     a3 = -_contract_vvv(k3, es, es, es) / 12.0
     a0 = -(a1 + a2 + a3)
-    return PowerExpansion(f=t.p - t.q, lam=_schur_lambda(t, e), a=(a0, a1, a2, a3))
+    return PowerExpansion(f=t.p - t.q, lam=lam, a=(a0, a1, a2, a3))
 
 
 def simple_coefficients(t: CumulantTensors, eps) -> PowerExpansion:
@@ -279,7 +276,7 @@ def cdf_expansion(e: PowerExpansion, n, x: float) -> ClampedProbability:
     if math.isinf(x):
         # all mixture components reach 1 and the coefficients sum to zero
         return ClampedProbability(1.0, 1.0, False)
-    scale = 0.0 if math.isinf(n) else 1.0 / math.sqrt(n)
+    scale = _inv_sqrt(n)
     g0 = nc_chisq_cdf(ChiSquareParams(e.f, e.lam), x)
     raw = g0
     for k in range(4):
@@ -298,7 +295,7 @@ def st_moments(t: CumulantTensors, eps, n) -> MomentSet:
     if not (n > 0):
         raise DomainError(f"n must be positive, got {n}")
     e = _validate_eps(t, eps)
-    es, A = _eps_star_and_a(t, e)
+    es, A, lam = _drift_terms(t, e)
     K_inv = np.linalg.inv(t.K)
     k3, k21 = t.k3, t.k21
 
@@ -313,8 +310,7 @@ def st_moments(t: CumulantTensors, eps, n) -> MomentSet:
     A3 = -k3s / 12.0
 
     f = t.p - t.q
-    lam = _schur_lambda(t, e)
-    rt = 0.0 if math.isinf(n) else 1.0 / math.sqrt(n)
+    rt = _inv_sqrt(n)
     m1 = f + lam + 2.0 * A1 * rt
     m2 = 2.0 * (f + 2.0 * lam) + 8.0 * (A1 + A2) * rt
     m3 = 8.0 * (f + 3.0 * lam) + 6.0 * (A1 + 2.0 * A2 + A3) * rt

@@ -28,6 +28,7 @@ __all__ = [
     "ExpFamModel",
     "Support",
     "catalog_model",
+    "checked_data",
     "cumulants",
     "load_data",
     "mle",
@@ -891,8 +892,8 @@ def mle_from_dbar(model: ExpFamModel, d_bar: float) -> float:
     return theta
 
 
-def mle(model: ExpFamModel, data) -> float:
-    """Maximum likelihood estimate of theta from observations."""
+def checked_data(model: ExpFamModel, data) -> np.ndarray:
+    """``data`` as a float array, refused if empty or outside the model's support."""
     x = np.asarray(data, dtype=float)
     if x.size == 0:
         raise DomainError("data must be nonempty")
@@ -900,6 +901,12 @@ def mle(model: ExpFamModel, data) -> float:
         raise DomainError(
             f"data contain values outside the support {model.support} of {model.name!r}"
         )
+    return x
+
+
+def mle(model: ExpFamModel, data) -> float:
+    """Maximum likelihood estimate of theta from observations."""
+    x = checked_data(model, data)
     return mle_from_dbar(model, float(np.mean(model.d(x))))
 
 

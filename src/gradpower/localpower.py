@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
 from .errors import DomainError
-from .expansion import ClampedProbability, _clamp
+from .expansion import ClampedProbability, _clamp, _inv_sqrt
 from .expfam import ExpFamModel
 from .specfun import ChiSquareParams, central_chisq_quantile, nc_chisq_cdf, nc_chisq_pdf
 from .teststats import ALL_KINDS, TestKind
@@ -78,7 +79,7 @@ class CoefficientTable:
 
 @dataclass(frozen=True)
 class PowerQuery:
-    """A local power evaluation point."""
+    """A local power evaluation point and the crit, lam and n^-1/2 its four tests share."""
 
     model: ExpFamModel
     theta0: float
@@ -90,6 +91,8 @@ class PowerQuery:
         self.model.require_theta(self.theta0)
         if not (0.0 < self.alpha < 1.0):
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if 1.0 - self.alpha == 1.0:
+            raise DomainError(f"alpha={self.alpha} is too small: 1 - alpha rounds to 1")
         if not (self.n >= 1):
             raise DomainError(f"n must be >= 1, got {self.n}")
         if math.isfinite(self.n):
@@ -98,6 +101,18 @@ class PowerQuery:
                 raise DomainError(
                     f"drifted parameter {drifted} leaves the parameter space"
                 )
+
+    @cached_property
+    def crit(self) -> float:  # solved on first use, never at construction
+        return central_chisq_quantile(1.0, 1.0 - self.alpha)
+
+    @cached_property
+    def lam(self) -> float:
+        return 0.5 * self.model.fisher_information(self.theta0) * self.eps ** 2
+
+    @property
+    def scale(self) -> float:
+        return _inv_sqrt(self.n)
 
 
 def power_coefficients(
@@ -138,20 +153,14 @@ def power_coefficients(
     return CoefficientTable(a=a, source=source, eps=eps, theta0=theta0)
 
 
-def _crit(alpha: float) -> float:
-    return central_chisq_quantile(1.0, 1.0 - alpha)
-
-
 def local_power(
     query: PowerQuery, test: TestKind, source: str = SOURCE_CHAIN
 ) -> ClampedProbability:
     """Second-order rejection probability of one test at the query point."""
     table = power_coefficients(query.model, query.theta0, query.eps, source)
-    lam = 0.5 * query.model.fisher_information(query.theta0) * query.eps ** 2
-    x = _crit(query.alpha)
+    lam, x, scale = query.lam, query.crit, query.scale
     g0 = nc_chisq_cdf(ChiSquareParams(1.0, lam), x)
     raw = 1.0 - g0
-    scale = 0.0 if math.isinf(query.n) else 1.0 / math.sqrt(query.n)
     if scale != 0.0:
         row = table.row(test)
         for k in range(4):
@@ -175,14 +184,12 @@ def power_difference(
     """Pi_i - Pi_j via the telescoped density representation (exact antisymmetry)."""
     table = power_coefficients(query.model, query.theta0, query.eps, source)
     csum, C = _difference_terms(table, i, j)
-    lam = 0.5 * query.model.fisher_information(query.theta0) * query.eps ** 2
-    x = _crit(query.alpha)
-    scale = 0.0 if math.isinf(query.n) else 1.0 / math.sqrt(query.n)
+    lam, x = query.lam, query.crit
     total = csum * nc_chisq_cdf(ChiSquareParams(1.0, lam), x)
     for m, Cm in enumerate(C, start=1):
         if Cm != 0.0:
             total -= 2.0 * Cm * nc_chisq_pdf(ChiSquareParams(1.0 + 2 * m, lam), x)
-    return scale * total
+    return query.scale * total
 
 
 @dataclass(frozen=True)

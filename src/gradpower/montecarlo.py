@@ -20,6 +20,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -75,19 +76,17 @@ class SimulationConfig:
     workers: int = 1
 
     def __post_init__(self):
-        self.model.require_theta(self.theta0)
         if self.n < 2:
             raise DomainError(f"per-replicate sample size must be >= 2, got {self.n}")
+        self.query  # validates theta0, alpha and the drifted parameter
         if self.reps < 1:
             raise DomainError(f"replicate count must be >= 1, got {self.reps}")
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.workers < 1:
             raise DomainError(f"workers must be >= 1, got {self.workers}")
-        if not self.model.in_param_space(self.theta_generating):
-            raise DomainError(
-                f"drifted parameter {self.theta_generating} leaves the parameter space"
-            )
+
+    @cached_property
+    def query(self) -> PowerQuery:
+        return PowerQuery(self.model, self.theta0, self.eps, self.n, self.alpha)
 
     @property
     def theta_generating(self) -> float:
@@ -270,11 +269,8 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     stderr = tuple(math.sqrt(r * (1.0 - r) / used) for r in rates)
 
     sources = (SOURCE_CHAIN, SOURCE_TABLE) if config.compare_sources else (SOURCE_CHAIN,)
-    query = PowerQuery(
-        model=model, theta0=config.theta0, eps=config.eps, n=config.n, alpha=config.alpha
-    )
     predicted = {
-        src: tuple(local_power(query, kind, src).value for kind in ALL_KINDS)
+        src: tuple(local_power(config.query, kind, src).value for kind in ALL_KINDS)
         for src in sources
     }
 

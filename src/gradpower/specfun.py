@@ -215,8 +215,6 @@ def nc_chisq_cdf(params: ChiSquareParams, x: float) -> float:
         raise DomainError(f"x must be finite, got {x}")
     if x <= 0.0:
         return 0.0
-    if params.noncentrality == 0.0:
-        return central_chisq_cdf(params.df, x)
     return min(max(_poisson_mixture(params, x, pdf=False), 0.0), 1.0)
 
 
@@ -224,8 +222,6 @@ def nc_chisq_pdf(params: ChiSquareParams, x: float) -> float:
     """Density of the (Poisson-mixture) noncentral chi-square distribution."""
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"x must be positive and finite, got {x}")
-    if params.noncentrality == 0.0:
-        return central_chisq_pdf(params.df, x)
     return max(_poisson_mixture(params, x, pdf=True), 0.0)
 
 

@@ -24,8 +24,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import DomainError
-from .expfam import ExpFamModel, mle_from_dbar
+from .expfam import ExpFamModel, checked_data, mle_from_dbar
 from .specfun import central_chisq_cdf
 
 __all__ = ["TestKind", "TestResult", "compute_statistics", "compute_statistics_generic"]
@@ -91,13 +90,7 @@ def statistics_from_dbar(
 def compute_statistics(model: ExpFamModel, data, theta0: float) -> TestResult:
     """All four statistics and their chi-square(1) p-values for H0: theta = theta0."""
     model.require_theta(theta0)
-    x = np.asarray(data, dtype=float)
-    if x.size == 0:
-        raise DomainError("data must be nonempty")
-    if not model.support.contains(x):
-        raise DomainError(
-            f"data contain values outside the support {model.support} of {model.name!r}"
-        )
+    x = checked_data(model, data)
     d_bar = float(np.mean(model.d(x)))
     theta_hat, s = statistics_from_dbar(model, theta0, d_bar, x.size)
     p = tuple(1.0 - central_chisq_cdf(1.0, si) for si in s)
@@ -115,9 +108,7 @@ def compute_statistics_generic(
     authoritative one.
     """
     model.require_theta(theta0)
-    x = np.asarray(data, dtype=float)
-    if x.size == 0:
-        raise DomainError("data must be nonempty")
+    x = checked_data(model, data)
     n = x.size
     theta_hat = mle_from_dbar(model, float(np.mean(model.d(x))))
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gradpower import localpower
 from gradpower.cli import run
 
 GAMMA_ARGS = ["--model", "gamma", "--fixed", "k=2", "--theta0", "1"]
@@ -312,6 +313,45 @@ class TestGoldenOutput:
             "4,0.8115402651278143,0\n"
         )
 
+    def test_simulate(self, capsys):
+        code, out, _ = _capture(
+            capsys,
+            ["simulate", *GAMMA_ARGS, "--eps", "0.5", "--n", "50", "--reps", "300",
+             "--alpha", "0.05", "--seed", "7", "--compare-sources"],
+        )
+        assert code == 0
+        assert out == (
+            "# gradpower simulate model=gamma fixed=k=2 theta0=1 eps=0.5 n=50 reps=300"
+            " alpha=0.050000000000000003 seed=7 threads=1 compare_sources=true\n"
+            "critical_value: 3.8414588206941063\n"
+            "rejection_rate_lr: 0.089999999999999997\n"
+            "rejection_rate_wald: 0.076666666666666661\n"
+            "rejection_rate_score: 0.076666666666666661\n"
+            "rejection_rate_gradient: 0.093333333333333338\n"
+            "mc_stderr_lr: 0.016522711641858305\n"
+            "mc_stderr_wald: 0.015361085995559135\n"
+            "mc_stderr_score: 0.015361085995559135\n"
+            "mc_stderr_gradient: 0.016795061002392163\n"
+            "predicted_power_consistent-chain_lr: 0.10286459830320409\n"
+            "predicted_power_consistent-chain_wald: 0.081017778604726157\n"
+            "predicted_power_consistent-chain_score: 0.081017778604726157\n"
+            "predicted_power_consistent-chain_gradient: 0.11378800815244307\n"
+            "predicted_power_table_lr: 0.10286459830320409\n"
+            "predicted_power_table_wald: 0.081017778604726157\n"
+            "predicted_power_table_score: 0.081017778604726157\n"
+            "predicted_power_table_gradient: 0.11378800815244307\n"
+            "s4_mean: 1.4975364960958668\n"
+            "s4_mean_se: 0.11061304367428422\n"
+            "s4_variance: 3.6705736292667326\n"
+            "s4_variance_se: 0.55950803495367241\n"
+            "s4_third_central: 15.014013401401197\n"
+            "s4_third_central_se: 3.5166830825580542\n"
+            "joint_score_gradient_rate: 0.076666666666666661\n"
+            "failures: 0\n"
+            "reps_used: 300\n"
+            "seed: 7\n"
+        )
+
     def test_stat_csv(self, capsys):
         with open("obs.txt", "w", encoding="utf-8") as fh:
             fh.write("\n".join(str(v) for v in [1.0, 3.0, 1.5, 2.5, 2.0, 2.0, 1.2, 2.8,
@@ -361,6 +401,28 @@ class TestCliContract:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["power", "--model", "gamma", "--fixed", "k=2", "--theta0", "1e-200",
+         "--eps", "1e-201", "--n", "50", "--alpha", "0.05"],
+        ["order", "--model", "gamma", "--fixed", "k=2", "--theta0", "1e-120",
+         "--alpha", "0.05", "--direction", "above", "--eps-grid", "1e-121"],
+    ])
+    def test_arithmetic_failure_exit_3(self, capsys, argv):
+        # the catalog derivatives divide by an underflowed theta0 ** 2
+        code, out, err = _capture(capsys, argv)
+        assert code == 3
+        assert err.startswith("numeric failure:")
+        assert out == ""
+
+    def test_tiny_alpha_names_alpha(self, capsys):
+        code, out, err = _capture(
+            capsys,
+            ["power", *GAMMA_ARGS, "--eps", "0.5", "--n", "50", "--alpha", "1e-300"],
+        )
+        assert code == 2
+        assert "alpha" in err and "got 1.0" not in err
+        assert out == ""
+
     def test_no_partial_output_file_on_usage_error(self, tmp_path, capsys):
         target = tmp_path / "out.csv"
         code, _, _ = _capture(
@@ -397,3 +459,36 @@ class TestCliContract:
     def test_no_subcommand(self, capsys):
         code, _, err = _capture(capsys, [])
         assert code == 1 and "subcommand" in err
+
+
+class TestCriticalValueReuse:
+    """Each evaluation point solves its critical value once, for all four tests."""
+
+    @pytest.fixture()
+    def quantile_calls(self, monkeypatch):
+        calls = []
+        solve = localpower.central_chisq_quantile
+
+        def counting(df, p):
+            calls.append((df, p))
+            return solve(df, p)
+
+        monkeypatch.setattr(localpower, "central_chisq_quantile", counting)
+        return calls
+
+    def test_power_grid_one_solve_per_eps(self, capsys, quantile_calls):
+        code, _, _ = _capture(
+            capsys,
+            ["power", *GAMMA_ARGS, "--eps", "0:1:0.5", "--n", "50", "--alpha", "0.05"],
+        )
+        assert code == 0
+        assert len(quantile_calls) == 3
+
+    def test_simulate_one_solve_for_both_sources(self, capsys, quantile_calls):
+        code, _, _ = _capture(
+            capsys,
+            ["simulate", *GAMMA_ARGS, "--eps", "0.5", "--n", "50", "--reps", "50",
+             "--alpha", "0.05", "--seed", "7", "--compare-sources"],
+        )
+        assert code == 0
+        assert len(quantile_calls) == 1

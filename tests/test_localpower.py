@@ -185,6 +185,25 @@ class TestLocalPower:
         with pytest.raises(DomainError):
             PowerQuery(model=model, theta0=1.0, eps=-8.0, n=49, alpha=0.05)
 
+    def test_tiny_alpha_refused_by_name(self):
+        # 1 - alpha rounds to 1, so no critical value exists in double precision
+        model = catalog_model("gamma", {"k": 1.0})
+        for alpha in (1e-300, 1e-17):
+            with pytest.raises(DomainError, match="alpha"):
+                PowerQuery(model=model, theta0=1.0, eps=0.5, n=50, alpha=alpha)
+        PowerQuery(model=model, theta0=1.0, eps=0.5, n=50, alpha=1e-15)
+
+    def test_shared_quantities(self):
+        from gradpower.specfun import central_chisq_quantile
+
+        model = catalog_model("gamma", {"k": 2.0})
+        q = PowerQuery(model=model, theta0=1.0, eps=0.5, n=50, alpha=0.05)
+        assert "crit" not in vars(q)  # solved on first use, not at construction
+        assert q.crit == central_chisq_quantile(1.0, 1.0 - 0.05)
+        assert q.lam == 0.5 * model.fisher_information(1.0) * 0.5 ** 2
+        assert q.scale == 1.0 / math.sqrt(50)
+        assert PowerQuery(model=model, theta0=1.0, eps=0.5, n=math.inf, alpha=0.05).scale == 0.0
+
 
 class TestPowerDifference:
     def test_exact_antisymmetry(self):

@@ -177,6 +177,14 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             # drifted parameter leaves (0, inf)
             SimulationConfig(model=GAMMA, theta0=0.2, eps=-2.0, n=9, reps=10, alpha=0.05, seed=0)
+        with pytest.raises(DomainError, match="alpha"):
+            SimulationConfig(model=GAMMA, theta0=1.0, eps=0.0, n=10, reps=10, alpha=1e-300, seed=0)
+
+    def test_query_is_the_evaluation_point(self):
+        cfg = SimulationConfig(model=GAMMA, theta0=1.0, eps=0.5, n=50, reps=10, alpha=0.05, seed=0)
+        q = cfg.query
+        assert (q.model, q.theta0, q.eps, q.n, q.alpha) == (GAMMA, 1.0, 0.5, 50, 0.05)
+        assert cfg.query is q
 
 
 class TestAdjudications:

@@ -18,6 +18,7 @@ from gradpower.errors import DomainError
 from gradpower.specfun import (
     ChiSquareParams,
     central_chisq_cdf,
+    central_chisq_pdf,
     central_chisq_quantile,
     nc_chisq_cdf,
     nc_chisq_pdf,
@@ -29,6 +30,10 @@ Q95_DF1 = 3.8414588206941259584
 NC_CDF_1_05_2 = 0.65275653668226970279
 NC_PDF_3_05_2 = 0.17225201450870823362
 PDF_3_AT_1 = 0.2419707245191433498
+
+# df and x grids on which lam = 0 must give the central law bit for bit
+LAM0_DFS = [float(v) for v in np.geomspace(0.1, 400.0, 60)]
+LAM0_XS = [float(v) for v in np.geomspace(1e-8, 1e3, 60)]
 
 
 def chisq_density(df):
@@ -113,6 +118,11 @@ class TestNoncentralCdf:
         for x in (0.1, 1.0, 4.0, 25.0):
             got = nc_chisq_cdf(ChiSquareParams(2.0, 0.0), x)
             assert got == pytest.approx(1.0 - math.exp(-0.5 * x), abs=1e-14)
+        # the Poisson walk at lam=0 is one term of weight 1.0: the central cdf exactly
+        for df in LAM0_DFS:
+            for x in LAM0_XS:
+                got = nc_chisq_cdf(ChiSquareParams(df, 0.0), x)
+                assert got == central_chisq_cdf(df, x), (df, x)
 
     def test_zero_at_origin(self):
         assert nc_chisq_cdf(ChiSquareParams(1.0, 0.5), 0.0) == 0.0
@@ -163,6 +173,12 @@ class TestNoncentralCdf:
 
 
 class TestNoncentralPdf:
+    def test_reduces_to_central(self):
+        for df in LAM0_DFS:
+            for x in LAM0_XS:
+                got = nc_chisq_pdf(ChiSquareParams(df, 0.0), x)
+                assert got == central_chisq_pdf(df, x), (df, x)
+
     def test_central_df2_closed_form(self):
         got = nc_chisq_pdf(ChiSquareParams(2.0, 0.0), 0.001)
         assert got == pytest.approx(0.5 * math.exp(-0.0005), rel=1e-14)

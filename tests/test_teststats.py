@@ -138,3 +138,9 @@ class TestValidation:
         model = catalog_model("power", {"phi": 2.0})
         with pytest.raises(DomainError):
             compute_statistics(model, [0.5, 2.5], 1.0)
+
+    def test_generic_route_validates_like_the_dbar_route(self):
+        model = catalog_model("power", {"phi": 2.0})
+        for data, match in (([], "nonempty"), ([0.5, 2.5], "outside the support")):
+            with pytest.raises(DomainError, match=match):
+                compute_statistics_generic(model, data, 1.0)
