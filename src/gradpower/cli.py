@@ -32,7 +32,7 @@ from .localpower import (
     local_power,
     power_ordering,
 )
-from .montecarlo import SimulationConfig, default_workers, simulate
+from .montecarlo import SimulationConfig, simulate
 from .teststats import ALL_KINDS, compute_statistics
 
 __all__ = ["main", "run"]
@@ -183,8 +183,8 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--reps", type=int, required=True, help="replicate count")
     p_sim.add_argument("--alpha", type=float, required=True, help="nominal size")
     p_sim.add_argument("--seed", type=int, required=True, help="stream seed")
-    p_sim.add_argument("--threads", type=int, default=None,
-                       help="worker processes (default: GRADPOWER_THREADS or 1)")
+    p_sim.add_argument("--threads", type=int, default=1,
+                       help="worker processes (default: 1)")
     p_sim.add_argument("--compare-sources", action="store_true",
                        help="predict power under both coefficient conventions")
     return parser
@@ -297,17 +297,16 @@ def _cmd_expand(args) -> list[str]:
 
 def _cmd_simulate(args) -> list[str]:
     model = catalog_model(args.model, _parse_fixed(args.fixed))
-    workers = args.threads if args.threads is not None else default_workers()
     config = SimulationConfig(
         model=model, theta0=args.theta0, eps=args.eps, n=args.n, reps=args.reps,
         alpha=args.alpha, seed=args.seed, compare_sources=args.compare_sources,
-        workers=workers,
+        workers=args.threads,
     )
     report = simulate(config)
     lines = _config_header("simulate", [
         ("model", args.model), ("fixed", args.fixed or "-"), ("theta0", _fmt(args.theta0)),
         ("eps", _fmt(args.eps)), ("n", args.n), ("reps", args.reps),
-        ("alpha", _fmt(args.alpha)), ("seed", args.seed), ("threads", workers),
+        ("alpha", _fmt(args.alpha)), ("seed", args.seed), ("threads", args.threads),
         ("compare_sources", _fmt(args.compare_sources)),
     ])
     lines.append(f"critical_value: {_fmt(report.critical_value)}")

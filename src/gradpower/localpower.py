@@ -69,9 +69,6 @@ class CoefficientTable:
     """Rows LR, Wald, score, gradient; columns mixture index k = 0..3."""
 
     a: np.ndarray
-    source: str
-    eps: float
-    theta0: float
 
     def row(self, kind: TestKind) -> np.ndarray:
         return self.a[kind - 1]
@@ -79,7 +76,7 @@ class CoefficientTable:
 
 @dataclass(frozen=True)
 class PowerQuery:
-    """A local power evaluation point and the crit, lam and n^-1/2 its four tests share."""
+    """An evaluation point and the values its four tests share, each computed on first use."""
 
     model: ExpFamModel
     theta0: float
@@ -95,12 +92,15 @@ class PowerQuery:
             raise DomainError(f"alpha={self.alpha} is too small: 1 - alpha rounds to 1")
         if not (self.n >= 1):
             raise DomainError(f"n must be >= 1, got {self.n}")
-        if math.isfinite(self.n):
-            drifted = self.theta0 + self.eps / math.sqrt(self.n)
-            if not self.model.in_param_space(drifted):
-                raise DomainError(
-                    f"drifted parameter {drifted} leaves the parameter space"
-                )
+        if math.isfinite(self.n) and not self.model.in_param_space(self.theta_drifted):
+            raise DomainError(
+                f"drifted parameter {self.theta_drifted} leaves the parameter space"
+            )
+
+    @property
+    def theta_drifted(self) -> float:
+        """The alternative theta0 + eps/sqrt(n) that the data are drawn under."""
+        return self.theta0 + self.eps / math.sqrt(self.n)
 
     @cached_property
     def crit(self) -> float:  # solved on first use, never at construction
@@ -113,6 +113,27 @@ class PowerQuery:
     @property
     def scale(self) -> float:
         return _inv_sqrt(self.n)
+
+    @cached_property
+    def _values(self) -> dict:
+        # source -> table and (df, density) -> value; per instance, as queries are unhashable
+        return {}
+
+    def coefficients(self, source: str) -> CoefficientTable:
+        """The coefficient table under ``source``."""
+        values = self._values
+        if source not in values:
+            values[source] = power_coefficients(self.model, self.theta0, self.eps, source)
+        return values[source]
+
+    def mixture(self, df: float, density: bool = False) -> float:
+        """G_{df,lam}(crit), or the density g_{df,lam}(crit)."""
+        key = (df, density)
+        values = self._values
+        if key not in values:
+            kernel = nc_chisq_pdf if density else nc_chisq_cdf
+            values[key] = kernel(ChiSquareParams(float(df), self.lam), self.crit)
+        return values[key]
 
 
 def power_coefficients(
@@ -149,24 +170,21 @@ def power_coefficients(
         ap * bpp * e3 / 4.0 - P * e / (4.0 * K),
         -P * e3 / 12.0,
     )
-    a = np.array([lr, wald, score, grad], dtype=float)
-    return CoefficientTable(a=a, source=source, eps=eps, theta0=theta0)
+    return CoefficientTable(a=np.array([lr, wald, score, grad], dtype=float))
 
 
 def local_power(
     query: PowerQuery, test: TestKind, source: str = SOURCE_CHAIN
 ) -> ClampedProbability:
     """Second-order rejection probability of one test at the query point."""
-    table = power_coefficients(query.model, query.theta0, query.eps, source)
-    lam, x, scale = query.lam, query.crit, query.scale
-    g0 = nc_chisq_cdf(ChiSquareParams(1.0, lam), x)
-    raw = 1.0 - g0
+    table = query.coefficients(source)  # fetched at n = inf too: it validates source and eps
+    raw = 1.0 - query.mixture(1)
+    scale = query.scale
     if scale != 0.0:
         row = table.row(test)
         for k in range(4):
             if row[k] != 0.0:
-                g = g0 if k == 0 else nc_chisq_cdf(ChiSquareParams(1.0 + 2 * k, lam), x)
-                raw -= scale * row[k] * g
+                raw -= scale * row[k] * query.mixture(1 + 2 * k)
     return _clamp(raw)
 
 
@@ -182,13 +200,11 @@ def power_difference(
     query: PowerQuery, i: TestKind, j: TestKind, source: str = SOURCE_CHAIN
 ) -> float:
     """Pi_i - Pi_j via the telescoped density representation (exact antisymmetry)."""
-    table = power_coefficients(query.model, query.theta0, query.eps, source)
-    csum, C = _difference_terms(table, i, j)
-    lam, x = query.lam, query.crit
-    total = csum * nc_chisq_cdf(ChiSquareParams(1.0, lam), x)
+    csum, C = _difference_terms(query.coefficients(source), i, j)
+    total = csum * query.mixture(1)
     for m, Cm in enumerate(C, start=1):
         if Cm != 0.0:
-            total -= 2.0 * Cm * nc_chisq_pdf(ChiSquareParams(1.0 + 2 * m, lam), x)
+            total -= 2.0 * Cm * query.mixture(1 + 2 * m, density=True)
     return query.scale * total
 
 
@@ -272,6 +288,7 @@ def power_ordering(
     tables = [power_coefficients(model, theta0, sign * eps, source) for eps in eps_grid]
     tols = [_COEF_TOL * max(1.0, float(np.max(np.abs(t.a)))) for t in tables]
 
+    fallback = None  # pointwise queries, built when the first pair needs them
     certificates = {}
     for idx, i in enumerate(ALL_KINDS):
         for j in ALL_KINDS[idx + 1 :]:
@@ -283,7 +300,11 @@ def power_ordering(
                 relation = relations.pop()
                 uniform = True
             else:
-                relation = _grid_relation(model, theta0, sign, eps_grid, alpha, source, i, j)
+                if fallback is None:
+                    alphas = sorted({0.01, 0.025, alpha, 0.10, 0.20})
+                    fallback = [PowerQuery(model, theta0, sign * eps, 1.0, a)
+                                for eps in eps_grid for a in alphas]
+                relation = _grid_relation(fallback, source, i, j)
                 uniform = False
             certificates[(i, j)] = PairCertificate(
                 i=i, j=j, relation=relation, uniform=uniform, csum=csum, partial=C
@@ -301,15 +322,13 @@ def power_ordering(
     )
 
 
-def _grid_relation(model, theta0, sign, eps_grid, alpha, source, i, j) -> str:
+def _grid_relation(queries, source, i, j) -> str:
     # pointwise comparison at a spread of critical values; n > 0 only scales
     signs = set()
-    for eps in eps_grid:
-        for a in sorted({0.01, 0.025, alpha, 0.10, 0.20}):
-            q = PowerQuery(model=model, theta0=theta0, eps=sign * eps, n=1.0, alpha=a)
-            diff = power_difference(q, i, j, source)
-            if abs(diff) > 1e-14:
-                signs.add(1 if diff > 0 else -1)
+    for q in queries:
+        diff = power_difference(q, i, j, source)
+        if abs(diff) > 1e-14:
+            signs.add(1 if diff > 0 else -1)
     return _relation(signs)
 
 

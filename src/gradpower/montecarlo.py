@@ -16,7 +16,6 @@ statistic.
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -40,25 +39,12 @@ __all__ = [
     "SimulationReport",
     "adjudicate_gradient_sources",
     "adjudicate_mean_expansion",
-    "default_workers",
     "simulate",
 ]
 
 _CHUNK = 4096
 _MASK64 = (1 << 64) - 1
 _FAILURE_LIMIT = 1e-3
-
-
-def default_workers() -> int:
-    """Worker count from the GRADPOWER_THREADS environment variable (default 1)."""
-    raw = os.environ.get("GRADPOWER_THREADS", "1")
-    try:
-        w = int(raw)
-    except ValueError:
-        raise DomainError(f"GRADPOWER_THREADS={raw!r} is not an integer")
-    if w < 1:
-        raise DomainError(f"worker count must be >= 1, got {w}")
-    return w
 
 
 @dataclass(frozen=True)
@@ -87,10 +73,6 @@ class SimulationConfig:
     @cached_property
     def query(self) -> PowerQuery:
         return PowerQuery(self.model, self.theta0, self.eps, self.n, self.alpha)
-
-    @property
-    def theta_generating(self) -> float:
-        return self.theta0 + self.eps / math.sqrt(self.n)
 
 
 @dataclass(frozen=True)
@@ -226,7 +208,7 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     """Run the experiment; deterministic for fixed (seed, reps, n, model)."""
     t_start = time.perf_counter()
     model = config.model
-    theta_gen = config.theta_generating
+    theta_gen = config.query.theta_drifted
     xcrit = central_chisq_quantile(1.0, 1.0 - config.alpha)
 
     chunks = [

@@ -492,3 +492,42 @@ class TestCriticalValueReuse:
         )
         assert code == 0
         assert len(quantile_calls) == 1
+
+
+class TestMixtureReuse:
+    """Each evaluation point builds a table per source and walks each mixture once."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        counts = {"nc_chisq_cdf": 0, "power_coefficients": 0}
+
+        def counting(name):
+            inner = getattr(localpower, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(localpower, name, counting(name))
+        return counts
+
+    def test_power_grid(self, capsys, calls):
+        code, _, _ = _capture(
+            capsys,
+            ["power", *GAMMA_ARGS, "--eps", "0:1:0.5", "--n", "50", "--alpha", "0.05"],
+        )
+        assert code == 0
+        # eps = 0 has an all-zero table, so only G_1 is walked there
+        assert calls == {"nc_chisq_cdf": 1 + 4 + 4, "power_coefficients": 3}
+
+    def test_simulate_both_sources(self, capsys, calls):
+        code, _, _ = _capture(
+            capsys,
+            ["simulate", *GAMMA_ARGS, "--eps", "0.5", "--n", "50", "--reps", "50",
+             "--alpha", "0.05", "--seed", "7", "--compare-sources"],
+        )
+        assert code == 0
+        assert calls == {"nc_chisq_cdf": 4, "power_coefficients": 2}

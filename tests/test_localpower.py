@@ -1,17 +1,21 @@
 """Coefficient tables, local power values, and ordering certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from gradpower import localpower
 from gradpower.errors import DomainError
 from gradpower.expfam import catalog_model, cumulants
 from gradpower.expansion import scalar_coefficients, cdf_expansion
 from gradpower.localpower import (
     SOURCE_CHAIN,
     SOURCE_TABLE,
+    SOURCES,
     PowerQuery,
+    _relation,
     local_power,
     power_coefficients,
     power_difference,
@@ -198,11 +202,49 @@ class TestLocalPower:
 
         model = catalog_model("gamma", {"k": 2.0})
         q = PowerQuery(model=model, theta0=1.0, eps=0.5, n=50, alpha=0.05)
-        assert "crit" not in vars(q)  # solved on first use, not at construction
+        # crit, tables and mixture values: computed on first use, not at construction
+        assert not {"crit", "lam", "_values"} & set(vars(q))
         assert q.crit == central_chisq_quantile(1.0, 1.0 - 0.05)
         assert q.lam == 0.5 * model.fisher_information(1.0) * 0.5 ** 2
         assert q.scale == 1.0 / math.sqrt(50)
         assert PowerQuery(model=model, theta0=1.0, eps=0.5, n=math.inf, alpha=0.05).scale == 0.0
+
+
+class TestQueryReuse:
+    """A query reused across tests, sources and pairs gives the fresh-query values."""
+
+    POINTS = (
+        ("gamma", 1.0, 0.5, 50, 0.05),
+        ("tev", 1.3, -0.8, 20, 1e-9),
+        ("laplace", 0.9, 1.7, 1000, 0.2),
+        ("pareto", 1.2, 0.6, math.inf, 0.01),
+        ("normal-variance", 2.0, 0.0, 40, 0.05),
+        ("invnormal-mu", 0.7, -0.4, 1, 0.3),
+    )
+
+    @pytest.mark.parametrize("name,theta0,eps,n,alpha", POINTS)
+    def test_reused_equals_fresh(self, name, theta0, eps, n, alpha):
+        model = catalog_model(name, CATALOG_FIXED[name])
+
+        def fresh():
+            return PowerQuery(model=model, theta0=theta0, eps=eps, n=n, alpha=alpha)
+
+        q = fresh()
+        for source in SOURCES:
+            for kind in TestKind:
+                assert local_power(q, kind, source) == local_power(fresh(), kind, source)
+            for i in TestKind:
+                for j in TestKind:
+                    if i != j:
+                        got = power_difference(q, i, j, source)
+                        assert got == power_difference(fresh(), i, j, source)
+
+    def test_unknown_source_raises_at_infinite_n(self):
+        q = PowerQuery(model=catalog_model("gamma", {"k": 2.0}), theta0=1.0, eps=0.5,
+                       n=math.inf, alpha=0.05)
+        assert local_power(q, TestKind.LR).value == local_power(q, TestKind.GRADIENT).value
+        with pytest.raises(DomainError, match="source"):
+            local_power(q, TestKind.LR, "bogus")
 
 
 class TestPowerDifference:
@@ -321,3 +363,49 @@ class TestOrderings:
             power_ordering(model, 1.0, "above", 0.05, eps_grid=(0.5, -1.0))
         with pytest.raises(DomainError):
             power_ordering(model, 1.0, "above", 0.05, source="folklore")
+
+
+class TestOrderingFallback:
+    """Pairs without a uniform certificate are compared on a grid of queries."""
+
+    # alpha'' = 1, beta'' = -5 at theta0 = 5: no pair with the gradient gets a uniform certificate
+    STUB = dataclasses.replace(
+        catalog_model("gamma", {"k": 1.0}),
+        alpha_d1=lambda t: 1.0,
+        alpha_d2=lambda t: 1.0,
+        beta_d1=lambda t: 1.0,
+        beta_d2=lambda t: -5.0,
+    )
+    ALPHAS = (0.01, 0.025, 0.05, 0.10, 0.20)
+
+    def _report(self):
+        return power_ordering(self.STUB, 5.0, "above", 0.05, source=SOURCE_TABLE)
+
+    def test_fallback_pairs_match_pointwise_signs(self):
+        report = self._report()
+        assert not report.uniform
+        fallback = {pair for pair, cert in report.certificates.items() if not cert.uniform}
+        G = TestKind.GRADIENT
+        assert fallback == {(TestKind.LR, G), (TestKind.WALD, G), (TestKind.SCORE, G)}
+        for i, j in fallback:
+            signs = set()
+            for eps in report.eps_grid:
+                for alpha in self.ALPHAS:
+                    q = PowerQuery(model=self.STUB, theta0=5.0, eps=eps, n=1.0, alpha=alpha)
+                    diff = power_difference(q, i, j, SOURCE_TABLE)
+                    if abs(diff) > 1e-14:
+                        signs.add(1 if diff > 0 else -1)
+            assert report.certificates[(i, j)].relation == _relation(signs) == "mixed"
+
+    def test_grid_shared_by_all_pairs(self, monkeypatch):
+        calls = []
+        solve = localpower.central_chisq_quantile
+
+        def counting(df, p):
+            calls.append((df, p))
+            return solve(df, p)
+
+        monkeypatch.setattr(localpower, "central_chisq_quantile", counting)
+        report = self._report()
+        # one solve per (eps, alpha) grid point, not one per point and pair
+        assert len(calls) == len(report.eps_grid) * len(self.ALPHAS) == 20

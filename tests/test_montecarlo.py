@@ -122,7 +122,7 @@ class TestAggregation:
         )
         rep = simulate(cfg)
         s4 = np.array(
-            [replicate_statistics(GAMMA, cfg.theta_generating, 1.0, 100, 17, j)[3]
+            [replicate_statistics(GAMMA, cfg.query.theta_drifted, 1.0, 100, 17, j)[3]
              for j in range(2000)]
         )
         est = rep.st_moment_estimates
@@ -138,7 +138,7 @@ class TestFailureAccounting:
         dbars = []
         for j in range(cfg.reps):
             rng = replicate_stream(cfg.seed, j)
-            xs = GAMMA.sampler(cfg.theta_generating, cfg.n, rng)
+            xs = GAMMA.sampler(cfg.query.theta_drifted, cfg.n, rng)
             dbars.append(float(np.mean(xs)))
         return float(np.sort(dbars)[-(n_failures + 1)] + 1e-12)
 
