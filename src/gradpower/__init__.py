@@ -8,7 +8,7 @@ numeric cumulant tensors, and a seeded Monte Carlo oracle that checks the
 expansions empirically.
 """
 
-from .errors import DomainError, EstimationError, GradpowerError
+from .errors import ConvergenceError, DomainError, EstimationError, GradpowerError
 from .expfam import (
     CATALOG_NAMES,
     CumulantSet,
@@ -54,6 +54,7 @@ from .specfun import (
     ChiSquareParams,
     central_chisq_cdf,
     central_chisq_quantile,
+    central_chisq_sf,
     nc_chisq_cdf,
     nc_chisq_pdf,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "ChiSquareParams",
     "ClampedProbability",
     "CoefficientTable",
+    "ConvergenceError",
     "CumulantSet",
     "CumulantTensors",
     "DomainError",
@@ -89,6 +91,7 @@ __all__ = [
     "cdf_expansion",
     "central_chisq_cdf",
     "central_chisq_quantile",
+    "central_chisq_sf",
     "composite_coefficients",
     "compute_statistics",
     "cumulants",

@@ -11,3 +11,7 @@ class DomainError(GradpowerError, ValueError):
 
 class EstimationError(GradpowerError, RuntimeError):
     """Maximum likelihood estimation failed (degenerate sample, lost bracket)."""
+
+
+class ConvergenceError(GradpowerError, ArithmeticError):
+    """A bounded numeric iteration reached its cap before converging."""

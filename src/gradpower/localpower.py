@@ -104,7 +104,7 @@ class PowerQuery:
 
     @cached_property
     def crit(self) -> float:  # solved on first use, never at construction
-        return central_chisq_quantile(1.0, 1.0 - self.alpha)
+        return central_chisq_quantile(1.0, self.alpha, upper=True)
 
     @cached_property
     def lam(self) -> float:
@@ -196,16 +196,21 @@ def _difference_terms(table: CoefficientTable, i: TestKind, j: TestKind):
     return float(c.sum()), C
 
 
-def power_difference(
-    query: PowerQuery, i: TestKind, j: TestKind, source: str = SOURCE_CHAIN
-) -> float:
-    """Pi_i - Pi_j via the telescoped density representation (exact antisymmetry)."""
+def _telescoped(query: PowerQuery, i: TestKind, j: TestKind, source: str) -> float:
+    # csum * G_1 - 2 * sum_m C_m g_{1+2m}: Pi_i - Pi_j without its n^{-1/2} factor
     csum, C = _difference_terms(query.coefficients(source), i, j)
     total = csum * query.mixture(1)
     for m, Cm in enumerate(C, start=1):
         if Cm != 0.0:
             total -= 2.0 * Cm * query.mixture(1 + 2 * m, density=True)
-    return query.scale * total
+    return total
+
+
+def power_difference(
+    query: PowerQuery, i: TestKind, j: TestKind, source: str = SOURCE_CHAIN
+) -> float:
+    """Pi_i - Pi_j via the telescoped density representation (exact antisymmetry)."""
+    return query.scale * _telescoped(query, i, j, source)
 
 
 @dataclass(frozen=True)
@@ -302,7 +307,8 @@ def power_ordering(
             else:
                 if fallback is None:
                     alphas = sorted({0.01, 0.025, alpha, 0.10, 0.20})
-                    fallback = [PowerQuery(model, theta0, sign * eps, 1.0, a)
+                    # at n = inf no drifted point is built; the sign needs none
+                    fallback = [PowerQuery(model, theta0, sign * eps, math.inf, a)
                                 for eps in eps_grid for a in alphas]
                 relation = _grid_relation(fallback, source, i, j)
                 uniform = False
@@ -323,10 +329,11 @@ def power_ordering(
 
 
 def _grid_relation(queries, source, i, j) -> str:
-    # pointwise comparison at a spread of critical values; n > 0 only scales
+    # pointwise comparison at a spread of critical values; n only scales the
+    # difference, so the sign is taken from the unscaled telescoped sum
     signs = set()
     for q in queries:
-        diff = power_difference(q, i, j, source)
+        diff = _telescoped(q, i, j, source)
         if abs(diff) > 1e-14:
             signs.add(1 if diff > 0 else -1)
     return _relation(signs)

@@ -209,7 +209,7 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     t_start = time.perf_counter()
     model = config.model
     theta_gen = config.query.theta_drifted
-    xcrit = central_chisq_quantile(1.0, 1.0 - config.alpha)
+    xcrit = central_chisq_quantile(1.0, config.alpha, upper=True)
 
     chunks = [
         (model, theta_gen, config.theta0, config.n, config.seed, lo,

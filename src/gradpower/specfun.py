@@ -13,14 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from statistics import NormalDist
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "ChiSquareParams",
     "central_chisq_cdf",
     "central_chisq_pdf",
     "central_chisq_quantile",
+    "central_chisq_sf",
     "nc_chisq_cdf",
     "nc_chisq_pdf",
 ]
@@ -31,6 +34,18 @@ _BIG = 4.503599627370496e15
 _BIGINV = 2.2204460492503131e-16
 # Poisson-mixture truncation: stop once the unaccumulated weight drops below this
 _POISSON_TAIL = 1e-14
+# terms per sweep of the Poisson walk: lam = 1e10 needs about 8 sqrt(lam) = 8e5
+_POISSON_MAX_TERMS = 1 << 21
+# memo entries for the quantile solve; each run uses a few (df, p) pairs
+_QUANTILE_MEMO = 1024
+# evaluations per quantile solve; a converging solve at df = 1 takes at most 8
+_QUANTILE_MAX_STEPS = 100
+# a solve stops once a step moves x by at most this relative amount (a few ulps)
+_QUANTILE_STEP_TOL = 4.0 * _MACHEP
+# after a Newton step this small the error is at rounding level, so a next
+# step that fails to halve is the tail's rounding noise
+_QUANTILE_NOISE_STEP = 1e-6
+_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -123,6 +138,21 @@ def central_chisq_cdf(df: float, x: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
+def central_chisq_sf(df: float, x: float) -> float:
+    """P(X > x), computed directly so that small upper tails keep their relative accuracy."""
+    _validate_df_x(df, x)
+    if x <= 0.0:
+        return 1.0
+    a = 0.5 * df
+    xg = 0.5 * x
+    # 1 - series only below df + 1, where Q is not small
+    if x < df + 1.0:
+        q = 1.0 - _lower_gamma_series(a, xg)
+    else:
+        q = _upper_gamma_contfrac(a, xg)
+    return min(max(q, 0.0), 1.0)
+
+
 def central_chisq_pdf(df: float, x: float) -> float:
     """Density of a central chi-square with ``df`` degrees of freedom."""
     _validate_df_x(df, x)
@@ -133,6 +163,13 @@ def central_chisq_pdf(df: float, x: float) -> float:
     if logp < -_MAXLOG:
         return 0.0
     return math.exp(logp)
+
+
+def _walk_too_long(params: ChiSquareParams):
+    raise ConvergenceError(
+        f"Poisson mixture needs more than {_POISSON_MAX_TERMS} terms per sweep "
+        f"(df={params.df}, lam={params.noncentrality})"
+    )
 
 
 def _poisson_mixture(params: ChiSquareParams, x: float, pdf: bool) -> float:
@@ -164,17 +201,15 @@ def _poisson_mixture(params: ChiSquareParams, x: float, pdf: bool) -> float:
 
     total = w0 * base0
 
-    # upward sweep: j0+1, j0+2, ...
+    # upward sweep: j0+1, j0+2, ... (at most _POISSON_MAX_TERMS terms)
     w, base, T, a = w0, base0, T0, a0
-    j = j0
-    while True:
+    for j in range(j0, j0 + _POISSON_MAX_TERMS):
         wnext = w * lam / (j + 1.0)
         if j + 1.0 > lam:
             # tail above j is bounded by w_{j+1} / (1 - lam/(j+2))
             bound = wnext / (1.0 - lam / (j + 2.0))
             if bound < half_tail:
                 break
-        j += 1
         w = wnext
         if pdf:
             base *= xg / a
@@ -184,15 +219,16 @@ def _poisson_mixture(params: ChiSquareParams, x: float, pdf: bool) -> float:
         a += 1.0
         base = max(base, 0.0)
         total += w * base
-        if w < 1e-300 and j > lam:
+        if w < 1e-300 and j + 1 > lam:
             break
+    else:
+        _walk_too_long(params)
 
-    # downward sweep: j0-1, ..., 0 (at most j0 terms; weights shrink below the mode)
+    # downward sweep: j0-1, ..., 0 (weights shrink below the mode; at most
+    # _POISSON_MAX_TERMS terms)
     w, base, T, a = w0, base0, T0, a0
-    j = j0
-    while j > 0:
-        w *= j / lam
-        j -= 1
+    for j in range(j0 - 1, max(j0 - 1 - _POISSON_MAX_TERMS, -1), -1):
+        w *= (j + 1) / lam
         a -= 1.0
         if pdf:
             base *= a / xg
@@ -205,6 +241,9 @@ def _poisson_mixture(params: ChiSquareParams, x: float, pdf: bool) -> float:
             bound = (w * j / lam) / (1.0 - (j - 1.0) / lam)
             if bound < half_tail:
                 break
+    else:
+        if j0 > _POISSON_MAX_TERMS:
+            _walk_too_long(params)
 
     return total
 
@@ -225,47 +264,95 @@ def nc_chisq_pdf(params: ChiSquareParams, x: float) -> float:
     return max(_poisson_mixture(params, x, pdf=True), 0.0)
 
 
-def central_chisq_quantile(df: float, p: float) -> float:
-    """Inverse of ``central_chisq_cdf`` in its second argument.
+@lru_cache(maxsize=_QUANTILE_MEMO)
+def central_chisq_quantile(df: float, p: float, upper: bool = False) -> float:
+    """The x with ``P(X <= x) = p``, or ``P(X > x) = p`` when ``upper`` is true.
 
-    Bracketing bisection followed by Newton refinement in log space; the
-    returned x satisfies ``|central_chisq_cdf(df, x) - p| <= 1e-12`` over any
-    practical (df, p) range.
+    The solve always works on the smaller tail, so an upper-tail probability
+    such as a test's size keeps its relative accuracy.  It runs Newton's
+    method on log(tail) in t = log x from the starting values of AS 91 (Best
+    & Roberts 1975): Wilson-Hilferty, or the leading series term deep in the
+    lower tail.  Each evaluation tightens a bracket on the root, and a step
+    that would leave the bracket bisects it instead.  Results are memoised
+    per ``(df, p, upper)``.
     """
     if not (math.isfinite(df) and df > 0.0):
         raise DomainError(f"df must be positive and finite, got {df}")
     if not (math.isfinite(p) and 0.0 < p < 1.0):
         raise DomainError(f"p must lie in (0, 1), got {p}")
+    if p > 0.5:
+        p = 1.0 - p  # exact for p in (1/2, 1)
+        upper = not upper
+    return _solve_tail(df, p, upper)
 
-    lo = 0.0
-    hi = df + 10.0 * math.sqrt(2.0 * df) + 50.0
-    while central_chisq_cdf(df, hi) < p:
-        hi *= 2.0
-        if hi > 1e300:
-            raise DomainError(f"quantile bracket expansion failed for p={p}")
 
-    for _ in range(200):
-        if hi - lo <= 1e-13:
-            break
-        mid = 0.5 * (lo + hi)
-        if central_chisq_cdf(df, mid) < p:
-            lo = mid
+def _tail_start(df: float, a: float, target: float, log_target: float, upper: bool) -> float:
+    # AS 91 starting values for the x with tail(x) = target <= 1/2
+    if upper or df >= -1.24 * log_target:
+        h = 2.0 / (9.0 * df)
+        z = -_NORMAL.inv_cdf(target) if upper else _NORMAL.inv_cdf(target)
+        base = 1.0 - h + z * math.sqrt(h)  # Wilson-Hilferty
+        if base > 0.0:
+            x = df * base ** 3
+            if upper and x > 2.2 * df + 6.0:
+                # far upper tail: invert the leading asymptotic term of Q
+                far = -2.0 * (log_target - (a - 1.0) * math.log(0.5 * x) + math.lgamma(a))
+                x = far if far > 0.0 else x
+            return x
+    # deep lower tail: invert the leading series term (x/2)^a / Gamma(a + 1)
+    return 2.0 * math.exp((log_target + math.lgamma(a + 1.0)) / a)
+
+
+def _solve_tail(df: float, target: float, upper: bool) -> float:
+    # The x with tail(x) = target <= 1/2, where tail is Q (upper) or P (lower).
+    a = 0.5 * df
+    lga = math.lgamma(a)
+    log_target = math.log(target)
+    tail = central_chisq_sf if upper else central_chisq_cdf
+    x = _tail_start(df, a, target, log_target, upper)
+    if x == 0.0:
+        return 0.0  # the quantile lies below the smallest positive double
+    lo, hi = 0.0, math.inf
+    prev = math.inf  # size of the last Newton step taken
+    for _ in range(_QUANTILE_MAX_STEPS):
+        value = tail(df, x)
+        if value == target:
+            return x
+        if (value > target) == upper:
+            lo = x
         else:
-            hi = mid
-
-    # Newton in t = log x; multiplicative steps stay inside (0, inf) and
-    # handle the steep small-x region where absolute bisection stalls.
-    x = 0.5 * (lo + hi)
-    if x <= 0.0:
-        x = hi if hi > 0.0 else 1e-300
-    for _ in range(60):
-        err = central_chisq_cdf(df, x) - p
-        if abs(err) <= 1e-13:
-            break
-        slope = central_chisq_pdf(df, x) * x
-        if slope <= 0.0:
-            break
-        step = err / slope
-        step = max(min(step, 1.0), -1.0)
-        x *= math.exp(-step)
-    return x
+            hi = x
+        if hi - lo <= _QUANTILE_STEP_TOL * lo:
+            return x
+        new = step = math.nan
+        if value > 0.0:
+            # d log(tail) / dt = +-x f(x) / tail, where log(x f(x)) = a log(x/2) - x/2 - lgamma(a)
+            log_slope = a * math.log(0.5 * x) - 0.5 * x - lga - math.log(value)
+            ratio = value / target
+            log_ratio = math.log(ratio) if ratio < math.inf else math.log(value) - log_target
+            step = log_ratio * math.exp(min(-log_slope, _MAXLOG))
+            step = -step if upper else step
+            # done at a step of a few ulps, or once small steps stop shrinking:
+            # then the rounding noise of the tail sets the step, not the error
+            if abs(step) <= _QUANTILE_STEP_TOL or (
+                prev < _QUANTILE_NOISE_STEP and abs(step) > 0.5 * prev
+            ):
+                return x * math.exp(-step)
+            if abs(step) < _MAXLOG:
+                new = x * math.exp(-step)
+        if lo < new < hi:
+            prev = abs(step)
+        else:
+            # bisect in log x; an open side of the bracket doubles or halves x
+            if hi == math.inf:
+                new = 2.0 * lo
+            elif lo == 0.0:
+                new = 0.5 * hi
+            else:
+                new = math.sqrt(lo) * math.sqrt(hi)
+            prev = math.inf
+        x = new
+    raise ConvergenceError(
+        f"chi-square quantile did not converge in {_QUANTILE_MAX_STEPS} steps "
+        f"(df={df}, tail={'upper' if upper else 'lower'}, p={target})"
+    )

@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -228,12 +229,12 @@ class TestGoldenOutput:
 
     POWER = (
         "eps,lambda,pi_lr,pi_wald,pi_score,pi_gradient\n"
-        "0,0,0.050000000000000822,0.050000000000000822,0.050000000000000822,"
-        "0.050000000000000822\n"
-        "0.5,0.25,0.10286459830320409,0.081017778604726157,0.081017778604726157,"
-        "0.11378800815244307\n"
-        "1,1,0.24969173005772072,0.20584808569260202,0.20584808569260202,"
-        "0.27161355224028011\n"
+        "0,0,0.049999999999999933,0.049999999999999933,0.049999999999999933,"
+        "0.049999999999999933\n"
+        "0.5,0.25,0.10286459830320278,0.081017778604724866,0.081017778604724866,"
+        "0.11378800815244174\n"
+        "1,1,0.249691730057719,0.20584808569260016,0.20584808569260016,"
+        "0.27161355224027844\n"
     )
 
     @pytest.mark.parametrize("flag,source", [("consistent", "consistent-chain"),
@@ -323,7 +324,7 @@ class TestGoldenOutput:
         assert out == (
             "# gradpower simulate model=gamma fixed=k=2 theta0=1 eps=0.5 n=50 reps=300"
             " alpha=0.050000000000000003 seed=7 threads=1 compare_sources=true\n"
-            "critical_value: 3.8414588206941063\n"
+            "critical_value: 3.8414588206941263\n"
             "rejection_rate_lr: 0.089999999999999997\n"
             "rejection_rate_wald: 0.076666666666666661\n"
             "rejection_rate_score: 0.076666666666666661\n"
@@ -332,14 +333,14 @@ class TestGoldenOutput:
             "mc_stderr_wald: 0.015361085995559135\n"
             "mc_stderr_score: 0.015361085995559135\n"
             "mc_stderr_gradient: 0.016795061002392163\n"
-            "predicted_power_consistent-chain_lr: 0.10286459830320409\n"
-            "predicted_power_consistent-chain_wald: 0.081017778604726157\n"
-            "predicted_power_consistent-chain_score: 0.081017778604726157\n"
-            "predicted_power_consistent-chain_gradient: 0.11378800815244307\n"
-            "predicted_power_table_lr: 0.10286459830320409\n"
-            "predicted_power_table_wald: 0.081017778604726157\n"
-            "predicted_power_table_score: 0.081017778604726157\n"
-            "predicted_power_table_gradient: 0.11378800815244307\n"
+            "predicted_power_consistent-chain_lr: 0.10286459830320278\n"
+            "predicted_power_consistent-chain_wald: 0.081017778604724866\n"
+            "predicted_power_consistent-chain_score: 0.081017778604724866\n"
+            "predicted_power_consistent-chain_gradient: 0.11378800815244174\n"
+            "predicted_power_table_lr: 0.10286459830320278\n"
+            "predicted_power_table_wald: 0.081017778604724866\n"
+            "predicted_power_table_score: 0.081017778604724866\n"
+            "predicted_power_table_gradient: 0.11378800815244174\n"
             "s4_mean: 1.4975364960958668\n"
             "s4_mean_se: 0.11061304367428422\n"
             "s4_variance: 3.6705736292667326\n"
@@ -414,6 +415,25 @@ class TestCliContract:
         assert err.startswith("numeric failure:")
         assert out == ""
 
+    def test_poisson_walk_is_bounded(self, capsys):
+        # lam = eps^2 = 1e14 would need ~8e7 mixture terms per sweep
+        start = time.perf_counter()
+        code, out, err = _capture(
+            capsys, ["power", *GAMMA_ARGS, "--eps", "1e7", "--n", "50", "--alpha", "0.05"]
+        )
+        assert code == 3
+        assert err.startswith("numeric failure:") and "Poisson" in err
+        assert out == ""
+        assert time.perf_counter() - start < 30.0
+
+    def test_long_poisson_walk_still_sums(self, capsys):
+        code, out, _ = _capture(
+            capsys, ["power", *GAMMA_ARGS, "--eps", "1e4", "--n", "50", "--alpha", "0.05"]
+        )
+        assert code == 0
+        assert out.endswith("eps,lambda,pi_lr,pi_wald,pi_score,pi_gradient\n"
+                            "10000,100000000,1,1,1,1\n")
+
     def test_tiny_alpha_names_alpha(self, capsys):
         code, out, err = _capture(
             capsys,
@@ -469,9 +489,9 @@ class TestCriticalValueReuse:
         calls = []
         solve = localpower.central_chisq_quantile
 
-        def counting(df, p):
+        def counting(df, p, *args, **kwargs):
             calls.append((df, p))
-            return solve(df, p)
+            return solve(df, p, *args, **kwargs)
 
         monkeypatch.setattr(localpower, "central_chisq_quantile", counting)
         return calls

@@ -197,6 +197,14 @@ class TestLocalPower:
                 PowerQuery(model=model, theta0=1.0, eps=0.5, n=50, alpha=alpha)
         PowerQuery(model=model, theta0=1.0, eps=0.5, n=50, alpha=1e-15)
 
+    def test_small_alpha_critical_value(self):
+        from scipy.stats import chi2
+
+        model = catalog_model("gamma", {"k": 2.0})
+        q = PowerQuery(model=model, theta0=1.0, eps=0.5, n=50, alpha=1e-12)
+        # solved from the upper tail, so alpha is not rounded away as 1 - alpha
+        assert abs(q.crit - chi2.isf(1e-12, 1)) <= 1e-13
+
     def test_shared_quantities(self):
         from gradpower.specfun import central_chisq_quantile
 
@@ -204,7 +212,7 @@ class TestLocalPower:
         q = PowerQuery(model=model, theta0=1.0, eps=0.5, n=50, alpha=0.05)
         # crit, tables and mixture values: computed on first use, not at construction
         assert not {"crit", "lam", "_values"} & set(vars(q))
-        assert q.crit == central_chisq_quantile(1.0, 1.0 - 0.05)
+        assert q.crit == central_chisq_quantile(1.0, 0.05, upper=True)
         assert q.lam == 0.5 * model.fisher_information(1.0) * 0.5 ** 2
         assert q.scale == 1.0 / math.sqrt(50)
         assert PowerQuery(model=model, theta0=1.0, eps=0.5, n=math.inf, alpha=0.05).scale == 0.0
@@ -397,13 +405,38 @@ class TestOrderingFallback:
                         signs.add(1 if diff > 0 else -1)
             assert report.certificates[(i, j)].relation == _relation(signs) == "mixed"
 
+    def test_fallback_builds_no_drifted_point(self):
+        # gamma k = 2 by rate theta^2; below theta0 = 1, theta0 - eps / sqrt(1) leaves
+        # the parameter space for eps >= 1, which the signs must not depend on
+        k = 2.0
+        stub = dataclasses.replace(
+            catalog_model("gamma", {"k": k}),
+            alpha_d1=lambda t: 2.0 * t,
+            alpha_d2=lambda t: 2.0,
+            beta_d1=lambda t: 2.0 * k / t ** 3,
+            beta_d2=lambda t: -6.0 * k / t ** 4,
+        )
+        report = power_ordering(stub, 1.0, "below", 0.05, source=SOURCE_TABLE)
+        assert report.describe() == "score > gradient > wald > lr (grid-certified only)"
+        fallback = {pair for pair, cert in report.certificates.items() if not cert.uniform}
+        assert fallback
+        for i, j in fallback:
+            signs = set()
+            for eps in report.eps_grid:
+                for alpha in self.ALPHAS:
+                    q = PowerQuery(model=stub, theta0=1.0, eps=-eps, n=100.0, alpha=alpha)
+                    diff = power_difference(q, i, j, SOURCE_TABLE)
+                    if abs(diff) > 1e-14:
+                        signs.add(1 if diff > 0 else -1)
+            assert report.certificates[(i, j)].relation == _relation(signs)
+
     def test_grid_shared_by_all_pairs(self, monkeypatch):
         calls = []
         solve = localpower.central_chisq_quantile
 
-        def counting(df, p):
+        def counting(df, p, *args, **kwargs):
             calls.append((df, p))
-            return solve(df, p)
+            return solve(df, p, *args, **kwargs)
 
         monkeypatch.setattr(localpower, "central_chisq_quantile", counting)
         report = self._report()

@@ -68,6 +68,12 @@ class TestDeterminism:
         assert built == [3]
         assert dataclasses.replace(r64, workers=1) == simulate(cfg1)
 
+    def test_critical_value_is_the_querys(self):
+        cfg = SimulationConfig(
+            model=GAMMA, theta0=1.0, eps=0.5, n=20, reps=50, alpha=0.05, seed=5
+        )
+        assert simulate(cfg).critical_value == cfg.query.crit
+
     def test_replicate_depends_only_on_seed_and_index(self):
         a = replicate_statistics(GAMMA, 1.05, 1.0, 50, 31337, 12)
         b = replicate_statistics(GAMMA, 1.05, 1.0, 50, 31337, 12)

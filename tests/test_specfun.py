@@ -13,13 +13,16 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import gammainc
+from scipy.stats import chi2
 
-from gradpower.errors import DomainError
+from gradpower import specfun
+from gradpower.errors import ConvergenceError, DomainError
 from gradpower.specfun import (
     ChiSquareParams,
     central_chisq_cdf,
     central_chisq_pdf,
     central_chisq_quantile,
+    central_chisq_sf,
     nc_chisq_cdf,
     nc_chisq_pdf,
 )
@@ -30,6 +33,9 @@ Q95_DF1 = 3.8414588206941259584
 NC_CDF_1_05_2 = 0.65275653668226970279
 NC_PDF_3_05_2 = 0.17225201450870823362
 PDF_3_AT_1 = 0.2419707245191433498
+
+# degrees of freedom of the quantile checks against scipy
+QUANTILE_DFS = (0.5, 1.0, 2.0, 3.0, 7.5, 20.0, 50.0, 400.0)
 
 # df and x grids on which lam = 0 must give the central law bit for bit
 LAM0_DFS = [float(v) for v in np.geomspace(0.1, 400.0, 60)]
@@ -112,6 +118,27 @@ class TestCentralCdf:
             central_chisq_cdf(math.inf, 1.0)
 
 
+class TestCentralSf:
+    def test_complements_cdf(self):
+        for df in (0.5, 1.0, 3.0, 17.5, 50.0):
+            for x in np.geomspace(1e-3, 60.0, 40):
+                total = central_chisq_sf(df, x) + central_chisq_cdf(df, x)
+                assert total == pytest.approx(1.0, abs=4e-15)
+
+    def test_upper_tail_keeps_relative_accuracy(self):
+        # Q down to ~1e-300, where 1 - P is exactly 0
+        for df in QUANTILE_DFS:
+            for x in np.geomspace(df + 1.0, 1300.0 + 2.0 * df, 25):
+                want = chi2.sf(x, df)
+                assert central_chisq_sf(df, x) == pytest.approx(want, rel=1e-13)
+
+    def test_support_boundary(self):
+        assert central_chisq_sf(5.0, 0.0) == 1.0
+        assert central_chisq_sf(5.0, -3.0) == 1.0
+        with pytest.raises(DomainError):
+            central_chisq_sf(2.0, math.nan)
+
+
 class TestNoncentralCdf:
     def test_reduces_to_central(self):
         # lam=0 with df=2 is the unit-rate-exponential-in-x/2 law
@@ -160,6 +187,16 @@ class TestNoncentralCdf:
             )
             assert err < 1e-7
             assert mean == pytest.approx(df + 2.0 * lam, abs=1e-6)
+
+    def test_walk_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_POISSON_MAX_TERMS", 50)
+        # lam = 1e4 needs ~800 terms per sweep
+        for kernel in (nc_chisq_cdf, nc_chisq_pdf):
+            with pytest.raises(ConvergenceError, match="Poisson"):
+                kernel(ChiSquareParams(1.0, 1e4), 2e4)
+        assert nc_chisq_cdf(ChiSquareParams(1.0, 4.0), 9.0) == pytest.approx(
+            brute_nc_cdf(1.0, 4.0, 9.0), abs=1e-12
+        )
 
     def test_invalid_params(self):
         with pytest.raises(DomainError):
@@ -238,3 +275,56 @@ class TestQuantile:
                 central_chisq_quantile(2.0, bad)
         with pytest.raises(DomainError):
             central_chisq_quantile(-1.0, 0.5)
+
+    def test_upper_tail_against_scipy(self):
+        for df in QUANTILE_DFS:
+            for alpha in np.geomspace(1e-300, 0.5, 61):
+                want = chi2.isf(alpha, df)
+                got = central_chisq_quantile(df, float(alpha), upper=True)
+                assert abs(got - want) <= 1e-13 * want, (df, alpha)
+
+    def test_lower_tail_against_scipy(self):
+        for df in QUANTILE_DFS:
+            for p in np.geomspace(1e-12, 0.5, 41):
+                want = chi2.ppf(p, df)
+                got = central_chisq_quantile(df, float(p))
+                assert abs(got - want) <= 1e-13 * want, (df, p)
+
+    @pytest.fixture()
+    def tail_calls(self, monkeypatch):
+        calls = []
+        for name in ("central_chisq_sf", "central_chisq_cdf"):
+            inner = getattr(specfun, name)
+
+            def counting(df, x, inner=inner):
+                calls.append(x)
+                return inner(df, x)
+
+            monkeypatch.setattr(specfun, name, counting)
+        central_chisq_quantile.cache_clear()
+        yield calls
+        central_chisq_quantile.cache_clear()
+
+    def test_few_tail_evaluations(self, tail_calls):
+        for alpha in np.geomspace(1e-12, 0.5, 200):
+            central_chisq_quantile.cache_clear()
+            tail_calls.clear()
+            central_chisq_quantile(1.0, float(alpha), upper=True)
+            assert 1 <= len(tail_calls) <= 8, alpha
+
+    def test_memo_hit_evaluates_nothing(self, tail_calls):
+        first = central_chisq_quantile(3.0, 0.01, upper=True)
+        assert tail_calls
+        tail_calls.clear()
+        assert central_chisq_quantile(3.0, 0.01, upper=True) == first
+        assert tail_calls == []
+
+    def test_iteration_cap(self, monkeypatch):
+        # a tail that never falls to the target: the solve must stop, not spin
+        monkeypatch.setattr(specfun, "central_chisq_sf", lambda df, x: 0.5)
+        central_chisq_quantile.cache_clear()
+        try:
+            with pytest.raises(ConvergenceError, match="did not converge"):
+                central_chisq_quantile(1.0, 0.05, upper=True)
+        finally:
+            central_chisq_quantile.cache_clear()
