@@ -6,6 +6,9 @@ and Fisher information ``K(theta) = alpha'(theta) beta'(theta)``.  The module
 ships a nine-entry catalog (normal with either parameter tested, inverse
 normal likewise, gamma, truncated extreme value, Pareto, Laplace, power),
 analytic cumulants, maximum likelihood estimation, and seedable samplers.
+Each catalog sampler is a :class:`LawSampler`: besides drawing observations
+it draws the mean of the sufficient statistic, d-bar, straight from its
+closed-form law (gamma, normal or inverse Gaussian), in O(1) per draw.
 
 All catalog callables are module-level functions bound with
 ``functools.partial`` so models pickle cleanly across process boundaries.
@@ -20,12 +23,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, EstimationError
+from .errors import ConvergenceError, DomainError, EstimationError
 
 __all__ = [
     "CATALOG_NAMES",
     "CumulantSet",
     "ExpFamModel",
+    "LawSampler",
     "Support",
     "catalog_model",
     "checked_data",
@@ -38,6 +42,9 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# rounds of the gamma rejection sampler: each round accepts at least 95% of the
+# draws still missing (Marsaglia-Tsang), so a working stream finishes in a few
+_GAMMA_MAX_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,9 @@ class ExpFamModel:
     ``alpha`` and ``beta`` come with analytic first/second derivatives;
     numerical differentiation is deliberately avoided so the cumulant chain
     stays auditable.  ``sampler(theta, n, rng)`` must consume only the given
-    ``numpy.random.Generator`` and return ``n`` i.i.d. draws.
+    ``numpy.random.Generator`` and return ``n`` i.i.d. draws.  A sampler that
+    also has ``dbar(theta, n, size, rng)`` (a :class:`LawSampler`) lets the
+    simulation draw d-bar from its exact law instead of averaging draws.
     """
 
     name: str
@@ -171,7 +180,9 @@ def _gamma_unit_rate(rng: np.random.Generator, shape: float, n: int) -> np.ndarr
     c = 1.0 / math.sqrt(9.0 * dd)
     out = np.empty(n)
     filled = 0
-    while filled < n:
+    for _ in range(_GAMMA_MAX_ROUNDS):
+        if filled == n:
+            break
         m = n - filled
         z = _standard_normal(rng, m)
         u = _open_unit(rng, m)
@@ -184,6 +195,11 @@ def _gamma_unit_rate(rng: np.random.Generator, shape: float, n: int) -> np.ndarr
         acc = dd * v[ok]
         out[filled : filled + acc.size] = acc
         filled += acc.size
+    if filled < n:
+        raise ConvergenceError(
+            f"gamma rejection sampler left {n - filled} of {n} draws unaccepted "
+            f"after {_GAMMA_MAX_ROUNDS} rounds (shape={shape})"
+        )
     if shape < 1.0:
         out *= _open_unit(rng, n) ** (1.0 / shape)
     return out
@@ -237,6 +253,57 @@ def _sample_laplace(k, theta, n, rng):
 
 def _sample_power(phi, theta, n, rng):
     return phi * _open_unit(rng, n) ** (1.0 / theta)
+
+
+# Exact laws of d-bar over n observations, ``(theta, n, size, rng) -> size
+# draws``.  Every catalog d(X) is gamma, normal or inverse Gaussian, and each
+# of those families is closed under taking means.
+
+
+def _dbar_gamma_rate(k, theta, n, size, rng):
+    # d(X) ~ Gamma(k, rate theta), so d-bar ~ Gamma(n k, rate n theta)
+    return _gamma_unit_rate(rng, n * k, size) / (n * theta)
+
+
+def _dbar_gamma_scale(k, c, theta, n, size, rng):
+    # d(X) ~ Gamma(k, scale c theta), so d-bar ~ Gamma(n k, scale c theta / n)
+    return _gamma_unit_rate(rng, n * k, size) * (c * theta / n)
+
+
+def _dbar_pareto(logk, theta, n, size, rng):
+    # log X = log k + Exp(rate theta)
+    return logk + _dbar_gamma_rate(1.0, theta, n, size, rng)
+
+
+def _dbar_power(logphi, theta, n, size, rng):
+    # log X = log phi - Exp(rate theta)
+    return logphi - _dbar_gamma_rate(1.0, theta, n, size, rng)
+
+
+def _dbar_normal_mean(var, theta, n, size, rng):
+    return theta + math.sqrt(var / n) * _standard_normal(rng, size)
+
+
+def _dbar_invnormal_mu(lam, theta, n, size, rng):
+    # the mean of n draws of IG(mu, lam) is IG(mu, n lam)
+    return _invgauss(rng, theta, n * lam, size)
+
+
+@dataclass(frozen=True)
+class LawSampler:
+    """A sampler that also draws d-bar, the mean of d over n observations, exactly.
+
+    ``sampler(theta, n, rng)`` returns ``n`` observations from ``draw``;
+    ``sampler.dbar(theta, n, size, rng)`` returns ``size`` independent draws of
+    d-bar from its closed-form law, consuming only ``rng``.  The law is bound
+    to the sampler, so a model whose sampler is replaced carries no stale law.
+    """
+
+    draw: Callable[[float, int, np.random.Generator], np.ndarray]
+    dbar: Callable[[float, int, int, np.random.Generator], np.ndarray]
+
+    def __call__(self, theta: float, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.draw(theta, n, rng)
 
 
 # ------------------------------------------------------------------ #
@@ -479,7 +546,9 @@ def _build_normal_variance(fixed):
         v=_nv_v,
         support=Support(),
         param_space=_POSITIVE,
-        sampler=partial(_sample_normal_variance, mu),
+        sampler=LawSampler(
+            partial(_sample_normal_variance, mu), partial(_dbar_gamma_scale, 0.5, 2.0)
+        ),
         fixed_params={"mu": mu},
         mle_closed_form=closed,
         mle_bracket=partial(_bracket_positive, closed),
@@ -502,7 +571,7 @@ def _build_normal_mean(fixed):
         v=partial(_nm_v, var),
         support=Support(),
         param_space=_REAL,
-        sampler=partial(_sample_normal_mean, var),
+        sampler=LawSampler(partial(_sample_normal_mean, var), partial(_dbar_normal_mean, var)),
         fixed_params={"theta": var},
         mle_closed_form=closed,
         mle_bracket=partial(_bracket_real, closed),
@@ -525,7 +594,9 @@ def _build_invnormal_theta(fixed):
         v=_ivt_v,
         support=Support(lo=0.0),
         param_space=_POSITIVE,
-        sampler=partial(_sample_invnormal_theta, mu),
+        sampler=LawSampler(
+            partial(_sample_invnormal_theta, mu), partial(_dbar_gamma_rate, 0.5)
+        ),
         fixed_params={"mu": mu},
         mle_closed_form=closed,
         mle_bracket=partial(_bracket_positive, closed),
@@ -548,7 +619,9 @@ def _build_invnormal_mu(fixed):
         v=partial(_ivm_v, lam),
         support=Support(lo=0.0),
         param_space=_POSITIVE,
-        sampler=partial(_sample_invnormal_mu, lam),
+        sampler=LawSampler(
+            partial(_sample_invnormal_mu, lam), partial(_dbar_invnormal_mu, lam)
+        ),
         fixed_params={"theta": lam},
         mle_closed_form=closed,
         mle_bracket=partial(_bracket_positive, closed),
@@ -571,7 +644,7 @@ def _build_gamma(fixed):
         v=partial(_gam_v, k),
         support=Support(lo=0.0),
         param_space=_POSITIVE,
-        sampler=partial(_sample_gamma, k),
+        sampler=LawSampler(partial(_sample_gamma, k), partial(_dbar_gamma_rate, k)),
         fixed_params={"k": k},
         mle_closed_form=closed,
         mle_bracket=partial(_bracket_positive, closed),
@@ -595,7 +668,7 @@ def _build_tev(fixed):
         v=_identity,
         support=Support(lo=0.0),
         param_space=_POSITIVE,
-        sampler=_sample_tev,
+        sampler=LawSampler(_sample_tev, partial(_dbar_gamma_scale, 1.0, 1.0)),
         mle_closed_form=closed,
         mle_bracket=partial(_bracket_positive, closed),
     )
@@ -617,7 +690,7 @@ def _build_pareto(fixed):
         v=_zero_v,
         support=Support(lo=k),
         param_space=_POSITIVE,
-        sampler=partial(_sample_pareto, k),
+        sampler=LawSampler(partial(_sample_pareto, k), partial(_dbar_pareto, math.log(k))),
         fixed_params={"k": k},
         mle_closed_form=closed,
         mle_bracket=partial(_bracket_positive, closed),
@@ -641,7 +714,7 @@ def _build_laplace(fixed):
         v=_zero_v,
         support=Support(),
         param_space=_POSITIVE,
-        sampler=partial(_sample_laplace, k),
+        sampler=LawSampler(partial(_sample_laplace, k), partial(_dbar_gamma_scale, 1.0, 1.0)),
         fixed_params={"k": k},
         mle_closed_form=closed,
         mle_bracket=partial(_bracket_positive, closed),
@@ -665,7 +738,7 @@ def _build_power(fixed):
         v=_zero_v,
         support=Support(lo=0.0, hi=phi),
         param_space=_POSITIVE,
-        sampler=partial(_sample_power, phi),
+        sampler=LawSampler(partial(_sample_power, phi), partial(_dbar_power, math.log(phi))),
         fixed_params={"phi": phi},
         mle_closed_form=closed,
         mle_bracket=partial(_bracket_positive, closed),

@@ -306,10 +306,8 @@ def power_ordering(
                 uniform = True
             else:
                 if fallback is None:
-                    alphas = sorted({0.01, 0.025, alpha, 0.10, 0.20})
-                    # at n = inf no drifted point is built; the sign needs none
-                    fallback = [PowerQuery(model, theta0, sign * eps, math.inf, a)
-                                for eps in eps_grid for a in alphas]
+                    fallback = _grid_queries(model, theta0, sign, alpha, eps_grid, tables,
+                                             source)
                 relation = _grid_relation(fallback, source, i, j)
                 uniform = False
             certificates[(i, j)] = PairCertificate(
@@ -326,6 +324,19 @@ def power_ordering(
         eps_grid=tuple(eps_grid),
         certificates=certificates,
     )
+
+
+def _grid_queries(model, theta0, sign, alpha, eps_grid, tables, source) -> list[PowerQuery]:
+    # one query per (eps, alpha) grid point, each holding the certificate loop's
+    # table for its eps; at n = inf no drifted point is built, and the sign needs none
+    alphas = sorted({0.01, 0.025, alpha, 0.10, 0.20})
+    queries = []
+    for eps, table in zip(eps_grid, tables):
+        for a in alphas:
+            query = PowerQuery(model, theta0, sign * eps, math.inf, a)
+            query._values[source] = table
+            queries.append(query)
+    return queries
 
 
 def _grid_relation(queries, source, i, j) -> str:

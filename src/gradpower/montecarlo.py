@@ -1,10 +1,23 @@
 """Seeded Monte Carlo verification of the local power expansions.
 
-Each replicate draws its own counter-based stream, keyed by
-``(seed, replicate index)``, so results are bit-identical for any worker
-count and any chunking of the replicate range.  Replicates are processed in
-fixed-size chunks; chunk partial sums use compensated accumulation and are
-combined in chunk order.
+Every statistic depends on a replicate's data only through d-bar, the mean of
+the sufficient statistic, so a replicate is one d-bar.  Replicates are
+processed in chunks of ``_CHUNK``, and a chunk gets its d-bar values by one of
+two routes:
+
+* When the model's sampler carries the exact law of d-bar (every catalog
+  model does, see :class:`~gradpower.expfam.LawSampler`), chunk ``c`` draws
+  all ``_CHUNK`` values at once from a Philox stream keyed by
+  ``(seed, 2**63 + c)``, a key no replicate stream uses, and replicate ``j``
+  takes value ``j mod _CHUNK`` of chunk ``j // _CHUNK``.
+* Otherwise replicate ``j`` draws ``n`` observations from its own Philox
+  stream, keyed by ``(seed, j)``, and averages their ``d``.
+
+Either way replicate ``j`` depends only on ``(seed, j)`` for a fixed model,
+drifted parameter and ``n``, never on the replicate count or on how chunks
+are spread over worker processes, so reports are bit-identical for any worker
+count.  Each chunk returns exactly rounded power sums of the gradient
+statistic, which ``math.fsum`` combines.
 
 Besides plain size/power estimation the module carries the two arbitration
 experiments this package is built around: which convention for the leading
@@ -16,10 +29,11 @@ statistic.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from typing import Mapping
 
 import numpy as np
@@ -44,6 +58,8 @@ __all__ = [
 
 _CHUNK = 4096
 _MASK64 = (1 << 64) - 1
+# chunk streams set this bit of the key's second word; replicate indices stay below it
+_CHUNK_KEY = 1 << 63
 _FAILURE_LIMIT = 1e-3
 
 
@@ -62,13 +78,19 @@ class SimulationConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("n", "reps", "workers", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise DomainError(f"per-replicate sample size must be >= 2, got {self.n}")
         self.query  # validates theta0, alpha and the drifted parameter
-        if self.reps < 1:
-            raise DomainError(f"replicate count must be >= 1, got {self.reps}")
+        if not 1 <= self.reps <= _CHUNK_KEY:
+            raise DomainError(f"replicate count must lie in [1, 2**63], got {self.reps}")
         if self.workers < 1:
             raise DomainError(f"workers must be >= 1, got {self.workers}")
+        if not 0 <= self.seed <= _MASK64:
+            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     @cached_property
     def query(self) -> PowerQuery:
@@ -120,61 +142,69 @@ def replicate_stream(seed: int, j: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _chunk_stream(seed: int, c: int) -> np.random.Generator:
+    """The stream of chunk ``c``'s law draws; no replicate stream has its key."""
+    key = np.array([seed & _MASK64, _CHUNK_KEY | c], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _law_dbars(law, theta_gen: float, n: int, seed: int, c: int) -> np.ndarray:
+    # always a full chunk, so that no replicate's d-bar depends on the replicate count
+    return law(theta_gen, n, _CHUNK, _chunk_stream(seed, c))
+
+
 def replicate_statistics(
     model: ExpFamModel, theta_gen: float, theta0: float, n: int, seed: int, j: int
 ) -> tuple[float, float, float, float]:
-    """Statistics of replicate ``j``; depends on (seed, j) only."""
-    rng = replicate_stream(seed, j)
-    xs = model.sampler(theta_gen, n, rng)
-    d_bar = float(np.mean(model.d(xs)))
+    """Statistics of replicate ``j``, by the route :func:`simulate` takes.
+
+    They depend on (seed, j) only, for a fixed model, ``theta_gen`` and ``n``.
+    """
+    law = getattr(model.sampler, "dbar", None)
+    if law is None:
+        xs = model.sampler(theta_gen, n, replicate_stream(seed, j))
+        d_bar = float(np.mean(model.d(xs)))
+    else:
+        d_bar = float(_law_dbars(law, theta_gen, n, seed, j // _CHUNK)[j % _CHUNK])
     _, s = statistics_from_dbar(model, theta0, d_bar, n)
     return s
 
 
-class _Kahan:
-    __slots__ = ("total", "_c")
-
-    def __init__(self):
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, value: float) -> None:
-        y = value - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
-
-
 def _run_chunk(model, theta_gen, theta0, n, seed, lo, hi, xcrit):
     # returns (rejection counts[4], joint34, failures, used, s4 power sums[6])
-    rej = [0, 0, 0, 0]
-    joint34 = 0
+    law = getattr(model.sampler, "dbar", None)
+    dbars = None if law is None else _law_dbars(law, theta_gen, n, seed, lo // _CHUNK).tolist()
+    rows = []
     failures = 0
-    used = 0
-    sums = [_Kahan() for _ in range(6)]
     for j in range(lo, hi):
         try:
-            s = replicate_statistics(model, theta_gen, theta0, n, seed, j)
+            if dbars is None:
+                s = replicate_statistics(model, theta_gen, theta0, n, seed, j)
+            else:
+                _, s = statistics_from_dbar(model, theta0, dbars[j - lo], n)
         except EstimationError:
             failures += 1
             continue
-        used += 1
-        flags = [si > xcrit for si in s]
-        for i in range(4):
-            if flags[i]:
-                rej[i] += 1
-        if flags[2] and flags[3]:
-            joint34 += 1
-        s4 = s[3]
-        acc = s4
-        for t in range(6):
-            sums[t].add(acc)
-            acc *= s4
-    return (tuple(rej), joint34, failures, used, tuple(k.total for k in sums))
+        rows.append(s)
+    stats = np.array(rows, dtype=float).reshape(-1, 4)
+    reject = stats > xcrit
+    joint34 = int(np.count_nonzero(reject[:, 2] & reject[:, 3]))
+    s4 = stats[:, 3]
+    power = s4
+    sums = []
+    for _ in range(6):  # exactly rounded sums of s4, s4^2, ..., s4^6
+        sums.append(math.fsum(power.tolist()))
+        power = power * s4
+    rej = tuple(int(c) for c in np.count_nonzero(reject, axis=0))
+    return (rej, joint34, failures, len(rows), tuple(sums))
 
 
 def _chunk_task(args):
     return _run_chunk(*args)
+
+
+def _observations(sampler, theta, n, rng):
+    return sampler(theta, n, rng)
 
 
 def _central_moments(power_sums, used):
@@ -211,6 +241,10 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     theta_gen = config.query.theta_drifted
     xcrit = central_chisq_quantile(1.0, config.alpha, upper=True)
 
+    if config.workers > 1 and getattr(model.sampler, "dbar", None) is None:
+        # a sampler may pickle as one that carries a law (a traced one does):
+        # keep the workers on the route chosen here
+        model = replace(model, sampler=partial(_observations, model.sampler))
     chunks = [
         (model, theta_gen, config.theta0, config.n, config.seed, lo,
          min(lo + _CHUNK, config.reps), xcrit)
@@ -224,19 +258,11 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     else:
         partials = [_run_chunk(*c) for c in chunks]
 
-    rej = [0, 0, 0, 0]
-    joint34 = 0
-    failures = 0
-    used = 0
-    sums = [_Kahan() for _ in range(6)]
-    for c_rej, c_joint, c_fail, c_used, c_sums in partials:
-        for i in range(4):
-            rej[i] += c_rej[i]
-        joint34 += c_joint
-        failures += c_fail
-        used += c_used
-        for t in range(6):
-            sums[t].add(c_sums[t])
+    rej = [sum(p[0][i] for p in partials) for i in range(4)]
+    joint34 = sum(p[1] for p in partials)
+    failures = sum(p[2] for p in partials)
+    used = sum(p[3] for p in partials)
+    sums = [math.fsum(p[4][t] for p in partials) for t in range(6)]
 
     if failures > _FAILURE_LIMIT * config.reps:
         raise EstimationError(
@@ -260,7 +286,7 @@ def simulate(config: SimulationConfig) -> SimulationReport:
         rejection_rate=rates,
         mc_stderr=stderr,
         predicted_power=predicted,
-        st_moment_estimates=_central_moments([k.total for k in sums], used),
+        st_moment_estimates=_central_moments(sums, used),
         joint_score_gradient_rate=joint34 / used,
         failures=failures,
         reps=config.reps,

@@ -29,9 +29,14 @@ __all__ = [
 ]
 
 _MACHEP = 2.220446049250313e-16
+_TWO53 = 2.0 ** 53
 _MAXLOG = 709.782712893384
 _BIG = 4.503599627370496e15
 _BIGINV = 2.2204460492503131e-16
+# terms of the incomplete gamma series and continued fraction; near x = a the
+# series takes about 6.6 sqrt(a) terms (7e5 at a = 1e10), the fraction far fewer
+_SERIES_MAX_TERMS = 1 << 22
+_CONTFRAC_MAX_TERMS = 1 << 22
 # Poisson-mixture truncation: stop once the unaccumulated weight drops below this
 _POISSON_TAIL = 1e-14
 # terms per sweep of the Poisson walk: lam = 1e10 needs about 8 sqrt(lam) = 8e5
@@ -70,13 +75,21 @@ def _lower_gamma_series(a: float, x: float) -> float:
     if ax < -_MAXLOG:
         return 0.0
     ax = math.exp(ax)
+    # r - a counts the terms.  From 2**53 on r would stall, but there any x that
+    # passes the underflow test above needs about sqrt(a) terms, far beyond the cap.
     r = a
+    r_stop = a + _SERIES_MAX_TERMS if a + _SERIES_MAX_TERMS < _TWO53 else a
     c = 1.0
     total = 1.0
-    while c / total > _MACHEP:
+    while c / total > _MACHEP and r < r_stop:
         r += 1.0
         c *= x / r
         total += c
+    if c / total > _MACHEP:
+        raise ConvergenceError(
+            f"incomplete gamma series did not converge in {_SERIES_MAX_TERMS} terms "
+            f"(a={a}, x={x})"
+        )
     return total * ax / a
 
 
@@ -93,7 +106,8 @@ def _upper_gamma_contfrac(a: float, x: float) -> float:
     pkm1, qkm1 = x + 1.0, z * x
     ans = pkm1 / qkm1
     t = 1.0
-    while t > _MACHEP:
+    c_stop = float(_CONTFRAC_MAX_TERMS)  # c counts the terms; a float compares faster
+    while t > _MACHEP and c < c_stop:
         c += 1.0
         y += 1.0
         z += 2.0
@@ -113,6 +127,11 @@ def _upper_gamma_contfrac(a: float, x: float) -> float:
             pkm1 *= _BIGINV
             qkm2 *= _BIGINV
             qkm1 *= _BIGINV
+    if t > _MACHEP:
+        raise ConvergenceError(
+            f"incomplete gamma continued fraction did not converge in {_CONTFRAC_MAX_TERMS} "
+            f"terms (a={a}, x={x})"
+        )
     return ans * ax
 
 

@@ -325,14 +325,14 @@ class TestGoldenOutput:
             "# gradpower simulate model=gamma fixed=k=2 theta0=1 eps=0.5 n=50 reps=300"
             " alpha=0.050000000000000003 seed=7 threads=1 compare_sources=true\n"
             "critical_value: 3.8414588206941263\n"
-            "rejection_rate_lr: 0.089999999999999997\n"
-            "rejection_rate_wald: 0.076666666666666661\n"
-            "rejection_rate_score: 0.076666666666666661\n"
-            "rejection_rate_gradient: 0.093333333333333338\n"
-            "mc_stderr_lr: 0.016522711641858305\n"
-            "mc_stderr_wald: 0.015361085995559135\n"
-            "mc_stderr_score: 0.015361085995559135\n"
-            "mc_stderr_gradient: 0.016795061002392163\n"
+            "rejection_rate_lr: 0.11333333333333333\n"
+            "rejection_rate_wald: 0.080000000000000002\n"
+            "rejection_rate_score: 0.080000000000000002\n"
+            "rejection_rate_gradient: 0.11666666666666667\n"
+            "mc_stderr_lr: 0.018301993415007094\n"
+            "mc_stderr_wald: 0.015663120165960973\n"
+            "mc_stderr_score: 0.015663120165960973\n"
+            "mc_stderr_gradient: 0.018534252575124751\n"
             "predicted_power_consistent-chain_lr: 0.10286459830320278\n"
             "predicted_power_consistent-chain_wald: 0.081017778604724866\n"
             "predicted_power_consistent-chain_score: 0.081017778604724866\n"
@@ -341,13 +341,13 @@ class TestGoldenOutput:
             "predicted_power_table_wald: 0.081017778604724866\n"
             "predicted_power_table_score: 0.081017778604724866\n"
             "predicted_power_table_gradient: 0.11378800815244174\n"
-            "s4_mean: 1.4975364960958668\n"
-            "s4_mean_se: 0.11061304367428422\n"
-            "s4_variance: 3.6705736292667326\n"
-            "s4_variance_se: 0.55950803495367241\n"
-            "s4_third_central: 15.014013401401197\n"
-            "s4_third_central_se: 3.5166830825580542\n"
-            "joint_score_gradient_rate: 0.076666666666666661\n"
+            "s4_mean: 1.56856094198492\n"
+            "s4_mean_se: 0.11487368448282094\n"
+            "s4_variance: 3.9587890159976094\n"
+            "s4_variance_se: 0.520896144958791\n"
+            "s4_third_central: 14.693797867944843\n"
+            "s4_third_central_se: 2.5614317251834828\n"
+            "joint_score_gradient_rate: 0.073333333333333334\n"
             "failures: 0\n"
             "reps_used: 300\n"
             "seed: 7\n"
@@ -401,6 +401,14 @@ class TestCliContract:
             ["power", *GAMMA_ARGS, "--eps", "0", "--n", "50", "--alpha", "2.0"],
         )
         assert code == 2
+        # a negative seed is refused, not wrapped to 2**64 - 1
+        code, out, err = _capture(
+            capsys,
+            ["simulate", *GAMMA_ARGS, "--eps", "0", "--n", "50", "--reps", "10",
+             "--alpha", "0.05", "--seed", "-1"],
+        )
+        assert code == 2 and out == ""
+        assert "seed must lie in" in err
 
     @pytest.mark.parametrize("argv", [
         ["power", "--model", "gamma", "--fixed", "k=2", "--theta0", "1e-200",

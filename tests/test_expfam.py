@@ -8,7 +8,8 @@ import pytest
 from numpy.random import Generator, Philox
 from scipy import stats
 
-from gradpower.errors import DomainError, EstimationError
+from gradpower import expfam
+from gradpower.errors import ConvergenceError, DomainError, EstimationError
 from gradpower.expfam import (
     CATALOG_NAMES,
     Support,
@@ -265,6 +266,74 @@ class TestSampling:
             sample(m, -1.0, 10, Generator(Philox(key=[1, 0])))
         with pytest.raises(DomainError):
             sample(m, 1.0, 0, Generator(Philox(key=[1, 0])))
+
+
+def _dbar_cdf(name, theta, n):
+    """scipy's CDF of d-bar over n observations of the catalog entry at theta."""
+    fixed = CATALOG_FIXED[name]
+    if name == "gamma":
+        return stats.gamma(n * fixed["k"], scale=1.0 / (n * theta)).cdf
+    if name == "normal-variance":
+        return stats.gamma(n / 2.0, scale=2.0 * theta / n).cdf
+    if name == "invnormal-theta":
+        return stats.gamma(n / 2.0, scale=1.0 / (n * theta)).cdf
+    if name in ("tev", "laplace"):
+        return stats.gamma(n, scale=theta / n).cdf
+    if name == "pareto":
+        return stats.gamma(n, loc=math.log(fixed["k"]), scale=1.0 / (n * theta)).cdf
+    if name == "power":
+        reflected = stats.gamma(n, scale=1.0 / (n * theta))
+        return lambda x: reflected.sf(math.log(fixed["phi"]) - x)
+    if name == "normal-mean":
+        return stats.norm(theta, math.sqrt(fixed["theta"] / n)).cdf
+    if name == "invnormal-mu":
+        shape = n * fixed["theta"]
+        return stats.invgauss(theta / shape, scale=shape).cdf
+    raise AssertionError(name)
+
+
+class TestDbarLaw:
+    """Each catalog sampler's ``dbar`` draws the exact law of the mean of d."""
+
+    DRAWS = 20_000
+    MEANS = 4_000
+    KS_1PCT = 1.63  # 1% critical value of sqrt(size) * D
+
+    @pytest.mark.parametrize("n", [2, 50])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_one_sample_ks_against_scipy(self, name, n):
+        m = catalog_model(name, CATALOG_FIXED[name])
+        theta = 0.8 if name == "normal-mean" else 1.3
+        draws = m.sampler.dbar(theta, n, self.DRAWS, Generator(Philox(key=[41, n])))
+        ks = stats.kstest(draws, _dbar_cdf(name, theta, n)).statistic
+        assert ks < self.KS_1PCT / math.sqrt(self.DRAWS)
+
+    @pytest.mark.parametrize("n", [2, 50])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_two_sample_ks_against_observation_means(self, name, n):
+        m = catalog_model(name, CATALOG_FIXED[name])
+        theta = 0.8 if name == "normal-mean" else 1.3
+        draws = m.sampler.dbar(theta, n, self.DRAWS, Generator(Philox(key=[43, n])))
+        xs = m.sampler(theta, n * self.MEANS, Generator(Philox(key=[47, n])))
+        means = np.mean(m.d(xs).reshape(self.MEANS, n), axis=1)
+        ks = stats.ks_2samp(draws, means).statistic
+        assert ks < self.KS_1PCT * math.sqrt(1.0 / self.DRAWS + 1.0 / self.MEANS)
+
+    def test_law_travels_with_the_sampler(self):
+        m = catalog_model("gamma", {"k": 2.0})
+        assert m.sampler.dbar is not None
+        stripped = dataclasses.replace(m, sampler=m.sampler.draw)
+        assert not hasattr(stripped.sampler, "dbar")
+        xs = stripped.sampler(1.0, 8, Generator(Philox(key=[1, 0])))
+        assert np.array_equal(xs, m.sampler(1.0, 8, Generator(Philox(key=[1, 0]))))
+
+    def test_rejection_rounds_are_capped(self, monkeypatch):
+        # at shape n k = 1 about 5% of the proposals are rejected, so a single
+        # round cannot fill 4096 draws
+        monkeypatch.setattr(expfam, "_GAMMA_MAX_ROUNDS", 1)
+        m = catalog_model("gamma", {"k": 0.5})
+        with pytest.raises(ConvergenceError, match="rejection sampler"):
+            m.sampler.dbar(1.0, 2, 4096, Generator(Philox(key=[5, 0])))
 
 
 class TestSupport:

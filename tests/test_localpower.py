@@ -432,13 +432,22 @@ class TestOrderingFallback:
 
     def test_grid_shared_by_all_pairs(self, monkeypatch):
         calls = []
+        tables = []
         solve = localpower.central_chisq_quantile
+        build = localpower.power_coefficients
 
         def counting(df, p, *args, **kwargs):
             calls.append((df, p))
             return solve(df, p, *args, **kwargs)
 
+        def counting_tables(*args, **kwargs):
+            tables.append(args)
+            return build(*args, **kwargs)
+
         monkeypatch.setattr(localpower, "central_chisq_quantile", counting)
+        monkeypatch.setattr(localpower, "power_coefficients", counting_tables)
         report = self._report()
         # one solve per (eps, alpha) grid point, not one per point and pair
         assert len(calls) == len(report.eps_grid) * len(self.ALPHAS) == 20
+        # one table per eps, shared by the certificate loop and the grid queries
+        assert len(tables) == len(report.eps_grid) == 4

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,15 +18,59 @@ from gradpower.montecarlo import (
     replicate_stream,
     simulate,
 )
-from gradpower.teststats import TestKind
+from gradpower.teststats import TestKind, statistics_from_dbar
 
 GAMMA = catalog_model("gamma", {"k": 2.0})
+# the same model with its sampler stripped to a plain function: no law of d-bar,
+# so each replicate averages n observations from its own stream
+GAMMA_OBSERVED = dataclasses.replace(GAMMA, sampler=GAMMA.sampler.draw)
+
+
+def _law_dbars(model, theta, n, seed, reps):
+    # the d-bar of replicates 0..reps-1 on the law route, chunk by chunk
+    chunks = range(-(-reps // montecarlo._CHUNK))
+    return np.concatenate(
+        [montecarlo._law_dbars(model.sampler.dbar, theta, n, seed, c) for c in chunks]
+    )[:reps]
 
 
 def _failing_closed_form(threshold, dbar):
     if dbar > threshold:
         raise EstimationError("synthetic failure for testing")
     return 2.0 / dbar
+
+
+def _unwrapped(inner):
+    return inner
+
+
+class PicklesAsInner:
+    """A sampler without a law that pickles as the sampler it wraps, as a tracing wrapper does."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __call__(self, theta, n, rng):
+        return self.inner(theta, n, rng)
+
+    def __reduce__(self):
+        return (_unwrapped, (self.inner,))
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: runs the chunks in this process, in order."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
 
 
 class TestDeterminism:
@@ -46,20 +91,11 @@ class TestDeterminism:
     def test_pool_size_capped_at_chunk_count(self, monkeypatch):
         built = []
 
-        class SerialPool:
+        class CountingPool(SerialPool):
             def __init__(self, max_workers):
                 built.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
         cfg1 = SimulationConfig(
             model=GAMMA, theta0=1.0, eps=0.5, n=10, reps=2 * montecarlo._CHUNK + 1,
             alpha=0.05, seed=3,
@@ -85,6 +121,85 @@ class TestDeterminism:
         u0 = replicate_stream(5, 0).random(4)
         u1 = replicate_stream(5, 1).random(4)
         assert not np.array_equal(u0, u1)
+
+
+class TestRoutes:
+    """Law draws of d-bar for catalog samplers, observation means otherwise."""
+
+    def test_lawless_model_simulates_as_before(self):
+        # figures of the per-observation route, captured before the law route existed
+        flaky = dataclasses.replace(
+            GAMMA_OBSERVED, mle_closed_form=partial(_failing_closed_form, 2.95)
+        )
+        cases = [
+            (GAMMA_OBSERVED, 0.5, 50, 99, (0.1022, 0.0774, 0.0774, 0.113), 0, 5000, 0.0754,
+             1.523867992908895),
+            (flaky, 0.0, 30, 404, (0.052210442088417686, 0.05261052210442088,
+                                   0.05261052210442088, 0.05481096219243849),
+             1, 4999, 0.040008001600320066, 1.0197423174076774),
+        ]
+        for model, eps, n, seed, rates, failures, used, joint, mean in cases:
+            for workers in (1, 2):
+                rep = simulate(SimulationConfig(model=model, theta0=1.0, eps=eps, n=n,
+                                                reps=5000, alpha=0.05, seed=seed,
+                                                workers=workers))
+                assert rep.rejection_rate == rates
+                assert (rep.failures, rep.reps_used) == (failures, used)
+                assert rep.joint_score_gradient_rate == joint
+                # the power sums are now exactly rounded, so only the last digits may move
+                assert rep.st_moment_estimates.mean == pytest.approx(mean, rel=1e-13)
+
+    def test_lawless_replicates_unchanged(self):
+        # statistics of the per-observation route, captured before the law route existed
+        captured = {
+            0: (1.4869217772438796, 1.3697000722313735, 1.3697000722313752, 1.5512492677635534),
+            12: (0.27811830498255946, 0.2880257409908203, 0.2880257409908209,
+                 0.2733553006043555),
+            4097: (0.014362926441409407, 0.014478025942270647, 0.014478025942270763,
+                   0.014305890785088713),
+        }
+        for j, s in captured.items():
+            assert replicate_statistics(GAMMA_OBSERVED, 1.05, 1.0, 50, 31337, j) == s
+
+    def test_replicate_depends_on_seed_and_index_only(self, monkeypatch):
+        runs = []
+
+        def recording(model, theta0, d_bar, n):
+            out = statistics_from_dbar(model, theta0, d_bar, n)
+            runs[-1].append(out[1])
+            return out
+
+        monkeypatch.setattr(montecarlo, "statistics_from_dbar", recording)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        base = SimulationConfig(model=GAMMA, theta0=1.0, eps=0.5, n=50, reps=5000,
+                                alpha=0.05, seed=21)
+        for reps in (5000, 9000):
+            for workers in (1, 3):
+                runs.append([])
+                simulate(dataclasses.replace(base, reps=reps, workers=workers))
+                assert len(runs[-1]) == reps
+        monkeypatch.undo()
+        for run in runs[1:]:
+            assert run[:5000] == runs[0]
+        assert runs[2] == runs[3]
+        theta = base.query.theta_drifted
+        for j in (0, 4095, 4096, 8999):
+            assert replicate_statistics(GAMMA, theta, 1.0, 50, 21, j) == runs[2][j]
+
+    def test_workers_keep_the_route_chosen_in_the_parent(self):
+        # the wrapper hides GAMMA's law here but would hand it back to a worker process
+        model = dataclasses.replace(GAMMA, sampler=PicklesAsInner(GAMMA.sampler))
+        cfg = SimulationConfig(model=model, theta0=1.0, eps=0.5, n=10,
+                               reps=2 * montecarlo._CHUNK + 1, alpha=0.05, seed=8)
+        serial = simulate(cfg)
+        assert serial == simulate(dataclasses.replace(cfg, model=GAMMA_OBSERVED))
+        fanned = simulate(dataclasses.replace(cfg, workers=2))
+        assert dataclasses.replace(fanned, workers=1) == serial
+
+    def test_chunk_streams_are_not_replicate_streams(self):
+        u = montecarlo._chunk_stream(5, 0).random(4)
+        for j in (0, 1, 2 ** 63 - 1):
+            assert not np.array_equal(u, replicate_stream(5, j).random(4))
 
 
 class TestAggregation:
@@ -128,8 +243,8 @@ class TestAggregation:
         )
         rep = simulate(cfg)
         s4 = np.array(
-            [replicate_statistics(GAMMA, cfg.query.theta_drifted, 1.0, 100, 17, j)[3]
-             for j in range(2000)]
+            [statistics_from_dbar(GAMMA, 1.0, float(d), 100)[1][3]
+             for d in _law_dbars(GAMMA, cfg.query.theta_drifted, 100, 17, 2000)]
         )
         est = rep.st_moment_estimates
         assert est.mean == pytest.approx(float(s4.mean()), rel=1e-12)
@@ -141,11 +256,7 @@ class TestAggregation:
 
 class TestFailureAccounting:
     def _threshold_for(self, cfg, n_failures):
-        dbars = []
-        for j in range(cfg.reps):
-            rng = replicate_stream(cfg.seed, j)
-            xs = GAMMA.sampler(cfg.query.theta_drifted, cfg.n, rng)
-            dbars.append(float(np.mean(xs)))
+        dbars = _law_dbars(GAMMA, cfg.query.theta_drifted, cfg.n, cfg.seed, cfg.reps)
         return float(np.sort(dbars)[-(n_failures + 1)] + 1e-12)
 
     def test_failures_counted_and_excluded(self):
@@ -185,6 +296,26 @@ class TestConfigValidation:
             SimulationConfig(model=GAMMA, theta0=0.2, eps=-2.0, n=9, reps=10, alpha=0.05, seed=0)
         with pytest.raises(DomainError, match="alpha"):
             SimulationConfig(model=GAMMA, theta0=1.0, eps=0.0, n=10, reps=10, alpha=1e-300, seed=0)
+        # n, reps and workers must be integers, and seed an integer in [0, 2**64)
+        good = dict(model=GAMMA, theta0=1.0, eps=0.0, n=50, reps=1000, alpha=0.05, seed=0)
+        for field, value, message in [
+            ("n", 50.5, "n must be an integer"),
+            ("n", 50.0, "n must be an integer"),
+            ("reps", 1000.0, "reps must be an integer"),
+            ("reps", 2 ** 63 + 1, "replicate count"),
+            ("workers", 2.0, "workers must be an integer"),
+            ("seed", 1.5, "seed must be an integer"),
+            ("seed", "7", "seed must be an integer"),
+            ("seed", -1, "seed must lie in"),
+            ("seed", 2 ** 64, "seed must lie in"),
+        ]:
+            with pytest.raises(DomainError, match=message):
+                SimulationConfig(**{**good, field: value})
+
+    def test_integer_edges_accepted(self):
+        cfg = SimulationConfig(model=GAMMA, theta0=1.0, eps=0.0, n=np.int64(10), reps=5,
+                               alpha=0.05, seed=2 ** 64 - 1)
+        assert simulate(cfg).reps_used == 5
 
     def test_query_is_the_evaluation_point(self):
         cfg = SimulationConfig(model=GAMMA, theta0=1.0, eps=0.5, n=50, reps=10, alpha=0.05, seed=0)

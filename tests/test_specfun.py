@@ -117,6 +117,19 @@ class TestCentralCdf:
         with pytest.raises(DomainError):
             central_chisq_cdf(math.inf, 1.0)
 
+    def test_series_is_bounded(self, monkeypatch):
+        # at a = 5e16, r + 1 == r, so the series terms stop shrinking
+        with pytest.raises(ConvergenceError, match="series"):
+            central_chisq_cdf(1e17, 1e17 - 16.0)
+        monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 3)
+        with pytest.raises(ConvergenceError, match="series did not converge in 3 terms"):
+            central_chisq_cdf(1.0, 0.5)
+
+    def test_continued_fraction_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_CONTFRAC_MAX_TERMS", 3)
+        with pytest.raises(ConvergenceError, match="fraction did not converge in 3 terms"):
+            central_chisq_sf(1.0, 10.0)
+
 
 class TestCentralSf:
     def test_complements_cdf(self):
