@@ -187,6 +187,15 @@ def _drift_terms(t: CumulantTensors, eps: np.ndarray):
     return np.concatenate([top, -eps]), A, 0.5 * float(eps @ eff @ eps)
 
 
+def _mixture_sum(total, step, coeffs, term):
+    # total + step * c_k * term(k) for each nonzero c_k, added in order of k: the
+    # second-order sum shared by local power, the CDF expansion and power differences
+    for k, c in enumerate(coeffs):
+        if c != 0.0:
+            total += step * c * term(k)
+    return total
+
+
 def _inv_sqrt(n) -> float:
     # the n^-1/2 factor of the second-order term; 0 at n = inf
     return 0.0 if math.isinf(n) else 1.0 / math.sqrt(n)
@@ -277,12 +286,10 @@ def cdf_expansion(e: PowerExpansion, n, x: float) -> ClampedProbability:
         # all mixture components reach 1 and the coefficients sum to zero
         return ClampedProbability(1.0, 1.0, False)
     scale = _inv_sqrt(n)
-    g0 = nc_chisq_cdf(ChiSquareParams(e.f, e.lam), x)
-    raw = g0
-    for k in range(4):
-        if e.a[k] != 0.0 and scale != 0.0:
-            g = g0 if k == 0 else nc_chisq_cdf(ChiSquareParams(e.f + 2 * k, e.lam), x)
-            raw += scale * e.a[k] * g
+    raw = g0 = nc_chisq_cdf(ChiSquareParams(e.f, e.lam), x)
+    if scale != 0.0:  # G_f is reused for k = 0
+        raw = _mixture_sum(raw, scale, e.a, lambda k: g0 if k == 0 else nc_chisq_cdf(
+            ChiSquareParams(e.f + 2 * k, e.lam), x))
     return _clamp(raw)
 
 
@@ -358,8 +365,10 @@ def load_tensor_file(path) -> CumulantTensors:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DomainError(f"{path}: invalid tensor file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DomainError(f"{path}: invalid tensor file: the top level must be a JSON object")
     missing = {"p", "q", "K", "k3", "k21"} - set(doc)
     if missing:
         raise DomainError(f"{path}: missing tensor fields {sorted(missing)}")

@@ -997,14 +997,17 @@ def load_data(path) -> np.ndarray:
     """Read one observation per line; blank lines and ``#`` comments ignored."""
     values = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise DomainError(f"{path}:{lineno}: cannot parse {text!r} as a number")
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text or text.startswith("#"):
+                    continue
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    raise DomainError(f"{path}:{lineno}: cannot parse {text!r} as a number")
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not UTF-8 text: {exc}") from None
     if not values:
         raise DomainError(f"{path}: no observations found")
     return np.asarray(values, dtype=float)

@@ -30,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError
-from .expansion import ClampedProbability, _clamp, _inv_sqrt
+from .expansion import ClampedProbability, _clamp, _inv_sqrt, _mixture_sum
 from .expfam import ExpFamModel
 from .specfun import ChiSquareParams, central_chisq_quantile, nc_chisq_cdf, nc_chisq_pdf
 from .teststats import ALL_KINDS, TestKind
@@ -180,11 +180,8 @@ def local_power(
     table = query.coefficients(source)  # fetched at n = inf too: it validates source and eps
     raw = 1.0 - query.mixture(1)
     scale = query.scale
-    if scale != 0.0:
-        row = table.row(test)
-        for k in range(4):
-            if row[k] != 0.0:
-                raw -= scale * row[k] * query.mixture(1 + 2 * k)
+    if scale != 0.0:  # at n = inf no higher mixture is walked
+        raw = _mixture_sum(raw, -scale, table.row(test), lambda k: query.mixture(1 + 2 * k))
     return _clamp(raw)
 
 
@@ -196,21 +193,18 @@ def _difference_terms(table: CoefficientTable, i: TestKind, j: TestKind):
     return float(c.sum()), C
 
 
-def _telescoped(query: PowerQuery, i: TestKind, j: TestKind, source: str) -> float:
+def _telescoped(query: PowerQuery, csum: float, C) -> float:
     # csum * G_1 - 2 * sum_m C_m g_{1+2m}: Pi_i - Pi_j without its n^{-1/2} factor
-    csum, C = _difference_terms(query.coefficients(source), i, j)
-    total = csum * query.mixture(1)
-    for m, Cm in enumerate(C, start=1):
-        if Cm != 0.0:
-            total -= 2.0 * Cm * query.mixture(1 + 2 * m, density=True)
-    return total
+    return _mixture_sum(csum * query.mixture(1), -2.0, C,
+                        lambda k: query.mixture(3 + 2 * k, density=True))
 
 
 def power_difference(
     query: PowerQuery, i: TestKind, j: TestKind, source: str = SOURCE_CHAIN
 ) -> float:
     """Pi_i - Pi_j via the telescoped density representation (exact antisymmetry)."""
-    return query.scale * _telescoped(query, i, j, source)
+    csum, C = _difference_terms(query.coefficients(source), i, j)
+    return query.scale * _telescoped(query, csum, C)
 
 
 @dataclass(frozen=True)
@@ -297,19 +291,18 @@ def power_ordering(
     certificates = {}
     for idx, i in enumerate(ALL_KINDS):
         for j in ALL_KINDS[idx + 1 :]:
-            relations = set()
-            for table, tol in zip(tables, tols):
-                csum, C = _difference_terms(table, i, j)
-                relations.add(_relation_from_weights(csum, C, tol))
+            weights = [_difference_terms(table, i, j) for table in tables]
+            relations = {_relation_from_weights(csum, C, tol)
+                         for (csum, C), tol in zip(weights, tols)}
             if len(relations) == 1 and "mixed" not in relations:
                 relation = relations.pop()
                 uniform = True
             else:
                 if fallback is None:
-                    fallback = _grid_queries(model, theta0, sign, alpha, eps_grid, tables,
-                                             source)
-                relation = _grid_relation(fallback, source, i, j)
+                    fallback = _grid_queries(model, theta0, sign, alpha, eps_grid)
+                relation = _grid_relation(fallback, weights)
                 uniform = False
+            csum, C = weights[-1]
             certificates[(i, j)] = PairCertificate(
                 i=i, j=j, relation=relation, uniform=uniform, csum=csum, partial=C
             )
@@ -326,27 +319,24 @@ def power_ordering(
     )
 
 
-def _grid_queries(model, theta0, sign, alpha, eps_grid, tables, source) -> list[PowerQuery]:
-    # one query per (eps, alpha) grid point, each holding the certificate loop's
-    # table for its eps; at n = inf no drifted point is built, and the sign needs none
+def _grid_queries(model, theta0, sign, alpha, eps_grid) -> list[list[PowerQuery]]:
+    # per grid eps, one query per alpha; at n = inf no drifted point is built,
+    # and the sign needs none
     alphas = sorted({0.01, 0.025, alpha, 0.10, 0.20})
-    queries = []
-    for eps, table in zip(eps_grid, tables):
-        for a in alphas:
-            query = PowerQuery(model, theta0, sign * eps, math.inf, a)
-            query._values[source] = table
-            queries.append(query)
-    return queries
+    return [[PowerQuery(model, theta0, sign * eps, math.inf, a) for a in alphas]
+            for eps in eps_grid]
 
 
-def _grid_relation(queries, source, i, j) -> str:
-    # pointwise comparison at a spread of critical values; n only scales the
-    # difference, so the sign is taken from the unscaled telescoped sum
+def _grid_relation(queries, weights) -> str:
+    # pointwise comparison at a spread of critical values, on each grid eps's
+    # certificate weights; n only scales the difference, so the sign is taken
+    # from the unscaled telescoped sum
     signs = set()
-    for q in queries:
-        diff = _telescoped(q, i, j, source)
-        if abs(diff) > 1e-14:
-            signs.add(1 if diff > 0 else -1)
+    for row, (csum, C) in zip(queries, weights):
+        for q in row:
+            diff = _telescoped(q, csum, C)
+            if abs(diff) > 1e-14:
+                signs.add(1 if diff > 0 else -1)
     return _relation(signs)
 
 

@@ -42,7 +42,7 @@ from .errors import DomainError, EstimationError
 from .expfam import ExpFamModel, catalog_model, cumulants
 from .expansion import st_moments, tensors_from_cumulants
 from .localpower import SOURCE_CHAIN, SOURCE_TABLE, PowerQuery, local_power
-from .specfun import central_chisq_quantile
+from .specfun import central_chisq_quantile  # noqa: F401 (unused; perfbench/tracing.py wraps it)
 from .teststats import ALL_KINDS, TestKind, statistics_from_dbar
 
 __all__ = [
@@ -239,7 +239,7 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     t_start = time.perf_counter()
     model = config.model
     theta_gen = config.query.theta_drifted
-    xcrit = central_chisq_quantile(1.0, config.alpha, upper=True)
+    xcrit = config.query.crit
 
     if config.workers > 1 and getattr(model.sampler, "dbar", None) is None:
         # a sampler may pickle as one that carries a law (a traced one does):

@@ -142,34 +142,27 @@ def _validate_df_x(df: float, x: float) -> None:
         raise DomainError(f"x must be finite, got {x}")
 
 
-def central_chisq_cdf(df: float, x: float) -> float:
-    """P(X <= x) for a central chi-square with ``df`` degrees of freedom."""
+def _central_tails(df: float, x: float) -> tuple[float, float]:
+    # (P, Q): the series below df + 1, where Q = 1 - P is not small, and the
+    # continued fraction in the tail, where P = 1 - Q is not small
     _validate_df_x(df, x)
     if x <= 0.0:
-        return 0.0
-    a = 0.5 * df
-    xg = 0.5 * x
-    # series in the small-x region, continued fraction in the tail
+        return 0.0, 1.0
     if x < df + 1.0:
-        p = _lower_gamma_series(a, xg)
-    else:
-        p = 1.0 - _upper_gamma_contfrac(a, xg)
-    return min(max(p, 0.0), 1.0)
+        p = _lower_gamma_series(0.5 * df, 0.5 * x)
+        return p, 1.0 - p
+    q = _upper_gamma_contfrac(0.5 * df, 0.5 * x)
+    return 1.0 - q, q
+
+
+def central_chisq_cdf(df: float, x: float) -> float:
+    """P(X <= x) for a central chi-square with ``df`` degrees of freedom."""
+    return min(max(_central_tails(df, x)[0], 0.0), 1.0)
 
 
 def central_chisq_sf(df: float, x: float) -> float:
     """P(X > x), computed directly so that small upper tails keep their relative accuracy."""
-    _validate_df_x(df, x)
-    if x <= 0.0:
-        return 1.0
-    a = 0.5 * df
-    xg = 0.5 * x
-    # 1 - series only below df + 1, where Q is not small
-    if x < df + 1.0:
-        q = 1.0 - _lower_gamma_series(a, xg)
-    else:
-        q = _upper_gamma_contfrac(a, xg)
-    return min(max(q, 0.0), 1.0)
+    return min(max(_central_tails(df, x)[1], 0.0), 1.0)
 
 
 def central_chisq_pdf(df: float, x: float) -> float:

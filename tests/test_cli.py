@@ -367,8 +367,8 @@ class TestGoldenOutput:
             "# gradpower stat model=gamma fixed=k=1 theta0=1 data=obs.txt format=csv\n"
             "n,d_bar,theta_hat,s_lr,s_wald,s_score,s_gradient,"
             "p_lr,p_wald,p_score,p_gradient\n"
-            "10,2,0.5,6.1370563888010938,10,10,5,0.013237750156171457,"
-            "0.0015654022580025018,0.0015654022580025018,0.025347318677468311\n"
+            "10,2,0.5,6.1370563888010938,10,10,5,0.013237750156171508,"
+            "0.001565402258002549,0.001565402258002549,0.025347318677468315\n"
         )
 
 
@@ -450,6 +450,24 @@ class TestCliContract:
         assert code == 2
         assert "alpha" in err and "got 1.0" not in err
         assert out == ""
+
+    def test_non_utf8_data_file_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "obs.txt"
+        path.write_bytes(b"1.0\n\xff\xfe2.0\n")
+        code, out, err = _capture(capsys, ["stat", *GAMMA_ARGS, "--data", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("domain error:") and str(path) in err
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"5", b"null", b"true"])
+    def test_malformed_tensor_file_is_domain_error(self, tmp_path, capsys, content):
+        path = tmp_path / "tensors.json"
+        path.write_bytes(content)
+        code, out, err = _capture(
+            capsys,
+            ["expand", "--tensors", str(path), "--eps", "1", "--n", "50", "--x", "1"],
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("domain error:") and str(path) in err
 
     def test_no_partial_output_file_on_usage_error(self, tmp_path, capsys):
         target = tmp_path / "out.csv"

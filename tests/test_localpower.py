@@ -449,5 +449,5 @@ class TestOrderingFallback:
         report = self._report()
         # one solve per (eps, alpha) grid point, not one per point and pair
         assert len(calls) == len(report.eps_grid) * len(self.ALPHAS) == 20
-        # one table per eps, shared by the certificate loop and the grid queries
+        # one table per eps, built by the certificate loop; the grid reuses its weights
         assert len(tables) == len(report.eps_grid) == 4

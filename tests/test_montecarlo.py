@@ -110,6 +110,16 @@ class TestDeterminism:
         )
         assert simulate(cfg).critical_value == cfg.query.crit
 
+    def test_solves_no_critical_value_of_its_own(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate solved a critical value of its own")
+
+        monkeypatch.setattr(montecarlo, "central_chisq_quantile", refuse)
+        cfg = SimulationConfig(
+            model=GAMMA, theta0=1.0, eps=0.5, n=20, reps=50, alpha=0.037, seed=5
+        )
+        assert simulate(cfg).critical_value == cfg.query.crit
+
     def test_replicate_depends_only_on_seed_and_index(self):
         a = replicate_statistics(GAMMA, 1.05, 1.0, 50, 31337, 12)
         b = replicate_statistics(GAMMA, 1.05, 1.0, 50, 31337, 12)

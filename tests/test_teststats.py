@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 from scipy import integrate
+from scipy.stats import chi2
 
 from gradpower.errors import DomainError
 from gradpower.expfam import catalog_model, sample
@@ -48,6 +49,19 @@ class TestWorkedExample:
         tail, err = integrate.quad(dens, math.sqrt(10.0), np.inf, epsabs=1e-14)
         assert err < 1e-12
         assert result.p_value(TestKind.WALD) == pytest.approx(tail, abs=1e-12)
+
+    def test_p_values_keep_relative_accuracy_in_the_upper_tail(self):
+        # statistics up to ~1400 put p near 1e-305, where 1 - cdf is exactly 0
+        model = catalog_model("gamma", {"k": 1.0})
+        checked = []
+        for v in np.geomspace(0.05, 40.0, 300):
+            result = compute_statistics(model, np.full(50, v), 1.0)
+            for s, p in zip(result.s, result.p_values):
+                if 0.0 < s <= 1400.0:
+                    want = chi2.sf(s, 1)
+                    assert abs(p - want) <= 1e-13 * want, s
+                    checked.append(s)
+        assert len(checked) > 500 and max(checked) > 1300.0
 
     def test_p_values_decrease_in_statistic(self, result):
         stats = [result.statistic(k) for k in TestKind]
