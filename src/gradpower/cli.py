@@ -276,7 +276,7 @@ def _cmd_expand(args) -> list[str]:
         )
     xs = _parse_grid(args.x, "--x")
     expansion = composite_coefficients(tensors, eps)
-    moments = st_moments(tensors, eps, args.n)
+    moments = st_moments(tensors, eps, args.n, expansion=expansion)
     lines = _config_header("expand", [
         ("tensors", args.tensors), ("eps", args.eps), ("n", args.n), ("x", args.x),
     ])

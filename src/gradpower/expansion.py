@@ -293,11 +293,15 @@ def cdf_expansion(e: PowerExpansion, n, x: float) -> ClampedProbability:
     return _clamp(raw)
 
 
-def st_moments(t: CumulantTensors, eps, n) -> MomentSet:
+def st_moments(
+    t: CumulantTensors, eps, n, *, expansion: PowerExpansion | None = None
+) -> MomentSet:
     """First three moments of the statistic to second order.
 
     ``A1..A3`` use the moment-generating-function contractions; the companion
-    ``mixture_mean`` field restates the mean through the CDF-mixture weights.
+    ``mixture_mean`` field restates the mean through the CDF-mixture weights,
+    those of ``composite_coefficients(t, eps)``.  A caller that has already
+    built that expansion passes it as ``expansion``, so it is not built twice.
     """
     if not (n > 0):
         raise DomainError(f"n must be positive, got {n}")
@@ -322,7 +326,9 @@ def st_moments(t: CumulantTensors, eps, n) -> MomentSet:
     m2 = 2.0 * (f + 2.0 * lam) + 8.0 * (A1 + A2) * rt
     m3 = 8.0 * (f + 3.0 * lam) + 6.0 * (A1 + 2.0 * A2 + A3) * rt
 
-    a = composite_coefficients(t, e).a
+    if expansion is None:
+        expansion = composite_coefficients(t, e)
+    a = expansion.a
     mixture_mean = f + 2.0 * lam + 2.0 * rt * (a[1] + 2.0 * a[2] + 3.0 * a[3])
     return MomentSet(m1=m1, m2=m2, m3=m3, A=(A1, A2, A3), mixture_mean=mixture_mean)
 

@@ -78,6 +78,13 @@ class ExpFamModel:
     ``numpy.random.Generator`` and return ``n`` i.i.d. draws.  A sampler that
     also has ``dbar(theta, n, size, rng)`` (a :class:`LawSampler`) lets the
     simulation draw d-bar from its exact law instead of averaging draws.
+
+    The simulation then evaluates a whole chunk of estimates at once, so for
+    such a model ``mle_closed_form`` and the callables evaluated at the
+    estimate (``alpha``, ``alpha_d1``, ``beta``, ``beta_d1``, ``log_zeta``)
+    must work elementwise on float64 arrays as well as on floats.  A closed
+    form flags an estimate it cannot give with a non-finite value (or by
+    raising :class:`~gradpower.errors.EstimationError` on a scalar).
     """
 
     name: str
@@ -336,7 +343,9 @@ def _two_over_cube(t):
 
 
 def _log(t):
-    return math.log(t)
+    # numpy's log (which may round differently) only for an array of estimates,
+    # so scalar statistics stay on libm's log bit for bit
+    return np.log(t) if isinstance(t, np.ndarray) else math.log(t)
 
 
 # normal, variance tested (mean fixed)
@@ -353,7 +362,7 @@ def _nv_alpha_d2(t):
 
 
 def _nv_log_zeta(t):
-    return 0.5 * math.log(t)
+    return 0.5 * _log(t)
 
 
 def _nv_d(mu, x):
@@ -413,7 +422,7 @@ def _ivm_v(lam, x):
 
 # gamma, rate tested (shape fixed)
 def _gam_log_zeta(k, t):
-    return -k * math.log(t)
+    return -k * _log(t)
 
 
 def _gam_beta(k, t):
@@ -443,7 +452,7 @@ def _par_alpha(t):
 
 
 def _par_log_zeta(k, t):
-    return -math.log(t) - t * math.log(k)
+    return -_log(t) - t * math.log(k)
 
 
 def _par_beta(k, t):
@@ -460,7 +469,7 @@ def _zero_v(x):
 
 # Laplace, scale tested (location fixed)
 def _lap_log_zeta(t):
-    return math.log(2.0 * t)
+    return _log(2.0 * t)
 
 
 def _lap_d(k, x):
@@ -473,7 +482,7 @@ def _pow_alpha(t):
 
 
 def _pow_log_zeta(phi, t):
-    return t * math.log(phi) - math.log(t)
+    return t * math.log(phi) - _log(t)
 
 
 def _pow_beta(phi, t):
@@ -932,27 +941,33 @@ def _brent(f, a: float, b: float, xtol: float = 1e-14, maxiter: int = 200) -> fl
     return b
 
 
-def mle_from_dbar(model: ExpFamModel, d_bar: float) -> float:
+def mle_from_dbar(model: ExpFamModel, d_bar: float | np.ndarray) -> float | np.ndarray:
     """Solve ``beta(theta) + d_bar = 0`` for theta.
 
     Uses the model's closed form when available, otherwise Brent iteration on
     the model-supplied bracket.  Raises :class:`EstimationError` when the root
     is absent or lands outside the parameter space (degenerate samples).
+
+    Given a float64 array of d-bar values, returns the array of estimates and
+    makes the same checks element by element: an element that would raise
+    gets a NaN estimate instead.
     """
+    if isinstance(d_bar, np.ndarray):
+        return _mle_from_dbars(model, d_bar)
     if not math.isfinite(d_bar):
         raise EstimationError(f"non-finite sufficient-statistic mean {d_bar}")
-    if model.mle_closed_form is not None:
-        try:
-            theta = float(model.mle_closed_form(d_bar))
-        except ZeroDivisionError:
-            raise EstimationError(f"degenerate sample: dbar={d_bar}") from None
-    elif model.mle_bracket is not None:
-        lo, hi = model.mle_bracket(d_bar)
-        theta = _brent(lambda t: model.beta(t) + d_bar, lo, hi)
-    else:
+    if model.mle_closed_form is None and model.mle_bracket is None:
         raise EstimationError(
             f"model {model.name!r} provides neither a closed-form MLE nor a bracket"
         )
+    try:
+        if model.mle_closed_form is not None:
+            theta = float(model.mle_closed_form(d_bar))
+        else:
+            lo, hi = model.mle_bracket(d_bar)
+            theta = _brent(lambda t: model.beta(t) + d_bar, lo, hi)
+    except ZeroDivisionError:
+        raise EstimationError(f"degenerate sample: dbar={d_bar}") from None
     if not model.in_param_space(theta):
         raise EstimationError(
             f"MLE {theta} outside parameter space of {model.name!r} (dbar={d_bar})"
@@ -963,6 +978,26 @@ def mle_from_dbar(model: ExpFamModel, d_bar: float) -> float:
             f"MLE residual {resid} too large for {model.name!r} at theta={theta}"
         )
     return theta
+
+
+def _mle_from_dbars(model: ExpFamModel, d_bar: np.ndarray) -> np.ndarray:
+    # the scalar checks, element by element; a failed element gets NaN
+    if model.mle_closed_form is None:
+        theta = np.empty(d_bar.shape)
+        for i, d in np.ndenumerate(d_bar):
+            try:
+                theta[i] = mle_from_dbar(model, float(d))
+            except EstimationError:
+                theta[i] = math.nan
+        return theta
+    # a zero division gives an infinite or NaN estimate, which the checks refuse
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        theta = np.asarray(model.mle_closed_form(d_bar), dtype=float)
+        lo, hi = model.param_space
+        ok = np.isfinite(d_bar) & np.isfinite(theta) & (lo < theta) & (theta < hi)
+        resid = model.beta(theta) + d_bar
+        ok &= ~(np.abs(resid) > 1e-12 * (1.0 + np.abs(d_bar)))
+    return np.where(ok, theta, math.nan)
 
 
 def checked_data(model: ExpFamModel, data) -> np.ndarray:

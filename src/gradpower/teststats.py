@@ -67,13 +67,17 @@ class TestResult:
         return self.p_values[kind - 1]
 
 
-def statistics_from_dbar(
-    model: ExpFamModel, theta0: float, d_bar: float, n: int
-) -> tuple[float, tuple[float, float, float, float]]:
+def statistics_from_dbar(model: ExpFamModel, theta0: float, d_bar: float | np.ndarray, n: int):
     """Closed-form statistics from the sufficient-statistic mean.
 
     This is the hot path shared with the simulation driver; it skips data
     validation and p-values.  Returns ``(theta_hat, (s1, s2, s3, s4))``.
+
+    ``d_bar`` may also be a float64 array: then ``theta_hat`` and each
+    statistic are arrays of the same shape, computed element by element.  An
+    element whose estimate fails (see :func:`mle_from_dbar`) gets a NaN
+    ``theta_hat`` instead of raising, and its statistics are not to be used.
+    Terms that depend on ``theta0`` alone stay scalar calls, made once.
     """
     theta_hat = mle_from_dbar(model, d_bar)
     score0 = model.beta(theta0) + d_bar

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from gradpower import localpower
+from gradpower import cli, expansion, localpower
 from gradpower.cli import run
 
 GAMMA_ARGS = ["--model", "gamma", "--fixed", "k=2", "--theta0", "1"]
@@ -176,6 +176,23 @@ class TestExpandCommand:
         assert "# mean_mixture=" in out and "# mean_literal=" in out
         _, rows = _csv_rows(out)
         assert float(rows[0]["cdf"]) == pytest.approx(0.72838988136047963, abs=1e-10)
+
+    def test_builds_one_expansion(self, capsys, tensor_file, monkeypatch):
+        built = []
+        inner = expansion.composite_coefficients
+
+        def counting(*args):
+            built.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(expansion, "composite_coefficients", counting)
+        monkeypatch.setattr(cli, "composite_coefficients", counting)
+        code, _, _ = _capture(
+            capsys,
+            ["expand", "--tensors", tensor_file, "--eps", "1", "--n", "50", "--x", "3.8415"],
+        )
+        assert code == 0
+        assert len(built) == 1
 
     def test_eps_dimension_mismatch(self, capsys, tensor_file):
         code, _, err = _capture(

@@ -20,6 +20,8 @@ from gradpower.montecarlo import (
 )
 from gradpower.teststats import TestKind, statistics_from_dbar
 
+from helpers import all_models, theta_grid
+
 GAMMA = catalog_model("gamma", {"k": 2.0})
 # the same model with its sampler stripped to a plain function: no law of d-bar,
 # so each replicate averages n observations from its own stream
@@ -35,9 +37,8 @@ def _law_dbars(model, theta, n, seed, reps):
 
 
 def _failing_closed_form(threshold, dbar):
-    if dbar > threshold:
-        raise EstimationError("synthetic failure for testing")
-    return 2.0 / dbar
+    # gamma k=2's closed form, flagging a failed estimate above the threshold
+    return np.where(dbar > threshold, math.nan, 2.0 / dbar)
 
 
 def _unwrapped(inner):
@@ -175,8 +176,9 @@ class TestRoutes:
         runs = []
 
         def recording(model, theta0, d_bar, n):
+            # one call per chunk: record each row of the array evaluation
             out = statistics_from_dbar(model, theta0, d_bar, n)
-            runs[-1].append(out[1])
+            runs[-1].extend(zip(*(s.tolist() for s in out[1])))
             return out
 
         monkeypatch.setattr(montecarlo, "statistics_from_dbar", recording)
@@ -195,6 +197,22 @@ class TestRoutes:
         theta = base.query.theta_drifted
         for j in (0, 4095, 4096, 8999):
             assert replicate_statistics(GAMMA, theta, 1.0, 50, 21, j) == runs[2][j]
+
+    def test_replicate_is_its_row_of_the_array_evaluation(self):
+        for name, model in all_models():
+            theta0 = theta_grid(name)[1]
+            theta = theta0 + 0.1
+            _, s = statistics_from_dbar(model, theta0, _law_dbars(model, theta, 20, 5, 9000), 20)
+            for j in (0, 4095, 4096, 8999):
+                want = tuple(float(si[j]) for si in s)
+                assert replicate_statistics(model, theta, theta0, 20, 5, j) == want, (name, j)
+
+    def test_failed_replicate_raises(self):
+        always_fail = dataclasses.replace(
+            GAMMA, mle_closed_form=partial(_failing_closed_form, -1.0)
+        )
+        with pytest.raises(EstimationError, match="replicate 4097"):
+            replicate_statistics(always_fail, 1.0, 1.0, 20, 5, 4097)
 
     def test_workers_keep_the_route_chosen_in_the_parent(self):
         # the wrapper hides GAMMA's law here but would hand it back to a worker process

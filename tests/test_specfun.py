@@ -9,6 +9,7 @@ code with the package.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -139,11 +140,14 @@ class TestCentralSf:
                 assert total == pytest.approx(1.0, abs=4e-15)
 
     def test_upper_tail_keeps_relative_accuracy(self):
-        # Q down to ~1e-300, where 1 - P is exactly 0
+        # Q down to ~1e-300, where 1 - P is exactly 0; strictly relative, against
+        # 40-digit values (scipy's chi2.sf is itself 2.1e-13 off at df=400, x=566)
         for df in QUANTILE_DFS:
             for x in np.geomspace(df + 1.0, 1300.0 + 2.0 * df, 25):
-                want = chi2.sf(x, df)
-                assert central_chisq_sf(df, x) == pytest.approx(want, rel=1e-13)
+                with mpmath.workdps(40):
+                    want = float(mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(float(x)) / 2,
+                                                 mpmath.inf, regularized=True))
+                assert central_chisq_sf(df, x) == pytest.approx(want, rel=3e-13, abs=0.0)
 
     def test_support_boundary(self):
         assert central_chisq_sf(5.0, 0.0) == 1.0

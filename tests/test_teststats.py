@@ -1,5 +1,6 @@
 """The four statistics: worked examples, invariants, and the generic cross-check."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from numpy.random import Generator, Philox
 from scipy import integrate
 from scipy.stats import chi2
 
-from gradpower.errors import DomainError
-from gradpower.expfam import catalog_model, sample
+from gradpower.errors import DomainError, EstimationError
+from gradpower.expfam import catalog_model, mle_from_dbar, sample
 from gradpower.teststats import (
     TestKind,
     compute_statistics,
@@ -17,7 +18,7 @@ from gradpower.teststats import (
     statistics_from_dbar,
 )
 
-from helpers import CATALOG_FIXED, random_theta
+from helpers import CATALOG_FIXED, all_models, random_theta, theta_grid
 
 
 class TestWorkedExample:
@@ -135,6 +136,54 @@ class TestNullDistributionSmoke:
         q95 = np.quantile(stats, 0.95, axis=0)
         for i, val in enumerate(q95):
             assert abs(val - 3.8415) < 0.3, (TestKind(i + 1), val)
+
+
+class TestArrayForm:
+    """An array of d-bar gives, element by element, what the scalar form gives."""
+
+    def test_matches_scalar_form_on_law_draws(self):
+        ulp = np.finfo(float).eps
+        for name, model in all_models():
+            low, mid, high = theta_grid(name)
+            for n, theta in ((2, low), (50, high)):
+                d_bar = model.sampler.dbar(theta, n, 2000, Generator(Philox(key=[31, n])))
+                theta_hat, s = statistics_from_dbar(model, mid, d_bar, n)
+                lz0, a0 = abs(model.log_zeta(mid)), abs(model.alpha(mid))
+                for i, d in enumerate(d_bar.tolist()):
+                    t, want = statistics_from_dbar(model, mid, d, n)
+                    assert theta_hat[i] == t and s[3][i] == want[3], (name, n, d)
+                    # numpy's log and square may round S1-S3 apart from libm's
+                    lz, a = abs(model.log_zeta(t)), abs(model.alpha(t))
+                    terms = (2.0 * n * (lz0 + lz + (a0 + a) * abs(d)), abs(want[1]), abs(want[2]))
+                    for k in range(3):
+                        assert abs(s[k][i] - want[k]) <= 4.0 * ulp * terms[k], (name, n, k, d)
+
+    def test_failure_mask_is_where_the_scalar_form_raises(self):
+        poles = {"pareto": math.log(CATALOG_FIXED["pareto"]["k"]),
+                 "power": math.log(CATALOG_FIXED["power"]["phi"])}
+        for name, model in all_models():
+            centre = -model.beta(theta_grid(name)[1])
+            edges = [0.0, -0.0, -1.0, -centre, math.inf, -math.inf, math.nan, 5e-324,
+                     1e-300, 1e300, -1e300, centre]
+            if name in poles:  # the closed form divides by d-bar minus this
+                p = poles[name]
+                edges += [p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf)]
+            d_bar = np.array(edges)
+            for m in (model, dataclasses.replace(model, mle_closed_form=None)):
+                theta_hat = mle_from_dbar(m, d_bar)
+                failed = 0
+                for d, t in zip(edges, theta_hat.tolist()):
+                    try:
+                        want = mle_from_dbar(m, d)
+                    except EstimationError:
+                        assert math.isnan(t), (name, d, t)
+                        failed += 1
+                    else:
+                        assert t == want, (name, d)
+                assert 3 <= failed < len(edges), name
+                # a failed estimate leaves a NaN in its row instead of raising
+                rows = statistics_from_dbar(m, theta_grid(name)[1], d_bar[:7], 50)[0]
+                assert np.array_equal(np.isnan(rows), np.isnan(theta_hat[:7]))
 
 
 class TestValidation:
