@@ -184,7 +184,7 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--alpha", type=float, required=True, help="nominal size")
     p_sim.add_argument("--seed", type=int, required=True, help="stream seed")
     p_sim.add_argument("--threads", type=int, default=1,
-                       help="worker processes (default: 1)")
+                       help="worker count, echoed in the header; starts no process (default: 1)")
     p_sim.add_argument("--compare-sources", action="store_true",
                        help="predict power under both coefficient conventions")
     return parser

@@ -11,7 +11,8 @@ it draws the mean of the sufficient statistic, d-bar, straight from its
 closed-form law (gamma, normal or inverse Gaussian), in O(1) per draw.
 
 All catalog callables are module-level functions bound with
-``functools.partial`` so models pickle cleanly across process boundaries.
+``functools.partial``, so entries that share a formula share one function and
+differ only in the constants bound to it.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ two routes:
   stream, keyed by ``(seed, j)``, and averages their ``d``.
 
 Either way replicate ``j`` depends only on ``(seed, j)`` for a fixed model,
-drifted parameter and ``n``, never on the replicate count or on how chunks
-are spread over worker processes, so reports are bit-identical for any worker
+drifted parameter and ``n``, never on the replicate count.  Chunks run one
+after another in the calling process; the worker count is recorded in the
+report and starts no process, so reports are bit-identical for any worker
 count.
 
 On the law route a chunk computes its statistics in one call of
@@ -41,9 +42,8 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -75,7 +75,11 @@ _FAILURE_LIMIT = 1e-3
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """One simulation experiment: model, drift, sizes, seed."""
+    """One simulation experiment: model, drift, sizes, seed.
+
+    ``workers`` is validated and recorded in the report; it starts no process,
+    since every chunk runs in the calling process.
+    """
 
     model: ExpFamModel
     theta0: float
@@ -124,7 +128,8 @@ class SimulationReport:
     """Aggregated rejection rates and gradient-statistic moments.
 
     ``wall_time`` is excluded from equality so that reports from identical
-    configurations compare equal regardless of runtime.
+    configurations compare equal regardless of runtime.  ``workers`` echoes
+    the configuration's recorded worker count, which changes no other field.
     """
 
     rejection_rate: tuple[float, float, float, float]
@@ -177,8 +182,15 @@ def replicate_statistics(
 
     They depend on (seed, j) only, for a fixed model, ``theta_gen`` and ``n``.
     On the law route they are row ``j mod _CHUNK`` of its chunk's array
-    evaluation.  Raises :class:`EstimationError` when the estimate fails.
+    evaluation.  Raises :class:`EstimationError` when the estimate fails, and
+    :class:`DomainError` for a seed outside [0, 2**64) or a ``j`` outside
+    [0, 2**63), whose stream key would wrap onto another replicate's or a
+    chunk's.
     """
+    if not 0 <= seed <= _MASK64:
+        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
+    if not 0 <= j < _CHUNK_KEY:
+        raise DomainError(f"replicate index must lie in [0, 2**63), got {j}")
     law = getattr(model.sampler, "dbar", None)
     if law is None:
         xs = model.sampler(theta_gen, n, replicate_stream(seed, j))
@@ -220,14 +232,6 @@ def _run_chunk(model, theta_gen, theta0, n, seed, lo, hi, xcrit):
     return (rej, joint34, failures, len(stats), tuple(sums))
 
 
-def _chunk_task(args):
-    return _run_chunk(*args)
-
-
-def _observations(sampler, theta, n, rng):
-    return sampler(theta, n, rng)
-
-
 def _central_moments(power_sums, used):
     m = [s / used for s in power_sums]  # raw moments M1..M6
     mean = m[0]
@@ -262,22 +266,11 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     theta_gen = config.query.theta_drifted
     xcrit = config.query.crit
 
-    if config.workers > 1 and getattr(model.sampler, "dbar", None) is None:
-        # a sampler may pickle as one that carries a law (a traced one does):
-        # keep the workers on the route chosen here
-        model = replace(model, sampler=partial(_observations, model.sampler))
-    chunks = [
-        (model, theta_gen, config.theta0, config.n, config.seed, lo,
-         min(lo + _CHUNK, config.reps), xcrit)
+    partials = [
+        _run_chunk(model, theta_gen, config.theta0, config.n, config.seed, lo,
+                   min(lo + _CHUNK, config.reps), xcrit)
         for lo in range(0, config.reps, _CHUNK)
     ]
-    if config.workers > 1 and len(chunks) > 1:
-        # the pool starts every worker at the first submit; more than one per
-        # chunk would sit idle
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(chunks))) as pool:
-            partials = list(pool.map(_chunk_task, chunks, chunksize=1))
-    else:
-        partials = [_run_chunk(*c) for c in chunks]
 
     rej = [sum(p[0][i] for p in partials) for i in range(4)]
     joint34 = sum(p[1] for p in partials)
@@ -371,13 +364,12 @@ def adjudicate_gradient_sources(
     reps: int = 1_000_000,
     alpha: float = 0.05,
     seed: int = 20260810,
-    workers: int = 1,
 ) -> GradientSourceAdjudication:
     """Score-vs-gradient power gap on the truncated extreme value model."""
     model = catalog_model("tev")
     config = SimulationConfig(
         model=model, theta0=theta0, eps=eps, n=n, reps=reps, alpha=alpha,
-        seed=seed, compare_sources=True, workers=workers,
+        seed=seed, compare_sources=True,
     )
     rep = simulate(config)
     p3 = rep.rejection_rate[TestKind.SCORE - 1]
@@ -449,13 +441,11 @@ def adjudicate_mean_expansion(
     reps: int = 200_000,
     alpha: float = 0.05,
     seed: int = 20260810,
-    workers: int = 1,
 ) -> MeanExpansionAdjudication:
     """Mean of the gradient statistic on the gamma model under drift."""
     model = catalog_model("gamma", {"k": k})
     config = SimulationConfig(
-        model=model, theta0=theta0, eps=eps, n=n, reps=reps, alpha=alpha,
-        seed=seed, workers=workers,
+        model=model, theta0=theta0, eps=eps, n=n, reps=reps, alpha=alpha, seed=seed,
     )
     rep = simulate(config)
     tensors = tensors_from_cumulants(cumulants(model, theta0))

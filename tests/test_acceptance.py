@@ -1,8 +1,8 @@
 """Acceptance gate: one test per numbered criterion, each printing a verdict.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
-per criterion.  The Monte Carlo criteria (7-10) use fixed seeds and take a
-few minutes in total at their full replicate counts.
+per criterion.  The Monte Carlo criteria (7-10) use fixed seeds and take
+about a second in total at their full replicate counts.
 """
 
 import dataclasses
@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy import optimize, stats
 
 from gradpower.cli import run
@@ -352,7 +351,6 @@ def test_criterion_06_equal_power_conditions():
     )
 
 
-@pytest.mark.slow
 def test_criterion_07_monte_carlo_size():
     """Empirical size of all four tests at the null within 0.05 +/- 0.012."""
     t0 = time.perf_counter()
@@ -371,7 +369,6 @@ def test_criterion_07_monte_carlo_size():
     )
 
 
-@pytest.mark.slow
 def test_criterion_08_monte_carlo_local_power():
     """Empirical power within 0.025 of the second-order prediction, each test."""
     cfg = SimulationConfig(
@@ -389,7 +386,6 @@ def test_criterion_08_monte_carlo_local_power():
     )
 
 
-@pytest.mark.slow
 def test_criterion_09_mean_adjudication():
     """Empirical mean of the gradient statistic within 0.05 of the
     mixture-implied mean; distance to the literal formula is reported."""
@@ -405,7 +401,6 @@ def test_criterion_09_mean_adjudication():
     _verdict(9, "second-order mean arbitration", gap_mixture <= 0.05, detail)
 
 
-@pytest.mark.slow
 def test_criterion_10_gradient_source_adjudication():
     """The full-scale convention arbitration completes with a well-formed
     verdict; the verdict itself is informational."""

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 from functools import partial
 
 import numpy as np
@@ -41,12 +42,8 @@ def _failing_closed_form(threshold, dbar):
     return np.where(dbar > threshold, math.nan, 2.0 / dbar)
 
 
-def _unwrapped(inner):
-    return inner
-
-
-class PicklesAsInner:
-    """A sampler without a law that pickles as the sampler it wraps, as a tracing wrapper does."""
+class HidesLaw:
+    """A sampler without a law that wraps one with a law, as a tracing wrapper does."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -54,24 +51,17 @@ class PicklesAsInner:
     def __call__(self, theta, n, rng):
         return self.inner(theta, n, rng)
 
-    def __reduce__(self):
-        return (_unwrapped, (self.inner,))
 
+class PidRecorder:
+    """A sampler without a law that appends the id of the process it runs in to a file."""
 
-class SerialPool:
-    """Stands in for ProcessPoolExecutor: runs the chunks in this process, in order."""
+    def __init__(self, path):
+        self.path = path
 
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
+    def __call__(self, theta, n, rng):
+        with open(self.path, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return GAMMA.sampler.draw(theta, n, rng)
 
 
 class TestDeterminism:
@@ -89,21 +79,15 @@ class TestDeterminism:
         r1, r3 = simulate(cfg1), simulate(cfg3)
         assert dataclasses.replace(r3, workers=1) == r1
 
-    def test_pool_size_capped_at_chunk_count(self, monkeypatch):
-        built = []
-
-        class CountingPool(SerialPool):
-            def __init__(self, max_workers):
-                built.append(max_workers)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
-        cfg1 = SimulationConfig(
-            model=GAMMA, theta0=1.0, eps=0.5, n=10, reps=2 * montecarlo._CHUNK + 1,
-            alpha=0.05, seed=3,
-        )
-        r64 = simulate(dataclasses.replace(cfg1, workers=64))
-        assert built == [3]
-        assert dataclasses.replace(r64, workers=1) == simulate(cfg1)
+    def test_chunks_run_in_the_calling_process(self, tmp_path):
+        path = tmp_path / "pids"
+        model = dataclasses.replace(GAMMA, sampler=PidRecorder(path))
+        cfg = SimulationConfig(model=model, theta0=1.0, eps=0.5, n=2,
+                               reps=montecarlo._CHUNK + 1, alpha=0.05, seed=4, workers=2)
+        rep = simulate(cfg)
+        assert set(path.read_text().split()) == {str(os.getpid())}
+        assert dataclasses.replace(rep, workers=1) == simulate(
+            dataclasses.replace(cfg, workers=1))
 
     def test_critical_value_is_the_querys(self):
         cfg = SimulationConfig(
@@ -182,7 +166,6 @@ class TestRoutes:
             return out
 
         monkeypatch.setattr(montecarlo, "statistics_from_dbar", recording)
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
         base = SimulationConfig(model=GAMMA, theta0=1.0, eps=0.5, n=50, reps=5000,
                                 alpha=0.05, seed=21)
         for reps in (5000, 9000):
@@ -214,15 +197,27 @@ class TestRoutes:
         with pytest.raises(EstimationError, match="replicate 4097"):
             replicate_statistics(always_fail, 1.0, 1.0, 20, 5, 4097)
 
-    def test_workers_keep_the_route_chosen_in_the_parent(self):
-        # the wrapper hides GAMMA's law here but would hand it back to a worker process
-        model = dataclasses.replace(GAMMA, sampler=PicklesAsInner(GAMMA.sampler))
+    def test_wrapper_that_hides_the_law_takes_the_observation_route(self):
+        model = dataclasses.replace(GAMMA, sampler=HidesLaw(GAMMA.sampler))
         cfg = SimulationConfig(model=model, theta0=1.0, eps=0.5, n=10,
                                reps=2 * montecarlo._CHUNK + 1, alpha=0.05, seed=8)
-        serial = simulate(cfg)
-        assert serial == simulate(dataclasses.replace(cfg, model=GAMMA_OBSERVED))
-        fanned = simulate(dataclasses.replace(cfg, workers=2))
-        assert dataclasses.replace(fanned, workers=1) == serial
+        assert simulate(cfg) == simulate(dataclasses.replace(cfg, model=GAMMA_OBSERVED))
+
+    def test_out_of_range_seed_or_index_refused(self):
+        # a wrapped key would reuse another replicate's stream or a chunk's
+        for model in (GAMMA, GAMMA_OBSERVED):
+            for seed, j, message in [
+                (21, -1, "replicate index"),
+                (21, 2 ** 63, "replicate index"),
+                (21, 2 ** 63 + 1, "replicate index"),
+                (21, 2 ** 64 + 5, "replicate index"),
+                (-1, 0, "seed must lie in"),
+                (2 ** 64, 0, "seed must lie in"),
+            ]:
+                with pytest.raises(DomainError, match=message):
+                    replicate_statistics(model, 1.05, 1.0, 20, seed, j)
+            s = replicate_statistics(model, 1.05, 1.0, 20, 2 ** 64 - 1, 2 ** 63 - 1)
+            assert all(math.isfinite(si) for si in s)
 
     def test_chunk_streams_are_not_replicate_streams(self):
         u = montecarlo._chunk_stream(5, 0).random(4)

@@ -18,7 +18,7 @@ from gradpower.teststats import (
     statistics_from_dbar,
 )
 
-from helpers import CATALOG_FIXED, all_models, random_theta, theta_grid
+from helpers import BETA2_ZERO, CATALOG_FIXED, all_models, random_theta, theta_grid
 
 
 class TestWorkedExample:
@@ -184,6 +184,34 @@ class TestArrayForm:
                 # a failed estimate leaves a NaN in its row instead of raising
                 rows = statistics_from_dbar(m, theta_grid(name)[1], d_bar[:7], 50)[0]
                 assert np.array_equal(np.isnan(rows), np.isnan(theta_hat[:7]))
+
+
+class TestScoreGradientIdentity:
+    """beta'' = 0 makes the score and gradient statistics one function of d-bar."""
+
+    def test_alpha2_nonzero_only_where_beta2_vanishes(self):
+        for name, model in all_models():
+            grid = theta_grid(name)
+            beta_linear = all(model.beta_d2(t) == 0.0 for t in grid)
+            assert beta_linear == (name in BETA2_ZERO), name
+            if any(model.alpha_d2(t) != 0.0 for t in grid):
+                assert beta_linear, name
+
+    def test_score_equals_gradient_on_law_draws_iff_beta2_zero(self):
+        ulp = np.finfo(float).eps
+        for name, model in all_models():
+            low, mid, high = theta_grid(name)
+            worst = 0.0
+            for theta in (low, mid, high):
+                d_bar = model.sampler.dbar(theta, 50, 2000, Generator(Philox(key=[7, 50])))
+                theta_hat, s = statistics_from_dbar(model, mid, d_bar, 50)
+                ok = ~np.isnan(theta_hat)
+                score, gradient = s[2][ok], s[3][ok]
+                worst = max(worst, float(np.max(np.abs(score - gradient) / np.abs(gradient))))
+            if name in BETA2_ZERO:
+                assert worst <= 4.0 * ulp, (name, worst)
+            else:
+                assert worst > 0.3, (name, worst)
 
 
 class TestValidation:
