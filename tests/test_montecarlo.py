@@ -1,4 +1,4 @@
-"""Simulation driver: determinism, worker invariance, failure accounting."""
+"""Simulation driver: determinism, worker invariance, exact power sums, failure accounting."""
 
 import dataclasses
 import math
@@ -204,20 +204,28 @@ class TestRoutes:
         assert simulate(cfg) == simulate(dataclasses.replace(cfg, model=GAMMA_OBSERVED))
 
     def test_out_of_range_seed_or_index_refused(self):
-        # a wrapped key would reuse another replicate's stream or a chunk's
+        # a wrapped key would reuse another replicate's stream or a chunk's:
+        # masked to 64 bits, (5, 2**64 + 5) is replicate 5's and (5, 2**63) chunk 0's
+        bad_keys = [
+            (21, -1, "replicate index"),
+            (21, 2 ** 63, "replicate index"),
+            (21, 2 ** 63 + 1, "replicate index"),
+            (21, 2 ** 64 + 5, "replicate index"),
+            (5, 2 ** 64 + 5, "replicate index"),
+            (5, 2 ** 63, "replicate index"),
+            (-1, 0, "seed must lie in"),
+            (2 ** 64, 0, "seed must lie in"),
+        ]
         for model in (GAMMA, GAMMA_OBSERVED):
-            for seed, j, message in [
-                (21, -1, "replicate index"),
-                (21, 2 ** 63, "replicate index"),
-                (21, 2 ** 63 + 1, "replicate index"),
-                (21, 2 ** 64 + 5, "replicate index"),
-                (-1, 0, "seed must lie in"),
-                (2 ** 64, 0, "seed must lie in"),
-            ]:
+            for seed, j, message in bad_keys:
                 with pytest.raises(DomainError, match=message):
                     replicate_statistics(model, 1.05, 1.0, 20, seed, j)
             s = replicate_statistics(model, 1.05, 1.0, 20, 2 ** 64 - 1, 2 ** 63 - 1)
             assert all(math.isfinite(si) for si in s)
+        for seed, j, message in bad_keys:
+            with pytest.raises(DomainError, match=message):
+                replicate_stream(seed, j)
+        assert np.isfinite(replicate_stream(2 ** 64 - 1, 2 ** 63 - 1).random(4)).all()
 
     def test_chunk_streams_are_not_replicate_streams(self):
         u = montecarlo._chunk_stream(5, 0).random(4)
@@ -275,6 +283,136 @@ class TestAggregation:
         m3 = float(np.mean((s4 - s4.mean()) ** 3))
         assert est.third_central == pytest.approx(m3, rel=1e-6)
         assert est.se_mean == pytest.approx(float(s4.std()) / math.sqrt(2000), rel=1e-6)
+
+
+def _outcome(total, values):
+    try:
+        return "value", total(values)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_sum(x):
+    # bit-equal to math.fsum: the same value (NaN included) and sign, or the same error
+    got = _outcome(montecarlo._exact_sum, np.asarray(x, dtype=float))
+    want = _outcome(math.fsum, [float(v) for v in x])
+    if got[0] != "value" or want[0] != "value":
+        assert got == want
+    elif math.isnan(want[1]):
+        assert math.isnan(got[1])
+    else:
+        assert got[1] == want[1], (got[1], want[1])
+        assert math.copysign(1.0, got[1]) == math.copysign(1.0, want[1])
+
+
+def _fsum_power_sums(s4):
+    # the chain _run_chunk sums: s4, s4*s4, (s4*s4)*s4, ...
+    power, sums = s4, []
+    for _ in range(6):
+        sums.append(math.fsum(power.tolist()))
+        power = power * s4
+    return tuple(sums)
+
+
+class TestExactSum:
+    """``_exact_sum`` is ``math.fsum`` bit for bit, errors included."""
+
+    def test_random_arrays(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(400):
+            size = int(rng.integers(1, montecarlo._CHUNK + 1))
+            signs = rng.choice([-1.0, 1.0], size)
+            x = signs * np.exp2(rng.uniform(-43.0, 43.0, size)) * rng.random(size)
+            _assert_same_sum(x ** int(rng.integers(1, 7)))
+
+    def test_cancellation_ties_and_zeros(self):
+        for x in [
+            [1e16, 1.0, -1e16],
+            [],
+            [0.0, 0.0, 0.0],
+            [-0.0],
+            [-0.0, -0.0],
+            [0.0, -0.0],
+            [1.0, -1.0],
+            [1.0, 2.0 ** -53],  # halfway: rounds to even
+            [1.0 + 2.0 ** -52, 2.0 ** -53],
+            [1.0, 2.0 ** -53, 2.0 ** -200],  # above halfway only by a far lower bit
+            [-1.0, -2.0 ** -53, -(2.0 ** -200)],
+            [1.0, 2.0 ** -53, -(2.0 ** -200)],
+            [1e-300, 1e300, -1e300],
+            [2.0 ** 959, 2.0 ** 959, -(2.0 ** 958)],
+            [2.0 ** 959, 5e-324],  # the exact integer total has ~2000 bits
+            [1e-300, 1e280, -1e280, 3e-290],
+        ]:
+            _assert_same_sum(x)
+
+    def test_subnormal_results(self):
+        tiny = 2.0 ** -1022
+        for x in [
+            [5e-324, 5e-324],
+            [tiny, -tiny / 2],
+            [2 * tiny, -tiny - 5e-324],
+            [1.0, -1.0, 3e-320],
+            [1e-310, 1e-310, 1e-310],
+        ]:
+            _assert_same_sum(x)
+
+    def test_non_finite_values(self):
+        for x in [
+            [math.inf, 1.0],
+            [-math.inf, 1e300],
+            [math.nan],
+            [1.0, math.nan, 2.0],
+            [math.inf, -math.inf],
+            [math.inf, math.nan],
+        ]:
+            _assert_same_sum(x)
+
+    def test_overflow_raises_as_fsum(self):
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            montecarlo._exact_sum(np.array([1e308, 1e308]))
+        _assert_same_sum([1e308, 1e308])
+        _assert_same_sum([1e308, 1e308, -1e308])
+
+    def test_largest_exact_size(self):
+        # bin sums at their largest: all-ones 53-bit mantissas, then one value
+        # 15 binades below the rest, so that each mantissa is shifted by 15
+        near_two = np.nextafter(2.0, 0.0)
+        x = np.full(montecarlo._EXACT_SUM_SIZE, near_two)
+        x[0] = near_two * 2.0 ** -15
+        _assert_same_sum(x)
+        _assert_same_sum(-x)
+        # the large parts cancel, so the sum is the low halves' bins alone; past
+        # the size bound those would round, and math.fsum takes over
+        for count in (montecarlo._EXACT_SUM_SIZE - 1, montecarlo._EXACT_SUM_SIZE + 7):
+            x = np.append(np.full(count, near_two), -2.0 * count)
+            _assert_same_sum(x)
+            _assert_same_sum(-x)
+
+    def _chunk_sums_match(self, model, theta0, theta, n, lo, hi):
+        _, _, failures, used, sums = montecarlo._run_chunk(
+            model, theta, theta0, n, 5, lo, hi, 3.84)
+        d_bar = montecarlo._law_dbars(model.sampler.dbar, theta, n, 5,
+                                      lo // montecarlo._CHUNK)[:hi - lo]
+        theta_hat, s = statistics_from_dbar(model, theta0, d_bar, n)
+        s4 = s[3][~np.isnan(theta_hat)]
+        assert (failures, used) == (hi - lo - len(s4), len(s4))
+        assert sums == _fsum_power_sums(s4)
+        return failures
+
+    def test_chunk_sums_are_fsums_of_s4_powers(self):
+        # a full chunk and a partial last chunk of 904, for every catalog model
+        for name, model in all_models():
+            theta0 = theta_grid(name)[1]
+            for lo, hi in ((0, montecarlo._CHUNK), (montecarlo._CHUNK, 5000)):
+                self._chunk_sums_match(model, theta0, theta0 + 0.1, 20, lo, hi)
+
+    def test_chunk_with_failed_rows(self):
+        flaky = dataclasses.replace(
+            GAMMA, mle_closed_form=partial(_failing_closed_form, 2.95)
+        )
+        assert self._chunk_sums_match(flaky, 1.0, 1.0, 10, 0, montecarlo._CHUNK) > 0
+        assert self._chunk_sums_match(flaky, 1.0, 1.0, 10, montecarlo._CHUNK, 5000) > 0
 
 
 class TestFailureAccounting:
