@@ -197,9 +197,15 @@ def _gamma_unit_rate(rng: np.random.Generator, shape: float, n: int) -> np.ndarr
         v = (1.0 + c * z) ** 3
         pos = v > 0.0
         vsafe = np.where(pos, v, 1.0)
-        squeeze = u < 1.0 - 0.0331 * z ** 4
+        # Accept on squeeze | full, but with the exact log test first: numpy's
+        # float64 pow leaves its SIMD loop for a negative base, so z ** 4 over
+        # the whole array costs more than the logs.  The squeeze then runs
+        # only on the exact test's misses; each z ** 4 is the same float on a
+        # gathered subset, so the draws do not change.
         full = np.log(u) < 0.5 * z * z + dd * (1.0 - vsafe + np.log(vsafe))
-        ok = pos & (squeeze | full)
+        ok = pos & full
+        miss = np.flatnonzero(pos & ~ok)
+        ok[miss] = u[miss] < 1.0 - 0.0331 * z[miss] ** 4
         acc = dd * v[ok]
         out[filled : filled + acc.size] = acc
         filled += acc.size

@@ -29,8 +29,9 @@ rounded sums of the first six powers of the gradient statistic, which
 ``simulate`` combines across chunks with ``math.fsum``; :func:`_exact_sum`
 gives each chunk's sums bit for bit as ``math.fsum`` would, without its
 per-value Python loop.  For gamma with n = 50 a chunk of 4096 takes about
-1.5-1.7 ms: 0.55-0.7 ms to draw, 0.1 ms to evaluate (a loop of scalar calls
-took 18 ms) and 0.35-0.43 ms for the six power sums, which took 1.6-1.8 ms
+0.85-1.3 ms: 0.22-0.36 ms to draw (0.5-0.7 ms with the gamma sampler's z**4
+squeeze on every proposal), 0.1 ms to evaluate (a loop of scalar calls took
+18 ms) and 0.35-0.43 ms for the six power sums, which took 1.6-1.8 ms
 through ``math.fsum`` (2-vCPU x86-64, numpy 2.4).
 
 Besides plain size/power estimation the module carries the two arbitration
