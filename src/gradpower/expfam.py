@@ -80,8 +80,8 @@ class ExpFamModel:
     also has ``dbar(theta, n, size, rng)`` (a :class:`LawSampler`) lets the
     simulation draw d-bar from its exact law instead of averaging draws.
 
-    The simulation then evaluates a whole chunk of estimates at once, so for
-    such a model ``mle_closed_form`` and the callables evaluated at the
+    Either way the simulation evaluates a whole chunk of estimates at once, so
+    for every model ``mle_closed_form`` and the callables evaluated at the
     estimate (``alpha``, ``alpha_d1``, ``beta``, ``beta_d1``, ``log_zeta``)
     must work elementwise on float64 arrays as well as on floats.  A closed
     form flags an estimate it cannot give with a non-finite value (or by

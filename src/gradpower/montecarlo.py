@@ -2,8 +2,7 @@
 
 Every statistic depends on a replicate's data only through d-bar, the mean of
 the sufficient statistic, so a replicate is one d-bar.  Replicates are
-processed in chunks of ``_CHUNK``, and a chunk gets its d-bar values by one of
-two routes:
+processed in chunks of ``_CHUNK``, and d-bar has two sources:
 
 * When the model's sampler carries the exact law of d-bar (every catalog
   model does, see :class:`~gradpower.expfam.LawSampler`), chunk ``c`` draws
@@ -19,20 +18,17 @@ after another in the calling process; the worker count is recorded in the
 report and starts no process, so reports are bit-identical for any worker
 count.
 
-On the law route a chunk computes its statistics in one call of
-:func:`~gradpower.teststats.statistics_from_dbar` on its d-bar array, which
-evaluates them element by element in numpy; a replicate whose estimate fails
-has a NaN estimate in its row and is counted as a failure.  The per-observation
-route, which serves any sampler without a law, and models whose callables only
-take floats, calls it once per replicate.  Each chunk returns the exactly
-rounded sums of the first six powers of the gradient statistic, which
-``simulate`` combines across chunks with ``math.fsum``; :func:`_exact_sum`
-gives each chunk's sums bit for bit as ``math.fsum`` would, without its
-per-value Python loop.  For gamma with n = 50 a chunk of 4096 takes about
-0.85-1.3 ms: 0.22-0.36 ms to draw (0.5-0.7 ms with the gamma sampler's z**4
-squeeze on every proposal), 0.1 ms to evaluate (a loop of scalar calls took
-18 ms) and 0.35-0.43 ms for the six power sums, which took 1.6-1.8 ms
-through ``math.fsum`` (2-vCPU x86-64, numpy 2.4).
+Whatever its source, a chunk's d-bar array has a single evaluation: one call
+of :func:`~gradpower.teststats.statistics_from_dbar`, which computes the
+estimates and statistics element by element in numpy; a replicate whose
+estimate fails has a NaN estimate in its row and is counted as a failure.
+Each chunk returns the exactly rounded sums of the first six powers of the
+gradient statistic, which ``simulate`` combines across chunks with
+``math.fsum``; :func:`_exact_sum` gives each chunk's sums bit for bit as
+``math.fsum`` would, without its per-value Python loop.  For gamma with
+n = 50 a chunk of 4096 drawn from the law takes about 0.85-1.3 ms: 0.22-0.36
+ms to draw, 0.1 ms to evaluate and 0.35-0.43 ms for the six power sums
+(2-vCPU x86-64, numpy 2.4).
 
 Besides plain size/power estimation the module carries the two arbitration
 experiments this package is built around: which convention for the leading
@@ -190,37 +186,34 @@ def _law_dbars(law, theta_gen: float, n: int, seed: int, c: int) -> np.ndarray:
     return law(theta_gen, n, _CHUNK, _chunk_stream(seed, c))
 
 
-def _chunk_statistics(model, law, theta_gen, theta0, n, seed, c, size):
-    # statistics of chunk c's first `size` replicates, one array evaluation;
-    # a failed estimate leaves a NaN theta_hat in its row
-    d_bar = _law_dbars(law, theta_gen, n, seed, c)[:size]
-    return statistics_from_dbar(model, theta0, d_bar, n)
+def _dbars(model, theta_gen, n, seed, lo, hi) -> np.ndarray:
+    # the d-bar of replicates lo..hi-1, all in one chunk: a slice of the chunk's
+    # law draw, or else one observation mean per replicate stream
+    law = getattr(model.sampler, "dbar", None)
+    if law is not None:
+        c, i = divmod(lo, _CHUNK)
+        return _law_dbars(law, theta_gen, n, seed, c)[i:i + hi - lo]
+    return np.array([np.mean(model.d(model.sampler(theta_gen, n, replicate_stream(seed, j))))
+                     for j in range(lo, hi)], dtype=float)
 
 
 def replicate_statistics(
     model: ExpFamModel, theta_gen: float, theta0: float, n: int, seed: int, j: int
 ) -> tuple[float, float, float, float]:
-    """Statistics of replicate ``j``, by the route :func:`simulate` takes.
+    """Statistics of replicate ``j``: its row of the array evaluation :func:`simulate` makes.
 
     They depend on (seed, j) only, for a fixed model, ``theta_gen`` and ``n``.
-    On the law route they are row ``j mod _CHUNK`` of its chunk's array
-    evaluation.  Raises :class:`EstimationError` when the estimate fails, and
+    Raises :class:`EstimationError` when the estimate fails, and
     :class:`DomainError` for a seed outside [0, 2**64) or a ``j`` outside
     [0, 2**63), whose stream key would wrap onto another replicate's or a
     chunk's.
     """
     _check_replicate_key(seed, j)
-    law = getattr(model.sampler, "dbar", None)
-    if law is None:
-        xs = model.sampler(theta_gen, n, replicate_stream(seed, j))
-        d_bar = float(np.mean(model.d(xs)))
-        _, s = statistics_from_dbar(model, theta0, d_bar, n)
-        return s
-    c, i = divmod(j, _CHUNK)
-    theta_hat, s = _chunk_statistics(model, law, theta_gen, theta0, n, seed, c, _CHUNK)
-    if math.isnan(theta_hat[i]):
+    d_bar = _dbars(model, theta_gen, n, seed, j, j + 1)
+    theta_hat, s = statistics_from_dbar(model, theta0, d_bar, n)
+    if math.isnan(theta_hat[0]):
         raise EstimationError(f"estimation failed in replicate {j} (model={model.name!r})")
-    return tuple(float(si[i]) for si in s)
+    return tuple(float(si[0]) for si in s)
 
 
 def _exact_sum(x: np.ndarray) -> float:
@@ -260,20 +253,11 @@ def _exact_sum(x: np.ndarray) -> float:
 
 
 def _run_chunk(model, theta_gen, theta0, n, seed, lo, hi, xcrit):
-    # returns (rejection counts[4], joint34, failures, used, s4 power sums[6])
-    law = getattr(model.sampler, "dbar", None)
-    if law is None:
-        rows = []
-        for j in range(lo, hi):
-            try:
-                rows.append(replicate_statistics(model, theta_gen, theta0, n, seed, j))
-            except EstimationError:
-                continue
-        stats = np.array(rows, dtype=float).reshape(-1, 4)
-    else:
-        theta_hat, s = _chunk_statistics(model, law, theta_gen, theta0, n, seed,
-                                         lo // _CHUNK, hi - lo)
-        stats = np.column_stack(s)[~np.isnan(theta_hat)]
+    # returns (rejection counts[4], joint34, failures, used, s4 power sums[6]);
+    # a failed estimate leaves a NaN theta_hat, and its row is dropped
+    d_bar = _dbars(model, theta_gen, n, seed, lo, hi)
+    theta_hat, s = statistics_from_dbar(model, theta0, d_bar, n)
+    stats = np.column_stack(s)[~np.isnan(theta_hat)]
     failures = hi - lo - len(stats)
     reject = stats > xcrit
     joint34 = int(np.count_nonzero(reject[:, 2] & reject[:, 3]))

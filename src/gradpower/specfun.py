@@ -69,14 +69,11 @@ class ChiSquareParams:
             )
 
 
-def _lower_gamma_series(a: float, x: float) -> float:
-    # P(a, x) by the ascending power series; reliable for x <~ a + 1.
-    ax = a * math.log(x) - x - math.lgamma(a)
-    if ax < -_MAXLOG:
-        return 0.0
-    ax = math.exp(ax)
-    # r - a counts the terms.  From 2**53 on r would stall, but there any x that
-    # passes the underflow test above needs about sqrt(a) terms, far beyond the cap.
+def _lower_gamma_series(a: float, x: float, ax: float) -> float:
+    # P(a, x) by the ascending power series; reliable for x <~ a + 1.  ax is
+    # the prefactor x**a e**-x / Gamma(a).
+    # r - a counts the terms.  From 2**53 on r would stall, but there any x whose
+    # prefactor does not underflow needs about sqrt(a) terms, far beyond the cap.
     r = a
     r_stop = a + _SERIES_MAX_TERMS if a + _SERIES_MAX_TERMS < _TWO53 else a
     c = 1.0
@@ -93,12 +90,9 @@ def _lower_gamma_series(a: float, x: float) -> float:
     return total * ax / a
 
 
-def _upper_gamma_contfrac(a: float, x: float) -> float:
-    # Q(a, x) by the Legendre continued fraction; reliable for x >~ a + 1.
-    ax = a * math.log(x) - x - math.lgamma(a)
-    if ax < -_MAXLOG:
-        return 0.0
-    ax = math.exp(ax)
+def _upper_gamma_contfrac(a: float, x: float, ax: float) -> float:
+    # Q(a, x) by the Legendre continued fraction; reliable for x >~ a + 1.  ax
+    # is the prefactor x**a e**-x / Gamma(a).
     y = 1.0 - a
     z = x + y + 1.0
     c = 0.0
@@ -148,10 +142,17 @@ def _central_tails(df: float, x: float) -> tuple[float, float]:
     _validate_df_x(df, x)
     if x <= 0.0:
         return 0.0, 1.0
-    if x < df + 1.0:
-        p = _lower_gamma_series(0.5 * df, 0.5 * x)
+    a, h = 0.5 * df, 0.5 * x
+    # both tails carry the prefactor h**a e**-h / Gamma(a); where it underflows,
+    # so does the smaller tail
+    log_ax = a * math.log(h) - h - math.lgamma(a)
+    lower = x < df + 1.0
+    if log_ax < -_MAXLOG:
+        return (0.0, 1.0) if lower else (1.0, 0.0)
+    if lower:
+        p = _lower_gamma_series(a, h, math.exp(log_ax))
         return p, 1.0 - p
-    q = _upper_gamma_contfrac(0.5 * df, 0.5 * x)
+    q = _upper_gamma_contfrac(a, h, math.exp(log_ax))
     return 1.0 - q, q
 
 

@@ -1,7 +1,9 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import json
+import shutil
 import time
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +209,34 @@ class TestExpandCommand:
             ["expand", "--tensors", "/nonexistent.json", "--eps", "1", "--n", "50", "--x", "1"],
         )
         assert code == 2
+
+    def test_normal_composite_fixture_golden(self, capsys, tmp_path, monkeypatch):
+        # normal(mu, v) with mu the nuisance: the composite expansion's full stdout
+        name = "normal_composite_tensors.json"
+        shutil.copy(Path(__file__).resolve().parent / name, tmp_path / name)
+        monkeypatch.chdir(tmp_path)  # the header echoes the path
+        code, out, _ = _capture(
+            capsys, ["expand", "--tensors", name, "--eps", "0.5", "--n", "50", "--x", "1:5:1"])
+        assert code == 0
+        assert out == (
+            "# gradpower expand tensors=normal_composite_tensors.json eps=0.5 n=50 x=1:5:1\n"
+            "# f=1\n"
+            "# lambda=0.0625\n"
+            "# a0=0.29166666666666669\n"
+            "# a1=-0.8125\n"
+            "# a2=0.5\n"
+            "# a3=0.020833333333333332\n"
+            "# mean_literal=1.1508883476483185\n"
+            "# mean_mixture=1.1957106781186548\n"
+            "# variance=3.2399494936611664\n"
+            "# third_moment=10.737436867076458\n"
+            "x,cdf,clamped\n"
+            "1,0.66081849751165578,0\n"
+            "2,0.81384781821316854,0\n"
+            "3,0.88750373099177915,0\n"
+            "4,0.92835046640829155,0\n"
+            "5,0.95292263918782383,0\n"
+        )
 
 
 class TestSimulateCommand:

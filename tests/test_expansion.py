@@ -1,9 +1,11 @@
 """Composite/simple/scalar coefficient chains, CDF expansion, and moments."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from gradpower import expansion
 from gradpower.errors import DomainError
@@ -19,7 +21,12 @@ from gradpower.expansion import (
     st_moments,
     tensors_from_cumulants,
 )
-from gradpower.specfun import ChiSquareParams, central_chisq_cdf, nc_chisq_cdf
+from gradpower.specfun import (
+    ChiSquareParams,
+    central_chisq_cdf,
+    central_chisq_quantile,
+    nc_chisq_cdf,
+)
 
 from helpers import random_tensors
 
@@ -338,3 +345,81 @@ class TestTensorFile:
         )
         with pytest.raises(DomainError, match="k3"):
             load_tensor_file(path)
+
+
+# normal(mu, v) at v = 1 with coordinates (mu, v): mu is the nuisance (q = 1)
+# and v is tested.  Per observation K = diag(1/v, 1/(2 v^2)); k3: mu mu v = 1/v^2,
+# v v v = 2/v^3; k21: mu,mu v = -1/v^2, v,v v = -1/v^3; k111: mu mu v = 1/v^2,
+# v v v = 1/v^3.
+NORMAL_COMPOSITE = Path(__file__).resolve().parent / "normal_composite_tensors.json"
+
+
+def _exact_gradient_cdf(n, eps, x):
+    # the gradient statistic is S = n (s2 - 1)^2 / 2 with s2 the variance MLE, and
+    # n s2 / v ~ chi-square(n - 1) at v = 1 + eps / sqrt(n), whatever mu is
+    v = 1.0 + eps / math.sqrt(n)
+    r = math.sqrt(2.0 * x / n)
+    return float(chi2.cdf(n * (1.0 + r) / v, n - 1) - chi2.cdf(max(n * (1.0 - r) / v, 0.0), n - 1))
+
+
+class TestCompositeNormalVariance:
+    """The composite expansion against the exact finite-n law of a normal variance test."""
+
+    def test_fixture_meets_the_bartlett_identities(self):
+        t = load_tensor_file(NORMAL_COMPOSITE)
+        assert (t.p, t.q) == (2, 1)
+        # k_rst + k_r,st + k_s,rt + k_t,rs + k_r,s,t = 0 for every index triple
+        total = (t.k3 + t.k21 + np.einsum("srt->rst", t.k21) + np.einsum("trs->rst", t.k21)
+                 + t.k111)
+        assert np.array_equal(total, np.zeros((2, 2, 2)))
+
+    def test_error_against_the_exact_law_is_of_order_one_over_n(self):
+        t = load_tensor_file(NORMAL_COMPOSITE)
+        e = composite_coefficients(t, [0.5])
+        assert (e.f, e.lam) == (1, 0.0625)
+        x = central_chisq_quantile(1.0, 0.05, upper=True)
+        second, first = [], []
+        for n in (50, 200, 800, 3200, 12800):
+            exact = _exact_gradient_cdf(n, 0.5, x)
+            second.append(cdf_expansion(e, n, x).value - exact)
+            first.append(cdf_expansion(e, math.inf, x).value - exact)
+        # each 4x in n divides the second-order error by about 4 and the
+        # first-order error by at most 2
+        for a, b in zip(second, second[1:]):
+            assert 3.9 < a / b < 4.0, second
+        for a, b in zip(first, first[1:]):
+            assert 1.3 < a / b < 2.0, first
+        assert second[0] == pytest.approx(-6.160e-3, rel=1e-3)
+        assert second[-1] == pytest.approx(-2.469e-5, rel=1e-3)
+
+    def test_mixture_mean_is_the_exact_mean_to_order_one_over_n(self):
+        t = load_tensor_file(NORMAL_COMPOSITE)
+        n, eps = 400, 0.5
+        v = 1.0 + eps / math.sqrt(n)
+        # E (s2 - 1)^2 = var s2 + (E s2 - 1)^2, with s2 = v C / n and C ~ chi-square(n - 1)
+        exact = 0.5 * n * (2.0 * (n - 1) * (v / n) ** 2 + (v * (n - 1) / n - 1.0) ** 2)
+        ms = st_moments(t, [eps], n)
+        assert exact == pytest.approx(1.148687, abs=1e-6)
+        assert (ms.mixture_mean, ms.m1) == (1.15, 1.09375)
+        assert abs(ms.mixture_mean - exact) < 2.0 / n < abs(ms.m1 - exact)
+
+    @pytest.mark.parametrize("c", [0.7, -2.0])
+    def test_linear_reparametrisation_of_the_nuisance_changes_nothing(self, c):
+        # psi = mu + c v: the tensors transform with the Jacobian d(mu, v)/d(psi, v),
+        # which makes K's off-diagonal -c/v, and the tested hypothesis stays v = 1
+        t = load_tensor_file(NORMAL_COMPOSITE)
+        J = np.array([[1.0, -c], [0.0, 1.0]])
+
+        def pull(a):
+            return np.einsum("rsu,ra,sb,uc->abc", a, J, J, J)
+
+        tc = CumulantTensors(p=2, q=1, K=J.T @ t.K @ J, k3=pull(t.k3), k21=pull(t.k21),
+                             k111=pull(t.k111))
+        assert tc.K[0, 1] == -c
+        assert composite_coefficients(tc, [0.5]) == composite_coefficients(t, [0.5])
+        assert st_moments(tc, [0.5], 50).mixture_mean == st_moments(t, [0.5], 50).mixture_mean
+        # elsewhere the reordered sums may round apart in the last bits
+        for eps in (-1.25, 0.3, 2.0):
+            want, got = composite_coefficients(t, [eps]), composite_coefficients(tc, [eps])
+            assert got.lam == want.lam
+            np.testing.assert_allclose(got.a, want.a, rtol=1e-15, atol=1e-15)

@@ -157,38 +157,57 @@ class TestRoutes:
             assert replicate_statistics(GAMMA_OBSERVED, 1.05, 1.0, 50, 31337, j) == s
 
     def test_replicate_depends_on_seed_and_index_only(self, monkeypatch):
-        runs = []
+        calls = []
 
         def recording(model, theta0, d_bar, n):
-            # one call per chunk: record each row of the array evaluation
+            # record each chunk's array evaluation, row by row
             out = statistics_from_dbar(model, theta0, d_bar, n)
-            runs[-1].extend(zip(*(s.tolist() for s in out[1])))
+            calls[-1].append(list(zip(*(s.tolist() for s in out[1]))))
             return out
 
-        monkeypatch.setattr(montecarlo, "statistics_from_dbar", recording)
-        base = SimulationConfig(model=GAMMA, theta0=1.0, eps=0.5, n=50, reps=5000,
-                                alpha=0.05, seed=21)
-        for reps in (5000, 9000):
-            for workers in (1, 3):
-                runs.append([])
-                simulate(dataclasses.replace(base, reps=reps, workers=workers))
-                assert len(runs[-1]) == reps
-        monkeypatch.undo()
-        for run in runs[1:]:
-            assert run[:5000] == runs[0]
-        assert runs[2] == runs[3]
-        theta = base.query.theta_drifted
-        for j in (0, 4095, 4096, 8999):
-            assert replicate_statistics(GAMMA, theta, 1.0, 50, 21, j) == runs[2][j]
+        # the lawless route at a small n and within one chunk, to keep it quick
+        cases = [(GAMMA, 50, (5000, 9000), (0, 4095, 4096, 8999)),
+                 (GAMMA_OBSERVED, 2, (300, 500), (0, 299, 300, 499))]
+        for model, n, counts, rows in cases:
+            base = SimulationConfig(model=model, theta0=1.0, eps=0.5, n=n, reps=counts[0],
+                                    alpha=0.05, seed=21)
+            runs = []
+            monkeypatch.setattr(montecarlo, "statistics_from_dbar", recording)
+            for reps in counts:
+                for workers in (1, 3):
+                    calls.append([])
+                    simulate(dataclasses.replace(base, reps=reps, workers=workers))
+                    # one array evaluation per chunk, of the chunk's replicates
+                    sizes = [min(montecarlo._CHUNK, reps - lo)
+                             for lo in range(0, reps, montecarlo._CHUNK)]
+                    assert [len(c) for c in calls[-1]] == sizes
+                    runs.append([row for c in calls[-1] for row in c])
+            monkeypatch.undo()
+            for run in runs[1:]:
+                assert run[:counts[0]] == runs[0]
+            assert runs[2] == runs[3]
+            theta = base.query.theta_drifted
+            for j in rows:
+                assert replicate_statistics(model, theta, 1.0, n, 21, j) == runs[2][j]
 
     def test_replicate_is_its_row_of_the_array_evaluation(self):
+        # law draws of replicates 0..8999, and observation means of some of them
+        # under the stripped sampler: the middle indices are replicates whose S1,
+        # S2 or S3 a scalar evaluation rounds apart from the array's, for some model
+        rows = (0, 3, 29, 37, 97, 127, 148, 201, 204, 4095, 4096, 8999)
         for name, model in all_models():
             theta0 = theta_grid(name)[1]
             theta = theta0 + 0.1
-            _, s = statistics_from_dbar(model, theta0, _law_dbars(model, theta, 20, 5, 9000), 20)
-            for j in (0, 4095, 4096, 8999):
-                want = tuple(float(si[j]) for si in s)
-                assert replicate_statistics(model, theta, theta0, 20, 5, j) == want, (name, j)
+            stripped = dataclasses.replace(model, sampler=model.sampler.draw)
+            means = [np.mean(model.d(model.sampler(theta, 20, replicate_stream(5, j))))
+                     for j in rows]
+            for m, d_bar, at in ((model, _law_dbars(model, theta, 20, 5, 9000), rows),
+                                 (stripped, np.array(means), range(len(rows)))):
+                _, s = statistics_from_dbar(m, theta0, d_bar, 20)
+                for i, j in zip(at, rows):
+                    want = tuple(float(si[i]) for si in s)
+                    got = replicate_statistics(m, theta, theta0, 20, 5, j)
+                    assert got == want, (name, m is stripped, j)
 
     def test_failed_replicate_raises(self):
         always_fail = dataclasses.replace(
