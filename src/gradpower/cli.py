@@ -70,10 +70,13 @@ def _parse_fixed(text: str | None) -> dict:
         if "=" not in item:
             raise _UsageError(f"--fixed entry {item!r} must look like key=value")
         key, _, val = item.partition("=")
+        key = key.strip()
+        if key in fixed:
+            raise _UsageError(f"--fixed key {key!r} given more than once")
         try:
-            fixed[key.strip()] = float(val)
+            fixed[key] = float(val)
         except ValueError:
-            raise _UsageError(f"--fixed value {val!r} for key {key.strip()!r} is not a number")
+            raise _UsageError(f"--fixed value {val!r} for key {key!r} is not a number")
     return fixed
 
 

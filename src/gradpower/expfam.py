@@ -10,9 +10,20 @@ Each catalog sampler is a :class:`LawSampler`: besides drawing observations
 it draws the mean of the sufficient statistic, d-bar, straight from its
 closed-form law (gamma, normal or inverse Gaussian), in O(1) per draw.
 
+The catalog is one name-keyed table, ``_CATALOG``: each row holds the model's
+builder, the name of its one fixed constant (if any) and whether that constant
+must be positive, and its ``model info`` strings.  :func:`catalog_model` and
+:func:`model_info` share the row lookup, and one check refuses a missing,
+extra, non-numeric, non-finite or wrongly signed fixed constant.  A builder
+returns the model's formulas; ``_model`` adds the name, the fixed constants and
+an MLE bracket derived from the parameter space.
+
 All catalog callables are module-level functions bound with
 ``functools.partial``, so entries that share a formula share one function and
-differ only in the constants bound to it.
+differ only in the constants bound to it: ``c / t``, ``c / t^2`` and ``c / t^3``
+are each one function, and the blocks ``_NEG_BETA`` (beta = -theta, so d-bar is
+the MLE), ``_scale_alpha(c)`` (alpha = c / theta) and ``_gamma_rate(k)``
+(alpha = theta, zeta = theta^-k) give the fields that several models share.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -337,16 +348,16 @@ def _neg(t):
     return -t
 
 
-def _recip(t):
-    return 1.0 / t
+def _over(c, t):
+    return c / t
 
 
-def _neg_recip_sq(t):
-    return -1.0 / (t * t)
+def _over_sq(c, t):
+    return c / (t * t)
 
 
-def _two_over_cube(t):
-    return 2.0 / t ** 3
+def _over_cube(c, t):
+    return c / t ** 3
 
 
 def _log(t):
@@ -356,18 +367,6 @@ def _log(t):
 
 
 # normal, variance tested (mean fixed)
-def _nv_alpha(t):
-    return 0.5 / t
-
-
-def _nv_alpha_d1(t):
-    return -0.5 / (t * t)
-
-
-def _nv_alpha_d2(t):
-    return 1.0 / t ** 3
-
-
 def _nv_log_zeta(t):
     return 0.5 * _log(t)
 
@@ -383,10 +382,6 @@ def _nv_v(x):
 # normal, mean tested (variance fixed)
 def _nm_alpha(var, t):
     return -t / var
-
-
-def _nm_alpha_d1(var, t):
-    return -1.0 / var
 
 
 def _nm_log_zeta(var, t):
@@ -411,16 +406,8 @@ def _ivm_alpha(lam, t):
     return lam / (2.0 * t * t)
 
 
-def _ivm_alpha_d1(lam, t):
-    return -lam / t ** 3
-
-
 def _ivm_alpha_d2(lam, t):
     return 3.0 * lam / t ** 4
-
-
-def _ivm_log_zeta(lam, t):
-    return -lam / t
 
 
 def _ivm_v(lam, x):
@@ -432,25 +419,8 @@ def _gam_log_zeta(k, t):
     return -k * _log(t)
 
 
-def _gam_beta(k, t):
-    return -k / t
-
-
-def _gam_beta_d1(k, t):
-    return k / (t * t)
-
-
-def _gam_beta_d2(k, t):
-    return -2.0 * k / t ** 3
-
-
 def _gam_v(k, x):
     return (k - 1.0) * np.log(x) - math.lgamma(k)
-
-
-# truncated extreme value
-def _tev_d(x):
-    return np.expm1(x)
 
 
 # Pareto, exponent tested (scale fixed)
@@ -464,10 +434,6 @@ def _par_log_zeta(k, t):
 
 def _par_beta(k, t):
     return -1.0 / t - math.log(k)
-
-
-def _log_d(x):
-    return np.log(x)
 
 
 def _zero_v(x):
@@ -501,10 +467,6 @@ def _mle_dbar(dbar):
     return dbar
 
 
-def _mle_scaled_recip(k, dbar):
-    return k / dbar
-
-
 def _mle_pareto(logk, dbar):
     return 1.0 / (dbar - logk)
 
@@ -531,252 +493,180 @@ def _bracket_real(closed, dbar):
 _POSITIVE = (0.0, math.inf)
 _REAL = (-math.inf, math.inf)
 
-
-def _require_fixed(name: str, fixed: Mapping[str, float], key: str, positive: bool):
-    if key not in fixed:
-        raise DomainError(f"model {name!r} requires fixed constant {key!r}")
-    val = float(fixed[key])
-    if not math.isfinite(val):
-        raise DomainError(f"fixed constant {key}={fixed[key]} must be finite")
-    if positive and val <= 0.0:
-        raise DomainError(f"fixed constant {key}={val} must be positive for {name!r}")
-    extra = set(fixed) - {key}
-    if extra:
-        raise DomainError(f"model {name!r} got unexpected fixed constants {sorted(extra)}")
-    return val
+# beta(theta) = -theta, so d-bar is its own estimate
+_NEG_BETA = dict(
+    beta=_neg,
+    beta_d1=partial(_const, -1.0),
+    beta_d2=partial(_const, 0.0),
+    mle_closed_form=_mle_dbar,
+)
 
 
-def _build_normal_variance(fixed):
-    mu = _require_fixed("normal-variance", fixed, "mu", positive=False)
-    closed = _mle_dbar
-    return ExpFamModel(
-        name="normal-variance",
-        alpha=_nv_alpha,
-        alpha_d1=_nv_alpha_d1,
-        alpha_d2=_nv_alpha_d2,
-        log_zeta=_nv_log_zeta,
-        beta=_neg,
-        beta_d1=partial(_const, -1.0),
-        beta_d2=partial(_const, 0.0),
-        d=partial(_nv_d, mu),
-        v=_nv_v,
-        support=Support(),
-        param_space=_POSITIVE,
-        sampler=LawSampler(
-            partial(_sample_normal_variance, mu), partial(_dbar_gamma_scale, 0.5, 2.0)
-        ),
-        fixed_params={"mu": mu},
-        mle_closed_form=closed,
-        mle_bracket=partial(_bracket_positive, closed),
+def _scale_alpha(c):
+    # alpha(theta) = c / theta
+    return dict(
+        alpha=partial(_over, c),
+        alpha_d1=partial(_over_sq, -c),
+        alpha_d2=partial(_over_cube, 2.0 * c),
     )
 
 
-def _build_normal_mean(fixed):
-    var = _require_fixed("normal-mean", fixed, "theta", positive=True)
-    closed = _mle_dbar
-    return ExpFamModel(
-        name="normal-mean",
+def _gamma_rate(k):
+    # alpha(theta) = theta and zeta(theta) = theta^-k: d(X) is Gamma(k, rate theta)
+    return dict(
+        alpha=_identity,
+        alpha_d1=partial(_const, 1.0),
+        alpha_d2=partial(_const, 0.0),
+        log_zeta=partial(_gam_log_zeta, k),
+        beta=partial(_over, -k),
+        beta_d1=partial(_over_sq, k),
+        beta_d2=partial(_over_cube, -2.0 * k),
+        mle_closed_form=partial(_over, k),
+    )
+
+
+# Each builder maps the model's checked fixed constant to its ExpFamModel
+# fields; name, fixed_params and mle_bracket are filled in by _model.
+
+
+def _normal_variance(mu):
+    return dict(
+        _NEG_BETA,
+        **_scale_alpha(0.5),
+        log_zeta=_nv_log_zeta,
+        d=partial(_nv_d, mu),
+        v=_nv_v,
+        support=Support(),
+        sampler=LawSampler(
+            partial(_sample_normal_variance, mu), partial(_dbar_gamma_scale, 0.5, 2.0)
+        ),
+    )
+
+
+def _normal_mean(var):
+    return dict(
+        _NEG_BETA,
         alpha=partial(_nm_alpha, var),
-        alpha_d1=partial(_nm_alpha_d1, var),
+        alpha_d1=partial(_const, -1.0 / var),
         alpha_d2=partial(_const, 0.0),
         log_zeta=partial(_nm_log_zeta, var),
-        beta=_neg,
-        beta_d1=partial(_const, -1.0),
-        beta_d2=partial(_const, 0.0),
         d=_identity,
         v=partial(_nm_v, var),
         support=Support(),
         param_space=_REAL,
         sampler=LawSampler(partial(_sample_normal_mean, var), partial(_dbar_normal_mean, var)),
-        fixed_params={"theta": var},
-        mle_closed_form=closed,
-        mle_bracket=partial(_bracket_real, closed),
     )
 
 
-def _build_invnormal_theta(fixed):
-    mu = _require_fixed("invnormal-theta", fixed, "mu", positive=True)
-    closed = partial(_mle_scaled_recip, 0.5)
-    return ExpFamModel(
-        name="invnormal-theta",
-        alpha=_identity,
-        alpha_d1=partial(_const, 1.0),
-        alpha_d2=partial(_const, 0.0),
-        log_zeta=partial(_gam_log_zeta, 0.5),
-        beta=partial(_gam_beta, 0.5),
-        beta_d1=partial(_gam_beta_d1, 0.5),
-        beta_d2=partial(_gam_beta_d2, 0.5),
+def _invnormal_theta(mu):
+    return dict(
+        _gamma_rate(0.5),
         d=partial(_ivt_d, mu),
         v=_ivt_v,
         support=Support(lo=0.0),
-        param_space=_POSITIVE,
         sampler=LawSampler(
             partial(_sample_invnormal_theta, mu), partial(_dbar_gamma_rate, 0.5)
         ),
-        fixed_params={"mu": mu},
-        mle_closed_form=closed,
-        mle_bracket=partial(_bracket_positive, closed),
     )
 
 
-def _build_invnormal_mu(fixed):
-    lam = _require_fixed("invnormal-mu", fixed, "theta", positive=True)
-    closed = _mle_dbar
-    return ExpFamModel(
-        name="invnormal-mu",
+def _invnormal_mu(lam):
+    return dict(
+        _NEG_BETA,
         alpha=partial(_ivm_alpha, lam),
-        alpha_d1=partial(_ivm_alpha_d1, lam),
+        alpha_d1=partial(_over_cube, -lam),
         alpha_d2=partial(_ivm_alpha_d2, lam),
-        log_zeta=partial(_ivm_log_zeta, lam),
-        beta=_neg,
-        beta_d1=partial(_const, -1.0),
-        beta_d2=partial(_const, 0.0),
+        log_zeta=partial(_over, -lam),
         d=_identity,
         v=partial(_ivm_v, lam),
         support=Support(lo=0.0),
-        param_space=_POSITIVE,
         sampler=LawSampler(
             partial(_sample_invnormal_mu, lam), partial(_dbar_invnormal_mu, lam)
         ),
-        fixed_params={"theta": lam},
-        mle_closed_form=closed,
-        mle_bracket=partial(_bracket_positive, closed),
     )
 
 
-def _build_gamma(fixed):
-    k = _require_fixed("gamma", fixed, "k", positive=True)
-    closed = partial(_mle_scaled_recip, k)
-    return ExpFamModel(
-        name="gamma",
-        alpha=_identity,
-        alpha_d1=partial(_const, 1.0),
-        alpha_d2=partial(_const, 0.0),
-        log_zeta=partial(_gam_log_zeta, k),
-        beta=partial(_gam_beta, k),
-        beta_d1=partial(_gam_beta_d1, k),
-        beta_d2=partial(_gam_beta_d2, k),
+def _gamma(k):
+    return dict(
+        _gamma_rate(k),
         d=_identity,
         v=partial(_gam_v, k),
         support=Support(lo=0.0),
-        param_space=_POSITIVE,
         sampler=LawSampler(partial(_sample_gamma, k), partial(_dbar_gamma_rate, k)),
-        fixed_params={"k": k},
-        mle_closed_form=closed,
-        mle_bracket=partial(_bracket_positive, closed),
     )
 
 
-def _build_tev(fixed):
-    if fixed:
-        raise DomainError(f"model 'tev' takes no fixed constants, got {sorted(fixed)}")
-    closed = _mle_dbar
-    return ExpFamModel(
-        name="tev",
-        alpha=_recip,
-        alpha_d1=_neg_recip_sq,
-        alpha_d2=_two_over_cube,
+def _tev():
+    return dict(
+        _NEG_BETA,
+        **_scale_alpha(1.0),
         log_zeta=_log,
-        beta=_neg,
-        beta_d1=partial(_const, -1.0),
-        beta_d2=partial(_const, 0.0),
-        d=_tev_d,
+        d=np.expm1,
         v=_identity,
         support=Support(lo=0.0),
-        param_space=_POSITIVE,
         sampler=LawSampler(_sample_tev, partial(_dbar_gamma_scale, 1.0, 1.0)),
-        mle_closed_form=closed,
-        mle_bracket=partial(_bracket_positive, closed),
     )
 
 
-def _build_pareto(fixed):
-    k = _require_fixed("pareto", fixed, "k", positive=True)
-    closed = partial(_mle_pareto, math.log(k))
-    return ExpFamModel(
-        name="pareto",
+def _pareto(k):
+    return dict(
         alpha=_par_alpha,
         alpha_d1=partial(_const, 1.0),
         alpha_d2=partial(_const, 0.0),
         log_zeta=partial(_par_log_zeta, k),
         beta=partial(_par_beta, k),
-        beta_d1=partial(_gam_beta_d1, 1.0),
-        beta_d2=partial(_gam_beta_d2, 1.0),
-        d=_log_d,
+        beta_d1=partial(_over_sq, 1.0),
+        beta_d2=partial(_over_cube, -2.0),
+        mle_closed_form=partial(_mle_pareto, math.log(k)),
+        d=np.log,
         v=_zero_v,
         support=Support(lo=k),
-        param_space=_POSITIVE,
         sampler=LawSampler(partial(_sample_pareto, k), partial(_dbar_pareto, math.log(k))),
-        fixed_params={"k": k},
-        mle_closed_form=closed,
-        mle_bracket=partial(_bracket_positive, closed),
     )
 
 
-def _build_laplace(fixed):
-    k = _require_fixed("laplace", fixed, "k", positive=False)
-    closed = _mle_dbar
+def _laplace(k):
     # the density only normalizes on the whole real line, so the support is R
-    return ExpFamModel(
-        name="laplace",
-        alpha=_recip,
-        alpha_d1=_neg_recip_sq,
-        alpha_d2=_two_over_cube,
+    return dict(
+        _NEG_BETA,
+        **_scale_alpha(1.0),
         log_zeta=_lap_log_zeta,
-        beta=_neg,
-        beta_d1=partial(_const, -1.0),
-        beta_d2=partial(_const, 0.0),
         d=partial(_lap_d, k),
         v=_zero_v,
         support=Support(),
-        param_space=_POSITIVE,
         sampler=LawSampler(partial(_sample_laplace, k), partial(_dbar_gamma_scale, 1.0, 1.0)),
-        fixed_params={"k": k},
-        mle_closed_form=closed,
-        mle_bracket=partial(_bracket_positive, closed),
     )
 
 
-def _build_power(fixed):
-    phi = _require_fixed("power", fixed, "phi", positive=True)
-    closed = partial(_mle_power, math.log(phi))
+def _power(phi):
     # theta * phi^-theta * x^(theta-1) integrates to one on (0, phi)
-    return ExpFamModel(
-        name="power",
+    return dict(
         alpha=_pow_alpha,
         alpha_d1=partial(_const, -1.0),
         alpha_d2=partial(_const, 0.0),
         log_zeta=partial(_pow_log_zeta, phi),
         beta=partial(_pow_beta, phi),
-        beta_d1=_neg_recip_sq,
-        beta_d2=_two_over_cube,
-        d=_log_d,
+        beta_d1=partial(_over_sq, -1.0),
+        beta_d2=partial(_over_cube, 2.0),
+        mle_closed_form=partial(_mle_power, math.log(phi)),
+        d=np.log,
         v=_zero_v,
         support=Support(lo=0.0, hi=phi),
-        param_space=_POSITIVE,
         sampler=LawSampler(partial(_sample_power, phi), partial(_dbar_power, math.log(phi))),
-        fixed_params={"phi": phi},
-        mle_closed_form=closed,
-        mle_bracket=partial(_bracket_positive, closed),
     )
 
 
-_BUILDERS = {
-    "normal-variance": _build_normal_variance,
-    "normal-mean": _build_normal_mean,
-    "invnormal-theta": _build_invnormal_theta,
-    "invnormal-mu": _build_invnormal_mu,
-    "gamma": _build_gamma,
-    "tev": _build_tev,
-    "pareto": _build_pareto,
-    "laplace": _build_laplace,
-    "power": _build_power,
-}
+class _Entry(NamedTuple):
+    """One catalog row: its builder, its one fixed constant, its ``model info``."""
 
-CATALOG_NAMES = tuple(_BUILDERS)
+    build: Callable[..., dict]
+    key: str | None  # the fixed constant's name; None for a model without one
+    positive: bool  # whether the fixed constant must be > 0
+    info: Mapping[str, str]
 
-_INFO = {
-    "normal-variance": {
+
+_CATALOG = {
+    "normal-variance": _Entry(_normal_variance, "mu", False, {
         "distribution": "normal with known mean mu, variance theta tested",
         "alpha": "1/(2 theta)",
         "zeta": "sqrt(theta)",
@@ -786,8 +676,8 @@ _INFO = {
         "fixed": "mu (real)",
         "support": "(-inf, inf)",
         "param_space": "theta > 0",
-    },
-    "normal-mean": {
+    }),
+    "normal-mean": _Entry(_normal_mean, "theta", True, {
         "distribution": "normal with known variance theta, mean tested",
         "alpha": "-mu/theta",
         "zeta": "exp(mu^2/(2 theta))",
@@ -797,8 +687,8 @@ _INFO = {
         "fixed": "theta (> 0)",
         "support": "(-inf, inf)",
         "param_space": "mu real",
-    },
-    "invnormal-theta": {
+    }),
+    "invnormal-theta": _Entry(_invnormal_theta, "mu", True, {
         "distribution": "inverse normal with known mean mu, shape theta tested",
         "alpha": "theta",
         "zeta": "theta^(-1/2)",
@@ -808,8 +698,8 @@ _INFO = {
         "fixed": "mu (> 0)",
         "support": "x > 0",
         "param_space": "theta > 0",
-    },
-    "invnormal-mu": {
+    }),
+    "invnormal-mu": _Entry(_invnormal_mu, "theta", True, {
         "distribution": "inverse normal with known shape theta, mean mu tested",
         "alpha": "theta/(2 mu^2)",
         "zeta": "exp(-theta/mu)",
@@ -819,8 +709,8 @@ _INFO = {
         "fixed": "theta (> 0)",
         "support": "x > 0",
         "param_space": "mu > 0",
-    },
-    "gamma": {
+    }),
+    "gamma": _Entry(_gamma, "k", True, {
         "distribution": "gamma with known shape k, rate theta tested",
         "alpha": "theta",
         "zeta": "theta^(-k)",
@@ -830,8 +720,8 @@ _INFO = {
         "fixed": "k (> 0)",
         "support": "x > 0",
         "param_space": "theta > 0",
-    },
-    "tev": {
+    }),
+    "tev": _Entry(_tev, None, False, {
         "distribution": "truncated extreme value, scale theta tested",
         "alpha": "1/theta",
         "zeta": "theta",
@@ -841,8 +731,8 @@ _INFO = {
         "fixed": "none",
         "support": "x > 0",
         "param_space": "theta > 0",
-    },
-    "pareto": {
+    }),
+    "pareto": _Entry(_pareto, "k", True, {
         "distribution": "Pareto with known scale k, exponent theta tested",
         "alpha": "1 + theta",
         "zeta": "1/(theta k^theta)",
@@ -852,8 +742,8 @@ _INFO = {
         "fixed": "k (> 0)",
         "support": "x > k",
         "param_space": "theta > 0",
-    },
-    "laplace": {
+    }),
+    "laplace": _Entry(_laplace, "k", False, {
         "distribution": "Laplace with known location k, scale theta tested",
         "alpha": "1/theta",
         "zeta": "2 theta",
@@ -863,8 +753,8 @@ _INFO = {
         "fixed": "k (real)",
         "support": "(-inf, inf)",
         "param_space": "theta > 0",
-    },
-    "power": {
+    }),
+    "power": _Entry(_power, "phi", True, {
         "distribution": "power on (0, phi) with known phi, exponent theta tested",
         "alpha": "1 - theta",
         "zeta": "phi^theta / theta",
@@ -874,26 +764,65 @@ _INFO = {
         "fixed": "phi (> 0)",
         "support": "0 < x < phi",
         "param_space": "theta > 0",
-    },
+    }),
 }
+
+CATALOG_NAMES = tuple(_CATALOG)
+
+
+def _entry(name: str) -> _Entry:
+    if not isinstance(name, str) or name not in _CATALOG:
+        raise DomainError(
+            f"unknown model {name!r}; available: {', '.join(CATALOG_NAMES)}"
+        )
+    return _CATALOG[name]
+
+
+def _checked_fixed(name: str, entry: _Entry, fixed: Mapping) -> dict[str, float]:
+    # exactly the entry's one fixed constant, as a finite float of the right sign
+    key = entry.key
+    if key is None:
+        if fixed:
+            raise DomainError(f"model {name!r} takes no fixed constants, got {sorted(fixed)}")
+        return {}
+    if key not in fixed:
+        raise DomainError(f"model {name!r} requires fixed constant {key!r}")
+    try:
+        val = float(fixed[key])
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"fixed constant {key}={fixed[key]!r} must be a real number") from None
+    if not math.isfinite(val):
+        raise DomainError(f"fixed constant {key}={fixed[key]} must be finite")
+    if entry.positive and val <= 0.0:
+        raise DomainError(f"fixed constant {key}={val} must be positive for {name!r}")
+    extra = set(fixed) - {key}
+    if extra:
+        raise DomainError(f"model {name!r} got unexpected fixed constants {sorted(extra)}")
+    return {key: val}
+
+
+def _model(name, fixed_params, param_space=_POSITIVE, **fields) -> ExpFamModel:
+    # _bracket_positive needs a positive estimate, which only a space other than R ensures
+    bracket = _bracket_real if param_space == _REAL else _bracket_positive
+    return ExpFamModel(
+        name=name,
+        param_space=param_space,
+        fixed_params=fixed_params,
+        mle_bracket=partial(bracket, fields["mle_closed_form"]),
+        **fields,
+    )
 
 
 def catalog_model(name: str, fixed: Mapping[str, float] | None = None) -> ExpFamModel:
     """Build a catalog model by name, binding its fixed constants."""
-    if name not in _BUILDERS:
-        raise DomainError(
-            f"unknown model {name!r}; available: {', '.join(CATALOG_NAMES)}"
-        )
-    return _BUILDERS[name](dict(fixed or {}))
+    entry = _entry(name)
+    fixed = _checked_fixed(name, entry, dict(fixed or {}))
+    return _model(name, fixed, **entry.build(*fixed.values()))
 
 
 def model_info(name: str) -> Mapping[str, str]:
     """Static description of a catalog entry (functional forms, MLE, support)."""
-    if name not in _INFO:
-        raise DomainError(
-            f"unknown model {name!r}; available: {', '.join(CATALOG_NAMES)}"
-        )
-    return dict(_INFO[name])
+    return dict(_entry(name).info)
 
 
 # ------------------------------------------------------------------ #

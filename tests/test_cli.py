@@ -9,8 +9,121 @@ import pytest
 
 from gradpower import cli, expansion, localpower
 from gradpower.cli import run
+from gradpower.expfam import CATALOG_NAMES
 
 GAMMA_ARGS = ["--model", "gamma", "--fixed", "k=2", "--theta0", "1"]
+
+# `model info` output of every catalog entry, byte for byte
+MODEL_INFO_GOLDEN = {
+    "normal-variance": (
+        "# gradpower model action=info name=normal-variance\n"
+        "distribution: normal with known mean mu, variance theta tested\n"
+        "alpha: 1/(2 theta)\n"
+        "zeta: sqrt(theta)\n"
+        "d: (x - mu)^2\n"
+        "v: -log(2 pi)/2\n"
+        "mle: theta_hat = mean((x - mu)^2)\n"
+        "fixed: mu (real)\n"
+        "support: (-inf, inf)\n"
+        "param_space: theta > 0\n"
+    ),
+    "normal-mean": (
+        "# gradpower model action=info name=normal-mean\n"
+        "distribution: normal with known variance theta, mean tested\n"
+        "alpha: -mu/theta\n"
+        "zeta: exp(mu^2/(2 theta))\n"
+        "d: x\n"
+        "v: -x^2/(2 theta) - log(2 pi theta)/2\n"
+        "mle: mu_hat = mean(x)\n"
+        "fixed: theta (> 0)\n"
+        "support: (-inf, inf)\n"
+        "param_space: mu real\n"
+    ),
+    "invnormal-theta": (
+        "# gradpower model action=info name=invnormal-theta\n"
+        "distribution: inverse normal with known mean mu, shape theta tested\n"
+        "alpha: theta\n"
+        "zeta: theta^(-1/2)\n"
+        "d: (x - mu)^2 / (2 mu^2 x)\n"
+        "v: -log(2 pi x^3)/2\n"
+        "mle: theta_hat = 1 / (2 mean(d))\n"
+        "fixed: mu (> 0)\n"
+        "support: x > 0\n"
+        "param_space: theta > 0\n"
+    ),
+    "invnormal-mu": (
+        "# gradpower model action=info name=invnormal-mu\n"
+        "distribution: inverse normal with known shape theta, mean mu tested\n"
+        "alpha: theta/(2 mu^2)\n"
+        "zeta: exp(-theta/mu)\n"
+        "d: x\n"
+        "v: -theta/(2x) + log(theta/(2 pi x^3))/2\n"
+        "mle: mu_hat = mean(x)\n"
+        "fixed: theta (> 0)\n"
+        "support: x > 0\n"
+        "param_space: mu > 0\n"
+    ),
+    "gamma": (
+        "# gradpower model action=info name=gamma\n"
+        "distribution: gamma with known shape k, rate theta tested\n"
+        "alpha: theta\n"
+        "zeta: theta^(-k)\n"
+        "d: x\n"
+        "v: (k-1) log(x) - log(Gamma(k))\n"
+        "mle: theta_hat = k / mean(x)\n"
+        "fixed: k (> 0)\n"
+        "support: x > 0\n"
+        "param_space: theta > 0\n"
+    ),
+    "tev": (
+        "# gradpower model action=info name=tev\n"
+        "distribution: truncated extreme value, scale theta tested\n"
+        "alpha: 1/theta\n"
+        "zeta: theta\n"
+        "d: exp(x) - 1\n"
+        "v: x\n"
+        "mle: theta_hat = mean(exp(x) - 1)\n"
+        "fixed: none\n"
+        "support: x > 0\n"
+        "param_space: theta > 0\n"
+    ),
+    "pareto": (
+        "# gradpower model action=info name=pareto\n"
+        "distribution: Pareto with known scale k, exponent theta tested\n"
+        "alpha: 1 + theta\n"
+        "zeta: 1/(theta k^theta)\n"
+        "d: log(x)\n"
+        "v: 0\n"
+        "mle: theta_hat = 1 / mean(log(x/k))\n"
+        "fixed: k (> 0)\n"
+        "support: x > k\n"
+        "param_space: theta > 0\n"
+    ),
+    "laplace": (
+        "# gradpower model action=info name=laplace\n"
+        "distribution: Laplace with known location k, scale theta tested\n"
+        "alpha: 1/theta\n"
+        "zeta: 2 theta\n"
+        "d: |x - k|\n"
+        "v: 0\n"
+        "mle: theta_hat = mean(|x - k|)\n"
+        "fixed: k (real)\n"
+        "support: (-inf, inf)\n"
+        "param_space: theta > 0\n"
+    ),
+    "power": (
+        "# gradpower model action=info name=power\n"
+        "distribution: power on (0, phi) with known phi, exponent theta tested\n"
+        "alpha: 1 - theta\n"
+        "zeta: phi^theta / theta\n"
+        "d: log(x)\n"
+        "v: 0\n"
+        "mle: theta_hat = 1 / mean(log(phi/x))\n"
+        "fixed: phi (> 0)\n"
+        "support: 0 < x < phi\n"
+        "param_space: theta > 0\n"
+    ),
+}
 
 
 def _capture(capsys, argv):
@@ -36,6 +149,12 @@ class TestModelCommand:
         code, out, _ = _capture(capsys, ["model", "info", "pareto"])
         assert code == 0
         assert "d: log(x)" in out and "support: x > k" in out
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_info_golden(self, capsys, name):
+        code, out, _ = _capture(capsys, ["model", "info", name])
+        assert code == 0
+        assert out == MODEL_INFO_GOLDEN[name]
 
     def test_info_requires_name(self, capsys):
         code, _, err = _capture(capsys, ["model", "info"])
@@ -430,6 +549,15 @@ class TestCliContract:
         assert code == 1
         assert "usage error" in err
         assert out == ""
+
+    def test_repeated_fixed_key_is_usage_error(self, capsys):
+        code, out, err = _capture(
+            capsys,
+            ["power", "--model", "gamma", "--fixed", "k=2, k =3", "--theta0", "1",
+             "--eps", "0", "--n", "50", "--alpha", "0.05"],
+        )
+        assert code == 1 and out == ""
+        assert err == "usage error: --fixed key 'k' given more than once\n"
 
     def test_unknown_flag_exit_1(self, capsys):
         code, _, err = _capture(capsys, ["power", *GAMMA_ARGS, "--eps", "0",

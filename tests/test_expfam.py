@@ -54,6 +54,10 @@ class TestCatalog:
     def test_unknown_name(self):
         with pytest.raises(DomainError, match="unknown model"):
             catalog_model("weibull")
+        # a name that is not a string is an unknown model too
+        for lookup in (catalog_model, model_info):
+            with pytest.raises(DomainError, match=r"unknown model \['gamma'\]"):
+                lookup(["gamma"])
 
     def test_missing_or_bad_fixed(self):
         with pytest.raises(DomainError, match="requires fixed constant"):
@@ -64,11 +68,166 @@ class TestCatalog:
             catalog_model("gamma", {"k": 1.0, "mu": 0.0})
         with pytest.raises(DomainError, match="takes no fixed"):
             catalog_model("tev", {"k": 1.0})
+        with pytest.raises(DomainError, match="must be finite"):
+            catalog_model("laplace", {"k": math.nan})
+        # a constant that float() cannot read is a domain error too
+        for bad in ("two", None, [2], 10 ** 400):
+            with pytest.raises(DomainError, match="must be a real number"):
+                catalog_model("gamma", {"k": bad})
 
     def test_model_info_covers_catalog(self):
         for name in CATALOG_NAMES:
             info = model_info(name)
             assert {"distribution", "alpha", "zeta", "d", "v", "mle"} <= set(info)
+
+
+def _ref_log(t):
+    return np.log(t) if isinstance(t, np.ndarray) else math.log(t)
+
+
+# Each catalog formula as an IEEE expression, operation for operation: alpha,
+# alpha', alpha'', log zeta, beta, beta', beta'' and the closed-form MLE of d-bar.
+REFERENCE = {
+    "normal-variance": lambda mu: dict(
+        alpha=lambda t: 0.5 / t,
+        alpha_d1=lambda t: -0.5 / (t * t),
+        alpha_d2=lambda t: 1.0 / t ** 3,
+        log_zeta=lambda t: 0.5 * _ref_log(t),
+        beta=lambda t: -t,
+        beta_d1=lambda t: -1.0,
+        beta_d2=lambda t: 0.0,
+        mle_closed_form=lambda d: d,
+    ),
+    "normal-mean": lambda var: dict(
+        alpha=lambda t: -t / var,
+        alpha_d1=lambda t: -1.0 / var,
+        alpha_d2=lambda t: 0.0,
+        log_zeta=lambda t: t * t / (2.0 * var),
+        beta=lambda t: -t,
+        beta_d1=lambda t: -1.0,
+        beta_d2=lambda t: 0.0,
+        mle_closed_form=lambda d: d,
+    ),
+    "invnormal-theta": lambda mu: dict(
+        alpha=lambda t: t,
+        alpha_d1=lambda t: 1.0,
+        alpha_d2=lambda t: 0.0,
+        log_zeta=lambda t: -0.5 * _ref_log(t),
+        beta=lambda t: -0.5 / t,
+        beta_d1=lambda t: 0.5 / (t * t),
+        beta_d2=lambda t: -1.0 / t ** 3,
+        mle_closed_form=lambda d: 0.5 / d,
+    ),
+    "invnormal-mu": lambda lam: dict(
+        alpha=lambda t: lam / (2.0 * t * t),
+        alpha_d1=lambda t: -lam / t ** 3,
+        alpha_d2=lambda t: 3.0 * lam / t ** 4,
+        log_zeta=lambda t: -lam / t,
+        beta=lambda t: -t,
+        beta_d1=lambda t: -1.0,
+        beta_d2=lambda t: 0.0,
+        mle_closed_form=lambda d: d,
+    ),
+    "gamma": lambda k: dict(
+        alpha=lambda t: t,
+        alpha_d1=lambda t: 1.0,
+        alpha_d2=lambda t: 0.0,
+        log_zeta=lambda t: -k * _ref_log(t),
+        beta=lambda t: -k / t,
+        beta_d1=lambda t: k / (t * t),
+        beta_d2=lambda t: -2.0 * k / t ** 3,
+        mle_closed_form=lambda d: k / d,
+    ),
+    "tev": lambda: dict(
+        alpha=lambda t: 1.0 / t,
+        alpha_d1=lambda t: -1.0 / (t * t),
+        alpha_d2=lambda t: 2.0 / t ** 3,
+        log_zeta=lambda t: _ref_log(t),
+        beta=lambda t: -t,
+        beta_d1=lambda t: -1.0,
+        beta_d2=lambda t: 0.0,
+        mle_closed_form=lambda d: d,
+    ),
+    "pareto": lambda k: dict(
+        alpha=lambda t: 1.0 + t,
+        alpha_d1=lambda t: 1.0,
+        alpha_d2=lambda t: 0.0,
+        log_zeta=lambda t: -_ref_log(t) - t * math.log(k),
+        beta=lambda t: -1.0 / t - math.log(k),
+        beta_d1=lambda t: 1.0 / (t * t),
+        beta_d2=lambda t: -2.0 / t ** 3,
+        mle_closed_form=lambda d: 1.0 / (d - math.log(k)),
+    ),
+    "laplace": lambda k: dict(
+        alpha=lambda t: 1.0 / t,
+        alpha_d1=lambda t: -1.0 / (t * t),
+        alpha_d2=lambda t: 2.0 / t ** 3,
+        log_zeta=lambda t: _ref_log(2.0 * t),
+        beta=lambda t: -t,
+        beta_d1=lambda t: -1.0,
+        beta_d2=lambda t: 0.0,
+        mle_closed_form=lambda d: d,
+    ),
+    "power": lambda phi: dict(
+        alpha=lambda t: 1.0 - t,
+        alpha_d1=lambda t: -1.0,
+        alpha_d2=lambda t: 0.0,
+        log_zeta=lambda t: t * math.log(phi) - _ref_log(t),
+        beta=lambda t: 1.0 / t - math.log(phi),
+        beta_d1=lambda t: -1.0 / (t * t),
+        beta_d2=lambda t: 2.0 / t ** 3,
+        mle_closed_form=lambda d: 1.0 / (math.log(phi) - d),
+    ),
+}
+
+_MAGNITUDES = [1e-200, 1e-150, 1e-100, 1e-30, 1e-8, 0.3, 1.0, 2.7, 1e8, 1e30, 1e100, 1e150, 1e200]
+# zero and negative arguments too: outside a parameter space the formulas must
+# still fail (or overflow) the same way
+EXPRESSION_GRID = np.array([0.0] + _MAGNITUDES + [-m for m in _MAGNITUDES])
+
+
+def _outcome(f, t):
+    # the exact bits of f(t), or the kind of arithmetic error it raised
+    try:
+        with np.errstate(all="ignore"):
+            y = f(t)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    if isinstance(y, np.ndarray):
+        return y.dtype, y.shape, y.tobytes()
+    return float(y).hex()
+
+
+class TestCatalogExpressions:
+    """Every catalog formula bit for bit against the test-local REFERENCE.
+
+    The finite-difference checks below admit any rounding; these pin each IEEE
+    expression, so a rewrite that changes a single float of any formula fails.
+    """
+
+    CASES = list(CATALOG_FIXED.items()) + [
+        ("normal-variance", {"mu": -2.0}),
+        ("normal-mean", {"theta": 1e-3}),
+        ("invnormal-mu", {"theta": 0.3}),
+        ("gamma", {"k": 0.5}),
+        ("gamma", {"k": 7.3}),
+        ("pareto", {"k": 0.2}),
+        ("laplace", {"k": 4.0}),
+        ("power", {"phi": 0.5}),
+    ]
+
+    def test_reference_covers_catalog(self):
+        assert set(REFERENCE) == set(CATALOG_NAMES)
+
+    @pytest.mark.parametrize("name, fixed", CASES)
+    def test_formulas_bit_for_bit(self, name, fixed):
+        model = catalog_model(name, fixed)
+        for field, want in REFERENCE[name](*fixed.values()).items():
+            got = getattr(model, field)
+            for t in EXPRESSION_GRID:
+                assert _outcome(got, float(t)) == _outcome(want, float(t)), (field, t)
+            grid = EXPRESSION_GRID.copy()
+            assert _outcome(got, grid) == _outcome(want, grid), field
 
 
 class TestDerivativeConsistency:
