@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -47,6 +48,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only a plain negative number as a value; widen that
+        # to anything starting "-digit" or "-.digit", so that a grid or list
+        # such as "--eps -1:1:0.25" or "--eps -1,2" is the flag's value
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise _UsageError(message)
 

@@ -559,6 +559,32 @@ class TestCliContract:
         assert code == 1 and out == ""
         assert err == "usage error: --fixed key 'k' given more than once\n"
 
+    @pytest.mark.parametrize("argv,code", [
+        (["power", *GAMMA_ARGS, "--n", "50", "--alpha", "0.05", "--eps", "-1:1:0.25"], 0),
+        (["power", *GAMMA_ARGS, "--n", "50", "--alpha", "0.05", "--eps", "-1,2"], 0),
+        (["expand", "--tensors", "tensors.json", "--eps", "-0.5", "--n", "50",
+          "--x", "-1:1:0.5"], 0),
+        # a negative drift magnitude is refused by the library, not by the parser
+        (["order", *GAMMA_ARGS, "--alpha", "0.05", "--direction", "above",
+          "--eps-grid", "-1,-0.5"], 2),
+    ])
+    def test_value_starting_with_minus(self, capsys, tmp_path, monkeypatch, argv, code):
+        # "--flag -1:1:0.25" is the flag's value, read as "--flag=-1:1:0.25" is
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tensors.json").write_text(json.dumps(
+            {"p": 1, "q": 0, "K": [[2.0]], "k3": [[[4.0]]], "k21": [[[0.0]]]}
+        ))
+        spaced = _capture(capsys, argv)
+        joined = _capture(capsys, [*argv[:-2], f"{argv[-2]}={argv[-1]}"])
+        assert spaced == joined
+        assert spaced[0] == code
+
+    def test_missing_value_is_usage_error(self, capsys):
+        code, out, err = _capture(
+            capsys, ["power", *GAMMA_ARGS, "--eps", "--n", "50", "--alpha", "0.05"])
+        assert code == 1 and out == ""
+        assert "argument --eps: expected one argument" in err
+
     def test_unknown_flag_exit_1(self, capsys):
         code, _, err = _capture(capsys, ["power", *GAMMA_ARGS, "--eps", "0",
                                          "--n", "50", "--alpha", "0.05", "--bogus", "1"])

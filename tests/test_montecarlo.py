@@ -333,6 +333,20 @@ def _fsum_power_sums(s4):
     return tuple(sums)
 
 
+def _reference_chunk(model, theta, theta0, n, seed, lo, hi, xcrit):
+    # _run_chunk's whole result on a (rows, 4) stack of the statistics: rows
+    # with a failed estimate dropped, rejections counted down each column, and
+    # the power sums by math.fsum
+    d_bar = montecarlo._law_dbars(model.sampler.dbar, theta, n, seed,
+                                  lo // montecarlo._CHUNK)[:hi - lo]
+    theta_hat, s = statistics_from_dbar(model, theta0, d_bar, n)
+    stats = np.column_stack(s)[~np.isnan(theta_hat)]
+    reject = stats > xcrit
+    rej = tuple(int(c) for c in np.count_nonzero(reject, axis=0))
+    joint34 = int(np.count_nonzero(reject[:, 2] & reject[:, 3]))
+    return rej, joint34, hi - lo - len(stats), len(stats), _fsum_power_sums(stats[:, 3])
+
+
 class TestExactSum:
     """``_exact_sum`` is ``math.fsum`` bit for bit, errors included."""
 
@@ -408,15 +422,11 @@ class TestExactSum:
             _assert_same_sum(x)
             _assert_same_sum(-x)
 
-    def _chunk_sums_match(self, model, theta0, theta, n, lo, hi):
-        _, _, failures, used, sums = montecarlo._run_chunk(
-            model, theta, theta0, n, 5, lo, hi, 3.84)
-        d_bar = montecarlo._law_dbars(model.sampler.dbar, theta, n, 5,
-                                      lo // montecarlo._CHUNK)[:hi - lo]
-        theta_hat, s = statistics_from_dbar(model, theta0, d_bar, n)
-        s4 = s[3][~np.isnan(theta_hat)]
-        assert (failures, used) == (hi - lo - len(s4), len(s4))
-        assert sums == _fsum_power_sums(s4)
+    def _chunk_matches_reference(self, model, theta0, theta, n, lo, hi):
+        got = montecarlo._run_chunk(model, theta, theta0, n, 5, lo, hi, 3.84)
+        assert got == _reference_chunk(model, theta, theta0, n, 5, lo, hi, 3.84)
+        rej, _, failures, _, _ = got
+        assert all(0 < r < hi - lo for r in rej)  # every count is tested on a mix
         return failures
 
     def test_chunk_sums_are_fsums_of_s4_powers(self):
@@ -424,14 +434,14 @@ class TestExactSum:
         for name, model in all_models():
             theta0 = theta_grid(name)[1]
             for lo, hi in ((0, montecarlo._CHUNK), (montecarlo._CHUNK, 5000)):
-                self._chunk_sums_match(model, theta0, theta0 + 0.1, 20, lo, hi)
+                self._chunk_matches_reference(model, theta0, theta0 + 0.1, 20, lo, hi)
 
     def test_chunk_with_failed_rows(self):
         flaky = dataclasses.replace(
             GAMMA, mle_closed_form=partial(_failing_closed_form, 2.95)
         )
-        assert self._chunk_sums_match(flaky, 1.0, 1.0, 10, 0, montecarlo._CHUNK) > 0
-        assert self._chunk_sums_match(flaky, 1.0, 1.0, 10, montecarlo._CHUNK, 5000) > 0
+        assert self._chunk_matches_reference(flaky, 1.0, 1.0, 10, 0, montecarlo._CHUNK) > 0
+        assert self._chunk_matches_reference(flaky, 1.0, 1.0, 10, montecarlo._CHUNK, 5000) > 0
 
 
 class TestFailureAccounting:
@@ -488,9 +498,25 @@ class TestConfigValidation:
             ("seed", "7", "seed must be an integer"),
             ("seed", -1, "seed must lie in"),
             ("seed", 2 ** 64, "seed must lie in"),
+            # bool passes as an Integral, but is neither a count nor a seed
+            ("n", True, "n must be an integer"),
+            ("reps", True, "reps must be an integer"),
+            ("workers", True, "workers must be an integer"),
+            ("seed", False, "seed must be an integer"),
+            ("seed", True, "seed must be an integer"),
         ]:
             with pytest.raises(DomainError, match=message):
                 SimulationConfig(**{**good, field: value})
+        for seed, j, message in [
+            (False, 0, "seed must be an integer"),
+            (5, True, "replicate index must be an integer"),
+            (5.0, 0, "seed must be an integer"),
+            (5, 1.0, "replicate index must be an integer"),
+        ]:
+            with pytest.raises(DomainError, match=message):
+                replicate_stream(seed, j)
+            with pytest.raises(DomainError, match=message):
+                replicate_statistics(GAMMA, 1.05, 1.0, 20, seed, j)
 
     def test_integer_edges_accepted(self):
         cfg = SimulationConfig(model=GAMMA, theta0=1.0, eps=0.0, n=np.int64(10), reps=5,
