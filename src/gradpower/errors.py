@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all gradpower modules."""
+"""Exception hierarchy shared by all gradpower modules, and their shared integer check."""
+
+import numbers
 
 
 class GradpowerError(Exception):
@@ -15,3 +17,9 @@ class EstimationError(GradpowerError, RuntimeError):
 
 class ConvergenceError(GradpowerError, ArithmeticError):
     """A bounded numeric iteration reached its cap before converging."""
+
+
+def _check_integer(name: str, value) -> None:
+    # bool is an Integral too, but True is no count and False no seed
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")

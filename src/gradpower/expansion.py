@@ -13,6 +13,15 @@ arrays, the simple case (q = 0), and the scalar case (p = 1), plus the
 matching first three moments in two variants whose leading terms disagree;
 both are exposed so simulation can arbitrate.
 
+The second-order sum is evaluated telescoped, through
+``G_{m+2,lam} = G_{m,lam} - 2 g_{m+2,lam}`` with ``g`` the density:
+
+    sum_k a_k G_{f+2k,lam}(x) = A G_{f,lam}(x) - 2 sum_m C_m g_{f+2m,lam}(x),
+
+with ``A = sum_k a_k`` (zero up to rounding) and ``C_m = sum_{k>=m} a_k``
+for m = 1..3.  One CDF walk and three density walks replace four CDF walks,
+and local power and power differences share the same sum.
+
 Contractions are single ``np.einsum`` calls over dense arrays, bit-identical to
 direct triple loops.  The tested-block contraction zero-pads the drift to
 length p rather than slicing the tensor: a sliced tensor sums in another order
@@ -30,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError
 from .expfam import CumulantSet
-from .specfun import ChiSquareParams, nc_chisq_cdf
+from .specfun import ChiSquareParams, nc_chisq_cdf, nc_chisq_pdf
 
 __all__ = [
     "ClampedProbability",
@@ -187,13 +196,21 @@ def _drift_terms(t: CumulantTensors, eps: np.ndarray):
     return np.concatenate([top, -eps]), A, 0.5 * float(eps @ eff @ eps)
 
 
-def _mixture_sum(total, step, coeffs, term):
-    # total + step * c_k * term(k) for each nonzero c_k, added in order of k: the
-    # second-order sum shared by local power, the CDF expansion and power differences
-    for k, c in enumerate(coeffs):
+def _telescoped(csum, C, cdf, density):
+    # sum_k c_k G_{f+2k} = csum * G_f - 2 * sum_m C_m g_{f+2m}, as G_{v+2} = G_v - 2 g_{v+2}:
+    # the second-order sum of local power, power differences and the CDF expansion.
+    # cdf() gives G_f and density(m) g_{f+2m}, each called only for a nonzero weight.
+    total = csum * cdf() if csum != 0.0 else 0.0
+    for m, c in enumerate(C, start=1):
         if c != 0.0:
-            total += step * c * term(k)
-    return total
+            total -= 2.0 * c * density(m)
+    return float(total)
+
+
+def _weights(coeffs):
+    # (csum, C) of _telescoped: csum = sum_k c_k and C_m = sum_{k >= m} c_k, m = 1..3
+    c = np.asarray(coeffs, dtype=float)
+    return float(c.sum()), (c[1] + c[2] + c[3], c[2] + c[3], c[3])
 
 
 def _inv_sqrt(n) -> float:
@@ -286,10 +303,11 @@ def cdf_expansion(e: PowerExpansion, n, x: float) -> ClampedProbability:
         # all mixture components reach 1 and the coefficients sum to zero
         return ClampedProbability(1.0, 1.0, False)
     scale = _inv_sqrt(n)
-    raw = g0 = nc_chisq_cdf(ChiSquareParams(e.f, e.lam), x)
-    if scale != 0.0:  # G_f is reused for k = 0
-        raw = _mixture_sum(raw, scale, e.a, lambda k: g0 if k == 0 else nc_chisq_cdf(
-            ChiSquareParams(e.f + 2 * k, e.lam), x))
+    raw = g = nc_chisq_cdf(ChiSquareParams(e.f, e.lam), x)
+    if scale != 0.0:  # at n = inf no density is walked
+        csum, C = _weights(e.a)
+        raw += scale * _telescoped(csum, C, lambda: g, lambda m: nc_chisq_pdf(
+            ChiSquareParams(e.f + 2 * m, e.lam), x))
     return _clamp(raw)
 
 

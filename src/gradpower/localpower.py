@@ -7,10 +7,18 @@ rejection probability of each criterion expands as
 
 with ``x`` the chi-square(1) critical value, ``lam = K(theta0) eps^2 / 2``,
 and a 4 x 4 coefficient array ``a_ik`` built from ``alpha``/``beta``
-derivatives at ``theta0``.  Pairwise power differences telescope into sums of
-noncentral chi-square densities, which yields sign certificates that are
-uniform in the critical value; :func:`power_ordering` turns those into an
-ordered partition of the four tests.
+derivatives at ``theta0``.  Since ``G_{v+2} = G_v - 2 g_{v+2}``, with ``g``
+the density, it is evaluated telescoped:
+
+    Pi_i = Q_{1,lam}(x) - n^{-1/2} [A_i G_{1,lam}(x) - 2 sum_m C_im g_{1+2m,lam}(x)],
+
+with ``Q_1 = 1 - G_1`` from its ``erfc`` closed form, ``A_i = sum_k a_ik``
+and ``C_im = sum_{k>=m} a_ik`` for m = 1..3.  Nothing cancels in the upper
+tail, so small-alpha power keeps its relative accuracy.  Pairwise power
+differences take the same form on ``a_jk - a_ik``; their density weights
+give sign certificates that are uniform in the critical value, and
+:func:`power_ordering` turns those into an ordered partition of the four
+tests.
 
 Two conventions exist for the leading gradient coefficient ``a_40``; they
 disagree whenever ``alpha'' != 0``.  The default ``consistent-chain`` source
@@ -29,10 +37,16 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError
-from .expansion import ClampedProbability, _clamp, _inv_sqrt, _mixture_sum
+from .errors import DomainError, _check_integer
+from .expansion import ClampedProbability, _clamp, _inv_sqrt, _telescoped, _weights
 from .expfam import ExpFamModel
-from .specfun import ChiSquareParams, central_chisq_quantile, nc_chisq_cdf, nc_chisq_pdf
+from .specfun import (
+    ChiSquareParams,
+    central_chisq_quantile,
+    nc_chisq1_tails,
+    nc_chisq_cdf,  # noqa: F401 (unused; perfbench/tracing.py wraps it)
+    nc_chisq_pdf,
+)
 from .teststats import ALL_KINDS, TestKind
 
 __all__ = [
@@ -90,6 +104,8 @@ class PowerQuery:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         if 1.0 - self.alpha == 1.0:
             raise DomainError(f"alpha={self.alpha} is too small: 1 - alpha rounds to 1")
+        if not (isinstance(self.n, float) and (self.n.is_integer() or math.isinf(self.n))):
+            _check_integer("n", self.n)  # a whole float and inf pass; 50.5 and True do not
         if not (self.n >= 1):
             raise DomainError(f"n must be >= 1, got {self.n}")
         if math.isfinite(self.n) and not self.model.in_param_space(self.theta_drifted):
@@ -115,8 +131,13 @@ class PowerQuery:
         return _inv_sqrt(self.n)
 
     @cached_property
+    def tails(self) -> tuple[float, float]:
+        """(G_{1,lam}(crit), Q_{1,lam}(crit)): the df-1 cdf and upper tail, in closed form."""
+        return nc_chisq1_tails(self.lam, self.crit)
+
+    @cached_property
     def _values(self) -> dict:
-        # source -> table and (df, density) -> value; per instance, as queries are unhashable
+        # source -> table and df -> density; per instance, as queries are unhashable
         return {}
 
     def coefficients(self, source: str) -> CoefficientTable:
@@ -126,14 +147,12 @@ class PowerQuery:
             values[source] = power_coefficients(self.model, self.theta0, self.eps, source)
         return values[source]
 
-    def mixture(self, df: float, density: bool = False) -> float:
-        """G_{df,lam}(crit), or the density g_{df,lam}(crit)."""
-        key = (df, density)
+    def density(self, df: int) -> float:
+        """The density g_{df,lam}(crit), walked once per df."""
         values = self._values
-        if key not in values:
-            kernel = nc_chisq_pdf if density else nc_chisq_cdf
-            values[key] = kernel(ChiSquareParams(float(df), self.lam), self.crit)
-        return values[key]
+        if df not in values:
+            values[df] = nc_chisq_pdf(ChiSquareParams(float(df), self.lam), self.crit)
+        return values[df]
 
 
 def power_coefficients(
@@ -178,25 +197,22 @@ def local_power(
 ) -> ClampedProbability:
     """Second-order rejection probability of one test at the query point."""
     table = query.coefficients(source)  # fetched at n = inf too: it validates source and eps
-    raw = 1.0 - query.mixture(1)
+    raw = query.tails[1]
     scale = query.scale
-    if scale != 0.0:  # at n = inf no higher mixture is walked
-        raw = _mixture_sum(raw, -scale, table.row(test), lambda k: query.mixture(1 + 2 * k))
+    if scale != 0.0:  # at n = inf no density is walked
+        raw -= scale * _second_order(query, *_weights(table.row(test)))
     return _clamp(raw)
 
 
 def _difference_terms(table: CoefficientTable, i: TestKind, j: TestKind):
     # c_k = a_jk - a_ik; C_m = sum_{k >= m} c_k; csum = sum_k c_k.
     # Pi_i - Pi_j = n^{-1/2} [ csum * G_1 - 2 * sum_m C_m g_{1+2m} ]   (telescoped)
-    c = table.row(j) - table.row(i)
-    C = (c[1] + c[2] + c[3], c[2] + c[3], c[3])
-    return float(c.sum()), C
+    return _weights(table.row(j) - table.row(i))
 
 
-def _telescoped(query: PowerQuery, csum: float, C) -> float:
-    # csum * G_1 - 2 * sum_m C_m g_{1+2m}: Pi_i - Pi_j without its n^{-1/2} factor
-    return _mixture_sum(csum * query.mixture(1), -2.0, C,
-                        lambda k: query.mixture(3 + 2 * k, density=True))
+def _second_order(query: PowerQuery, csum: float, C) -> float:
+    # csum * G_1 - 2 * sum_m C_m g_{1+2m} at the query point
+    return _telescoped(csum, C, lambda: query.tails[0], lambda m: query.density(1 + 2 * m))
 
 
 def power_difference(
@@ -204,7 +220,7 @@ def power_difference(
 ) -> float:
     """Pi_i - Pi_j via the telescoped density representation (exact antisymmetry)."""
     csum, C = _difference_terms(query.coefficients(source), i, j)
-    return query.scale * _telescoped(query, csum, C)
+    return query.scale * _second_order(query, csum, C)
 
 
 @dataclass(frozen=True)
@@ -334,7 +350,7 @@ def _grid_relation(queries, weights) -> str:
     signs = set()
     for row, (csum, C) in zip(queries, weights):
         for q in row:
-            diff = _telescoped(q, csum, C)
+            diff = _second_order(q, csum, C)
             if abs(diff) > 1e-14:
                 signs.add(1 if diff > 0 else -1)
     return _relation(signs)

@@ -42,7 +42,6 @@ statistic.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,7 +49,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, EstimationError
+from .errors import DomainError, EstimationError, _check_integer
 from .expfam import ExpFamModel, catalog_model, cumulants
 from .expansion import st_moments, tensors_from_cumulants
 from .localpower import SOURCE_CHAIN, SOURCE_TABLE, PowerQuery, local_power
@@ -154,12 +153,6 @@ class SimulationReport:
     critical_value: float
     workers: int
     wall_time: float = field(compare=False)
-
-
-def _check_integer(name: str, value) -> None:
-    # bool is an Integral too, but True is no count and False no seed
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_replicate_key(seed: int, j: int) -> None:

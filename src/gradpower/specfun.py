@@ -6,7 +6,8 @@ no numerical library for its distribution functions.  The noncentral
 chi-square here uses the Poisson-mixture convention: a variate with ``df``
 degrees of freedom and noncentrality ``lam`` is a central chi-square with
 ``df + 2J`` degrees of freedom where ``J ~ Poisson(lam)``.  Its mean is
-``df + 2*lam``.
+``df + 2*lam``.  At one degree of freedom both tails also have a closed form
+in ``erfc``, which the local power expansion uses for its leading term.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "central_chisq_pdf",
     "central_chisq_quantile",
     "central_chisq_sf",
+    "nc_chisq1_tails",
     "nc_chisq_cdf",
     "nc_chisq_pdf",
 ]
@@ -268,6 +270,25 @@ def nc_chisq_cdf(params: ChiSquareParams, x: float) -> float:
     if x <= 0.0:
         return 0.0
     return min(max(_poisson_mixture(params, x, pdf=False), 0.0), 1.0)
+
+
+def nc_chisq1_tails(lam: float, x: float) -> tuple[float, float]:
+    """(G, Q) = (P(X <= x), P(X > x)) for one degree of freedom, in closed form.
+
+    X = (Z + mu)**2 with Z standard normal and mu = sqrt(2 lam), so both tails
+    are sums of normal tails (Johnson, Kotz & Balakrishnan, *Continuous
+    Univariate Distributions* vol. 2, ch. 29).  ``erfc`` keeps Q's relative
+    accuracy far into the upper tail; G is accurate in absolute terms.
+    """
+    ChiSquareParams(1.0, lam)  # validates lam
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
+    if x <= 0.0:
+        return 0.0, 1.0
+    r, mu = math.sqrt(0.5 * x), math.sqrt(lam)  # sqrt(x)/sqrt(2) and mu/sqrt(2)
+    q = 0.5 * (math.erfc(r - mu) + math.erfc(r + mu))
+    g = 0.5 * (math.erf(r - mu) + math.erf(r + mu))
+    return g, q
 
 
 def nc_chisq_pdf(params: ChiSquareParams, x: float) -> float:

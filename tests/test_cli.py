@@ -350,11 +350,11 @@ class TestExpandCommand:
             "# variance=3.2399494936611664\n"
             "# third_moment=10.737436867076458\n"
             "x,cdf,clamped\n"
-            "1,0.66081849751165578,0\n"
-            "2,0.81384781821316854,0\n"
+            "1,0.66081849751165589,0\n"
+            "2,0.81384781821316843,0\n"
             "3,0.88750373099177915,0\n"
-            "4,0.92835046640829155,0\n"
-            "5,0.95292263918782383,0\n"
+            "4,0.92835046640829144,0\n"
+            "5,0.95292263918782405,0\n"
         )
 
 
@@ -395,10 +395,10 @@ class TestGoldenOutput:
 
     POWER = (
         "eps,lambda,pi_lr,pi_wald,pi_score,pi_gradient\n"
-        "0,0,0.049999999999999933,0.049999999999999933,0.049999999999999933,"
-        "0.049999999999999933\n"
-        "0.5,0.25,0.10286459830320278,0.081017778604724866,0.081017778604724866,"
-        "0.11378800815244174\n"
+        "0,0,0.050000000000000003,0.050000000000000003,0.050000000000000003,"
+        "0.050000000000000003\n"
+        "0.5,0.25,0.10286459830320273,0.081017778604724811,0.081017778604724811,"
+        "0.11378800815244168\n"
         "1,1,0.249691730057719,0.20584808569260016,0.20584808569260016,"
         "0.27161355224027844\n"
     )
@@ -477,7 +477,7 @@ class TestGoldenOutput:
             "2.5,0.64592963803581549,0\n"
             "3,0.71288780748592651,0\n"
             "3.5,0.76732073416202884,0\n"
-            "4,0.8115402651278143,0\n"
+            "4,0.81154026512781419,0\n"
         )
 
     def test_simulate(self, capsys):
@@ -499,14 +499,14 @@ class TestGoldenOutput:
             "mc_stderr_wald: 0.015663120165960973\n"
             "mc_stderr_score: 0.015663120165960973\n"
             "mc_stderr_gradient: 0.018534252575124751\n"
-            "predicted_power_consistent-chain_lr: 0.10286459830320278\n"
-            "predicted_power_consistent-chain_wald: 0.081017778604724866\n"
-            "predicted_power_consistent-chain_score: 0.081017778604724866\n"
-            "predicted_power_consistent-chain_gradient: 0.11378800815244174\n"
-            "predicted_power_table_lr: 0.10286459830320278\n"
-            "predicted_power_table_wald: 0.081017778604724866\n"
-            "predicted_power_table_score: 0.081017778604724866\n"
-            "predicted_power_table_gradient: 0.11378800815244174\n"
+            "predicted_power_consistent-chain_lr: 0.10286459830320273\n"
+            "predicted_power_consistent-chain_wald: 0.081017778604724811\n"
+            "predicted_power_consistent-chain_score: 0.081017778604724811\n"
+            "predicted_power_consistent-chain_gradient: 0.11378800815244168\n"
+            "predicted_power_table_lr: 0.10286459830320273\n"
+            "predicted_power_table_wald: 0.081017778604724811\n"
+            "predicted_power_table_score: 0.081017778604724811\n"
+            "predicted_power_table_gradient: 0.11378800815244168\n"
             "s4_mean: 1.56856094198492\n"
             "s4_mean_se: 0.11487368448282094\n"
             "s4_variance: 3.9587890159976094\n"
@@ -742,24 +742,30 @@ class TestCriticalValueReuse:
 
 
 class TestMixtureReuse:
-    """Each evaluation point builds a table per source and walks each mixture once."""
+    """Each evaluation point builds a table per source, computes its df-1 tails once
+    and walks each density at most once; local power walks no cdf."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        counts = {"nc_chisq_cdf": 0, "power_coefficients": 0}
+        calls = {"nc_chisq1_tails": [], "nc_chisq_pdf": [], "nc_chisq_cdf": [],
+                 "power_coefficients": []}
 
-        def counting(name):
+        def recording(name):
             inner = getattr(localpower, name)
 
             def wrapper(*args):
-                counts[name] += 1
+                calls[name].append(args)
                 return inner(*args)
 
             return wrapper
 
-        for name in counts:
-            monkeypatch.setattr(localpower, name, counting(name))
-        return counts
+        for name in calls:
+            monkeypatch.setattr(localpower, name, recording(name))
+        return calls
+
+    @staticmethod
+    def densities(calls):
+        return [(params.df, params.noncentrality) for params, _ in calls["nc_chisq_pdf"]]
 
     def test_power_grid(self, capsys, calls):
         code, _, _ = _capture(
@@ -767,8 +773,12 @@ class TestMixtureReuse:
             ["power", *GAMMA_ARGS, "--eps", "0:1:0.5", "--n", "50", "--alpha", "0.05"],
         )
         assert code == 0
-        # eps = 0 has an all-zero table, so only G_1 is walked there
-        assert calls == {"nc_chisq_cdf": 1 + 4 + 4, "power_coefficients": 3}
+        assert [lam for lam, _ in calls["nc_chisq1_tails"]] == [0.0, 0.25, 1.0]
+        # eps = 0 has an all-zero table, so no density is walked there
+        assert sorted(self.densities(calls)) == [
+            (df, lam) for df in (3.0, 5.0, 7.0) for lam in (0.25, 1.0)]
+        assert calls["nc_chisq_cdf"] == []
+        assert len(calls["power_coefficients"]) == 3
 
     def test_simulate_both_sources(self, capsys, calls):
         code, _, _ = _capture(
@@ -777,4 +787,7 @@ class TestMixtureReuse:
              "--alpha", "0.05", "--seed", "7", "--compare-sources"],
         )
         assert code == 0
-        assert calls == {"nc_chisq_cdf": 4, "power_coefficients": 2}
+        assert [lam for lam, _ in calls["nc_chisq1_tails"]] == [0.25]
+        assert sorted(self.densities(calls)) == [(3.0, 0.25), (5.0, 0.25), (7.0, 0.25)]
+        assert calls["nc_chisq_cdf"] == []
+        assert len(calls["power_coefficients"]) == 2

@@ -189,6 +189,18 @@ class TestLocalPower:
         with pytest.raises(DomainError):
             PowerQuery(model=model, theta0=1.0, eps=-8.0, n=49, alpha=0.05)
 
+    def test_n_must_be_a_count(self):
+        model = catalog_model("gamma", {"k": 2.0})
+        for n in (True, False, 50.5, math.nan, np.float32(50.0), "50"):
+            with pytest.raises(DomainError, match="n must be an integer"):
+                PowerQuery(model=model, theta0=1.0, eps=0.5, n=n, alpha=0.05)
+        whole = [PowerQuery(model=model, theta0=1.0, eps=0.5, n=n, alpha=0.05)
+                 for n in (50, 50.0, np.int64(50))]
+        assert len({local_power(q, TestKind.GRADIENT) for q in whole}) == 1
+        assert PowerQuery(model=model, theta0=1.0, eps=0.5, n=math.inf, alpha=0.05).scale == 0.0
+        with pytest.raises(DomainError, match=">= 1"):
+            PowerQuery(model=model, theta0=1.0, eps=0.5, n=0, alpha=0.05)
+
     def test_tiny_alpha_refused_by_name(self):
         # 1 - alpha rounds to 1, so no critical value exists in double precision
         model = catalog_model("gamma", {"k": 1.0})
@@ -253,6 +265,45 @@ class TestQueryReuse:
         assert local_power(q, TestKind.LR).value == local_power(q, TestKind.GRADIENT).value
         with pytest.raises(DomainError, match="source"):
             local_power(q, TestKind.LR, "bogus")
+
+
+class TestUpperTailAccuracy:
+    """Local power against the same expansion built from scipy's noncentral tails.
+
+    The reference is ``Q_1 + s sum_k a_k Q_{1+2k} - s sum_k a_k`` at scipy's
+    critical value, with ``s = n^-1/2``.  The error is scaled by the terms'
+    magnitude ``Q_1 + s sum_k |a_k| Q_{1+2k} + s |sum_k a_k|``, which stays fair
+    where the expansion goes negative.  The constant takes the row's numpy
+    sum, as the program does: a consistent-chain row sums to zero up to
+    rounding, and that rounding, times G_1 ~ 1, would otherwise swamp a tail
+    of 1e-15.
+    """
+
+    EPS = (0.1, 0.5, 1.0, 2.0, -0.1, -0.5, -1.0, -2.0)
+
+    @pytest.mark.parametrize("alpha,bound", [(0.05, 1e-13), (1e-3, 1e-13), (1e-6, 1e-11),
+                                             (1e-10, 1e-9), (1e-15, 1e-7)])
+    def test_scaled_error_against_scipy(self, alpha, bound):
+        from scipy.stats import chi2, ncx2
+
+        x = float(chi2.isf(alpha, 1.0))
+        dfs = np.array([1.0, 3.0, 5.0, 7.0])
+        worst = 0.0
+        for name, model in all_models():
+            for eps in self.EPS:
+                for n in (20, 50, 1000):
+                    q = PowerQuery(model=model, theta0=1.0, eps=eps, n=n, alpha=alpha)
+                    sf = ncx2.sf(x, dfs, 2.0 * q.lam)
+                    for source in SOURCES:
+                        table = q.coefficients(source)
+                        for kind in TestKind:
+                            term = q.scale * table.row(kind)
+                            const = q.scale * table.row(kind).sum()
+                            want = sf[0] + term @ sf - const
+                            magnitude = sf[0] + np.abs(term) @ sf + abs(const)
+                            got = local_power(q, kind, source).raw
+                            worst = max(worst, abs(got - want) / magnitude)
+        assert worst <= bound
 
 
 class TestPowerDifference:

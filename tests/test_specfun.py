@@ -24,6 +24,7 @@ from gradpower.specfun import (
     central_chisq_pdf,
     central_chisq_quantile,
     central_chisq_sf,
+    nc_chisq1_tails,
     nc_chisq_cdf,
     nc_chisq_pdf,
 )
@@ -266,6 +267,61 @@ class TestNoncentralPdf:
             nc_chisq_pdf(ChiSquareParams(3.0, 0.5), 0.0)
         with pytest.raises(DomainError):
             nc_chisq_pdf(ChiSquareParams(3.0, 0.5), -1.0)
+
+
+class TestNoncentralTailsDf1:
+    """The df-1 closed form: Q to 1e-13 relative and G to 1e-15 absolute."""
+
+    LAMS = (0.0, 1e-6, 1e-3, 0.1, 0.5, 1.0, 5.0, 20.0, 50.0, 200.0)
+
+    @staticmethod
+    def xs():
+        # up to twice the alpha = 1e-15 critical value, where Q reaches ~1e-29
+        far = 2.0 * central_chisq_quantile(1.0, 1e-15, upper=True)
+        return [float(v) for v in np.geomspace(1e-6, far, 41)]
+
+    def test_against_40_digit_law(self):
+        # X = (Z + mu)**2 with mu = sqrt(2 lam): Q = Phi(mu - sqrt x) + Phi(-mu - sqrt x)
+        with mpmath.workdps(40):
+            for lam in self.LAMS:
+                mu = mpmath.sqrt(2 * mpmath.mpf(lam))
+                for x in self.xs():
+                    r = mpmath.sqrt(mpmath.mpf(x))
+                    q = mpmath.ncdf(mu - r) + mpmath.ncdf(-mu - r)
+                    g, got = nc_chisq1_tails(lam, x)
+                    assert abs(got - q) <= 1e-13 * q, (lam, x, got)
+                    assert abs(g - (1 - q)) <= 1e-15, (lam, x, g)
+
+    def test_against_40_digit_poisson_mixture(self):
+        # the law above is the Poisson-lam convention: sum_j w_j Q(1/2 + j, x/2)
+        far = self.xs()[-1]
+        with mpmath.workdps(40):
+            for lam in (0.5, 5.0):
+                for x in (0.5 * far, far):
+                    lam_m, h = mpmath.mpf(lam), mpmath.mpf(x) / 2
+                    q = mpmath.fsum(
+                        mpmath.exp(-lam_m + j * mpmath.log(lam_m) - mpmath.loggamma(j + 1))
+                        * mpmath.gammainc(mpmath.mpf(j) + 0.5, h, mpmath.inf, regularized=True)
+                        for j in range(80)
+                    )
+                    assert abs(nc_chisq1_tails(lam, x)[1] - q) <= 1e-13 * q, (lam, x)
+
+    def test_matches_the_mixture_walk(self):
+        for lam in self.LAMS:
+            for x in (1e-3, 0.5, 3.84, 20.0, 90.0):
+                g, q = nc_chisq1_tails(lam, x)
+                assert g == pytest.approx(nc_chisq_cdf(ChiSquareParams(1.0, lam), x), abs=1e-13)
+                assert g + q == pytest.approx(1.0, abs=2e-16)
+
+    def test_central_and_edges(self):
+        for x in (1e-3, 1.0, 3.84, 60.0):
+            assert nc_chisq1_tails(0.0, x)[1] == pytest.approx(central_chisq_sf(1.0, x),
+                                                               rel=1e-14)
+        assert nc_chisq1_tails(2.0, 0.0) == (0.0, 1.0)
+        assert nc_chisq1_tails(2.0, -1.0) == (0.0, 1.0)
+        for lam, x in ((-0.5, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)):
+            with pytest.raises(DomainError):
+                nc_chisq1_tails(lam, x)
 
 
 class TestQuantile:
