@@ -11,11 +11,16 @@ Exit codes: 0 success, 1 usage error, 2 domain/validation error, 3 numeric
 failure.  Output files are written only after a command fully succeeds, and
 anything volatile (wall time) goes to stderr so identical invocations produce
 byte-identical output.
+
+The argument parser is built once per process, on the first ``run`` call, and
+reused by every later call: its defaults are immutable, each parse returns a
+fresh namespace, and a parse error raises instead of changing parser state.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -132,6 +137,7 @@ def _emit(lines: list[str], path: str | None) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gradpower", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"gradpower {__version__}")
@@ -203,6 +209,8 @@ def _build_parser() -> _Parser:
 
 def _cmd_model(args) -> list[str]:
     if args.action == "list":
+        if args.name is not None:
+            raise _UsageError(f"model list takes no model name, got {args.name!r}")
         lines = _config_header("model", [("action", "list")])
         lines.extend(CATALOG_NAMES)
         return lines
@@ -347,6 +355,16 @@ def _cmd_simulate(args) -> list[str]:
     return lines
 
 
+_HANDLERS = {
+    "model": _cmd_model,
+    "stat": _cmd_stat,
+    "power": _cmd_power,
+    "order": _cmd_order,
+    "expand": _cmd_expand,
+    "simulate": _cmd_simulate,
+}
+
+
 def run(argv: list[str]) -> int:
     """Parse ``argv`` and execute; returns the process exit code."""
     parser = _build_parser()
@@ -357,15 +375,7 @@ def run(argv: list[str]) -> int:
             return int(exc.code or 0)
         if args.command is None:
             raise _UsageError("a subcommand is required (model, stat, power, order, expand, simulate)")
-        handler = {
-            "model": _cmd_model,
-            "stat": _cmd_stat,
-            "power": _cmd_power,
-            "order": _cmd_order,
-            "expand": _cmd_expand,
-            "simulate": _cmd_simulate,
-        }[args.command]
-        lines = handler(args)
+        lines = _HANDLERS[args.command](args)
         _emit(lines, args.output)
         return 0
     except _UsageError as exc:

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all gradpower modules, and their shared integer check."""
+"""Exception hierarchy shared by all gradpower modules, and their shared integer checks."""
 
+import math
 import numbers
 
 
@@ -23,3 +24,9 @@ def _check_integer(name: str, value) -> None:
     # bool is an Integral too, but True is no count and False no seed
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_sample_size(value) -> None:
+    # an integer, a whole float and inf pass; 50.5, NaN and True do not
+    if not (isinstance(value, float) and (value.is_integer() or math.isinf(value))):
+        _check_integer("n", value)

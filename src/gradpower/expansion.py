@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_sample_size
 from .expfam import CumulantSet
 from .specfun import ChiSquareParams, nc_chisq_cdf, nc_chisq_pdf
 
@@ -294,6 +294,7 @@ def cdf_expansion(e: PowerExpansion, n, x: float) -> ClampedProbability:
     """Evaluate Pr(S <= x) to second order; ``n`` may be ``math.inf``."""
     if math.isnan(x):
         raise DomainError("x must not be NaN")
+    _check_sample_size(n)
     if not (n > 0):
         raise DomainError(f"n must be positive, got {n}")
     if x <= 0.0:
@@ -321,6 +322,7 @@ def st_moments(
     those of ``composite_coefficients(t, eps)``.  A caller that has already
     built that expansion passes it as ``expansion``, so it is not built twice.
     """
+    _check_sample_size(n)
     if not (n > 0):
         raise DomainError(f"n must be positive, got {n}")
     e = _validate_eps(t, eps)

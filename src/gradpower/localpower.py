@@ -37,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, _check_integer
+from .errors import DomainError, _check_sample_size
 from .expansion import ClampedProbability, _clamp, _inv_sqrt, _telescoped, _weights
 from .expfam import ExpFamModel
 from .specfun import (
@@ -104,8 +104,7 @@ class PowerQuery:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         if 1.0 - self.alpha == 1.0:
             raise DomainError(f"alpha={self.alpha} is too small: 1 - alpha rounds to 1")
-        if not (isinstance(self.n, float) and (self.n.is_integer() or math.isinf(self.n))):
-            _check_integer("n", self.n)  # a whole float and inf pass; 50.5 and True do not
+        _check_sample_size(self.n)
         if not (self.n >= 1):
             raise DomainError(f"n must be >= 1, got {self.n}")
         if math.isfinite(self.n) and not self.model.in_param_space(self.theta_drifted):

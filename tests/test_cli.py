@@ -1,12 +1,16 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import gradpower
 from gradpower import cli, expansion, localpower
 from gradpower.cli import run
 from gradpower.expfam import CATALOG_NAMES
@@ -706,6 +710,79 @@ class TestCliContract:
     def test_no_subcommand(self, capsys):
         code, _, err = _capture(capsys, [])
         assert code == 1 and "subcommand" in err
+
+    def test_model_list_takes_no_name(self, capsys):
+        code, out, err = _capture(capsys, ["model", "list", "extra"])
+        assert code == 1 and out == ""
+        assert err == "usage error: model list takes no model name, got 'extra'\n"
+
+    # one process runs each failing command and then good commands; every
+    # result must match a fresh process given the same argv
+    GOOD_ARGV = [
+        ["power", *GAMMA_ARGS, "--eps", "0:1:0.5", "--n", "50", "--alpha", "0.05"],
+        ["order", *GAMMA_ARGS, "--alpha", "0.05", "--direction", "above"],
+        ["expand", "--tensors", str(Path(__file__).with_name("normal_composite_tensors.json")),
+         "--eps", "0.5", "--n", "400", "--x", "1:5:1"],
+    ]
+    # name: (exit code, argv); help and version stop the command with exit 0
+    FAILING_ARGV = {
+        "missing-flag": (1, ["power", *GAMMA_ARGS, "--eps", "0", "--n", "50"]),
+        "unknown-subcommand": (1, ["plot", *GAMMA_ARGS]),
+        "empty": (1, []),
+        "help": (0, ["--help"]),
+        "power-help": (0, ["power", "--help"]),
+        "version": (0, ["--version"]),
+        "alpha-2": (2, ["power", *GAMMA_ARGS, "--eps", "0", "--n", "50", "--alpha", "2"]),
+        "output-missing-dir": (2, ["power", *GAMMA_ARGS, "--eps", "0", "--n", "50",
+                                   "--alpha", "0.05", "--output", "no-such-dir/out.csv"]),
+    }
+
+    @staticmethod
+    def _fresh_process(argv, cwd):
+        src = str(Path(gradpower.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, COLUMNS="80",
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        done = subprocess.run([sys.executable, "-m", "gradpower.cli", *argv], cwd=cwd,
+                              env=env, capture_output=True, text=True, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    @pytest.fixture(scope="class")
+    def fresh_good(self, tmp_path_factory):
+        cwd = tmp_path_factory.mktemp("fresh")
+        return [self._fresh_process(argv, cwd) for argv in self.GOOD_ARGV]
+
+    @pytest.mark.parametrize("name", FAILING_ARGV)
+    def test_no_state_leaks_between_calls(self, capsys, tmp_path, monkeypatch, name,
+                                          fresh_good):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")
+        code, argv = self.FAILING_ARGV[name]
+        failed = _capture(capsys, argv)
+        assert failed[0] == code
+        assert failed == self._fresh_process(argv, tmp_path)
+        assert [_capture(capsys, argv) for argv in self.GOOD_ARGV] == fresh_good
+        assert all(code == 0 for code, _, _ in fresh_good)
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        calls = [*self.GOOD_ARGV, *(argv for _, argv in self.FAILING_ARGV.values())][:10]
+        assert len(calls) == 10
+        try:
+            for argv in calls:
+                _capture(capsys, argv)
+        finally:
+            cli._build_parser.cache_clear()
+        # the main parser and its six subparsers, once for all ten calls
+        assert len(built) == 7
 
 
 class TestCriticalValueReuse:

@@ -9,7 +9,12 @@ import pytest
 from gradpower import localpower
 from gradpower.errors import DomainError
 from gradpower.expfam import catalog_model, cumulants
-from gradpower.expansion import scalar_coefficients, cdf_expansion
+from gradpower.expansion import (
+    cdf_expansion,
+    scalar_coefficients,
+    st_moments,
+    tensors_from_cumulants,
+)
 from gradpower.localpower import (
     SOURCE_CHAIN,
     SOURCE_TABLE,
@@ -200,6 +205,26 @@ class TestLocalPower:
         assert PowerQuery(model=model, theta0=1.0, eps=0.5, n=math.inf, alpha=0.05).scale == 0.0
         with pytest.raises(DomainError, match=">= 1"):
             PowerQuery(model=model, theta0=1.0, eps=0.5, n=0, alpha=0.05)
+
+    def test_expansion_n_must_be_a_count(self):
+        # cdf_expansion and st_moments share PowerQuery's rule for n
+        c = cumulants(catalog_model("gamma", {"k": 2.0}), 1.0)
+        e, t = scalar_coefficients(c, 0.5), tensors_from_cumulants(c)
+        for n in (True, False, 50.5, math.nan, np.float32(50.0), "50"):
+            with pytest.raises(DomainError, match="n must be an integer"):
+                cdf_expansion(e, n, 3.84)
+            with pytest.raises(DomainError, match="n must be an integer"):
+                st_moments(t, [0.5], n)
+        assert len({cdf_expansion(e, n, 3.84) for n in (50, 50.0, np.int64(50))}) == 1
+        assert st_moments(t, [0.5], 50) == st_moments(t, [0.5], 50.0) == st_moments(
+            t, [0.5], np.int64(50))
+        assert cdf_expansion(e, math.inf, 3.84).value == cdf_expansion(e, 10 ** 300, 3.84).value
+        assert st_moments(t, [0.5], math.inf).m1 == st_moments(t, [0.5], 10 ** 300).m1
+        for n in (0, -50, -math.inf):
+            with pytest.raises(DomainError, match="n must be positive"):
+                cdf_expansion(e, n, 3.84)
+            with pytest.raises(DomainError, match="n must be positive"):
+                st_moments(t, [0.5], n)
 
     def test_tiny_alpha_refused_by_name(self):
         # 1 - alpha rounds to 1, so no critical value exists in double precision
