@@ -19,8 +19,8 @@ The second-order sum is evaluated telescoped, through
     sum_k a_k G_{f+2k,lam}(x) = A G_{f,lam}(x) - 2 sum_m C_m g_{f+2m,lam}(x),
 
 with ``A = sum_k a_k`` (zero up to rounding) and ``C_m = sum_{k>=m} a_k``
-for m = 1..3.  One CDF walk and three density walks replace four CDF walks,
-and local power and power differences share the same sum.
+for m = 1..3.  One Poisson walk gives the CDF and all three densities, and
+local power and power differences share the same sum.
 
 Contractions are single ``np.einsum`` calls over dense arrays, bit-identical to
 direct triple loops.  The tested-block contraction zero-pads the drift to
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, _check_sample_size
 from .expfam import CumulantSet
-from .specfun import ChiSquareParams, nc_chisq_cdf, nc_chisq_pdf
+from .specfun import ChiSquareParams, nc_chisq_cdf, nc_chisq_mixture
 
 __all__ = [
     "ClampedProbability",
@@ -304,12 +304,12 @@ def cdf_expansion(e: PowerExpansion, n, x: float) -> ClampedProbability:
         # all mixture components reach 1 and the coefficients sum to zero
         return ClampedProbability(1.0, 1.0, False)
     scale = _inv_sqrt(n)
-    raw = g = nc_chisq_cdf(ChiSquareParams(e.f, e.lam), x)
-    if scale != 0.0:  # at n = inf no density is walked
-        csum, C = _weights(e.a)
-        raw += scale * _telescoped(csum, C, lambda: g, lambda m: nc_chisq_pdf(
-            ChiSquareParams(e.f + 2 * m, e.lam), x))
-    return _clamp(raw)
+    params = ChiSquareParams(e.f, e.lam)
+    if scale == 0.0:  # at n = inf the cdf is walked alone
+        return _clamp(nc_chisq_cdf(params, x))
+    g, densities = nc_chisq_mixture(params, x)
+    csum, C = _weights(e.a)
+    return _clamp(g + scale * _telescoped(csum, C, lambda: g, lambda m: densities[m - 1]))
 
 
 def st_moments(

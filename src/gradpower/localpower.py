@@ -14,11 +14,12 @@ the density, it is evaluated telescoped:
 
 with ``Q_1 = 1 - G_1`` from its ``erfc`` closed form, ``A_i = sum_k a_ik``
 and ``C_im = sum_{k>=m} a_ik`` for m = 1..3.  Nothing cancels in the upper
-tail, so small-alpha power keeps its relative accuracy.  Pairwise power
-differences take the same form on ``a_jk - a_ik``; their density weights
-give sign certificates that are uniform in the critical value, and
-:func:`power_ordering` turns those into an ordered partition of the four
-tests.
+tail, so small-alpha power keeps its relative accuracy.  A :class:`PowerQuery`
+takes ``g_3``, ``g_5`` and ``g_7`` from one Poisson walk, which its four tests
+and both coefficient sources share.  Pairwise power differences take the
+same form on ``a_jk - a_ik``; their density weights give sign certificates
+that are uniform in the critical value, and :func:`power_ordering` turns
+those into an ordered partition of the four tests.
 
 Two conventions exist for the leading gradient coefficient ``a_40``; they
 disagree whenever ``alpha'' != 0``.  The default ``consistent-chain`` source
@@ -45,7 +46,8 @@ from .specfun import (
     central_chisq_quantile,
     nc_chisq1_tails,
     nc_chisq_cdf,  # noqa: F401 (unused; perfbench/tracing.py wraps it)
-    nc_chisq_pdf,
+    nc_chisq_mixture,
+    nc_chisq_pdf,  # noqa: F401 (unused; perfbench/tracing.py wraps it)
 )
 from .teststats import ALL_KINDS, TestKind
 
@@ -135,23 +137,21 @@ class PowerQuery:
         return nc_chisq1_tails(self.lam, self.crit)
 
     @cached_property
-    def _values(self) -> dict:
-        # source -> table and df -> density; per instance, as queries are unhashable
+    def densities(self) -> tuple[float, float, float]:
+        """(g_{3,lam}(crit), g_{5,lam}(crit), g_{7,lam}(crit)), from one Poisson walk."""
+        return nc_chisq_mixture(ChiSquareParams(1.0, self.lam), self.crit, cdf=False)[1]
+
+    @cached_property
+    def _tables(self) -> dict:
+        # source -> table; per instance, as queries are unhashable
         return {}
 
     def coefficients(self, source: str) -> CoefficientTable:
         """The coefficient table under ``source``."""
-        values = self._values
-        if source not in values:
-            values[source] = power_coefficients(self.model, self.theta0, self.eps, source)
-        return values[source]
-
-    def density(self, df: int) -> float:
-        """The density g_{df,lam}(crit), walked once per df."""
-        values = self._values
-        if df not in values:
-            values[df] = nc_chisq_pdf(ChiSquareParams(float(df), self.lam), self.crit)
-        return values[df]
+        tables = self._tables
+        if source not in tables:
+            tables[source] = power_coefficients(self.model, self.theta0, self.eps, source)
+        return tables[source]
 
 
 def power_coefficients(
@@ -211,7 +211,7 @@ def _difference_terms(table: CoefficientTable, i: TestKind, j: TestKind):
 
 def _second_order(query: PowerQuery, csum: float, C) -> float:
     # csum * G_1 - 2 * sum_m C_m g_{1+2m} at the query point
-    return _telescoped(csum, C, lambda: query.tails[0], lambda m: query.density(1 + 2 * m))
+    return _telescoped(csum, C, lambda: query.tails[0], lambda m: query.densities[m - 1])
 
 
 def power_difference(

@@ -8,6 +8,14 @@ degrees of freedom and noncentrality ``lam`` is a central chi-square with
 ``df + 2J`` degrees of freedom where ``J ~ Poisson(lam)``.  Its mean is
 ``df + 2*lam``.  At one degree of freedom both tails also have a closed form
 in ``erfc``, which the local power expansion uses for its leading term.
+
+Every noncentral CDF and density sum comes from one outward walk over the
+Poisson weights, from the modal index up and then down (Benton &
+Krishnamoorthy 2003, *CSDA* 43:249).  One walk carries a CDF and three
+densities at once, as :func:`nc_chisq_mixture` returns them for a
+telescoped second-order sum; each value is bit-identical to the one a walk
+of its own gives, since the weights and the sweeps' stops depend on the
+noncentrality alone.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ __all__ = [
     "central_chisq_sf",
     "nc_chisq1_tails",
     "nc_chisq_cdf",
+    "nc_chisq_mixture",
     "nc_chisq_pdf",
 ]
 
@@ -187,16 +196,19 @@ def _walk_too_long(params: ChiSquareParams):
     )
 
 
-def _poisson_mixture(params: ChiSquareParams, x: float, pdf: bool) -> float:
-    # Outward walk over Poisson(lam) weights, starting at the modal index
-    # j0 = floor(lam), with stable recurrences for the central cdf/pdf in the
-    # shape parameter a = df/2 + j.  Starting at the mode avoids weight
-    # underflow for large lam; each sweep stops once a geometric bound on its
-    # remaining tail mass falls below half of _POISSON_TAIL.
-    df, lam = params.df, params.noncentrality
+def _poisson_walk(params: ChiSquareParams, x: float, cdf: bool, pdf_dfs: tuple | None):
+    # One outward walk over the Poisson(lam) weights, from the modal index
+    # j0 = floor(lam) up, then down; starting at the mode avoids weight
+    # underflow for large lam.  Each sweep stops once a geometric bound on its
+    # remaining tail mass falls below half of _POISSON_TAIL.  The walk carries a
+    # cdf base at params.df when cdf is true, and a density base at each of the
+    # three degrees of freedom in pdf_dfs unless that is None.  It returns the
+    # cdf sum (None when not carried) and the three density sums.  The weights
+    # and the stops depend on lam alone, and each base takes the float
+    # operations of a walk of its own, so each sum equals that walk's bit for bit.
+    lam = params.noncentrality
     xg = 0.5 * x
     j0 = int(lam)
-    a0 = 0.5 * df + j0
     half_tail = 0.5 * _POISSON_TAIL
 
     logw0 = -lam - math.lgamma(j0 + 1.0)
@@ -204,20 +216,27 @@ def _poisson_mixture(params: ChiSquareParams, x: float, pdf: bool) -> float:
         logw0 += j0 * math.log(lam)
     w0 = math.exp(logw0)
 
-    # T(a) = xg^a e^-xg / Gamma(a+1) links both recurrences:
+    # With a the shape df/2 + j of the central term and T(a) = xg^a e^-xg / Gamma(a+1),
     #   P(a+1, xg) = P(a, xg) - T(a)           (cdf, df -> df + 2)
-    #   f_{df+2}(x) = f_df(x) * xg / a          (pdf, same step)
-    logT0 = a0 * math.log(xg) - xg - math.lgamma(a0 + 1.0)
-    T0 = math.exp(logT0) if logT0 > -_MAXLOG else 0.0
+    #   f_{df+2}(x) = f_df(x) * xg / a          (density, same step)
+    c0 = T0 = ac0 = 0.0
+    if cdf:
+        ac0 = 0.5 * params.df + j0
+        logT0 = ac0 * math.log(xg) - xg - math.lgamma(ac0 + 1.0)
+        T0 = math.exp(logT0) if logT0 > -_MAXLOG else 0.0
+        c0 = central_chisq_cdf(params.df + 2.0 * j0, x)
+    pdf = pdf_dfs is not None
+    a10 = a20 = a30 = b10 = b20 = b30 = 0.0
     if pdf:
-        base0 = central_chisq_pdf(df + 2.0 * j0, x)
-    else:
-        base0 = central_chisq_cdf(df + 2.0 * j0, x)
-
-    total = w0 * base0
+        a10, a20, a30 = (0.5 * df + j0 for df in pdf_dfs)
+        b10, b20, b30 = (central_chisq_pdf(df + 2.0 * j0, x) for df in pdf_dfs)
+    tc, t1, t2, t3 = w0 * c0, w0 * b10, w0 * b20, w0 * b30
+    # the cdf base can round below 0 and is clamped there; a density base is a
+    # product of non-negative factors, which a clamp at 0 leaves as it is
 
     # upward sweep: j0+1, j0+2, ... (at most _POISSON_MAX_TERMS terms)
-    w, base, T, a = w0, base0, T0, a0
+    w, c, T, ac = w0, c0, T0, ac0
+    b1, b2, b3, a1, a2, a3 = b10, b20, b30, a10, a20, a30
     for j in range(j0, j0 + _POISSON_MAX_TERMS):
         wnext = w * lam / (j + 1.0)
         if j + 1.0 > lam:
@@ -226,14 +245,22 @@ def _poisson_mixture(params: ChiSquareParams, x: float, pdf: bool) -> float:
             if bound < half_tail:
                 break
         w = wnext
+        if cdf:
+            c -= T
+            T *= xg / (ac + 1.0)
+            ac += 1.0
+            c = max(c, 0.0)
+            tc += w * c
         if pdf:
-            base *= xg / a
-        else:
-            base -= T
-            T *= xg / (a + 1.0)
-        a += 1.0
-        base = max(base, 0.0)
-        total += w * base
+            b1 *= xg / a1
+            b2 *= xg / a2
+            b3 *= xg / a3
+            a1 += 1.0
+            a2 += 1.0
+            a3 += 1.0
+            t1 += w * b1
+            t2 += w * b2
+            t3 += w * b3
         if w < 1e-300 and j + 1 > lam:
             break
     else:
@@ -241,16 +268,25 @@ def _poisson_mixture(params: ChiSquareParams, x: float, pdf: bool) -> float:
 
     # downward sweep: j0-1, ..., 0 (weights shrink below the mode; at most
     # _POISSON_MAX_TERMS terms)
-    w, base, T, a = w0, base0, T0, a0
+    w, c, T, ac = w0, c0, T0, ac0
+    b1, b2, b3, a1, a2, a3 = b10, b20, b30, a10, a20, a30
     for j in range(j0 - 1, max(j0 - 1 - _POISSON_MAX_TERMS, -1), -1):
         w *= (j + 1) / lam
-        a -= 1.0
+        if cdf:
+            ac -= 1.0
+            T *= (ac + 1.0) / xg
+            c = min(c + T, 1.0)
+            tc += w * c
         if pdf:
-            base *= a / xg
-        else:
-            T *= (a + 1.0) / xg
-            base = min(base + T, 1.0)
-        total += w * base
+            a1 -= 1.0
+            a2 -= 1.0
+            a3 -= 1.0
+            b1 *= a1 / xg
+            b2 *= a2 / xg
+            b3 *= a3 / xg
+            t1 += w * b1
+            t2 += w * b2
+            t3 += w * b3
         if j > 0 and lam > j:
             # tail below j is bounded by w_{j-1} / (1 - (j-1)/lam)
             bound = (w * j / lam) / (1.0 - (j - 1.0) / lam)
@@ -260,7 +296,7 @@ def _poisson_mixture(params: ChiSquareParams, x: float, pdf: bool) -> float:
         if j0 > _POISSON_MAX_TERMS:
             _walk_too_long(params)
 
-    return total
+    return (tc if cdf else None), (t1, t2, t3)
 
 
 def nc_chisq_cdf(params: ChiSquareParams, x: float) -> float:
@@ -269,7 +305,7 @@ def nc_chisq_cdf(params: ChiSquareParams, x: float) -> float:
         raise DomainError(f"x must be finite, got {x}")
     if x <= 0.0:
         return 0.0
-    return min(max(_poisson_mixture(params, x, pdf=False), 0.0), 1.0)
+    return min(max(_poisson_walk(params, x, True, None)[0], 0.0), 1.0)
 
 
 def nc_chisq1_tails(lam: float, x: float) -> tuple[float, float]:
@@ -291,11 +327,34 @@ def nc_chisq1_tails(lam: float, x: float) -> tuple[float, float]:
     return g, q
 
 
-def nc_chisq_pdf(params: ChiSquareParams, x: float) -> float:
-    """Density of the (Poisson-mixture) noncentral chi-square distribution."""
+def _check_positive_x(x: float) -> None:
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"x must be positive and finite, got {x}")
-    return max(_poisson_mixture(params, x, pdf=True), 0.0)
+
+
+def nc_chisq_pdf(params: ChiSquareParams, x: float) -> float:
+    """Density of the (Poisson-mixture) noncentral chi-square distribution."""
+    _check_positive_x(x)
+    return max(_poisson_walk(params, x, False, (params.df,) * 3)[1][0], 0.0)
+
+
+def nc_chisq_mixture(
+    params: ChiSquareParams, x: float, cdf: bool = True
+) -> tuple[float | None, tuple[float, float, float]]:
+    """``(G, (g2, g4, g6))`` at ``x`` from one Poisson walk.
+
+    ``G`` is the CDF with ``params.df`` degrees of freedom and ``g2``, ``g4``,
+    ``g6`` are the densities with ``df + 2``, ``df + 4`` and ``df + 6``, all at
+    noncentrality ``lam``: the values of a telescoped second-order sum.  Each
+    equals what :func:`nc_chisq_cdf` or :func:`nc_chisq_pdf` returns.  With
+    ``cdf=False`` the CDF is skipped and ``G`` is ``None``.
+    """
+    _check_positive_x(x)
+    df = params.df
+    g, (g2, g4, g6) = _poisson_walk(params, x, cdf, (df + 2.0, df + 4.0, df + 6.0))
+    if g is not None:
+        g = min(max(g, 0.0), 1.0)
+    return g, (max(g2, 0.0), max(g4, 0.0), max(g6, 0.0))
 
 
 @lru_cache(maxsize=_QUANTILE_MEMO)

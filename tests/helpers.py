@@ -1,7 +1,10 @@
-"""Shared fixtures-in-spirit for the test suite: catalog sweeps and tensors."""
+"""Shared fixtures-in-spirit for the test suite: catalog sweeps, tensors and reference kernels."""
+
+import math
 
 import numpy as np
 
+from gradpower import specfun
 from gradpower.expfam import catalog_model
 
 # one representative fixed-constant choice per catalog entry
@@ -61,3 +64,71 @@ def random_tensors(rng, p, q=0, with_k111=False):
             for perm in [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
         ) / 6.0
     return CumulantTensors(p=p, q=q, K=K, k3=k3, k21=k21, k111=k111)
+
+
+def reference_poisson_mixture(params, x, pdf):
+    """One noncentral cdf (``pdf`` false) or density sum, by a Poisson walk of its own.
+
+    This is the single-kernel walk that ``specfun._poisson_walk`` replaced, kept
+    as the reference that each output of the shared walk must equal bit for bit.
+    """
+    df, lam = params.df, params.noncentrality
+    xg = 0.5 * x
+    j0 = int(lam)
+    a0 = 0.5 * df + j0
+    half_tail = 0.5 * specfun._POISSON_TAIL
+
+    logw0 = -lam - math.lgamma(j0 + 1.0)
+    if j0 > 0:
+        logw0 += j0 * math.log(lam)
+    w0 = math.exp(logw0)
+
+    logT0 = a0 * math.log(xg) - xg - math.lgamma(a0 + 1.0)
+    T0 = math.exp(logT0) if logT0 > -specfun._MAXLOG else 0.0
+    if pdf:
+        base0 = specfun.central_chisq_pdf(df + 2.0 * j0, x)
+    else:
+        base0 = specfun.central_chisq_cdf(df + 2.0 * j0, x)
+
+    total = w0 * base0
+
+    w, base, T, a = w0, base0, T0, a0
+    for j in range(j0, j0 + specfun._POISSON_MAX_TERMS):
+        wnext = w * lam / (j + 1.0)
+        if j + 1.0 > lam:
+            bound = wnext / (1.0 - lam / (j + 2.0))
+            if bound < half_tail:
+                break
+        w = wnext
+        if pdf:
+            base *= xg / a
+        else:
+            base -= T
+            T *= xg / (a + 1.0)
+        a += 1.0
+        base = max(base, 0.0)
+        total += w * base
+        if w < 1e-300 and j + 1 > lam:
+            break
+    else:
+        specfun._walk_too_long(params)
+
+    w, base, T, a = w0, base0, T0, a0
+    for j in range(j0 - 1, max(j0 - 1 - specfun._POISSON_MAX_TERMS, -1), -1):
+        w *= (j + 1) / lam
+        a -= 1.0
+        if pdf:
+            base *= a / xg
+        else:
+            T *= (a + 1.0) / xg
+            base = min(base + T, 1.0)
+        total += w * base
+        if j > 0 and lam > j:
+            bound = (w * j / lam) / (1.0 - (j - 1.0) / lam)
+            if bound < half_tail:
+                break
+    else:
+        if j0 > specfun._POISSON_MAX_TERMS:
+            specfun._walk_too_long(params)
+
+    return total

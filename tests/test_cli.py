@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -11,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import gradpower
-from gradpower import cli, expansion, localpower
+from gradpower import cli, expansion, localpower, specfun
 from gradpower.cli import run
-from gradpower.expfam import CATALOG_NAMES
+from gradpower.expfam import CATALOG_NAMES, catalog_model
+from gradpower.teststats import TestKind
 
 GAMMA_ARGS = ["--model", "gamma", "--fixed", "k=2", "--theta0", "1"]
 
@@ -820,29 +822,30 @@ class TestCriticalValueReuse:
 
 class TestMixtureReuse:
     """Each evaluation point builds a table per source, computes its df-1 tails once
-    and walks each density at most once; local power walks no cdf."""
+    and makes one Poisson walk for its three densities; local power walks no cdf."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        calls = {"nc_chisq1_tails": [], "nc_chisq_pdf": [], "nc_chisq_cdf": [],
-                 "power_coefficients": []}
+        calls = {"nc_chisq1_tails": [], "power_coefficients": [], "walks": []}
 
-        def recording(name):
-            inner = getattr(localpower, name)
+        def recording(module, name, log):
+            inner = getattr(module, name)
 
             def wrapper(*args):
-                calls[name].append(args)
+                log.append(args)
                 return inner(*args)
 
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(localpower, name, recording(name))
+        for name in ("nc_chisq1_tails", "power_coefficients"):
+            recording(localpower, name, calls[name])
+        recording(specfun, "_poisson_walk", calls["walks"])
         return calls
 
     @staticmethod
-    def densities(calls):
-        return [(params.df, params.noncentrality) for params, _ in calls["nc_chisq_pdf"]]
+    def walks(calls):
+        # (lam, cdf carried, density dfs) of every Poisson walk
+        return [(params.noncentrality, cdf, pdf_dfs) for params, _, cdf, pdf_dfs in calls["walks"]]
 
     def test_power_grid(self, capsys, calls):
         code, _, _ = _capture(
@@ -851,10 +854,8 @@ class TestMixtureReuse:
         )
         assert code == 0
         assert [lam for lam, _ in calls["nc_chisq1_tails"]] == [0.0, 0.25, 1.0]
-        # eps = 0 has an all-zero table, so no density is walked there
-        assert sorted(self.densities(calls)) == [
-            (df, lam) for df in (3.0, 5.0, 7.0) for lam in (0.25, 1.0)]
-        assert calls["nc_chisq_cdf"] == []
+        # one walk per nonzero lam; eps = 0 has an all-zero table, so none there
+        assert self.walks(calls) == [(lam, False, (3.0, 5.0, 7.0)) for lam in (0.25, 1.0)]
         assert len(calls["power_coefficients"]) == 3
 
     def test_simulate_both_sources(self, capsys, calls):
@@ -865,6 +866,23 @@ class TestMixtureReuse:
         )
         assert code == 0
         assert [lam for lam, _ in calls["nc_chisq1_tails"]] == [0.25]
-        assert sorted(self.densities(calls)) == [(3.0, 0.25), (5.0, 0.25), (7.0, 0.25)]
-        assert calls["nc_chisq_cdf"] == []
+        assert self.walks(calls) == [(0.25, False, (3.0, 5.0, 7.0))]
         assert len(calls["power_coefficients"]) == 2
+
+    def test_no_walk_at_infinite_n(self, calls):
+        query = localpower.PowerQuery(
+            catalog_model("gamma", {"k": 2.0}), 1.0, 0.5, math.inf, 0.05)
+        for source in localpower.SOURCES:
+            for kind in TestKind:
+                localpower.local_power(query, kind, source)
+        assert [lam for lam, _ in calls["nc_chisq1_tails"]] == [0.25]
+        assert calls["walks"] == []
+        assert len(calls["power_coefficients"]) == 2
+
+    def test_cdf_expansion_walks_once(self, calls):
+        e = expansion.PowerExpansion(2, 0.5, (0.1, -0.3, 0.15, 0.05))
+        expansion.cdf_expansion(e, 50, 3.84)
+        assert self.walks(calls) == [(0.5, True, (4.0, 6.0, 8.0))]
+        # at n = inf the cdf is walked alone
+        expansion.cdf_expansion(e, math.inf, 3.84)
+        assert self.walks(calls)[1:] == [(0.5, True, None)]

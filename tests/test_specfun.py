@@ -26,8 +26,11 @@ from gradpower.specfun import (
     central_chisq_sf,
     nc_chisq1_tails,
     nc_chisq_cdf,
+    nc_chisq_mixture,
     nc_chisq_pdf,
 )
+
+from helpers import reference_poisson_mixture
 
 # quadrature-oracle pins (40-digit arithmetic, rounded to double)
 CDF_1_AT_3_8415 = 0.95000122792877773014
@@ -267,6 +270,51 @@ class TestNoncentralPdf:
             nc_chisq_pdf(ChiSquareParams(3.0, 0.5), 0.0)
         with pytest.raises(DomainError):
             nc_chisq_pdf(ChiSquareParams(3.0, 0.5), -1.0)
+
+
+class TestPoissonWalk:
+    """One walk carries a cdf and three densities, each bit-identical to a walk of its own."""
+
+    DFS = (1.0, 2.0, 3.0, 5.0, 12.0)
+    LAMS = (0.0, 1e-3, 0.5, 5.0, 50.0, 200.0, 1e4)
+    # at lam = 1e4 the central density at the modal index underflows for every x here
+    XS = (1e-3, 0.01, 0.1, 0.5, 1.0, 3.84, 10.0, 40.0, 100.0, 400.0, 1e3)
+
+    @pytest.mark.parametrize("df", DFS)
+    def test_every_output_equals_its_own_walk(self, df):
+        underflows = 0
+        for lam in self.LAMS:
+            params = ChiSquareParams(df, lam)
+            for x in self.XS:
+                cdf = reference_poisson_mixture(params, x, pdf=False)
+                dfs = (df, df + 2.0, df + 4.0, df + 6.0)
+                dens = [reference_poisson_mixture(ChiSquareParams(d, lam), x, True) for d in dfs]
+                where = (df, lam, x)
+                assert specfun._poisson_walk(params, x, True, dfs[:3]) == (cdf, tuple(dens[:3])), where
+                # a walk that carries less gives the same sums
+                assert specfun._poisson_walk(params, x, True, None)[0] == cdf, where
+                assert specfun._poisson_walk(params, x, False, dfs[1:]) == (None, tuple(dens[1:])), where
+                # the public kernels clamp the same sums
+                g = min(max(cdf, 0.0), 1.0)
+                clamped = tuple(max(d, 0.0) for d in dens)
+                assert nc_chisq_cdf(params, x) == g, where
+                assert nc_chisq_pdf(params, x) == clamped[0], where
+                assert nc_chisq_mixture(params, x) == (g, clamped[1:]), where
+                assert nc_chisq_mixture(params, x, cdf=False) == (None, clamped[1:]), where
+                underflows += central_chisq_pdf(df + 2.0 * int(lam), x) == 0.0
+        assert underflows >= len(self.XS)
+
+    def test_walk_names_the_mixture_and_its_cap(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_POISSON_MAX_TERMS", 50)
+        for cdf in (True, False):
+            with pytest.raises(ConvergenceError,
+                               match="Poisson mixture needs more than 50 terms per sweep"):
+                nc_chisq_mixture(ChiSquareParams(1.0, 1e4), 2e4, cdf=cdf)
+
+    def test_mixture_domain(self):
+        for x in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                nc_chisq_mixture(ChiSquareParams(1.0, 0.5), x)
 
 
 class TestNoncentralTailsDf1:
