@@ -142,13 +142,13 @@ class PowerQuery:
         return nc_chisq_mixture(ChiSquareParams(1.0, self.lam), self.crit, cdf=False)[1]
 
     @cached_property
-    def _tables(self) -> dict:
+    def _values(self) -> dict:
         # source -> table; per instance, as queries are unhashable
         return {}
 
     def coefficients(self, source: str) -> CoefficientTable:
         """The coefficient table under ``source``."""
-        tables = self._tables
+        tables = self._values
         if source not in tables:
             tables[source] = power_coefficients(self.model, self.theta0, self.eps, source)
         return tables[source]

@@ -201,11 +201,12 @@ def _poisson_walk(params: ChiSquareParams, x: float, cdf: bool, pdf_dfs: tuple |
     # j0 = floor(lam) up, then down; starting at the mode avoids weight
     # underflow for large lam.  Each sweep stops once a geometric bound on its
     # remaining tail mass falls below half of _POISSON_TAIL.  The walk carries a
-    # cdf base at params.df when cdf is true, and a density base at each of the
-    # three degrees of freedom in pdf_dfs unless that is None.  It returns the
-    # cdf sum (None when not carried) and the three density sums.  The weights
-    # and the stops depend on lam alone, and each base takes the float
-    # operations of a walk of its own, so each sum equals that walk's bit for bit.
+    # cdf base at params.df when cdf is true, and a density base at each degree
+    # of freedom in pdf_dfs: none when that is None, else one or three.  It
+    # returns the cdf sum (None when not carried) and the density sums, padded
+    # with zeros to three.  The weights and the stops depend on lam alone, and
+    # each base takes the float operations of a walk of its own, so each sum
+    # equals that walk's bit for bit.
     lam = params.noncentrality
     xg = 0.5 * x
     j0 = int(lam)
@@ -226,10 +227,14 @@ def _poisson_walk(params: ChiSquareParams, x: float, cdf: bool, pdf_dfs: tuple |
         T0 = math.exp(logT0) if logT0 > -_MAXLOG else 0.0
         c0 = central_chisq_cdf(params.df + 2.0 * j0, x)
     pdf = pdf_dfs is not None
+    pdf3 = pdf and len(pdf_dfs) == 3
     a10 = a20 = a30 = b10 = b20 = b30 = 0.0
-    if pdf:
+    if pdf3:
         a10, a20, a30 = (0.5 * df + j0 for df in pdf_dfs)
         b10, b20, b30 = (central_chisq_pdf(df + 2.0 * j0, x) for df in pdf_dfs)
+    elif pdf:
+        (df1,) = pdf_dfs
+        a10, b10 = 0.5 * df1 + j0, central_chisq_pdf(df1 + 2.0 * j0, x)
     tc, t1, t2, t3 = w0 * c0, w0 * b10, w0 * b20, w0 * b30
     # the cdf base can round below 0 and is clamped there; a density base is a
     # product of non-negative factors, which a clamp at 0 leaves as it is
@@ -253,14 +258,15 @@ def _poisson_walk(params: ChiSquareParams, x: float, cdf: bool, pdf_dfs: tuple |
             tc += w * c
         if pdf:
             b1 *= xg / a1
-            b2 *= xg / a2
-            b3 *= xg / a3
             a1 += 1.0
-            a2 += 1.0
-            a3 += 1.0
             t1 += w * b1
-            t2 += w * b2
-            t3 += w * b3
+            if pdf3:
+                b2 *= xg / a2
+                b3 *= xg / a3
+                a2 += 1.0
+                a3 += 1.0
+                t2 += w * b2
+                t3 += w * b3
         if w < 1e-300 and j + 1 > lam:
             break
     else:
@@ -279,14 +285,15 @@ def _poisson_walk(params: ChiSquareParams, x: float, cdf: bool, pdf_dfs: tuple |
             tc += w * c
         if pdf:
             a1 -= 1.0
-            a2 -= 1.0
-            a3 -= 1.0
             b1 *= a1 / xg
-            b2 *= a2 / xg
-            b3 *= a3 / xg
             t1 += w * b1
-            t2 += w * b2
-            t3 += w * b3
+            if pdf3:
+                a2 -= 1.0
+                a3 -= 1.0
+                b2 *= a2 / xg
+                b3 *= a3 / xg
+                t2 += w * b2
+                t3 += w * b3
         if j > 0 and lam > j:
             # tail below j is bounded by w_{j-1} / (1 - (j-1)/lam)
             bound = (w * j / lam) / (1.0 - (j - 1.0) / lam)
@@ -335,7 +342,7 @@ def _check_positive_x(x: float) -> None:
 def nc_chisq_pdf(params: ChiSquareParams, x: float) -> float:
     """Density of the (Poisson-mixture) noncentral chi-square distribution."""
     _check_positive_x(x)
-    return max(_poisson_walk(params, x, False, (params.df,) * 3)[1][0], 0.0)
+    return max(_poisson_walk(params, x, False, (params.df,))[1][0], 0.0)
 
 
 def nc_chisq_mixture(
@@ -345,9 +352,10 @@ def nc_chisq_mixture(
 
     ``G`` is the CDF with ``params.df`` degrees of freedom and ``g2``, ``g4``,
     ``g6`` are the densities with ``df + 2``, ``df + 4`` and ``df + 6``, all at
-    noncentrality ``lam``: the values of a telescoped second-order sum.  Each
-    equals what :func:`nc_chisq_cdf` or :func:`nc_chisq_pdf` returns.  With
-    ``cdf=False`` the CDF is skipped and ``G`` is ``None``.
+    noncentrality ``lam``: the values of a telescoped second-order sum.  ``x``
+    must be positive and finite; there each value equals what
+    :func:`nc_chisq_cdf` or :func:`nc_chisq_pdf` returns.  With ``cdf=False``
+    the CDF is skipped and ``G`` is ``None``.
     """
     _check_positive_x(x)
     df = params.df

@@ -247,12 +247,15 @@ class TestLocalPower:
 
         model = catalog_model("gamma", {"k": 2.0})
         q = PowerQuery(model=model, theta0=1.0, eps=0.5, n=50, alpha=0.05)
-        # crit, tables and mixture values: computed on first use, not at construction
-        assert not {"crit", "lam", "_values"} & set(vars(q))
+        # crit, tails, densities and tables: computed on first use, not at construction
+        assert not {"crit", "lam", "tails", "densities", "_values"} & set(vars(q))
         assert q.crit == central_chisq_quantile(1.0, 0.05, upper=True)
         assert q.lam == 0.5 * model.fisher_information(1.0) * 0.5 ** 2
         assert q.scale == 1.0 / math.sqrt(50)
         assert PowerQuery(model=model, theta0=1.0, eps=0.5, n=math.inf, alpha=0.05).scale == 0.0
+        # the names above are the cached attributes, so the first check can fail
+        q.tails, q.densities, q.coefficients(SOURCE_CHAIN)
+        assert {"crit", "lam", "tails", "densities", "_values"} <= set(vars(q))
 
 
 class TestQueryReuse:

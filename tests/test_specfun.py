@@ -294,6 +294,7 @@ class TestPoissonWalk:
                 # a walk that carries less gives the same sums
                 assert specfun._poisson_walk(params, x, True, None)[0] == cdf, where
                 assert specfun._poisson_walk(params, x, False, dfs[1:]) == (None, tuple(dens[1:])), where
+                assert specfun._poisson_walk(params, x, False, dfs[:1]) == (None, (dens[0], 0.0, 0.0)), where
                 # the public kernels clamp the same sums
                 g = min(max(cdf, 0.0), 1.0)
                 clamped = tuple(max(d, 0.0) for d in dens)
