@@ -143,13 +143,13 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"gradpower {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="{model,stat,power,order,expand,simulate}")
 
-    def add_common(p, with_fixed=True):
-        if with_fixed:
-            p.add_argument("--model", required=True, choices=CATALOG_NAMES,
-                           help="catalog model name")
-            p.add_argument("--fixed", default="",
-                           help="fixed constants as key=value[,key=value...]")
+    def add_common(p):
+        p.add_argument("--model", required=True, choices=CATALOG_NAMES,
+                       help="catalog model name")
+        p.add_argument("--fixed", default="",
+                       help="fixed constants as key=value[,key=value...]")
         p.add_argument("--output", default=None, help="write output to this file")
+        p.add_argument("--theta0", type=float, required=True, help="null parameter value")
 
     p_model = sub.add_parser("model", help="list catalog models or show one")
     p_model.add_argument("action", choices=["list", "info"], help="what to show")
@@ -158,14 +158,12 @@ def _build_parser() -> _Parser:
 
     p_stat = sub.add_parser("stat", help="test statistics from a data file")
     add_common(p_stat)
-    p_stat.add_argument("--theta0", type=float, required=True, help="null parameter value")
     p_stat.add_argument("--data", required=True, help="data file, one observation per line")
     p_stat.add_argument("--format", choices=["csv", "text"], default="text",
                         help="output format (default text)")
 
     p_power = sub.add_parser("power", help="second-order local power table")
     add_common(p_power)
-    p_power.add_argument("--theta0", type=float, required=True, help="null parameter value")
     p_power.add_argument("--eps", required=True,
                          help="drift: number, start:stop:step, or 'grid' (0:2:0.1)")
     p_power.add_argument("--n", type=int, required=True, help="sample size")
@@ -175,7 +173,6 @@ def _build_parser() -> _Parser:
 
     p_order = sub.add_parser("order", help="power ordering with sign certificates")
     add_common(p_order)
-    p_order.add_argument("--theta0", type=float, required=True, help="null parameter value")
     p_order.add_argument("--alpha", type=float, required=True, help="nominal size")
     p_order.add_argument("--direction", choices=["above", "below"], required=True,
                          help="side of the alternative")
@@ -194,14 +191,11 @@ def _build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo size/power experiment")
     add_common(p_sim)
-    p_sim.add_argument("--theta0", type=float, required=True, help="null parameter value")
     p_sim.add_argument("--eps", type=float, required=True, help="drift")
     p_sim.add_argument("--n", type=int, required=True, help="per-replicate sample size")
     p_sim.add_argument("--reps", type=int, required=True, help="replicate count")
     p_sim.add_argument("--alpha", type=float, required=True, help="nominal size")
     p_sim.add_argument("--seed", type=int, required=True, help="stream seed")
-    p_sim.add_argument("--threads", type=int, default=1,
-                       help="worker count, echoed in the header; starts no process (default: 1)")
     p_sim.add_argument("--compare-sources", action="store_true",
                        help="predict power under both coefficient conventions")
     return parser
@@ -319,13 +313,12 @@ def _cmd_simulate(args) -> list[str]:
     config = SimulationConfig(
         model=model, theta0=args.theta0, eps=args.eps, n=args.n, reps=args.reps,
         alpha=args.alpha, seed=args.seed, compare_sources=args.compare_sources,
-        workers=args.threads,
     )
     report = simulate(config)
     lines = _config_header("simulate", [
         ("model", args.model), ("fixed", args.fixed or "-"), ("theta0", _fmt(args.theta0)),
         ("eps", _fmt(args.eps)), ("n", args.n), ("reps", args.reps),
-        ("alpha", _fmt(args.alpha)), ("seed", args.seed), ("threads", args.threads),
+        ("alpha", _fmt(args.alpha)), ("seed", args.seed),
         ("compare_sources", _fmt(args.compare_sources)),
     ])
     lines.append(f"critical_value: {_fmt(report.critical_value)}")

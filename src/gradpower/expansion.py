@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-12
+# relative tolerance of power_equivalence_flags: a cumulant this small against
+# the largest one counts as zero
+_EQUIV_TOL = 1e-12
 
 
 def _check_symmetric_3(t: np.ndarray, perms, label: str) -> None:
@@ -125,9 +128,12 @@ class PowerExpansion:
     a: tuple[float, float, float, float]
 
     def __post_init__(self):
-        if self.lam < -1e-12:
-            raise DomainError(f"noncentrality must be >= 0, got {self.lam}")
+        # the rule of ChiSquareParams, which cdf_expansion builds from lam
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise DomainError(f"noncentrality must be >= 0 and finite, got {self.lam}")
         a0, a1, a2, a3 = self.a
+        if not all(math.isfinite(c) for c in self.a):
+            raise DomainError(f"coefficients must be finite, got {self.a}")
         scale = max(1.0, abs(a0), abs(a1), abs(a2), abs(a3))
         if abs(a0 + a1 + a2 + a3) > 1e-12 * scale:
             raise DomainError(
@@ -204,13 +210,16 @@ def _telescoped(csum, C, cdf, density):
     for m, c in enumerate(C, start=1):
         if c != 0.0:
             total -= 2.0 * c * density(m)
-    return float(total)
+    return total
 
 
 def _weights(coeffs):
-    # (csum, C) of _telescoped: csum = sum_k c_k and C_m = sum_{k >= m} c_k, m = 1..3
-    c = np.asarray(coeffs, dtype=float)
-    return float(c.sum()), (c[1] + c[2] + c[3], c[2] + c[3], c[3])
+    # (csum, C) of _telescoped: csum = sum_k c_k and C_m = sum_{k >= m} c_k, m = 1..3,
+    # from four plain floats.  csum adds left to right from +0.0, as numpy sums four
+    # values, so a row of -0.0 gives +0.0; sum() is not used, as it compensates
+    # from Python 3.12 on.
+    c0, c1, c2, c3 = coeffs
+    return 0.0 + c0 + c1 + c2 + c3, (c1 + c2 + c3, c2 + c3, c3)
 
 
 def _inv_sqrt(n) -> float:
@@ -353,7 +362,7 @@ def st_moments(
     return MomentSet(m1=m1, m2=m2, m3=m3, A=(A1, A2, A3), mixture_mean=mixture_mean)
 
 
-def power_equivalence_flags(t: CumulantTensors, tol: float = 1e-12) -> dict:
+def power_equivalence_flags(t: CumulantTensors) -> dict:
     """Degeneracy flags for coinciding second-order local powers.
 
     ``lr_wald_gradient``: all third-derivative cumulants vanish, so the
@@ -362,11 +371,11 @@ def power_equivalence_flags(t: CumulantTensors, tol: float = 1e-12) -> dict:
     score cumulants (requires ``k111``), which collapses score and gradient.
     """
     scale = max(1.0, float(np.max(np.abs(t.k3))))
-    flags = {"lr_wald_gradient": bool(np.all(np.abs(t.k3) <= tol * scale))}
+    flags = {"lr_wald_gradient": bool(np.all(np.abs(t.k3) <= _EQUIV_TOL * scale))}
     if t.k111 is not None:
         diff = t.k3 - 2.0 * t.k111
         s2 = max(1.0, float(np.max(np.abs(t.k3))), 2.0 * float(np.max(np.abs(t.k111))))
-        flags["score_gradient"] = bool(np.all(np.abs(diff) <= tol * s2))
+        flags["score_gradient"] = bool(np.all(np.abs(diff) <= _EQUIV_TOL * s2))
     else:
         flags["score_gradient"] = None
     return flags

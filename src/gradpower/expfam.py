@@ -57,6 +57,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # rounds of the gamma rejection sampler: each round accepts at least 95% of the
 # draws still missing (Marsaglia-Tsang), so a working stream finishes in a few
 _GAMMA_MAX_ROUNDS = 64
+# Brent root finder: absolute bracket tolerance and iteration cap
+_BRENT_XTOL = 1e-14
+_BRENT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -830,7 +833,7 @@ def model_info(name: str) -> Mapping[str, str]:
 # ------------------------------------------------------------------ #
 
 
-def _brent(f, a: float, b: float, xtol: float = 1e-14, maxiter: int = 200) -> float:
+def _brent(f, a: float, b: float) -> float:
     # classic Brent root finder: bisection / secant / inverse quadratic
     fa, fb = f(a), f(b)
     if fa == 0.0:
@@ -841,14 +844,14 @@ def _brent(f, a: float, b: float, xtol: float = 1e-14, maxiter: int = 200) -> fl
         raise EstimationError(f"root not bracketed on [{a}, {b}]")
     c, fc = a, fa
     d = e = b - a
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAX_ITER):
         if fb * fc > 0.0:
             c, fc = a, fa
             d = e = b - a
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * 2.220446049250313e-16 * abs(b) + 0.5 * xtol
+        tol1 = 2.0 * 2.220446049250313e-16 * abs(b) + 0.5 * _BRENT_XTOL
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
             return b

@@ -199,14 +199,14 @@ def local_power(
     raw = query.tails[1]
     scale = query.scale
     if scale != 0.0:  # at n = inf no density is walked
-        raw -= scale * _second_order(query, *_weights(table.row(test)))
+        raw -= scale * _second_order(query, *_weights(table.row(test).tolist()))
     return _clamp(raw)
 
 
 def _difference_terms(table: CoefficientTable, i: TestKind, j: TestKind):
     # c_k = a_jk - a_ik; C_m = sum_{k >= m} c_k; csum = sum_k c_k.
     # Pi_i - Pi_j = n^{-1/2} [ csum * G_1 - 2 * sum_m C_m g_{1+2m} ]   (telescoped)
-    return _weights(table.row(j) - table.row(i))
+    return _weights((table.row(j) - table.row(i)).tolist())
 
 
 def _second_order(query: PowerQuery, csum: float, C) -> float:

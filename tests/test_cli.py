@@ -384,11 +384,10 @@ class TestSimulateCommand:
         assert "s4_mean:" in out
         assert "failures: 0" in out
 
-    def test_threads_flag_same_output(self, capsys):
-        code1, out1, _ = _capture(capsys, [*self.ARGS, "--threads", "1"])
-        code2, out2, _ = _capture(capsys, [*self.ARGS, "--threads", "2"])
-        assert code1 == code2 == 0
-        assert out1.replace("threads=1", "threads=2") == out2
+    def test_threads_flag_refused(self, capsys):
+        code, out, err = _capture(capsys, [*self.ARGS, "--threads", "2"])
+        assert code == 1 and out == ""
+        assert err == "usage error: unrecognized arguments: --threads 2\n"
 
 
 class TestGoldenOutput:
@@ -495,7 +494,7 @@ class TestGoldenOutput:
         assert code == 0
         assert out == (
             "# gradpower simulate model=gamma fixed=k=2 theta0=1 eps=0.5 n=50 reps=300"
-            " alpha=0.050000000000000003 seed=7 threads=1 compare_sources=true\n"
+            " alpha=0.050000000000000003 seed=7 compare_sources=true\n"
             "critical_value: 3.8414588206941263\n"
             "rejection_rate_lr: 0.11333333333333333\n"
             "rejection_rate_wald: 0.080000000000000002\n"
@@ -702,7 +701,7 @@ class TestCliContract:
             "power": ["--model", "--eps", "--n", "--alpha", "--source"],
             "order": ["--direction", "--eps-grid", "--source"],
             "expand": ["--tensors", "--eps", "--n", "--x"],
-            "simulate": ["--reps", "--seed", "--threads", "--compare-sources"],
+            "simulate": ["--reps", "--seed", "--compare-sources"],
         }.items():
             code, out, _ = _capture(capsys, [sub, "--help"])
             assert code == 0

@@ -1,5 +1,6 @@
 """Composite/simple/scalar coefficient chains, CDF expansion, and moments."""
 
+import itertools
 import math
 from pathlib import Path
 
@@ -222,6 +223,62 @@ class TestCdfExpansion:
                 for x in np.linspace(0.05, 20.0, 40):
                     raw = cdf_expansion(e, 20, float(x)).raw
                     assert -0.02 <= raw <= 1.02, (name, eps, x, raw)
+
+
+class TestPowerExpansionValidation:
+    @pytest.mark.parametrize("lam", [-1e-13, -1e-300, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_noncentrality_refused(self, lam):
+        with pytest.raises(DomainError, match=r"noncentrality must be >= 0 and finite"):
+            expansion.PowerExpansion(1, lam, (0.0, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k", range(4))
+    def test_non_finite_coefficient_refused(self, bad, k):
+        a = [0.0, 0.0, 0.0, 0.0]
+        a[k] = bad
+        with pytest.raises(DomainError, match=r"coefficients must be finite"):
+            expansion.PowerExpansion(1, 0.5, tuple(a))
+
+    def test_non_zero_sum_refused(self):
+        with pytest.raises(DomainError, match=r"coefficients must sum to zero"):
+            expansion.PowerExpansion(1, 0.5, (0.1, 0.0, 0.0, 0.0))
+
+    def test_boundary_values_accepted(self):
+        for lam in (0.0, -0.0, 5e-324, 200.0):
+            e = expansion.PowerExpansion(3, lam, (0.25, -0.5, 0.5, -0.25))
+            assert math.isfinite(cdf_expansion(e, 50, 2.0).raw)
+
+
+class TestTelescopedWeights:
+    """``_weights`` in plain floats against the numpy sum it replaced."""
+
+    @staticmethod
+    def _check(row):
+        csum, C = expansion._weights(list(row))
+        with np.errstate(over="ignore"):
+            want = float(np.sum(np.asarray(row, dtype=float)))
+        assert csum.hex() == want.hex(), row
+        assert math.copysign(1.0, csum) == math.copysign(1.0, want), row
+        assert type(csum) is float and all(type(c) is float for c in C)
+        c0, c1, c2, c3 = row
+        assert C == (c1 + c2 + c3, c2 + c3, c3)
+
+    def test_random_rows_match_numpy_sum(self):
+        rng = np.random.default_rng(20261018)
+        rows = rng.standard_normal((20000, 4)) * 10.0 ** rng.integers(-20, 21, (20000, 1))
+        # half the rows sum to zero up to rounding, as every coefficient row does
+        rows[:10000, 0] = -(rows[:10000, 1] + rows[:10000, 2] + rows[:10000, 3])
+        for row in rows.tolist():
+            self._check(row)
+
+    def test_signed_zero_grid_matches_numpy_sum(self):
+        grid = (0.0, -0.0, 1e-300, -1e-300, 5e-324, 1.0, -1.0, 1e308, -1e308)
+        for row in itertools.product(grid, repeat=4):
+            self._check(row)
+
+    def test_row_of_negative_zeros_sums_to_positive_zero(self):
+        csum, _ = expansion._weights([-0.0, -0.0, -0.0, -0.0])
+        assert math.copysign(1.0, csum) == 1.0
 
 
 class TestMoments:
