@@ -276,10 +276,6 @@ class TestTelescopedWeights:
         for row in itertools.product(grid, repeat=4):
             self._check(row)
 
-    def test_row_of_negative_zeros_sums_to_positive_zero(self):
-        csum, _ = expansion._weights([-0.0, -0.0, -0.0, -0.0])
-        assert math.copysign(1.0, csum) == 1.0
-
 
 class TestMoments:
     def test_null_moments(self):
