@@ -19,8 +19,8 @@ The second-order sum is evaluated telescoped, through
     sum_k a_k G_{f+2k,lam}(x) = A G_{f,lam}(x) - 2 sum_m C_m g_{f+2m,lam}(x),
 
 with ``A = sum_k a_k`` (zero up to rounding) and ``C_m = sum_{k>=m} a_k``
-for m = 1..3.  One Poisson walk gives the CDF and all three densities, and
-local power and power differences share the same sum.
+for m = 1..3.  One pass over the Poisson weights gives the CDF and all three
+densities, and local power and power differences share the same sum.
 
 Contractions are single ``np.einsum`` calls over dense arrays, bit-identical to
 direct triple loops.  The tested-block contraction zero-pads the drift to
@@ -32,14 +32,15 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, _check_sample_size
+from .errors import DomainError, _check_integer, _check_sample_size
 from .expfam import CumulantSet
-from .specfun import ChiSquareParams, nc_chisq_cdf, nc_chisq_mixture
+from .specfun import ChiSquareParams, _check_noncentrality, nc_chisq_cdf, nc_chisq_mixture
 
 __all__ = [
     "ClampedProbability",
@@ -128,9 +129,17 @@ class PowerExpansion:
     a: tuple[float, float, float, float]
 
     def __post_init__(self):
+        _check_integer("f", self.f)
+        if self.f < 1:
+            raise DomainError(f"f must be >= 1, got {self.f}")
         # the rule of ChiSquareParams, which cdf_expansion builds from lam
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise DomainError(f"noncentrality must be >= 0 and finite, got {self.lam}")
+        _check_noncentrality(self.lam)
+        if not (
+            isinstance(self.a, (tuple, list))
+            and len(self.a) == 4
+            and all(isinstance(c, numbers.Real) for c in self.a)
+        ):
+            raise DomainError(f"a must be four real numbers, got {self.a!r}")
         a0, a1, a2, a3 = self.a
         if not all(math.isfinite(c) for c in self.a):
             raise DomainError(f"coefficients must be finite, got {self.a}")
@@ -185,21 +194,31 @@ def _contract_mv(t: np.ndarray, m: np.ndarray, b) -> float:
     return float(np.einsum("rsu,rs,u->", t, m, b))
 
 
+def _half_quadratic(eps: np.ndarray, M: np.ndarray) -> float:
+    # the noncentrality eps' M eps / 2; a drift that overflows it is refused by
+    # ChiSquareParams' rule instead of warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = 0.5 * float(eps @ M @ eps)
+    _check_noncentrality(lam)
+    return lam
+
+
 def _drift_terms(t: CumulantTensors, eps: np.ndarray):
     # (eps*, A, lam): the full-length drift, the padded inverse nuisance block
     # and half the drift's quadratic form in the Schur-complement information
     p, q = t.p, t.q
     A = np.zeros((p, p))
     if q == 0:
-        return -eps.astype(float), A, 0.5 * float(eps @ t.K @ eps)
+        return -eps.astype(float), A, _half_quadratic(eps, t.K)
     K11 = t.K[:q, :q]
     K12 = t.K[:q, q:]
     K21 = t.K[q:, :q]
     K11_inv = np.linalg.inv(K11)
+    eff = t.K[q:, q:] - K21 @ K11_inv @ K12
+    lam = _half_quadratic(eps, eff)
     top = K11_inv @ K12 @ eps
     A[:q, :q] = K11_inv
-    eff = t.K[q:, q:] - K21 @ K11_inv @ K12
-    return np.concatenate([top, -eps]), A, 0.5 * float(eps @ eff @ eps)
+    return np.concatenate([top, -eps]), A, lam
 
 
 def _telescoped(csum, C, cdf, density):
@@ -270,6 +289,7 @@ def simple_coefficients(t: CumulantTensors, eps) -> PowerExpansion:
     if t.q != 0:
         raise DomainError(f"simple_coefficients requires q = 0, got q={t.q}")
     e = _validate_eps(t, eps)
+    lam = _half_quadratic(e, t.K)
     K_inv = np.linalg.inv(t.K)
     k3, k21 = t.k3, t.k21
 
@@ -281,7 +301,7 @@ def simple_coefficients(t: CumulantTensors, eps) -> PowerExpansion:
     a1 = -(kKe - 2.0 * k21e) / 4.0
     a2 = (kKe - (k3e + 2.0 * k21e)) / 4.0
     a3 = k3e / 12.0
-    return PowerExpansion(f=t.p, lam=0.5 * float(e @ t.K @ e), a=(a0, a1, a2, a3))
+    return PowerExpansion(f=t.p, lam=lam, a=(a0, a1, a2, a3))
 
 
 def scalar_coefficients(c: CumulantSet, eps: float) -> PowerExpansion:
@@ -314,7 +334,7 @@ def cdf_expansion(e: PowerExpansion, n, x: float) -> ClampedProbability:
         return ClampedProbability(1.0, 1.0, False)
     scale = _inv_sqrt(n)
     params = ChiSquareParams(e.f, e.lam)
-    if scale == 0.0:  # at n = inf the cdf is walked alone
+    if scale == 0.0:  # at n = inf the cdf is summed alone
         return _clamp(nc_chisq_cdf(params, x))
     g, densities = nc_chisq_mixture(params, x)
     csum, C = _weights(e.a)

@@ -9,13 +9,12 @@ degrees of freedom and noncentrality ``lam`` is a central chi-square with
 ``df + 2*lam``.  At one degree of freedom both tails also have a closed form
 in ``erfc``, which the local power expansion uses for its leading term.
 
-Every noncentral CDF and density sum comes from one outward walk over the
-Poisson weights, from the modal index up and then down (Benton &
-Krishnamoorthy 2003, *CSDA* 43:249).  One walk carries a CDF and three
-densities at once, as :func:`nc_chisq_mixture` returns them for a
-telescoped second-order sum; each value is bit-identical to the one a walk
-of its own gives, since the weights and the sweeps' stops depend on the
-noncentrality alone.
+Every noncentral CDF and density is a sum over the Poisson weights, walked
+once from the modal index up and then down (Benton & Krishnamoorthy 2003,
+*CSDA* 43:249); the weights and the sweeps' stops depend on the
+noncentrality alone.  One loop over them sums a CDF, another the densities
+at df, df + 2 and df + 4, so :func:`nc_chisq_mixture` takes the CDF and the
+three densities of a telescoped second-order sum from one weight pass.
 """
 
 from __future__ import annotations
@@ -72,12 +71,23 @@ class ChiSquareParams:
     noncentrality: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.df) and self.df > 0.0):
-            raise DomainError(f"df must be positive and finite, got {self.df}")
-        if not (math.isfinite(self.noncentrality) and self.noncentrality >= 0.0):
-            raise DomainError(
-                f"noncentrality must be >= 0 and finite, got {self.noncentrality}"
-            )
+        _check_df(self.df)
+        _check_noncentrality(self.noncentrality)
+
+
+def _check_df(df: float) -> None:
+    if not (math.isfinite(df) and df > 0.0):
+        raise DomainError(f"df must be positive and finite, got {df}")
+
+
+def _check_noncentrality(lam: float) -> None:
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise DomainError(f"noncentrality must be >= 0 and finite, got {lam}")
+
+
+def _check_finite_x(x: float) -> None:
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
 
 
 def _lower_gamma_series(a: float, x: float, ax: float) -> float:
@@ -140,17 +150,11 @@ def _upper_gamma_contfrac(a: float, x: float, ax: float) -> float:
     return ans * ax
 
 
-def _validate_df_x(df: float, x: float) -> None:
-    if not (math.isfinite(df) and df > 0.0):
-        raise DomainError(f"df must be positive and finite, got {df}")
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x}")
-
-
 def _central_tails(df: float, x: float) -> tuple[float, float]:
     # (P, Q): the series below df + 1, where Q = 1 - P is not small, and the
     # continued fraction in the tail, where P = 1 - Q is not small
-    _validate_df_x(df, x)
+    _check_df(df)
+    _check_finite_x(x)
     if x <= 0.0:
         return 0.0, 1.0
     a, h = 0.5 * df, 0.5 * x
@@ -179,7 +183,8 @@ def central_chisq_sf(df: float, x: float) -> float:
 
 def central_chisq_pdf(df: float, x: float) -> float:
     """Density of a central chi-square with ``df`` degrees of freedom."""
-    _validate_df_x(df, x)
+    _check_df(df)
+    _check_finite_x(x)
     if x <= 0.0:
         return 0.0
     a = 0.5 * df
@@ -196,19 +201,14 @@ def _walk_too_long(params: ChiSquareParams):
     )
 
 
-def _poisson_walk(params: ChiSquareParams, x: float, cdf: bool, pdf_dfs: tuple | None):
-    # One outward walk over the Poisson(lam) weights, from the modal index
-    # j0 = floor(lam) up, then down; starting at the mode avoids weight
-    # underflow for large lam.  Each sweep stops once a geometric bound on its
-    # remaining tail mass falls below half of _POISSON_TAIL.  The walk carries a
-    # cdf base at params.df when cdf is true, and a density base at each degree
-    # of freedom in pdf_dfs: none when that is None, else one or three.  It
-    # returns the cdf sum (None when not carried) and the density sums, padded
-    # with zeros to three.  The weights and the stops depend on lam alone, and
-    # each base takes the float operations of a walk of its own, so each sum
-    # equals that walk's bit for bit.
+def _poisson_weights(params: ChiSquareParams):
+    # (j0, w0, up, down): the Poisson(lam) weights that a mixture sum takes, walked
+    # once outward from the modal index j0 = floor(lam), which avoids weight
+    # underflow for large lam.  w0 is the modal weight, up holds w_{j0+1}, w_{j0+2},
+    # ... and down w_{j0-1}, ..., w_0.  Each sweep stops once a geometric bound on
+    # its remaining tail mass falls below half of _POISSON_TAIL, after at most
+    # _POISSON_MAX_TERMS terms.
     lam = params.noncentrality
-    xg = 0.5 * x
     j0 = int(lam)
     half_tail = 0.5 * _POISSON_TAIL
 
@@ -217,31 +217,8 @@ def _poisson_walk(params: ChiSquareParams, x: float, cdf: bool, pdf_dfs: tuple |
         logw0 += j0 * math.log(lam)
     w0 = math.exp(logw0)
 
-    # With a the shape df/2 + j of the central term and T(a) = xg^a e^-xg / Gamma(a+1),
-    #   P(a+1, xg) = P(a, xg) - T(a)           (cdf, df -> df + 2)
-    #   f_{df+2}(x) = f_df(x) * xg / a          (density, same step)
-    c0 = T0 = ac0 = 0.0
-    if cdf:
-        ac0 = 0.5 * params.df + j0
-        logT0 = ac0 * math.log(xg) - xg - math.lgamma(ac0 + 1.0)
-        T0 = math.exp(logT0) if logT0 > -_MAXLOG else 0.0
-        c0 = central_chisq_cdf(params.df + 2.0 * j0, x)
-    pdf = pdf_dfs is not None
-    pdf3 = pdf and len(pdf_dfs) == 3
-    a10 = a20 = a30 = b10 = b20 = b30 = 0.0
-    if pdf3:
-        a10, a20, a30 = (0.5 * df + j0 for df in pdf_dfs)
-        b10, b20, b30 = (central_chisq_pdf(df + 2.0 * j0, x) for df in pdf_dfs)
-    elif pdf:
-        (df1,) = pdf_dfs
-        a10, b10 = 0.5 * df1 + j0, central_chisq_pdf(df1 + 2.0 * j0, x)
-    tc, t1, t2, t3 = w0 * c0, w0 * b10, w0 * b20, w0 * b30
-    # the cdf base can round below 0 and is clamped there; a density base is a
-    # product of non-negative factors, which a clamp at 0 leaves as it is
-
-    # upward sweep: j0+1, j0+2, ... (at most _POISSON_MAX_TERMS terms)
-    w, c, T, ac = w0, c0, T0, ac0
-    b1, b2, b3, a1, a2, a3 = b10, b20, b30, a10, a20, a30
+    up = []
+    w = w0
     for j in range(j0, j0 + _POISSON_MAX_TERMS):
         wnext = w * lam / (j + 1.0)
         if j + 1.0 > lam:
@@ -250,50 +227,17 @@ def _poisson_walk(params: ChiSquareParams, x: float, cdf: bool, pdf_dfs: tuple |
             if bound < half_tail:
                 break
         w = wnext
-        if cdf:
-            c -= T
-            T *= xg / (ac + 1.0)
-            ac += 1.0
-            c = max(c, 0.0)
-            tc += w * c
-        if pdf:
-            b1 *= xg / a1
-            a1 += 1.0
-            t1 += w * b1
-            if pdf3:
-                b2 *= xg / a2
-                b3 *= xg / a3
-                a2 += 1.0
-                a3 += 1.0
-                t2 += w * b2
-                t3 += w * b3
+        up.append(w)
         if w < 1e-300 and j + 1 > lam:
             break
     else:
         _walk_too_long(params)
 
-    # downward sweep: j0-1, ..., 0 (weights shrink below the mode; at most
-    # _POISSON_MAX_TERMS terms)
-    w, c, T, ac = w0, c0, T0, ac0
-    b1, b2, b3, a1, a2, a3 = b10, b20, b30, a10, a20, a30
+    down = []
+    w = w0
     for j in range(j0 - 1, max(j0 - 1 - _POISSON_MAX_TERMS, -1), -1):
         w *= (j + 1) / lam
-        if cdf:
-            ac -= 1.0
-            T *= (ac + 1.0) / xg
-            c = min(c + T, 1.0)
-            tc += w * c
-        if pdf:
-            a1 -= 1.0
-            b1 *= a1 / xg
-            t1 += w * b1
-            if pdf3:
-                a2 -= 1.0
-                a3 -= 1.0
-                b2 *= a2 / xg
-                b3 *= a3 / xg
-                t2 += w * b2
-                t3 += w * b3
+        down.append(w)
         if j > 0 and lam > j:
             # tail below j is bounded by w_{j-1} / (1 - (j-1)/lam)
             bound = (w * j / lam) / (1.0 - (j - 1.0) / lam)
@@ -302,17 +246,68 @@ def _poisson_walk(params: ChiSquareParams, x: float, cdf: bool, pdf_dfs: tuple |
     else:
         if j0 > _POISSON_MAX_TERMS:
             _walk_too_long(params)
+    return j0, w0, up, down
 
-    return (tc if cdf else None), (t1, t2, t3)
+
+def _cdf_sum(weights, df: float, x: float) -> float:
+    # sum_j w_j P_{df+2j}(x) over _poisson_weights' terms, modal term first, then
+    # up, then down.  With a = df/2 + j and T(a) = xg^a e^-xg / Gamma(a+1),
+    # P(a+1, xg) = P(a, xg) - T(a); each step clamps the base back into [0, 1].
+    j0, w0, up, down = weights
+    xg = 0.5 * x
+    a0 = 0.5 * df + j0
+    logT0 = a0 * math.log(xg) - xg - math.lgamma(a0 + 1.0)
+    T0 = math.exp(logT0) if logT0 > -_MAXLOG else 0.0
+    c0 = central_chisq_cdf(df + 2.0 * j0, x)
+    total = w0 * c0
+
+    c, T, a = c0, T0, a0
+    for w in up:
+        c -= T
+        T *= xg / (a + 1.0)
+        a += 1.0
+        c = max(c, 0.0)
+        total += w * c
+
+    c, T, a = c0, T0, a0
+    for w in down:
+        a -= 1.0
+        T *= (a + 1.0) / xg
+        c = min(c + T, 1.0)
+        total += w * c
+    return total
+
+
+def _density_sums(weights, df: float, x: float) -> tuple[float, float, float]:
+    # sum_j w_j f_v(x) at v = df + 2j, df + 2 + 2j and df + 4 + 2j in one loop over
+    # _poisson_weights' terms, as f_{v+2}(x) = f_v(x) * xg / a with a = v/2.  Each
+    # base is a product of non-negative factors, so no step clamps it.
+    j0, w0, up, down = weights
+    xg = 0.5 * x
+    d2, d3 = df + 2.0, df + 4.0
+    a10, a20, a30 = 0.5 * df + j0, 0.5 * d2 + j0, 0.5 * d3 + j0
+    b10, b20, b30 = (central_chisq_pdf(d + 2.0 * j0, x) for d in (df, d2, d3))
+    t1, t2, t3 = w0 * b10, w0 * b20, w0 * b30
+
+    b1, b2, b3, a1, a2, a3 = b10, b20, b30, a10, a20, a30
+    for w in up:
+        b1, b2, b3 = b1 * (xg / a1), b2 * (xg / a2), b3 * (xg / a3)
+        a1, a2, a3 = a1 + 1.0, a2 + 1.0, a3 + 1.0
+        t1, t2, t3 = t1 + w * b1, t2 + w * b2, t3 + w * b3
+    b1, b2, b3, a1, a2, a3 = b10, b20, b30, a10, a20, a30
+    for w in down:
+        a1, a2, a3 = a1 - 1.0, a2 - 1.0, a3 - 1.0
+        b1, b2, b3 = b1 * (a1 / xg), b2 * (a2 / xg), b3 * (a3 / xg)
+        t1, t2, t3 = t1 + w * b1, t2 + w * b2, t3 + w * b3
+    return t1, t2, t3
 
 
 def nc_chisq_cdf(params: ChiSquareParams, x: float) -> float:
     """CDF of the (Poisson-mixture) noncentral chi-square distribution."""
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x}")
+    _check_finite_x(x)
     if x <= 0.0:
         return 0.0
-    return min(max(_poisson_walk(params, x, True, None)[0], 0.0), 1.0)
+    return min(max(_cdf_sum(_poisson_weights(params), params.df, x), 0.0), 1.0)
 
 
 def nc_chisq1_tails(lam: float, x: float) -> tuple[float, float]:
@@ -323,9 +318,8 @@ def nc_chisq1_tails(lam: float, x: float) -> tuple[float, float]:
     Univariate Distributions* vol. 2, ch. 29).  ``erfc`` keeps Q's relative
     accuracy far into the upper tail; G is accurate in absolute terms.
     """
-    ChiSquareParams(1.0, lam)  # validates lam
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x}")
+    _check_noncentrality(lam)
+    _check_finite_x(x)
     if x <= 0.0:
         return 0.0, 1.0
     r, mu = math.sqrt(0.5 * x), math.sqrt(lam)  # sqrt(x)/sqrt(2) and mu/sqrt(2)
@@ -342,26 +336,25 @@ def _check_positive_x(x: float) -> None:
 def nc_chisq_pdf(params: ChiSquareParams, x: float) -> float:
     """Density of the (Poisson-mixture) noncentral chi-square distribution."""
     _check_positive_x(x)
-    return max(_poisson_walk(params, x, False, (params.df,))[1][0], 0.0)
+    return max(_density_sums(_poisson_weights(params), params.df, x)[0], 0.0)
 
 
 def nc_chisq_mixture(
     params: ChiSquareParams, x: float, cdf: bool = True
 ) -> tuple[float | None, tuple[float, float, float]]:
-    """``(G, (g2, g4, g6))`` at ``x`` from one Poisson walk.
+    """``(G, (g2, g4, g6))`` at ``x`` from one pass over the Poisson weights.
 
     ``G`` is the CDF with ``params.df`` degrees of freedom and ``g2``, ``g4``,
-    ``g6`` are the densities with ``df + 2``, ``df + 4`` and ``df + 6``, all at
-    noncentrality ``lam``: the values of a telescoped second-order sum.  ``x``
-    must be positive and finite; there each value equals what
-    :func:`nc_chisq_cdf` or :func:`nc_chisq_pdf` returns.  With ``cdf=False``
-    the CDF is skipped and ``G`` is ``None``.
+    ``g6`` are the densities with ``d = df + 2``, ``d + 2`` and ``d + 4``, all
+    at noncentrality ``lam``: the values of a telescoped second-order sum.
+    ``x`` must be positive and finite; there each value equals what
+    :func:`nc_chisq_cdf` or :func:`nc_chisq_pdf` returns at the same degrees of
+    freedom.  With ``cdf=False`` the CDF is skipped and ``G`` is ``None``.
     """
     _check_positive_x(x)
-    df = params.df
-    g, (g2, g4, g6) = _poisson_walk(params, x, cdf, (df + 2.0, df + 4.0, df + 6.0))
-    if g is not None:
-        g = min(max(g, 0.0), 1.0)
+    weights = _poisson_weights(params)
+    g = min(max(_cdf_sum(weights, params.df, x), 0.0), 1.0) if cdf else None
+    g2, g4, g6 = _density_sums(weights, params.df + 2.0, x)
     return g, (max(g2, 0.0), max(g4, 0.0), max(g6, 0.0))
 
 
@@ -377,8 +370,7 @@ def central_chisq_quantile(df: float, p: float, upper: bool = False) -> float:
     that would leave the bracket bisects it instead.  Results are memoised
     per ``(df, p, upper)``.
     """
-    if not (math.isfinite(df) and df > 0.0):
-        raise DomainError(f"df must be positive and finite, got {df}")
+    _check_df(df)
     if not (math.isfinite(p) and 0.0 < p < 1.0):
         raise DomainError(f"p must lie in (0, 1), got {p}")
     if p > 0.5:

@@ -335,6 +335,14 @@ class TestExpandCommand:
         )
         assert code == 2
 
+    def test_overflowing_drift_is_a_domain_error(self, capsys):
+        # eps' K eps overflows to inf: refused by name, with no numpy warning on stderr
+        tensors = str(Path(__file__).with_name("normal_composite_tensors.json"))
+        code, out, err = _capture(
+            capsys, ["expand", "--tensors", tensors, "--eps", "1e200", "--n", "50", "--x", "1"])
+        assert code == 2 and out == ""
+        assert err == "domain error: noncentrality must be >= 0 and finite, got inf\n"
+
     def test_normal_composite_fixture_golden(self, capsys, tmp_path, monkeypatch):
         # normal(mu, v) with mu the nuisance: the composite expansion's full stdout
         name = "normal_composite_tensors.json"
@@ -821,30 +829,39 @@ class TestCriticalValueReuse:
 
 class TestMixtureReuse:
     """Each evaluation point builds a table per source, computes its df-1 tails once
-    and makes one Poisson walk for its three densities; local power walks no cdf."""
+    and makes one pass over the Poisson weights for its three densities; local power
+    sums no cdf."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        calls = {"nc_chisq1_tails": [], "power_coefficients": [], "walks": []}
+        calls = {"nc_chisq1_tails": [], "power_coefficients": [], "weights": [], "sums": []}
 
-        def recording(module, name, log):
+        def recording(module, name, log, entry=lambda args, result: args):
             inner = getattr(module, name)
 
             def wrapper(*args):
-                log.append(args)
-                return inner(*args)
+                result = inner(*args)
+                log.append(entry(args, result))
+                return result
 
             monkeypatch.setattr(module, name, wrapper)
 
         for name in ("nc_chisq1_tails", "power_coefficients"):
             recording(localpower, name, calls[name])
-        recording(specfun, "_poisson_walk", calls["walks"])
+        # (lam, weights) of every weight pass; (kind, df, weights) of every kernel sum
+        recording(specfun, "_poisson_weights", calls["weights"],
+                  lambda args, result: (args[0].noncentrality, result))
+        for kind, name in (("cdf", "_cdf_sum"), ("densities", "_density_sums")):
+            recording(specfun, name, calls["sums"],
+                      lambda args, result, kind=kind: (kind, args[1], args[0]))
         return calls
 
     @staticmethod
     def walks(calls):
-        # (lam, cdf carried, density dfs) of every Poisson walk
-        return [(params.noncentrality, cdf, pdf_dfs) for params, _, cdf, pdf_dfs in calls["walks"]]
+        # (lam, sums taken) of every weight pass, each sum as (kind, df); a sum
+        # counts only on the very weights that pass returned
+        return [(lam, [(kind, df) for kind, df, used in calls["sums"] if used is weights])
+                for lam, weights in calls["weights"]]
 
     def test_power_grid(self, capsys, calls):
         code, _, _ = _capture(
@@ -853,8 +870,9 @@ class TestMixtureReuse:
         )
         assert code == 0
         assert [lam for lam, _ in calls["nc_chisq1_tails"]] == [0.0, 0.25, 1.0]
-        # one walk per nonzero lam; eps = 0 has an all-zero table, so none there
-        assert self.walks(calls) == [(lam, False, (3.0, 5.0, 7.0)) for lam in (0.25, 1.0)]
+        # one weight pass per nonzero lam; eps = 0 has an all-zero table, so none there
+        assert self.walks(calls) == [(lam, [("densities", 3.0)]) for lam in (0.25, 1.0)]
+        assert len(calls["sums"]) == 2
         assert len(calls["power_coefficients"]) == 3
 
     def test_simulate_both_sources(self, capsys, calls):
@@ -865,7 +883,8 @@ class TestMixtureReuse:
         )
         assert code == 0
         assert [lam for lam, _ in calls["nc_chisq1_tails"]] == [0.25]
-        assert self.walks(calls) == [(0.25, False, (3.0, 5.0, 7.0))]
+        assert self.walks(calls) == [(0.25, [("densities", 3.0)])]
+        assert len(calls["sums"]) == 1
         assert len(calls["power_coefficients"]) == 2
 
     def test_no_walk_at_infinite_n(self, calls):
@@ -875,13 +894,14 @@ class TestMixtureReuse:
             for kind in TestKind:
                 localpower.local_power(query, kind, source)
         assert [lam for lam, _ in calls["nc_chisq1_tails"]] == [0.25]
-        assert calls["walks"] == []
+        assert calls["weights"] == [] and calls["sums"] == []
         assert len(calls["power_coefficients"]) == 2
 
     def test_cdf_expansion_walks_once(self, calls):
         e = expansion.PowerExpansion(2, 0.5, (0.1, -0.3, 0.15, 0.05))
         expansion.cdf_expansion(e, 50, 3.84)
-        assert self.walks(calls) == [(0.5, True, (4.0, 6.0, 8.0))]
-        # at n = inf the cdf is walked alone
+        assert self.walks(calls) == [(0.5, [("cdf", 2.0), ("densities", 4.0)])]
+        # at n = inf the cdf is summed alone
         expansion.cdf_expansion(e, math.inf, 3.84)
-        assert self.walks(calls)[1:] == [(0.5, True, None)]
+        assert self.walks(calls)[1:] == [(0.5, [("cdf", 2.0)])]
+        assert len(calls["sums"]) == 3

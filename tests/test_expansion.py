@@ -243,10 +243,44 @@ class TestPowerExpansionValidation:
         with pytest.raises(DomainError, match=r"coefficients must sum to zero"):
             expansion.PowerExpansion(1, 0.5, (0.1, 0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("f", [0, -1, 1.5, 2.0, True, math.inf, "2", None])
+    def test_bad_dimension_refused(self, f):
+        with pytest.raises(DomainError, match=r"^f must be"):
+            expansion.PowerExpansion(f, 0.5, (0.0, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("a", [
+        (0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0), "abcd", "00", None, 0.0,
+        (0.0, 0.0, "0", 0.0), (0.0, 0.0, 0.0, 1j),
+    ])
+    def test_bad_coefficients_refused(self, a):
+        with pytest.raises(DomainError, match=r"^a must be four real numbers"):
+            expansion.PowerExpansion(1, 0.5, a)
+
     def test_boundary_values_accepted(self):
         for lam in (0.0, -0.0, 5e-324, 200.0):
             e = expansion.PowerExpansion(3, lam, (0.25, -0.5, 0.5, -0.25))
             assert math.isfinite(cdf_expansion(e, 50, 2.0).raw)
+
+
+class TestOverflowingDrift:
+    """A drift whose quadratic form overflows is refused, with no numpy warning."""
+
+    MESSAGE = r"^noncentrality must be >= 0 and finite, got inf$"
+
+    def test_composite_and_moments_refuse_it(self):
+        t = load_tensor_file(Path(__file__).with_name("normal_composite_tensors.json"))
+        with pytest.raises(DomainError, match=self.MESSAGE):
+            composite_coefficients(t, [1e200])
+        # st_moments alone refuses the same drift
+        with pytest.raises(DomainError, match=self.MESSAGE):
+            st_moments(t, [1e200], 50)
+
+    def test_simple_refuses_it(self):
+        t = gamma_tensors()
+        with pytest.raises(DomainError, match=self.MESSAGE):
+            simple_coefficients(t, [1e200])
+        with pytest.raises(DomainError, match=self.MESSAGE):
+            st_moments(t, [1e200], 50)
 
 
 class TestTelescopedWeights:

@@ -273,7 +273,8 @@ class TestNoncentralPdf:
 
 
 class TestPoissonWalk:
-    """One walk carries a cdf and three densities, each bit-identical to a walk of its own."""
+    """One pass over the Poisson weights feeds a cdf sum and three density sums, each
+    bit-identical to a walk of its own."""
 
     DFS = (1.0, 2.0, 3.0, 5.0, 12.0)
     LAMS = (0.0, 1e-3, 0.5, 5.0, 50.0, 200.0, 1e4)
@@ -285,16 +286,17 @@ class TestPoissonWalk:
         underflows = 0
         for lam in self.LAMS:
             params = ChiSquareParams(df, lam)
+            weights = specfun._poisson_weights(params)
+            # the weights depend on lam alone
+            assert specfun._poisson_weights(ChiSquareParams(df + 7.0, lam)) == weights
             for x in self.XS:
                 cdf = reference_poisson_mixture(params, x, pdf=False)
                 dfs = (df, df + 2.0, df + 4.0, df + 6.0)
                 dens = [reference_poisson_mixture(ChiSquareParams(d, lam), x, True) for d in dfs]
                 where = (df, lam, x)
-                assert specfun._poisson_walk(params, x, True, dfs[:3]) == (cdf, tuple(dens[:3])), where
-                # a walk that carries less gives the same sums
-                assert specfun._poisson_walk(params, x, True, None)[0] == cdf, where
-                assert specfun._poisson_walk(params, x, False, dfs[1:]) == (None, tuple(dens[1:])), where
-                assert specfun._poisson_walk(params, x, False, dfs[:1]) == (None, (dens[0], 0.0, 0.0)), where
+                assert specfun._cdf_sum(weights, df, x) == cdf, where
+                assert specfun._density_sums(weights, df, x) == tuple(dens[:3]), where
+                assert specfun._density_sums(weights, df + 2.0, x) == tuple(dens[1:]), where
                 # the public kernels clamp the same sums
                 g = min(max(cdf, 0.0), 1.0)
                 clamped = tuple(max(d, 0.0) for d in dens)
@@ -307,10 +309,17 @@ class TestPoissonWalk:
 
     def test_walk_names_the_mixture_and_its_cap(self, monkeypatch):
         monkeypatch.setattr(specfun, "_POISSON_MAX_TERMS", 50)
-        for cdf in (True, False):
+        params = ChiSquareParams(1.0, 1e4)
+        kernels = (
+            lambda: nc_chisq_mixture(params, 2e4),
+            lambda: nc_chisq_mixture(params, 2e4, cdf=False),
+            lambda: nc_chisq_cdf(params, 2e4),
+            lambda: nc_chisq_pdf(params, 2e4),
+        )
+        for kernel in kernels:
             with pytest.raises(ConvergenceError,
                                match="Poisson mixture needs more than 50 terms per sweep"):
-                nc_chisq_mixture(ChiSquareParams(1.0, 1e4), 2e4, cdf=cdf)
+                kernel()
 
     def test_mixture_domain(self):
         for x in (0.0, -1.0, math.inf, math.nan):
