@@ -67,8 +67,6 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return f"{float(x):.17g}"
 
 
@@ -289,7 +287,7 @@ def _cmd_expand(args) -> list[str]:
         )
     xs = _parse_grid(args.x, "--x")
     expansion = composite_coefficients(tensors, eps)
-    moments = st_moments(tensors, eps, args.n, expansion=expansion)
+    moments = st_moments(tensors, eps, args.n)
     lines = _config_header("expand", [
         ("tensors", args.tensors), ("eps", args.eps), ("n", args.n), ("x", args.x),
     ])
@@ -298,7 +296,7 @@ def _cmd_expand(args) -> list[str]:
     for k in range(4):
         lines.append(f"# a{k}={_fmt(expansion.a[k])}")
     lines.append(f"# mean_literal={_fmt(moments.m1)}")
-    lines.append(f"# mean_mixture={_fmt(moments.mixture_mean)}")
+    lines.append(f"# mean_mixture={_fmt(expansion.mixture_mean(args.n))}")
     lines.append(f"# variance={_fmt(moments.m2)}")
     lines.append(f"# third_moment={_fmt(moments.m3)}")
     lines.append("x,cdf,clamped")

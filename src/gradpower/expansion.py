@@ -10,8 +10,10 @@ the tested dimension, and ``lam`` half the quadratic form of eps in the
 effective information.  This module computes the coefficients ``a_0..a_3``
 for the composite case (nuisance block of dimension q) from numeric cumulant
 arrays, the simple case (q = 0), and the scalar case (p = 1), plus the
-matching first three moments in two variants whose leading terms disagree;
-both are exposed so simulation can arbitrate.
+matching first three moments.  The mean comes in two variants whose leading
+terms disagree, the literal ``MomentSet.m1`` and the mixture-implied
+``PowerExpansion.mixture_mean(n)``; both are exposed so simulation can
+arbitrate.
 
 The second-order sum is evaluated telescoped, through
 ``G_{m+2,lam} = G_{m,lam} - 2 g_{m+2,lam}`` with ``g`` the density:
@@ -38,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, _check_integer, _check_sample_size
+from .errors import DomainError, _check_float_size, _check_integer, _check_sample_size
 from .expfam import CumulantSet
 from .specfun import ChiSquareParams, _check_noncentrality, nc_chisq_cdf, nc_chisq_mixture
 
@@ -122,7 +124,11 @@ class CumulantTensors:
 
 @dataclass(frozen=True)
 class PowerExpansion:
-    """Degrees of freedom, noncentrality, and the four expansion coefficients."""
+    """Degrees of freedom, noncentrality, and the four expansion coefficients.
+
+    :meth:`mixture_mean` gives the statistic's mean that these CDF-mixture
+    weights imply; :class:`MomentSet` holds the literal expansion moments.
+    """
 
     f: int
     lam: float
@@ -132,6 +138,7 @@ class PowerExpansion:
         _check_integer("f", self.f)
         if self.f < 1:
             raise DomainError(f"f must be >= 1, got {self.f}")
+        _check_float_size("f", self.f)
         # the rule of ChiSquareParams, which cdf_expansion builds from lam
         _check_noncentrality(self.lam)
         if not (
@@ -149,22 +156,31 @@ class PowerExpansion:
                 f"coefficients must sum to zero, got {a0 + a1 + a2 + a3}"
             )
 
+    def mixture_mean(self, n) -> float:
+        """``f + 2 lam + (2/sqrt(n))(a1 + 2 a2 + 3 a3)``: the mean the CDF mixture implies.
+
+        ``n`` may be ``math.inf``.  :attr:`MomentSet.m1` is the literal expansion
+        mean, which carries the noncentrality once; simulation arbitrates
+        between the two (see the montecarlo module).
+        """
+        _check_n(n)
+        a = self.a
+        return self.f + 2.0 * self.lam + 2.0 * _inv_sqrt(n) * (a[1] + 2.0 * a[2] + 3.0 * a[3])
+
 
 @dataclass(frozen=True)
 class MomentSet:
     """First three moments of the statistic to second order.
 
-    ``m1`` is the literal expansion mean ``f + lam + 2 A1/sqrt(n)``;
-    ``mixture_mean`` is ``f + 2 lam + (2/sqrt(n))(a1 + 2 a2 + 3 a3)``, the mean
-    implied by the CDF mixture.  The two differ in how the noncentrality
-    enters; simulation arbitrates (see the montecarlo module).
+    ``m1`` is the literal expansion mean ``f + lam + 2 A1/sqrt(n)``.  The mean
+    that the CDF mixture implies, which carries the noncentrality twice, is
+    :meth:`PowerExpansion.mixture_mean`.
     """
 
     m1: float
     m2: float
     m3: float
     A: tuple[float, float, float]
-    mixture_mean: float
 
 
 class ClampedProbability(NamedTuple):
@@ -239,6 +255,13 @@ def _weights(coeffs):
     # from Python 3.12 on.
     c0, c1, c2, c3 = coeffs
     return 0.0 + c0 + c1 + c2 + c3, (c1 + c2 + c3, c2 + c3, c3)
+
+
+def _check_n(n) -> None:
+    # the sample size of every second-order evaluation: positive, possibly inf
+    _check_sample_size(n)
+    if not (n > 0):
+        raise DomainError(f"n must be positive, got {n}")
 
 
 def _inv_sqrt(n) -> float:
@@ -323,9 +346,7 @@ def cdf_expansion(e: PowerExpansion, n, x: float) -> ClampedProbability:
     """Evaluate Pr(S <= x) to second order; ``n`` may be ``math.inf``."""
     if math.isnan(x):
         raise DomainError("x must not be NaN")
-    _check_sample_size(n)
-    if not (n > 0):
-        raise DomainError(f"n must be positive, got {n}")
+    _check_n(n)
     if x <= 0.0:
         # the distribution lives on [0, inf)
         return ClampedProbability(0.0, 0.0, False)
@@ -341,19 +362,14 @@ def cdf_expansion(e: PowerExpansion, n, x: float) -> ClampedProbability:
     return _clamp(g + scale * _telescoped(csum, C, lambda: g, lambda m: densities[m - 1]))
 
 
-def st_moments(
-    t: CumulantTensors, eps, n, *, expansion: PowerExpansion | None = None
-) -> MomentSet:
+def st_moments(t: CumulantTensors, eps, n) -> MomentSet:
     """First three moments of the statistic to second order.
 
-    ``A1..A3`` use the moment-generating-function contractions; the companion
-    ``mixture_mean`` field restates the mean through the CDF-mixture weights,
-    those of ``composite_coefficients(t, eps)``.  A caller that has already
-    built that expansion passes it as ``expansion``, so it is not built twice.
+    ``A1..A3`` use the moment-generating-function contractions.  The mean
+    through the CDF-mixture weights is
+    ``composite_coefficients(t, eps).mixture_mean(n)``.
     """
-    _check_sample_size(n)
-    if not (n > 0):
-        raise DomainError(f"n must be positive, got {n}")
+    _check_n(n)
     e = _validate_eps(t, eps)
     es, A, lam = _drift_terms(t, e)
     K_inv = np.linalg.inv(t.K)
@@ -374,12 +390,7 @@ def st_moments(
     m1 = f + lam + 2.0 * A1 * rt
     m2 = 2.0 * (f + 2.0 * lam) + 8.0 * (A1 + A2) * rt
     m3 = 8.0 * (f + 3.0 * lam) + 6.0 * (A1 + 2.0 * A2 + A3) * rt
-
-    if expansion is None:
-        expansion = composite_coefficients(t, e)
-    a = expansion.a
-    mixture_mean = f + 2.0 * lam + 2.0 * rt * (a[1] + 2.0 * a[2] + 3.0 * a[3])
-    return MomentSet(m1=m1, m2=m2, m3=m3, A=(A1, A2, A3), mixture_mean=mixture_mean)
+    return MomentSet(m1=m1, m2=m2, m3=m3, A=(A1, A2, A3))
 
 
 def power_equivalence_flags(t: CumulantTensors) -> dict:

@@ -64,23 +64,17 @@ _BRENT_MAX_ITER = 200
 
 @dataclass(frozen=True)
 class Support:
-    """Interval of observable values, with open/closed endpoints."""
+    """Open interval ``(lo, hi)`` of observable values."""
 
     lo: float = -math.inf
     hi: float = math.inf
-    lo_open: bool = True
-    hi_open: bool = True
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        lo_ok = (x > self.lo) if self.lo_open else (x >= self.lo)
-        hi_ok = (x < self.hi) if self.hi_open else (x <= self.hi)
-        return bool(np.all(np.isfinite(x) & lo_ok & hi_ok))
+        return bool(np.all(np.isfinite(x) & (x > self.lo) & (x < self.hi)))
 
     def __str__(self) -> str:
-        lb = "(" if self.lo_open else "["
-        rb = ")" if self.hi_open else "]"
-        return f"{lb}{self.lo}, {self.hi}{rb}"
+        return f"({self.lo}, {self.hi})"
 
 
 @dataclass(frozen=True)
@@ -466,10 +460,6 @@ def _pow_beta(phi, t):
 
 
 # closed-form MLE roots of beta(theta) + dbar = 0
-def _mle_dbar(dbar):
-    return dbar
-
-
 def _mle_pareto(logk, dbar):
     return 1.0 / (dbar - logk)
 
@@ -486,9 +476,8 @@ def _bracket_positive(closed, dbar):
 
 
 def _bracket_real(closed, dbar):
+    # the one real-line model's closed form is the identity, and d-bar is finite here
     c = closed(dbar)
-    if not math.isfinite(c):
-        raise EstimationError(f"cannot bracket MLE for dbar={dbar}")
     w = 8.0 * (1.0 + abs(c))
     return (c - w, c + w)
 
@@ -501,7 +490,7 @@ _NEG_BETA = dict(
     beta=_neg,
     beta_d1=partial(_const, -1.0),
     beta_d2=partial(_const, 0.0),
-    mle_closed_form=_mle_dbar,
+    mle_closed_form=_identity,
 )
 
 

@@ -80,6 +80,11 @@ def _check_source(source: str) -> str:
     return source
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class CoefficientTable:
     """Rows LR, Wald, score, gradient; columns mixture index k = 0..3."""
@@ -102,8 +107,7 @@ class PowerQuery:
 
     def __post_init__(self):
         self.model.require_theta(self.theta0)
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if 1.0 - self.alpha == 1.0:
             raise DomainError(f"alpha={self.alpha} is too small: 1 - alpha rounds to 1")
         _check_sample_size(self.n)
@@ -294,8 +298,7 @@ def power_ordering(
     _check_source(source)
     if eps_sign not in ("above", "below"):
         raise DomainError(f"eps_sign must be 'above' or 'below', got {eps_sign!r}")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if not eps_grid or any(e <= 0.0 for e in eps_grid):
         raise DomainError("eps_grid must contain positive magnitudes")
     sign = 1.0 if eps_sign == "above" else -1.0

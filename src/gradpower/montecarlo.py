@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import DomainError, EstimationError, _check_integer
 from .expfam import ExpFamModel, catalog_model, cumulants
-from .expansion import st_moments, tensors_from_cumulants
+from .expansion import composite_coefficients, st_moments, tensors_from_cumulants
 from .localpower import SOURCE_CHAIN, SOURCE_TABLE, PowerQuery, local_power
 from .specfun import central_chisq_quantile  # noqa: F401 (unused; perfbench/tracing.py wraps it)
 from .teststats import ALL_KINDS, TestKind, statistics_from_dbar
@@ -319,14 +319,13 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     used = sum(p[3] for p in partials)
     sums = [math.fsum(p[4][t] for p in partials) for t in range(6)]
 
+    # reps >= 1, so a run with no usable replicate always trips this limit
     if failures > _FAILURE_LIMIT * config.reps:
         raise EstimationError(
             f"estimation failed in {failures}/{config.reps} replicates "
             f"(model={model.name!r}, theta0={config.theta0}, eps={config.eps}, "
             f"n={config.n}, seed={config.seed})"
         )
-    if used == 0:
-        raise EstimationError("no usable replicates")
 
     rates = tuple(r / used for r in rej)
     stderr = tuple(math.sqrt(r * (1.0 - r) / used) for r in rates)
@@ -491,16 +490,17 @@ def adjudicate_mean_expansion(
     rep = simulate(config)
     tensors = tensors_from_cumulants(cumulants(model, theta0))
     moments = st_moments(tensors, [eps], n)
+    mixture_mean = composite_coefficients(tensors, [eps]).mixture_mean(n)
     est = rep.st_moment_estimates
     z_lit = (est.mean - moments.m1) / est.se_mean
-    z_mix = (est.mean - moments.mixture_mean) / est.se_mean
+    z_mix = (est.mean - mixture_mean) / est.se_mean
     favored = "mixture" if abs(z_mix) <= abs(z_lit) else "literal"
     return MeanExpansionAdjudication(
         report=rep,
         empirical_mean=est.mean,
         se_mean=est.se_mean,
         literal_mean=moments.m1,
-        mixture_mean=moments.mixture_mean,
+        mixture_mean=mixture_mean,
         z_literal=z_lit,
         z_mixture=z_mix,
         favored=favored,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
 
-from .errors import ConvergenceError, DomainError
+from .errors import _FLOAT_MAX, ConvergenceError, DomainError
 
 __all__ = [
     "ChiSquareParams",
@@ -75,18 +75,22 @@ class ChiSquareParams:
         _check_noncentrality(self.noncentrality)
 
 
+# Each rule compares with the largest float rather than calling math.isfinite,
+# which raises OverflowError on an integer too large for a float.
+
+
 def _check_df(df: float) -> None:
-    if not (math.isfinite(df) and df > 0.0):
+    if not (0.0 < df <= _FLOAT_MAX):
         raise DomainError(f"df must be positive and finite, got {df}")
 
 
 def _check_noncentrality(lam: float) -> None:
-    if not (math.isfinite(lam) and lam >= 0.0):
+    if not (0.0 <= lam <= _FLOAT_MAX):
         raise DomainError(f"noncentrality must be >= 0 and finite, got {lam}")
 
 
 def _check_finite_x(x: float) -> None:
-    if not math.isfinite(x):
+    if not (-_FLOAT_MAX <= x <= _FLOAT_MAX):
         raise DomainError(f"x must be finite, got {x}")
 
 
@@ -212,6 +216,16 @@ def _poisson_weights(params: ChiSquareParams):
     j0 = int(lam)
     half_tail = 0.5 * _POISSON_TAIL
 
+    if lam > _POISSON_MAX_TERMS:
+        # The weights fall above the mode, and each up step's tail bound is at least
+        # its next weight, so the up sweep cannot stop within its cap while the weight
+        # at j0 + cap exceeds half_tail.  Such a lam is refused before any list is
+        # built.  The factor e covers lgamma's rounding wherever a sweep can end
+        # within the cap (lam below about 7e10).
+        j_cap = j0 + _POISSON_MAX_TERMS
+        if j_cap * math.log(lam) - lam - math.lgamma(j_cap + 1.0) > math.log(half_tail) + 1.0:
+            _walk_too_long(params)
+
     logw0 = -lam - math.lgamma(j0 + 1.0)
     if j0 > 0:
         logw0 += j0 * math.log(lam)
@@ -228,8 +242,6 @@ def _poisson_weights(params: ChiSquareParams):
                 break
         w = wnext
         up.append(w)
-        if w < 1e-300 and j + 1 > lam:
-            break
     else:
         _walk_too_long(params)
 
@@ -329,7 +341,7 @@ def nc_chisq1_tails(lam: float, x: float) -> tuple[float, float]:
 
 
 def _check_positive_x(x: float) -> None:
-    if not (math.isfinite(x) and x > 0.0):
+    if not (0.0 < x <= _FLOAT_MAX):
         raise DomainError(f"x must be positive and finite, got {x}")
 
 
@@ -371,7 +383,7 @@ def central_chisq_quantile(df: float, p: float, upper: bool = False) -> float:
     per ``(df, p, upper)``.
     """
     _check_df(df)
-    if not (math.isfinite(p) and 0.0 < p < 1.0):
+    if not (0.0 < p < 1.0):
         raise DomainError(f"p must lie in (0, 1), got {p}")
     if p > 0.5:
         p = 1.0 - p  # exact for p in (1/2, 1)

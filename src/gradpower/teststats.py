@@ -25,8 +25,8 @@ from enum import IntEnum
 import numpy as np
 
 from .expfam import ExpFamModel, checked_data, mle_from_dbar
-# central_chisq_cdf is not called here, but perfbench/tracing.py wraps it under this module
-from .specfun import central_chisq_cdf, central_chisq_sf  # noqa: F401
+from .specfun import central_chisq_cdf  # noqa: F401 (unused; perfbench/tracing.py wraps it)
+from .specfun import central_chisq_sf
 
 __all__ = ["TestKind", "TestResult", "compute_statistics", "compute_statistics_generic"]
 

@@ -553,7 +553,8 @@ class TestGoldenOutput:
 
 class TestCliContract:
     @pytest.mark.parametrize("grid", ["0:nan:0.1", "0:1:nan", "0:inf:0.1",
-                                      "0:2000000:1", "0:1e300:1"])
+                                      "0:2000000:1", "0:1e300:1",
+                                      "1:2", "1:a:0.1", "2:1:0.1", "1,a", "a"])
     def test_bad_grid_is_usage_error(self, capsys, grid):
         code, out, err = _capture(
             capsys,
@@ -571,6 +572,40 @@ class TestCliContract:
         )
         assert code == 1 and out == ""
         assert err == "usage error: --fixed key 'k' given more than once\n"
+
+    @pytest.mark.parametrize("fixed,code,err", [
+        ("k", 1, "usage error: --fixed entry 'k' must look like key=value\n"),
+        ("k=x", 1, "usage error: --fixed value 'x' for key 'k' is not a number\n"),
+        ("k=2,", 0, ""),  # the empty item is skipped
+    ])
+    def test_fixed_entries(self, capsys, fixed, code, err):
+        got = _capture(capsys, ["power", "--model", "gamma", "--fixed", fixed, "--theta0", "1",
+                                "--eps", "0.5", "--n", "50", "--alpha", "0.05"])
+        assert got[0] == code and got[2] == err
+        if code == 0:
+            want = _capture(capsys, ["power", *GAMMA_ARGS, "--eps", "0.5", "--n", "50",
+                                     "--alpha", "0.05"])[1]
+            assert got[1] == want.replace("fixed=k=2 ", "fixed=k=2, ")
+
+    @pytest.mark.parametrize("argv", [
+        ["power", *GAMMA_ARGS, "--eps", "0.5", "--alpha", "0.05"],
+        ["expand", "--tensors", str(Path(__file__).with_name("normal_composite_tensors.json")),
+         "--eps", "0.5", "--x", "1"],
+        ["simulate", *GAMMA_ARGS, "--eps", "0.5", "--reps", "10", "--alpha", "0.05",
+         "--seed", "1"],
+    ], ids=["power", "expand", "simulate"])
+    def test_huge_n_is_a_domain_error(self, capsys, argv):
+        huge = 10 ** 400
+        code, out, err = _capture(capsys, [*argv, "--n", str(huge)])
+        assert code == 2 and out == ""
+        assert err == f"domain error: n must be at most {sys.float_info.max}, got {huge}\n"
+
+    def test_main_exits_with_the_code_of_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["gradpower", "model", "list"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.splitlines()[1:] == list(CATALOG_NAMES)
 
     @pytest.mark.parametrize("argv,code", [
         (["power", *GAMMA_ARGS, "--n", "50", "--alpha", "0.05", "--eps", "-1:1:0.25"], 0),

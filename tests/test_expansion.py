@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ from scipy.stats import chi2
 
 from gradpower import expansion
 from gradpower.errors import DomainError
-from gradpower.expfam import catalog_model, cumulants
+from gradpower.expfam import CumulantSet, catalog_model, cumulants
 from gradpower.expansion import (
     CumulantTensors,
     cdf_expansion,
@@ -69,6 +71,12 @@ class TestCompositeCoefficients:
         t = random_tensors(np.random.default_rng(0), p=3, q=1)
         with pytest.raises(DomainError, match="length"):
             composite_coefficients(t, [1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps(self, bad):
+        t = random_tensors(np.random.default_rng(0), p=3, q=1)
+        with pytest.raises(DomainError, match="^eps must be finite$"):
+            composite_coefficients(t, [1.0, bad])
 
     def test_permutation_of_nuisance_coordinates(self):
         rng = np.random.default_rng(3)
@@ -183,6 +191,17 @@ class TestReductionChain:
         with pytest.raises(DomainError, match="q = 0"):
             simple_coefficients(t, [1.0, 1.0])
 
+    @pytest.mark.parametrize("k_tt,eps,message", [
+        (-2.0, math.nan, "eps must be finite, got nan"),
+        (-2.0, math.inf, "eps must be finite, got inf"),
+        (0.0, 1.0, "Fisher information must be positive, got -0.0"),
+        (1.0, 1.0, "Fisher information must be positive, got -1.0"),
+    ])
+    def test_scalar_refusals(self, k_tt, eps, message):
+        c = CumulantSet(k_tt=k_tt, k_ttt=1.0, k_t_tt=0.5, k_t_t_t=0.0, k_inv=0.5)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            scalar_coefficients(c, eps)
+
 
 class TestCdfExpansion:
     def test_pinned_value(self):
@@ -206,6 +225,12 @@ class TestCdfExpansion:
         e = simple_coefficients(gamma_tensors(), [1.0])
         assert cdf_expansion(e, 50, -3.0).value == 0.0
 
+    def test_nan_and_infinite_x(self):
+        e = simple_coefficients(gamma_tensors(), [1.0])
+        with pytest.raises(DomainError, match="^x must not be NaN$"):
+            cdf_expansion(e, 50, math.nan)
+        assert cdf_expansion(e, 50, math.inf) == (1.0, 1.0, False)
+
     def test_infinite_n_is_first_order(self):
         e = simple_coefficients(gamma_tensors(), [1.0])
         got = cdf_expansion(e, math.inf, 2.0)
@@ -226,7 +251,8 @@ class TestCdfExpansion:
 
 
 class TestPowerExpansionValidation:
-    @pytest.mark.parametrize("lam", [-1e-13, -1e-300, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("lam", [-1e-13, -1e-300, -1.0, math.nan, math.inf, -math.inf,
+                                     pytest.param(10 ** 400, id="10**400")])
     def test_bad_noncentrality_refused(self, lam):
         with pytest.raises(DomainError, match=r"noncentrality must be >= 0 and finite"):
             expansion.PowerExpansion(1, lam, (0.0, 0.0, 0.0, 0.0))
@@ -243,7 +269,8 @@ class TestPowerExpansionValidation:
         with pytest.raises(DomainError, match=r"coefficients must sum to zero"):
             expansion.PowerExpansion(1, 0.5, (0.1, 0.0, 0.0, 0.0))
 
-    @pytest.mark.parametrize("f", [0, -1, 1.5, 2.0, True, math.inf, "2", None])
+    @pytest.mark.parametrize("f", [0, -1, 1.5, 2.0, True, math.inf, "2", None,
+                                   pytest.param(10 ** 400, id="10**400")])
     def test_bad_dimension_refused(self, f):
         with pytest.raises(DomainError, match=r"^f must be"):
             expansion.PowerExpansion(f, 0.5, (0.0, 0.0, 0.0, 0.0))
@@ -260,6 +287,34 @@ class TestPowerExpansionValidation:
         for lam in (0.0, -0.0, 5e-324, 200.0):
             e = expansion.PowerExpansion(3, lam, (0.25, -0.5, 0.5, -0.25))
             assert math.isfinite(cdf_expansion(e, 50, 2.0).raw)
+
+
+class TestSampleSize:
+    """One n rule for cdf_expansion, st_moments and PowerExpansion.mixture_mean."""
+
+    CALLS = {
+        "cdf_expansion": lambda n: cdf_expansion(
+            simple_coefficients(gamma_tensors(), [1.0]), n, 2.0),
+        "st_moments": lambda n: st_moments(gamma_tensors(), [1.0], n),
+        "mixture_mean": lambda n: simple_coefficients(gamma_tensors(), [1.0]).mixture_mean(n),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("n,message", [
+        (0, "n must be positive, got 0"),
+        (-math.inf, "n must be positive, got -inf"),
+        (50.5, "n must be an integer, got 50.5"),
+        (True, "n must be an integer, got True"),
+        pytest.param(10 ** 400, f"n must be at most {sys.float_info.max}, got {10 ** 400}",
+                     id="10**400"),
+    ])
+    def test_bad_n_refused(self, call, n, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            self.CALLS[call](n)
+
+    def test_mixture_mean_at_infinite_n(self):
+        e = simple_coefficients(gamma_tensors(), [1.0])
+        assert e.mixture_mean(math.inf) == e.f + 2.0 * e.lam
 
 
 class TestOverflowingDrift:
@@ -316,7 +371,7 @@ class TestMoments:
         t = gamma_tensors()
         ms = st_moments(t, [0.0], 100)
         assert (ms.m1, ms.m2, ms.m3) == (1.0, 2.0, 8.0)
-        assert ms.mixture_mean == 1.0
+        assert composite_coefficients(t, [0.0]).mixture_mean(100) == 1.0
 
     def test_gamma_contractions(self):
         ms = st_moments(gamma_tensors(), [1.0], 200)
@@ -327,7 +382,8 @@ class TestMoments:
         assert ms.m1 == pytest.approx(2.0 + 3.0 * rt, abs=1e-13)
         assert ms.m2 == pytest.approx(6.0 + 16.0 * rt, abs=1e-13)
         assert ms.m3 == pytest.approx(32.0 + 17.0 * rt, abs=1e-13)
-        assert ms.mixture_mean == pytest.approx(3.0 - rt, abs=1e-13)
+        mixture_mean = composite_coefficients(gamma_tensors(), [1.0]).mixture_mean(200)
+        assert mixture_mean == pytest.approx(3.0 - rt, abs=1e-13)
 
     def test_mixture_mean_matches_weights(self):
         rng = np.random.default_rng(9)
@@ -335,10 +391,9 @@ class TestMoments:
         eps = [0.7]
         n = 64
         e = composite_coefficients(t, eps)
-        ms = st_moments(t, eps, n)
         a1, a2, a3 = e.a[1], e.a[2], e.a[3]
         want = e.f + 2.0 * e.lam + (2.0 / math.sqrt(n)) * (a1 + 2 * a2 + 3 * a3)
-        assert ms.mixture_mean == pytest.approx(want, abs=1e-12)
+        assert e.mixture_mean(n) == pytest.approx(want, abs=1e-12)
 
 
 class TestTensorValidation:
@@ -367,6 +422,17 @@ class TestTensorValidation:
         bad[0, 0, 1] = 1.0
         with pytest.raises(DomainError, match="k21"):
             CumulantTensors(p=2, q=0, K=np.eye(2), k3=np.zeros((2, 2, 2)), k21=bad)
+
+    @pytest.mark.parametrize("p,k3,k21,k111,message", [
+        (0, (0, 0, 0), (0, 0, 0), None, "p must be >= 1, got 0"),
+        (2, (2, 2), (2, 2, 2), None, r"k3 and k21 must have shape \(2, 2, 2\)"),
+        (2, (2, 2, 2), (2, 2, 3), None, r"k3 and k21 must have shape \(2, 2, 2\)"),
+        (2, (2, 2, 2), (2, 2, 2), (2, 2), r"k111 must have shape \(2, 2, 2\)"),
+    ])
+    def test_bad_dimension_or_shape(self, p, k3, k21, k111, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            CumulantTensors(p=p, q=0, K=np.eye(p), k3=np.zeros(k3), k21=np.zeros(k21),
+                            k111=None if k111 is None else np.zeros(k111))
 
     def test_bad_shapes_and_q(self):
         with pytest.raises(DomainError):
@@ -486,9 +552,10 @@ class TestCompositeNormalVariance:
         # E (s2 - 1)^2 = var s2 + (E s2 - 1)^2, with s2 = v C / n and C ~ chi-square(n - 1)
         exact = 0.5 * n * (2.0 * (n - 1) * (v / n) ** 2 + (v * (n - 1) / n - 1.0) ** 2)
         ms = st_moments(t, [eps], n)
+        mixture_mean = composite_coefficients(t, [eps]).mixture_mean(n)
         assert exact == pytest.approx(1.148687, abs=1e-6)
-        assert (ms.mixture_mean, ms.m1) == (1.15, 1.09375)
-        assert abs(ms.mixture_mean - exact) < 2.0 / n < abs(ms.m1 - exact)
+        assert (mixture_mean, ms.m1) == (1.15, 1.09375)
+        assert abs(mixture_mean - exact) < 2.0 / n < abs(ms.m1 - exact)
 
     @pytest.mark.parametrize("c", [0.7, -2.0])
     def test_linear_reparametrisation_of_the_nuisance_changes_nothing(self, c):
@@ -504,7 +571,8 @@ class TestCompositeNormalVariance:
                              k111=pull(t.k111))
         assert tc.K[0, 1] == -c
         assert composite_coefficients(tc, [0.5]) == composite_coefficients(t, [0.5])
-        assert st_moments(tc, [0.5], 50).mixture_mean == st_moments(t, [0.5], 50).mixture_mean
+        assert (composite_coefficients(tc, [0.5]).mixture_mean(50)
+                == composite_coefficients(t, [0.5]).mixture_mean(50))
         # elsewhere the reordered sums may round apart in the last bits
         for eps in (-1.25, 0.3, 2.0):
             want, got = composite_coefficients(t, [eps]), composite_coefficients(tc, [eps])

@@ -353,8 +353,48 @@ class TestMle:
         with pytest.raises(EstimationError):
             mle(m, [1.0, 1.0, 1.0])
 
+    @staticmethod
+    def _gamma_by_bracket(bracket):
+        # beta(t) + dbar = 1 - 2/t at dbar = 1, which vanishes exactly at t = 2
+        return dataclasses.replace(catalog_model("gamma", {"k": 2.0}), mle_closed_form=None,
+                                   mle_bracket=bracket)
+
+    def test_neither_closed_form_nor_bracket(self):
+        with pytest.raises(EstimationError, match="^model 'gamma' provides neither a "
+                                                  "closed-form MLE nor a bracket$"):
+            mle_from_dbar(self._gamma_by_bracket(None), 1.0)
+
+    def test_bracket_without_the_root(self):
+        m = self._gamma_by_bracket(lambda dbar: (0.5, 1.0))
+        with pytest.raises(EstimationError, match=r"^root not bracketed on \[0.5, 1.0\]$"):
+            mle_from_dbar(m, 1.0)
+
+    @pytest.mark.parametrize("bracket", [(2.0, 5.0), (0.5, 2.0)])
+    def test_root_at_a_bracket_end(self, bracket):
+        assert mle_from_dbar(self._gamma_by_bracket(lambda dbar: bracket), 1.0) == 2.0
+
+    def test_brent_stops_at_its_iteration_cap(self):
+        # a sign step defeats interpolation, and bisecting a bracket 2e300 wide down
+        # to the 1e-14 tolerance takes about 1050 halvings, more than the cap allows
+        calls = []
+
+        def step(t):
+            calls.append(t)
+            return -1.0 if t < 0.3 else 1.0
+
+        root = expfam._brent(step, -1e300, 1e300)
+        assert len(calls) == 2 + expfam._BRENT_MAX_ITER
+        assert root == calls[-1]
+
 
 class TestSampling:
+    def test_open_unit_replaces_an_exact_zero(self):
+        class Zeros:
+            def random(self, n):
+                return np.zeros(n)
+
+        assert expfam._open_unit(Zeros(), 3).tolist() == [2.0 ** -54] * 3
+
     def test_stream_determinism(self):
         m = catalog_model("gamma", {"k": 2.0})
         a = sample(m, 1.0, 16, Generator(Philox(key=[9, 3])))
@@ -558,11 +598,13 @@ class TestGammaDraw:
 
 
 class TestSupport:
-    def test_open_and_closed_endpoints(self):
-        s = Support(lo=0.0, hi=2.0, lo_open=True, hi_open=False)
-        assert s.contains([0.5, 2.0])
+    def test_open_endpoints(self):
+        # every catalog support is an open interval
+        s = Support(lo=0.0, hi=2.0)
+        assert s.contains([0.5, 1.5])
         assert not s.contains([0.0])
-        assert str(s) == "(0.0, 2.0]"
+        assert not s.contains([2.0])
+        assert str(s) == "(0.0, 2.0)"
 
 
 class TestLoadData(object):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -131,6 +133,19 @@ class TestCoefficientTable:
         np.testing.assert_allclose(a[0], a[3], atol=1e-15)
         assert not np.allclose(a[0], a[2], atol=1e-6)  # score stays apart
 
+    @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan])
+    def test_non_finite_eps_refused(self, eps):
+        with pytest.raises(DomainError, match=f"^eps must be finite, got {eps}$"):
+            power_coefficients(catalog_model("gamma", {"k": 1.0}), 1.0, eps)
+
+    @pytest.mark.parametrize("beta_d1", [0.0, -1.0])
+    def test_non_positive_information_refused(self, beta_d1):
+        model = dataclasses.replace(catalog_model("gamma", {"k": 1.0}),
+                                    beta_d1=lambda t: beta_d1)
+        with pytest.raises(DomainError,
+                           match=r"^Fisher information must be positive at theta0=1.0$"):
+            power_coefficients(model, 1.0, 0.5)
+
     def test_sign_flip_negates_coefficients(self):
         for name, model in all_models():
             theta0 = 1.0 if name != "normal-mean" else 0.5
@@ -225,6 +240,22 @@ class TestLocalPower:
                 cdf_expansion(e, n, 3.84)
             with pytest.raises(DomainError, match="n must be positive"):
                 st_moments(t, [0.5], n)
+
+    def test_huge_n_refused(self):
+        model = catalog_model("gamma", {"k": 2.0})
+        message = f"n must be at most {sys.float_info.max}, got {10 ** 400}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            PowerQuery(model=model, theta0=1.0, eps=0.5, n=10 ** 400, alpha=0.05)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.25, math.nan])
+    def test_one_alpha_rule(self, alpha):
+        # PowerQuery and power_ordering refuse the same alphas with the same message
+        model = catalog_model("gamma", {"k": 1.0})
+        message = f"^alpha must lie in \\(0, 1\\), got {alpha}$"
+        with pytest.raises(DomainError, match=message):
+            PowerQuery(model=model, theta0=1.0, eps=0.5, n=50, alpha=alpha)
+        with pytest.raises(DomainError, match=message):
+            power_ordering(model, 1.0, "above", alpha)
 
     def test_tiny_alpha_refused_by_name(self):
         # 1 - alpha rounds to 1, so no critical value exists in double precision

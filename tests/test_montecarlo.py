@@ -472,6 +472,17 @@ class TestFailureAccounting:
         with pytest.raises(EstimationError, match="estimation failed"):
             simulate(cfg)
 
+    def test_single_failed_replicate_trips_the_limit(self):
+        # a run with no usable replicate always exceeds the failure limit first
+        always_fail = dataclasses.replace(
+            GAMMA, mle_closed_form=lambda dbar: _failing_closed_form(-1.0, dbar)
+        )
+        cfg = SimulationConfig(
+            model=always_fail, theta0=1.0, eps=0.0, n=10, reps=1, alpha=0.05, seed=1
+        )
+        with pytest.raises(EstimationError, match="^estimation failed in 1/1 replicates"):
+            simulate(cfg)
+
 
 class TestConfigValidation:
     def test_bad_inputs(self):
@@ -517,6 +528,16 @@ class TestConfigValidation:
                 replicate_stream(seed, j)
             with pytest.raises(DomainError, match=message):
                 replicate_statistics(GAMMA, 1.05, 1.0, 20, seed, j)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("workers", 0, "^workers must be >= 1, got 0$"),
+        ("workers", -3, "^workers must be >= 1, got -3$"),
+        pytest.param("n", 10 ** 400, "^n must be at most", id="n-10**400"),
+    ])
+    def test_out_of_range_refused(self, field, value, message):
+        good = dict(model=GAMMA, theta0=1.0, eps=0.0, n=50, reps=1000, alpha=0.05, seed=0)
+        with pytest.raises(DomainError, match=message):
+            SimulationConfig(**{**good, field: value})
 
     def test_integer_edges_accepted(self):
         cfg = SimulationConfig(model=GAMMA, theta0=1.0, eps=0.0, n=np.int64(10), reps=5,

@@ -8,6 +8,8 @@ code with the package.
 """
 
 import math
+import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -96,6 +98,12 @@ class TestCentralCdf:
 
     def test_quadrature_pin(self):
         assert central_chisq_cdf(1.0, 3.8415) == pytest.approx(CDF_1_AT_3_8415, abs=1e-13)
+
+    def test_density_off_the_support_and_underflowed(self):
+        assert central_chisq_pdf(1.0, 0.0) == 0.0
+        assert central_chisq_pdf(1.0, -3.0) == 0.0
+        # log density -1000.6 is below the smallest normal double's log
+        assert central_chisq_pdf(1.0, 2000.0) == 0.0
 
     def test_against_adaptive_quadrature(self):
         for df in (1.0, 2.5, 7.0, 50.0):
@@ -326,6 +334,71 @@ class TestPoissonWalk:
             with pytest.raises(DomainError):
                 nc_chisq_mixture(ChiSquareParams(1.0, 0.5), x)
 
+    def test_refused_lam_also_fails_the_walk(self, monkeypatch):
+        # Above the cap, a lam whose weight at j0 + cap is too large for the up sweep
+        # to stop is refused before any weight list exists; the reference walk, with
+        # the same cap, raises at each such lam.
+        monkeypatch.setattr(specfun, "_POISSON_MAX_TERMS", 50)
+        refused = capped = 0
+        for lam in np.geomspace(1e-3, 5e3, 400):
+            params = ChiSquareParams(1.0, float(lam))
+            try:
+                specfun._poisson_weights(params)
+                continue
+            except ConvergenceError as exc:
+                tb = exc.__traceback__
+                while tb.tb_frame.f_code.co_name != "_poisson_weights":
+                    tb = tb.tb_next
+                if "up" in tb.tb_frame.f_locals:
+                    capped += 1  # a sweep reached the cap
+                    continue
+            refused += 1
+            with pytest.raises(ConvergenceError, match="more than 50 terms per sweep"):
+                reference_poisson_mixture(params, float(lam), pdf=False)
+        assert refused > 100 and capped > 0
+
+    def test_refusal_allocates_nothing(self):
+        # about 8e7 terms per sweep are needed, 2**21 are allowed
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError, match="Poisson mixture needs more than"):
+                nc_chisq_mixture(ChiSquareParams(1.0, 1e14), 2e14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+HUGE = 10 ** 400  # an integer past the largest float
+
+
+class TestHugeIntegers:
+    """An integer too large for a float is a domain error, not an OverflowError."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: ChiSquareParams(HUGE, 0.5),
+        lambda: ChiSquareParams(1.0, HUGE),
+        lambda: central_chisq_cdf(1.0, HUGE),
+        lambda: central_chisq_sf(HUGE, 1.0),
+        lambda: central_chisq_pdf(1.0, HUGE),
+        lambda: nc_chisq1_tails(HUGE, 1.0),
+        lambda: nc_chisq1_tails(1.0, HUGE),
+        lambda: nc_chisq_cdf(ChiSquareParams(1.0, 0.5), HUGE),
+        lambda: nc_chisq_pdf(ChiSquareParams(1.0, 0.5), HUGE),
+        lambda: nc_chisq_mixture(ChiSquareParams(1.0, 0.5), HUGE),
+        lambda: central_chisq_quantile(HUGE, 0.5),
+        lambda: central_chisq_quantile(1.0, HUGE),
+    ])
+    def test_domain_error(self, call):
+        with pytest.raises(DomainError, match=f"got {HUGE}$"):
+            call()
+
+    def test_largest_float_still_accepted(self):
+        big = sys.float_info.max
+        assert ChiSquareParams(big, big) == ChiSquareParams(big, big)
+        assert central_chisq_cdf(1.0, big) == 1.0
+        assert nc_chisq1_tails(0.0, big) == (1.0, 0.0)
+
 
 class TestNoncentralTailsDf1:
     """The df-1 closed form: Q to 1e-13 relative and G to 1e-15 absolute."""
@@ -394,6 +467,17 @@ class TestQuantile:
             for p in (0.001, 0.01, 0.05, 0.3, 0.5, 0.9, 0.95, 0.975, 0.999):
                 q = central_chisq_quantile(df, p)
                 assert central_chisq_cdf(df, q) == pytest.approx(p, abs=1e-12)
+
+    @pytest.mark.parametrize("df,p", [(0.001, 1e-50), (50.0, 1e-309)])
+    def test_newton_steps_that_leave_the_bracket(self, df, p):
+        # (0.001, 1e-50) bisects a closed bracket in log x; at the subnormal 1e-309
+        # the bracket's lower end is still 0 when a step leaves it, and x is halved
+        assert central_chisq_quantile(df, p, upper=True) == pytest.approx(
+            chi2.isf(p, df), rel=1e-13)
+
+    def test_quantile_below_the_smallest_double(self):
+        # the lower-tail start 2 exp((log p + lgamma(a + 1)) / a) underflows at a = 0.005
+        assert central_chisq_quantile(0.01, 1e-10) == 0.0
 
     def test_extreme_tails(self):
         for p in (1e-10, 1e-6, 1.0 - 1e-10):
