@@ -21,8 +21,9 @@ The second-order sum is evaluated telescoped, through
     sum_k a_k G_{f+2k,lam}(x) = A G_{f,lam}(x) - 2 sum_m C_m g_{f+2m,lam}(x),
 
 with ``A = sum_k a_k`` (zero up to rounding) and ``C_m = sum_{k>=m} a_k``
-for m = 1..3.  One pass over the Poisson weights gives the CDF and all three
-densities, and local power and power differences share the same sum.
+for m = 1..3.  Here one pass over the Poisson weights gives the CDF and all
+three densities; local power and power differences share the same sum, with
+their df-1 values in closed form.
 
 Contractions are single ``np.einsum`` calls over dense arrays, bit-identical to
 direct triple loops.  The tested-block contraction zero-pads the drift to

@@ -13,10 +13,14 @@ the density, it is evaluated telescoped:
     Pi_i = Q_{1,lam}(x) - n^{-1/2} [A_i G_{1,lam}(x) - 2 sum_m C_im g_{1+2m,lam}(x)],
 
 with ``Q_1 = 1 - G_1`` from its ``erfc`` closed form, ``A_i = sum_k a_ik``
-and ``C_im = sum_{k>=m} a_ik`` for m = 1..3.  Nothing cancels in the upper
-tail, so small-alpha power keeps its relative accuracy.  A :class:`PowerQuery`
-takes ``g_3``, ``g_5`` and ``g_7`` from one Poisson walk, which its four tests
-and both coefficient sources share.  Pairwise power differences take the
+and ``C_im = sum_{k>=m} a_ik`` for m = 1..3.  Every row but the ``table``
+source's gradient row sums to zero exactly, so :func:`local_power` takes
+its ``A_i`` as 0.
+Nothing cancels in the upper tail, so small-alpha power keeps its relative
+accuracy at every alpha in (0, 1).  A :class:`PowerQuery` takes ``g_3``,
+``g_5`` and ``g_7`` in closed form, from modified spherical Bessel functions,
+and its four tests and both coefficient sources share them; no Poisson
+weights are walked.  Pairwise power differences take the
 same form on ``a_jk - a_ik``; their density weights give sign certificates
 that are uniform in the critical value, and :func:`power_ordering` turns
 those into an ordered partition of the four tests.
@@ -42,11 +46,10 @@ from .errors import DomainError, _check_sample_size
 from .expansion import ClampedProbability, _clamp, _inv_sqrt, _telescoped, _weights
 from .expfam import ExpFamModel
 from .specfun import (
-    ChiSquareParams,
+    _nc_chisq1_densities,
     central_chisq_quantile,
     nc_chisq1_tails,
     nc_chisq_cdf,  # noqa: F401 (unused; perfbench/tracing.py wraps it)
-    nc_chisq_mixture,
     nc_chisq_pdf,  # noqa: F401 (unused; perfbench/tracing.py wraps it)
 )
 from .teststats import ALL_KINDS, TestKind
@@ -108,8 +111,6 @@ class PowerQuery:
     def __post_init__(self):
         self.model.require_theta(self.theta0)
         _check_alpha(self.alpha)
-        if 1.0 - self.alpha == 1.0:
-            raise DomainError(f"alpha={self.alpha} is too small: 1 - alpha rounds to 1")
         _check_sample_size(self.n)
         if not (self.n >= 1):
             raise DomainError(f"n must be >= 1, got {self.n}")
@@ -142,8 +143,12 @@ class PowerQuery:
 
     @cached_property
     def densities(self) -> tuple[float, float, float]:
-        """(g_{3,lam}(crit), g_{5,lam}(crit), g_{7,lam}(crit)), from one Poisson walk."""
-        return nc_chisq_mixture(ChiSquareParams(1.0, self.lam), self.crit, cdf=False)[1]
+        """(g_{3,lam}(crit), g_{5,lam}(crit), g_{7,lam}(crit)), in closed form.
+
+        Each odd-df density is elementary (spherical Bessel functions), so no
+        Poisson weights are walked; see ``specfun._nc_chisq1_densities``.
+        """
+        return _nc_chisq1_densities(self.lam, self.crit)
 
     @cached_property
     def _values(self) -> dict:
@@ -202,8 +207,14 @@ def local_power(
     table = query.coefficients(source)  # fetched at n = inf too: it validates source and eps
     raw = query.tails[1]
     scale = query.scale
-    if scale != 0.0:  # at n = inf no density is walked
-        raw -= scale * _second_order(query, *_weights(table.row(test).tolist()))
+    if scale != 0.0:  # at n = inf no density is evaluated
+        csum, C = _weights(table.row(test).tolist())
+        if source == SOURCE_CHAIN or test != TestKind.GRADIENT:
+            # every row but the table source's gradient row is a consistent-chain
+            # row, which sums to zero exactly; its float sum (~1e-19), times G_1 ~ 1,
+            # would swamp a small upper tail
+            csum = 0.0
+        raw -= scale * _second_order(query, csum, C)
     return _clamp(raw)
 
 

@@ -6,12 +6,18 @@ no numerical library for its distribution functions.  The noncentral
 chi-square here uses the Poisson-mixture convention: a variate with ``df``
 degrees of freedom and noncentrality ``lam`` is a central chi-square with
 ``df + 2J`` degrees of freedom where ``J ~ Poisson(lam)``.  Its mean is
-``df + 2*lam``.  At one degree of freedom both tails also have a closed form
-in ``erfc``, which the local power expansion uses for its leading term.
+``df + 2*lam``.  Below df + 1 at df < 0.1, where P is near 1, the upper
+tail is summed on its own rather than taken as 1 - P.
 
-Every noncentral CDF and density is a sum over the Poisson weights, walked
-once from the modal index up and then down (Benton & Krishnamoorthy 2003,
-*CSDA* 43:249); the weights and the sweeps' stops depend on the
+Local power needs only odd degrees of freedom, and there every value is
+elementary.  At one degree of freedom both tails have a closed form in
+``erfc``, which the local power expansion uses for its leading term, and
+the densities at df 3, 5 and 7 are modified spherical Bessel functions,
+which its second-order term uses (``_nc_chisq1_densities``).
+
+Every other noncentral CDF and density is a sum over the Poisson weights,
+walked once from the modal index up and then down (Benton & Krishnamoorthy
+2003, *CSDA* 43:249); the weights and the sweeps' stops depend on the
 noncentrality alone.  One loop over them sums a CDF, another the densities
 at df, df + 2 and df + 4, so :func:`nc_chisq_mixture` takes the CDF and the
 three densities of a telescoped second-order sum from one weight pass.
@@ -61,6 +67,25 @@ _QUANTILE_STEP_TOL = 4.0 * _MACHEP
 # step that fails to halve is the tail's rounding noise
 _QUANTILE_NOISE_STEP = 1e-6
 _NORMAL = NormalDist()
+# the 1/sqrt(2 pi) of the odd-df densities, and its log
+_C = 1.0 / math.sqrt(2.0 * math.pi)
+_LOG_C = math.log(_C)
+_SQRT2 = math.sqrt(2.0)
+
+
+def _bessel_series_coefficients(terms: int):
+    # (c0, c1, c2) of k = 1..terms: 1 / (k! (2n+3)(2n+5)...(2n+2k+1)) for n = 0, 1, 2
+    c0 = c1 = c2 = 1.0
+    table = []
+    for k in range(1, terms + 1):
+        c0, c1, c2 = c0 / (k * (2 * k + 1)), c1 / (k * (2 * k + 3)), c2 / (k * (2 * k + 5))
+        table.append((c0, c1, c2))
+    return tuple(table)
+
+
+# the i_n(z) series below z = 2 in powers of z^2/2; at z = 2 it reaches rounding
+# level at k = 11
+_BESSEL_SERIES = _bessel_series_coefficients(15)
 
 
 @dataclass(frozen=True)
@@ -154,9 +179,43 @@ def _upper_gamma_contfrac(a: float, x: float, ax: float) -> float:
     return ans * ax
 
 
+def _zeta(k: int) -> float:
+    # Riemann zeta(k), k >= 2: the first n - 1 terms and an Euler-Maclaurin tail,
+    # whose first left-out term is below 1e-18 at k = 2
+    n = 256
+    head = math.fsum(j ** -k for j in range(1, n))
+    return (head + n ** (1 - k) / (k - 1) + 0.5 * n ** -k + k * n ** (-k - 1) / 12.0
+            - k * (k + 1) * (k + 2) * n ** (-k - 3) / 720.0)
+
+
+_EULER_GAMMA = 0.5772156649015329
+# (-1)^k zeta(k) / k for k = 2..18: lgamma(1 + a) = -gamma a + sum_k c_k a^k, |a| < 1
+_LGAMMA1P_SERIES = tuple((-1) ** k * _zeta(k) / k for k in range(2, 19))
+# below this a, Q = 1 - P loses more than about 1e-14 where the series serves
+_SMALL_A = 0.05
+
+
+def _upper_gamma_small_a(a: float, x: float) -> float:
+    # Q(a, x) for a < _SMALL_A and x < a + 1/2, where P is near 1 and 1 - P cancels:
+    # with y = x^a / Gamma(a + 1) and S = sum_{n>=1} (-x)^n / (n! (a + n)),
+    # P = y (1 + a S), so Q = (1 - y) - y a S, two non-negative terms as S < 0
+    # (DiDonato & Morris 1986, ACM TOMS 12:377).  1 - y = -expm1(log y), and
+    # lgamma(1 + a) is its Taylor series: math.lgamma cancels near 1.
+    power, lg1p = a, -_EULER_GAMMA * a
+    for c in _LGAMMA1P_SERIES:
+        power *= a
+        lg1p += c * power
+    log_y = a * math.log(x) - lg1p
+    term, s = 1.0, 0.0
+    for n in range(1, 20):  # x < 1, so x^n / n! < 1e-16 by n = 19
+        term *= -x / n
+        s += term / (a + n)
+    return -math.expm1(log_y) - math.exp(log_y) * a * s
+
+
 def _central_tails(df: float, x: float) -> tuple[float, float]:
-    # (P, Q): the series below df + 1, where Q = 1 - P is not small, and the
-    # continued fraction in the tail, where P = 1 - Q is not small
+    # (P, Q): the series below df + 1, where Q = 1 - P is not small unless df is,
+    # and the continued fraction in the tail, where P = 1 - Q is not small
     _check_df(df)
     _check_finite_x(x)
     if x <= 0.0:
@@ -170,7 +229,7 @@ def _central_tails(df: float, x: float) -> tuple[float, float]:
         return (0.0, 1.0) if lower else (1.0, 0.0)
     if lower:
         p = _lower_gamma_series(a, h, math.exp(log_ax))
-        return p, 1.0 - p
+        return p, _upper_gamma_small_a(a, h) if a < _SMALL_A else 1.0 - p
     q = _upper_gamma_contfrac(a, h, math.exp(log_ax))
     return 1.0 - q, q
 
@@ -328,7 +387,9 @@ def nc_chisq1_tails(lam: float, x: float) -> tuple[float, float]:
     X = (Z + mu)**2 with Z standard normal and mu = sqrt(2 lam), so both tails
     are sums of normal tails (Johnson, Kotz & Balakrishnan, *Continuous
     Univariate Distributions* vol. 2, ch. 29).  ``erfc`` keeps Q's relative
-    accuracy far into the upper tail; G is accurate in absolute terms.
+    accuracy far into the upper tail, and G's in the lower tail (x < 2 lam),
+    where G is a difference of two normal upper tails of which the second is
+    the smaller.
     """
     _check_noncentrality(lam)
     _check_finite_x(x)
@@ -336,13 +397,58 @@ def nc_chisq1_tails(lam: float, x: float) -> tuple[float, float]:
         return 0.0, 1.0
     r, mu = math.sqrt(0.5 * x), math.sqrt(lam)  # sqrt(x)/sqrt(2) and mu/sqrt(2)
     q = 0.5 * (math.erfc(r - mu) + math.erfc(r + mu))
-    g = 0.5 * (math.erf(r - mu) + math.erf(r + mu))
+    if mu > r:
+        g = 0.5 * (math.erfc(mu - r) - math.erfc(mu + r))
+    else:
+        g = 0.5 * (math.erf(r - mu) + math.erf(r + mu))
     return g, q
 
 
 def _check_positive_x(x: float) -> None:
     if not (0.0 < x <= _FLOAT_MAX):
         raise DomainError(f"x must be positive and finite, got {x}")
+
+
+def _nc_chisq1_densities(lam: float, x: float) -> tuple[float, float, float]:
+    # (g3, g5, g7): the densities at df 3, 5 and 7 and noncentrality lam, in closed
+    # form.  With L = 2 lam, s = sqrt(x), m = sqrt(L) and z = s m,
+    #   f_{2n+3}(x) = c e^{-(x+L)/2} s^{n+1} m^{-n} i_n(z),   c = 1/sqrt(2 pi),
+    # where i_n is the modified spherical Bessel function of the first kind
+    # (Abramowitz & Stegun 10.2.12-13; DLMF 10.49): sinh z and cosh z times a
+    # polynomial in 1/z.  Below z = 2 that polynomial cancels, so i_n is summed
+    # from its power series instead, which also covers lam = 0.
+    _check_noncentrality(lam)
+    _check_positive_x(x)
+    s, m = math.sqrt(x), _SQRT2 * math.sqrt(lam)  # 2 lam may overflow
+    z = s * m
+    if z < 2.0:
+        # i_n(z) = z^n / (2n+1)!! * sum_k (z^2/2)^k / (k! (2n+3)(2n+5)...(2n+2k+1)),
+        # so f_{2n+3} = c e^{-(x+L)/2} s^{2n+1} S_n / (2n+1)!!, with the exponent in logs
+        h = 0.5 * z * z
+        p = s0 = s1 = s2 = 1.0
+        for c0, c1, c2 in _BESSEL_SERIES:
+            p *= h
+            s0, s1, s2 = s0 + c0 * p, s1 + c1 * p, s2 + c2 * p
+            if c0 * p <= _MACHEP * s0:  # the n = 0 terms fall slowest
+                break
+        log_s = math.log(s)
+        log_e = -0.5 * x - lam + log_s + _LOG_C
+        return (math.exp(log_e) * s0,
+                math.exp(log_e + 2.0 * log_s) * s1 / 3.0,
+                math.exp(log_e + 4.0 * log_s) * s2 / 15.0)
+    # e^{-(x+L)/2} sinh z and cosh z are e (1 -+ e^{-2z}) with e = e^{-(s-m)^2/2} / 2,
+    # and (s - m)^2 / 2 = 2 ((x/2 - lam) / (s + m))^2 rounds least
+    e = 0.5 * math.exp(-2.0 * ((0.5 * x - lam) / (s + m)) ** 2)
+    if e == 0.0:
+        return 0.0, 0.0, 0.0
+    minus = -math.expm1(-2.0 * z)
+    sh, ch = e * minus, e * (2.0 - minus)
+    # i_0 = sinh/z, i_1 = (cosh - sinh/z)/z, i_2 = ((1 + 3/z^2) sinh - 3 cosh/z)/z
+    r = s / m
+    c_m = _C / m
+    return (c_m * sh,
+            c_m * r * (ch - sh / z),
+            c_m * r * r * ((1.0 + 3.0 / (z * z)) * sh - 3.0 * ch / z))
 
 
 def nc_chisq_pdf(params: ChiSquareParams, x: float) -> float:
@@ -400,12 +506,25 @@ def _tail_start(df: float, a: float, target: float, log_target: float, upper: bo
         if base > 0.0:
             x = df * base ** 3
             if upper and x > 2.2 * df + 6.0:
-                # far upper tail: invert the leading asymptotic term of Q
-                far = -2.0 * (log_target - (a - 1.0) * math.log(0.5 * x) + math.lgamma(a))
-                x = far if far > 0.0 else x
+                x = _far_upper_start(a, log_target, x)
             return x
+        if upper:
+            # Wilson-Hilferty fails at small df: start from the far upper tail
+            # where that has a positive root, else invert the lower series at
+            # P = 1 - target, as the quantile is then small
+            far = -2.0 * (log_target + math.lgamma(a))
+            if far > 0.0:
+                return _far_upper_start(a, log_target, far)
+            log_target = math.log1p(-target)
     # deep lower tail: invert the leading series term (x/2)^a / Gamma(a + 1)
     return 2.0 * math.exp((log_target + math.lgamma(a + 1.0)) / a)
+
+
+def _far_upper_start(a: float, log_target: float, x: float) -> float:
+    # far upper tail: invert the leading asymptotic term (x/2)^(a-1) e^(-x/2) / Gamma(a)
+    # of Q once from x; keep x where the inversion has no positive root
+    far = -2.0 * (log_target - (a - 1.0) * math.log(0.5 * x) + math.lgamma(a))
+    return far if far > 0.0 else x
 
 
 def _solve_tail(df: float, target: float, upper: bool) -> float:

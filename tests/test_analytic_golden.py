@@ -16,6 +16,10 @@ the name of the exception it raised.  A change that is meant to move an
 analytic value regenerates the file with::
 
     PYTHONPATH=src python tests/test_analytic_golden.py
+
+which prints how many values moved and, per kind, the largest relative move
+``|new - old| / max(|old|, |new|)`` (inf for a value that became or stopped
+being an exception name).
 """
 
 import json
@@ -92,8 +96,51 @@ def test_analytic_values_match_golden(name, lam):
     assert _point(name, lam) == _golden()[_key(name, lam)]
 
 
+def _values(doc):
+    # {(kind, key, label, ...): recorded value}; a refused query is one value of kind "query"
+    out = {}
+    for key, point in doc.items():
+        for label, entry in point.items():
+            if isinstance(entry, str):
+                out["query", key, label] = entry
+            elif isinstance(entry, list):
+                out.update((("cdf_expansion", key, label, i), v) for i, v in enumerate(entry))
+            else:
+                for source, kinds in entry.items():
+                    for kind, values in kinds.items():
+                        out.update(((kind, key, label, source, i), v)
+                                   for i, v in enumerate(values))
+    return out
+
+
+def _relative_move(old, new):
+    # |new - old| / max(|old|, |new|): 0 for a zero that changed sign, and inf
+    # where either is an exception name
+    try:
+        a, b = float.fromhex(old), float.fromhex(new)
+    except ValueError:
+        return math.inf
+    return abs(b - a) / max(abs(a), abs(b)) if a != b else 0.0
+
+
+def _report_moves(old, new):
+    old_values, new_values = _values(old), _values(new)
+    moved = {}  # kind -> (count, largest relative move)
+    for path, value in new_values.items():
+        before = old_values.get(path)
+        if before != value:
+            count, largest = moved.get(path[0], (0, 0.0))
+            rel = math.inf if before is None else _relative_move(before, value)
+            moved[path[0]] = (count + 1, max(largest, rel))
+    total = sum(count for count, _ in moved.values())
+    print(f"{total} of {len(new_values)} values moved")
+    for kind, (count, largest) in sorted(moved.items()):
+        print(f"  {kind}: {count} moved, largest relative move {largest:.3g}")
+
+
 if __name__ == "__main__":
     doc = {_key(name, lam): _point(name, lam) for name in CATALOG_FIXED for lam in LAMS}
+    _report_moves(_golden() if GOLDEN.exists() else {}, doc)
     with open(GOLDEN, "w", encoding="utf-8") as fh:  # one line per model and lam
         fh.write("{\n" + ",\n".join(
             f"{json.dumps(key)}: {json.dumps(doc[key], sort_keys=True, separators=(',', ':'))}"

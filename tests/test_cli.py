@@ -410,10 +410,10 @@ class TestGoldenOutput:
         "eps,lambda,pi_lr,pi_wald,pi_score,pi_gradient\n"
         "0,0,0.050000000000000003,0.050000000000000003,0.050000000000000003,"
         "0.050000000000000003\n"
-        "0.5,0.25,0.10286459830320273,0.081017778604724811,0.081017778604724811,"
+        "0.5,0.25,0.10286459830320273,0.081017778604724824,0.081017778604724824,"
         "0.11378800815244168\n"
         "1,1,0.249691730057719,0.20584808569260016,0.20584808569260016,"
-        "0.27161355224027844\n"
+        "0.27161355224027839\n"
     )
 
     @pytest.mark.parametrize("flag,source", [("consistent", "consistent-chain"),
@@ -513,12 +513,12 @@ class TestGoldenOutput:
             "mc_stderr_score: 0.015663120165960973\n"
             "mc_stderr_gradient: 0.018534252575124751\n"
             "predicted_power_consistent-chain_lr: 0.10286459830320273\n"
-            "predicted_power_consistent-chain_wald: 0.081017778604724811\n"
-            "predicted_power_consistent-chain_score: 0.081017778604724811\n"
+            "predicted_power_consistent-chain_wald: 0.081017778604724824\n"
+            "predicted_power_consistent-chain_score: 0.081017778604724824\n"
             "predicted_power_consistent-chain_gradient: 0.11378800815244168\n"
             "predicted_power_table_lr: 0.10286459830320273\n"
-            "predicted_power_table_wald: 0.081017778604724811\n"
-            "predicted_power_table_score: 0.081017778604724811\n"
+            "predicted_power_table_wald: 0.081017778604724824\n"
+            "predicted_power_table_score: 0.081017778604724824\n"
             "predicted_power_table_gradient: 0.11378800815244168\n"
             "s4_mean: 1.56856094198492\n"
             "s4_mean_se: 0.11487368448282094\n"
@@ -673,15 +673,24 @@ class TestCliContract:
         assert out == ""
 
     def test_poisson_walk_is_bounded(self, capsys):
-        # lam = eps^2 = 1e14 would need ~8e7 mixture terms per sweep
+        # the composite fixture's lam = 2.5e13 would need ~4e7 mixture terms per sweep
         start = time.perf_counter()
         code, out, err = _capture(
-            capsys, ["power", *GAMMA_ARGS, "--eps", "1e7", "--n", "50", "--alpha", "0.05"]
+            capsys,
+            ["expand", "--tensors", str(Path(__file__).with_name("normal_composite_tensors.json")),
+             "--eps=1e7", "--n", "50", "--x", "1"],
         )
         assert code == 3
         assert err.startswith("numeric failure:") and "Poisson" in err
         assert out == ""
         assert time.perf_counter() - start < 30.0
+        # local power walks no Poisson weights, so lam = eps^2 = 1e14 is in closed form
+        code, out, err = _capture(
+            capsys, ["power", *GAMMA_ARGS, "--eps", "1e7", "--n", "50", "--alpha", "0.05"]
+        )
+        assert code == 0 and err == ""
+        assert out.endswith("eps,lambda,pi_lr,pi_wald,pi_score,pi_gradient\n"
+                            "10000000,100000000000000,1,1,1,1\n")
 
     def test_long_poisson_walk_still_sums(self, capsys):
         code, out, _ = _capture(
@@ -692,13 +701,14 @@ class TestCliContract:
                             "10000,100000000,1,1,1,1\n")
 
     def test_tiny_alpha_names_alpha(self, capsys):
-        code, out, err = _capture(
+        # every alpha in (0, 1) is valid, even where 1 - alpha rounds to 1
+        code, out, _ = _capture(
             capsys,
             ["power", *GAMMA_ARGS, "--eps", "0.5", "--n", "50", "--alpha", "1e-300"],
         )
-        assert code == 2
-        assert "alpha" in err and "got 1.0" not in err
-        assert out == ""
+        assert code == 0
+        assert out.startswith("# gradpower power model=gamma fixed=k=2 theta0=1 eps=0.5 n=50"
+                              " alpha=1e-300 source=consistent-chain\n")
 
     def test_non_utf8_data_file_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "obs.txt"
@@ -864,12 +874,13 @@ class TestCriticalValueReuse:
 
 class TestMixtureReuse:
     """Each evaluation point builds a table per source, computes its df-1 tails once
-    and makes one pass over the Poisson weights for its three densities; local power
-    sums no cdf."""
+    and takes its three densities from one closed-form call; local power walks no
+    Poisson weights and sums no cdf."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        calls = {"nc_chisq1_tails": [], "power_coefficients": [], "weights": [], "sums": []}
+        calls = {"nc_chisq1_tails": [], "power_coefficients": [], "densities": [],
+                 "weights": [], "sums": []}
 
         def recording(module, name, log, entry=lambda args, result: args):
             inner = getattr(module, name)
@@ -883,6 +894,8 @@ class TestMixtureReuse:
 
         for name in ("nc_chisq1_tails", "power_coefficients"):
             recording(localpower, name, calls[name])
+        # (lam, x) of every closed-form density call, under the name localpower resolves
+        recording(localpower, "_nc_chisq1_densities", calls["densities"])
         # (lam, weights) of every weight pass; (kind, df, weights) of every kernel sum
         recording(specfun, "_poisson_weights", calls["weights"],
                   lambda args, result: (args[0].noncentrality, result))
@@ -905,9 +918,11 @@ class TestMixtureReuse:
         )
         assert code == 0
         assert [lam for lam, _ in calls["nc_chisq1_tails"]] == [0.0, 0.25, 1.0]
-        # one weight pass per nonzero lam; eps = 0 has an all-zero table, so none there
-        assert self.walks(calls) == [(lam, [("densities", 3.0)]) for lam in (0.25, 1.0)]
-        assert len(calls["sums"]) == 2
+        # one closed-form call per nonzero lam, at the query's critical value; eps = 0
+        # has an all-zero table, so none there
+        crit = specfun.central_chisq_quantile(1.0, 0.05, upper=True)
+        assert calls["densities"] == [(0.25, crit), (1.0, crit)]
+        assert calls["weights"] == [] and calls["sums"] == []
         assert len(calls["power_coefficients"]) == 3
 
     def test_simulate_both_sources(self, capsys, calls):
@@ -918,8 +933,8 @@ class TestMixtureReuse:
         )
         assert code == 0
         assert [lam for lam, _ in calls["nc_chisq1_tails"]] == [0.25]
-        assert self.walks(calls) == [(0.25, [("densities", 3.0)])]
-        assert len(calls["sums"]) == 1
+        assert [lam for lam, _ in calls["densities"]] == [0.25]
+        assert calls["weights"] == [] and calls["sums"] == []
         assert len(calls["power_coefficients"]) == 2
 
     def test_no_walk_at_infinite_n(self, calls):
@@ -929,7 +944,7 @@ class TestMixtureReuse:
             for kind in TestKind:
                 localpower.local_power(query, kind, source)
         assert [lam for lam, _ in calls["nc_chisq1_tails"]] == [0.25]
-        assert calls["weights"] == [] and calls["sums"] == []
+        assert calls["densities"] == [] and calls["weights"] == [] and calls["sums"] == []
         assert len(calls["power_coefficients"]) == 2
 
     def test_cdf_expansion_walks_once(self, calls):

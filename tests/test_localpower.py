@@ -257,14 +257,6 @@ class TestLocalPower:
         with pytest.raises(DomainError, match=message):
             power_ordering(model, 1.0, "above", alpha)
 
-    def test_tiny_alpha_refused_by_name(self):
-        # 1 - alpha rounds to 1, so no critical value exists in double precision
-        model = catalog_model("gamma", {"k": 1.0})
-        for alpha in (1e-300, 1e-17):
-            with pytest.raises(DomainError, match="alpha"):
-                PowerQuery(model=model, theta0=1.0, eps=0.5, n=50, alpha=alpha)
-        PowerQuery(model=model, theta0=1.0, eps=0.5, n=50, alpha=1e-15)
-
     def test_small_alpha_critical_value(self):
         from scipy.stats import chi2
 
@@ -327,21 +319,28 @@ class TestQueryReuse:
 
 
 class TestUpperTailAccuracy:
-    """Local power against the same expansion built from scipy's noncentral tails.
+    """Local power against the same expansion built from reference noncentral tails.
 
-    The reference is ``Q_1 + s sum_k a_k Q_{1+2k} - s sum_k a_k`` at scipy's
-    critical value, with ``s = n^-1/2``.  The error is scaled by the terms'
-    magnitude ``Q_1 + s sum_k |a_k| Q_{1+2k} + s |sum_k a_k|``, which stays fair
-    where the expansion goes negative.  The constant takes the row's numpy
-    sum, as the program does: a consistent-chain row sums to zero up to
-    rounding, and that rounding, times G_1 ~ 1, would otherwise swamp a tail
-    of 1e-15.
+    The reference is ``Q_1 + s sum_k a_k Q_{1+2k} - s sum_k a_k``, with
+    ``s = n^-1/2``.  The error is scaled by the terms' magnitude
+    ``Q_1 + s sum_k |a_k| Q_{1+2k} + s |sum_k a_k|``, which stays fair where the
+    expansion goes negative.  Every row but the table source's gradient row is
+    a consistent-chain row and sums to zero exactly, so its constant is 0, as in
+    the program; the table gradient row's is its numpy sum.
     """
 
     EPS = (0.1, 0.5, 1.0, 2.0, -0.1, -0.5, -1.0, -2.0)
 
-    @pytest.mark.parametrize("alpha,bound", [(0.05, 1e-13), (1e-3, 1e-13), (1e-6, 1e-11),
-                                             (1e-10, 1e-9), (1e-15, 1e-7)])
+    @staticmethod
+    def constant(table, kind, source):
+        if source == SOURCE_CHAIN or kind != TestKind.GRADIENT:
+            return 0.0
+        return float(table.row(kind).sum())
+
+    # each bound is at most 10x the worst error measured (1.7e-15, 1.2e-15,
+    # 1.8e-15, 3.9e-15 and 5.5e-15)
+    @pytest.mark.parametrize("alpha,bound", [(0.05, 1e-14), (1e-3, 1e-14), (1e-6, 1e-14),
+                                             (1e-10, 2e-14), (1e-15, 3e-14)])
     def test_scaled_error_against_scipy(self, alpha, bound):
         from scipy.stats import chi2, ncx2
 
@@ -357,12 +356,55 @@ class TestUpperTailAccuracy:
                         table = q.coefficients(source)
                         for kind in TestKind:
                             term = q.scale * table.row(kind)
-                            const = q.scale * table.row(kind).sum()
+                            const = q.scale * self.constant(table, kind, source)
                             want = sf[0] + term @ sf - const
                             magnitude = sf[0] + np.abs(term) @ sf + abs(const)
                             got = local_power(q, kind, source).raw
                             worst = max(worst, abs(got - want) / magnitude)
         assert worst <= bound
+
+    @pytest.mark.parametrize("alpha", [1e-20, 1e-100])
+    def test_tiny_alpha_against_40_digit_reference(self, alpha):
+        # alphas where 1 - alpha rounds to 1.  The reference solves the critical
+        # value from erfc and takes Q_1 = Phi(mu - sqrt x) + Phi(-mu - sqrt x) and
+        # Q_{v+2} = Q_v + 2 g_{v+2}, each g from the Bessel form of the density
+        import mpmath
+
+        lams = (0.01, 0.5, 5.0, 50.0, 200.0)
+        worst, checked = 0.0, 0
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            x0 = PowerQuery(model=catalog_model("gamma", {"k": 2.0}), theta0=1.0, eps=0.5,
+                            n=20, alpha=alpha).crit
+            x = mpmath.findroot(lambda t: mpmath.log(mpmath.erfc(mpmath.sqrt(t / 2)) / a), x0)
+            r = mpmath.sqrt(x)
+            for name in ("gamma", "tev", "invnormal-mu", "pareto"):
+                model = catalog_model(name, CATALOG_FIXED[name])
+                for lam in lams:
+                    for sign in (1.0, -1.0):
+                        eps = sign * math.sqrt(2.0 * lam / model.fisher_information(1.0))
+                        L = 2 * mpmath.mpf(0.5 * model.fisher_information(1.0) * eps ** 2)
+                        m = mpmath.sqrt(L)
+                        q_ref = [mpmath.ncdf(m - r) + mpmath.ncdf(-m - r)]
+                        for k in (3, 5, 7):
+                            g = (mpmath.exp(-(x + L) / 2) * (x / L) ** (mpmath.mpf(k - 2) / 4)
+                                 * mpmath.besseli(mpmath.mpf(k) / 2 - 1, r * m) / 2)
+                            q_ref.append(q_ref[-1] + 2 * g)
+                        for n in (20, 1000):
+                            if not model.in_param_space(1.0 + eps / math.sqrt(n)):
+                                continue  # large lam below the null at n = 20
+                            q = PowerQuery(model=model, theta0=1.0, eps=eps, n=n, alpha=alpha)
+                            checked += 1
+                            row = q.coefficients(SOURCE_CHAIN).a
+                            for kind in TestKind:
+                                coef = [q.scale * mpmath.mpf(c) for c in row[kind - 1]]
+                                want = q_ref[0] + mpmath.fsum(c * v for c, v in zip(coef, q_ref))
+                                magnitude = q_ref[0] + mpmath.fsum(
+                                    abs(c) * v for c, v in zip(coef, q_ref))
+                                got = local_power(q, kind, SOURCE_CHAIN).raw
+                                worst = max(worst, float(abs(got - want) / magnitude))
+        assert checked >= 60
+        assert worst <= 1e-13
 
 
 class TestPowerDifference:

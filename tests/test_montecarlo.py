@@ -495,8 +495,8 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             # drifted parameter leaves (0, inf)
             SimulationConfig(model=GAMMA, theta0=0.2, eps=-2.0, n=9, reps=10, alpha=0.05, seed=0)
-        with pytest.raises(DomainError, match="alpha"):
-            SimulationConfig(model=GAMMA, theta0=1.0, eps=0.0, n=10, reps=10, alpha=1e-300, seed=0)
+        # every alpha in (0, 1) is valid, even where 1 - alpha rounds to 1
+        SimulationConfig(model=GAMMA, theta0=1.0, eps=0.0, n=10, reps=10, alpha=1e-300, seed=0)
         # n, reps and workers must be integers, and seed an integer in [0, 2**64)
         good = dict(model=GAMMA, theta0=1.0, eps=0.0, n=50, reps=1000, alpha=0.05, seed=0)
         for field, value, message in [

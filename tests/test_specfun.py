@@ -145,6 +145,16 @@ class TestCentralCdf:
 
 
 class TestCentralSf:
+    def test_small_df_keeps_relative_accuracy(self):
+        # below df + 1 at df < 0.1, P is near 1 and Q is taken without 1 - P
+        with mpmath.workdps(40):
+            for df in (1e-6, 1e-3, 0.05, 0.0999):
+                for x in np.geomspace(1e-300, df + 1.0 - 1e-12, 25):
+                    want = mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(float(x)) / 2,
+                                           mpmath.inf, regularized=True)
+                    got = central_chisq_sf(df, float(x))
+                    assert abs(got - want) <= 4e-15 * want, (df, x, got)
+
     def test_complements_cdf(self):
         for df in (0.5, 1.0, 3.0, 17.5, 50.0):
             for x in np.geomspace(1e-3, 60.0, 40):
@@ -455,6 +465,69 @@ class TestNoncentralTailsDf1:
                 nc_chisq1_tails(lam, x)
 
 
+class TestOddDensities:
+    """The closed-form df 3, 5 and 7 densities that local power uses."""
+
+    # ROADMAP item 1's grid: 16 lam from 0 to 1e4 and 14 x from 1e-6 out to the
+    # alpha = 1e-100 critical value (453.9)
+    LAMS = (0.0, 1e-8, 1e-4, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 8.0, 20.0, 50.0, 200.0,
+            1e3, 5e3, 1e4)
+
+    @staticmethod
+    def xs():
+        far = central_chisq_quantile(1.0, 1e-100, upper=True)
+        return [float(v) for v in np.geomspace(1e-6, far, 14)]
+
+    def test_against_50_digit_bessel_form(self):
+        # f_k(x) = e^{-(x+L)/2} (x/L)^{(k-2)/4} I_{k/2-1}(sqrt(L x)) / 2 with L = 2 lam,
+        # and the central density at lam = 0; values that underflow are left out
+        checked = 0
+        with mpmath.workdps(50):
+            for lam in self.LAMS:
+                L = 2 * mpmath.mpf(lam)
+                for x in self.xs():
+                    xm = mpmath.mpf(x)
+                    got = specfun._nc_chisq1_densities(lam, x)
+                    for k, value in zip((3, 5, 7), got):
+                        if lam == 0.0:
+                            a = mpmath.mpf(k) / 2
+                            want = xm ** (a - 1) * mpmath.exp(-xm / 2) / (2 ** a * mpmath.gamma(a))
+                        else:
+                            want = (mpmath.exp(-(xm + L) / 2) * (xm / L) ** (mpmath.mpf(k - 2) / 4)
+                                    * mpmath.besseli(mpmath.mpf(k) / 2 - 1, mpmath.sqrt(L * xm)) / 2)
+                        if want < sys.float_info.min:
+                            assert value < 1e-300, (k, lam, x, value)
+                            continue
+                        checked += 1
+                        assert abs(value - want) <= 1e-12 * want, (k, lam, x, value)
+        assert checked >= 500
+
+    def test_central_at_zero_noncentrality(self):
+        for x in LAM0_XS:
+            got = specfun._nc_chisq1_densities(0.0, x)
+            for df, value in zip((3.0, 5.0, 7.0), got):
+                assert value == pytest.approx(central_chisq_pdf(df, x), rel=1e-13, abs=0.0)
+
+    def test_matches_the_mixture_walk_where_it_is_accurate(self):
+        # near the centre the walk's absolute error is ~1e-14 of the largest density
+        for lam in (0.01, 1.0, 8.0, 50.0):
+            for x in (0.5, 3.84, 2.0 * lam + 1.0):
+                walk = nc_chisq_mixture(ChiSquareParams(1.0, lam), x, cdf=False)[1]
+                for got, want in zip(specfun._nc_chisq1_densities(lam, x), walk):
+                    assert got == pytest.approx(want, rel=1e-10)
+
+    def test_huge_noncentrality_underflows_to_zero(self):
+        assert specfun._nc_chisq1_densities(1e14, 3.84) == (0.0, 0.0, 0.0)
+        assert specfun._nc_chisq1_densities(sys.float_info.max, 3.84) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("lam,x", [(-0.5, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                                       (1.0, 0.0), (1.0, -1.0), (1.0, math.inf),
+                                       (1.0, math.nan)])
+    def test_domain(self, lam, x):
+        with pytest.raises(DomainError):
+            specfun._nc_chisq1_densities(lam, x)
+
+
 class TestQuantile:
     def test_pins(self):
         assert central_chisq_quantile(1.0, 0.95) == pytest.approx(Q95_DF1, abs=1e-9)
@@ -497,6 +570,20 @@ class TestQuantile:
                 want = chi2.isf(alpha, df)
                 got = central_chisq_quantile(df, float(alpha), upper=True)
                 assert abs(got - want) <= 1e-13 * want, (df, alpha)
+
+    def test_upper_tail_at_small_df(self):
+        # Wilson-Hilferty has no positive start at most of these points, so the
+        # far-tail or the lower-series start serves; below 1e-300 the answer need
+        # only stay below
+        for df in (1e-4, 1e-3, 0.01, 0.1):
+            for p in (1e-10, 1e-3, 0.3):
+                want = chi2.isf(p, df)
+                got = central_chisq_quantile(df, p, upper=True)
+                if want >= 1e-300:
+                    assert abs(got - want) <= 1e-13 * want, (df, p, got)
+                else:
+                    assert got < 1e-300, (df, p, got)
+        assert central_chisq_quantile(1e-4, 1e-10, upper=True) == pytest.approx(21.34, rel=1e-3)
 
     def test_lower_tail_against_scipy(self):
         for df in QUANTILE_DFS:
