@@ -21,9 +21,10 @@ The second-order sum is evaluated telescoped, through
     sum_k a_k G_{f+2k,lam}(x) = A G_{f,lam}(x) - 2 sum_m C_m g_{f+2m,lam}(x),
 
 with ``A = sum_k a_k`` (zero up to rounding) and ``C_m = sum_{k>=m} a_k``
-for m = 1..3.  Here one pass over the Poisson weights gives the CDF and all
-three densities; local power and power differences share the same sum, with
-their df-1 values in closed form.
+for m = 1..3.  Here one Poisson-mixture walk gives the CDF and all three
+densities, at n = inf too, where the zero scale drops the second-order sum;
+local power and power differences share the same form, with their df-1
+values in closed form.
 
 Contractions are single ``np.einsum`` calls over dense arrays, bit-identical to
 direct triple loops.  The tested-block contraction zero-pads the drift to
@@ -41,9 +42,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, _check_float_size, _check_integer, _check_sample_size
+from .errors import _FLOAT_MAX, DomainError, _check_float_size, _check_integer, _check_sample_size
 from .expfam import CumulantSet
-from .specfun import ChiSquareParams, _check_noncentrality, nc_chisq_cdf, nc_chisq_mixture
+from .specfun import ChiSquareParams, _check_noncentrality, nc_chisq_mixture
+from .specfun import nc_chisq_cdf  # noqa: F401 (unused; perfbench/tracing.py wraps it)
 
 __all__ = [
     "ClampedProbability",
@@ -270,6 +272,19 @@ def _inv_sqrt(n) -> float:
     return 0.0 if math.isinf(n) else 1.0 / math.sqrt(n)
 
 
+# the largest drift magnitude whose cube, a factor of every coefficient, is finite
+_DRIFT_MAX = _FLOAT_MAX ** (1.0 / 3.0)
+
+
+def _check_drift(eps) -> None:
+    # the rule of every scalar drift; it compares rather than calling math.isfinite
+    # or raising eps to a power, each of which overflows on a huge value
+    if not (-_DRIFT_MAX <= eps <= _DRIFT_MAX):
+        if eps != eps or eps in (math.inf, -math.inf):
+            raise DomainError(f"eps must be finite, got {eps}")
+        raise DomainError(f"eps must be at most {_DRIFT_MAX} in magnitude, got {eps}")
+
+
 def _validate_eps(t: CumulantTensors, eps) -> np.ndarray:
     e = np.asarray(eps, dtype=float).reshape(-1)
     if e.size != t.p - t.q:
@@ -330,8 +345,7 @@ def simple_coefficients(t: CumulantTensors, eps) -> PowerExpansion:
 
 def scalar_coefficients(c: CumulantSet, eps: float) -> PowerExpansion:
     """Expansion for a scalar parameter, directly from a :class:`CumulantSet`."""
-    if not math.isfinite(eps):
-        raise DomainError(f"eps must be finite, got {eps}")
+    _check_drift(eps)
     K = -c.k_tt
     if K <= 0.0:
         raise DomainError(f"Fisher information must be positive, got {K}")
@@ -354,13 +368,10 @@ def cdf_expansion(e: PowerExpansion, n, x: float) -> ClampedProbability:
     if math.isinf(x):
         # all mixture components reach 1 and the coefficients sum to zero
         return ClampedProbability(1.0, 1.0, False)
-    scale = _inv_sqrt(n)
-    params = ChiSquareParams(e.f, e.lam)
-    if scale == 0.0:  # at n = inf the cdf is summed alone
-        return _clamp(nc_chisq_cdf(params, x))
-    g, densities = nc_chisq_mixture(params, x)
+    g, densities = nc_chisq_mixture(ChiSquareParams(e.f, e.lam), x)
     csum, C = _weights(e.a)
-    return _clamp(g + scale * _telescoped(csum, C, lambda: g, lambda m: densities[m - 1]))
+    # at n = inf the scale is 0 and the sum finite, so the value is g itself
+    return _clamp(g + _inv_sqrt(n) * _telescoped(csum, C, lambda: g, lambda m: densities[m - 1]))
 
 
 def st_moments(t: CumulantTensors, eps, n) -> MomentSet:

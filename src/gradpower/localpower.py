@@ -14,16 +14,16 @@ the density, it is evaluated telescoped:
 
 with ``Q_1 = 1 - G_1`` from its ``erfc`` closed form, ``A_i = sum_k a_ik``
 and ``C_im = sum_{k>=m} a_ik`` for m = 1..3.  Every row but the ``table``
-source's gradient row sums to zero exactly, so :func:`local_power` takes
-its ``A_i`` as 0.
+source's gradient row sums to zero exactly, so :func:`local_power` and
+:func:`power_difference` take its ``A_i`` as 0.
 Nothing cancels in the upper tail, so small-alpha power keeps its relative
 accuracy at every alpha in (0, 1).  A :class:`PowerQuery` takes ``g_3``,
 ``g_5`` and ``g_7`` in closed form, from modified spherical Bessel functions,
 and its four tests and both coefficient sources share them; no Poisson
-weights are walked.  Pairwise power differences take the
-same form on ``a_jk - a_ik``; their density weights give sign certificates
-that are uniform in the critical value, and :func:`power_ordering` turns
-those into an ordered partition of the four tests.
+weights are walked.  Pairwise power differences take the same form, with
+``A_j - A_i`` and the partial sums of ``a_jk - a_ik``; those density weights
+give sign certificates that are uniform in the critical value, and
+:func:`power_ordering` turns them into an ordered partition of the four tests.
 
 Two conventions exist for the leading gradient coefficient ``a_40``; they
 disagree whenever ``alpha'' != 0``.  The default ``consistent-chain`` source
@@ -43,7 +43,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, _check_sample_size
-from .expansion import ClampedProbability, _clamp, _inv_sqrt, _telescoped, _weights
+from .expansion import ClampedProbability, _check_drift, _clamp, _inv_sqrt, _telescoped, _weights
 from .expfam import ExpFamModel
 from .specfun import (
     _nc_chisq1_densities,
@@ -114,6 +114,7 @@ class PowerQuery:
         _check_sample_size(self.n)
         if not (self.n >= 1):
             raise DomainError(f"n must be >= 1, got {self.n}")
+        _check_drift(self.eps)
         if math.isfinite(self.n) and not self.model.in_param_space(self.theta_drifted):
             raise DomainError(
                 f"drifted parameter {self.theta_drifted} leaves the parameter space"
@@ -169,8 +170,7 @@ def power_coefficients(
     """The 4 x 4 local power coefficient array at ``theta0``."""
     _check_source(source)
     model.require_theta(theta0)
-    if not math.isfinite(eps):
-        raise DomainError(f"eps must be finite, got {eps}")
+    _check_drift(eps)
     ap = model.alpha_d1(theta0)
     app = model.alpha_d2(theta0)
     bp = model.beta_d1(theta0)
@@ -208,14 +208,18 @@ def local_power(
     raw = query.tails[1]
     scale = query.scale
     if scale != 0.0:  # at n = inf no density is evaluated
-        csum, C = _weights(table.row(test).tolist())
-        if source == SOURCE_CHAIN or test != TestKind.GRADIENT:
-            # every row but the table source's gradient row is a consistent-chain
-            # row, which sums to zero exactly; its float sum (~1e-19), times G_1 ~ 1,
-            # would swamp a small upper tail
-            csum = 0.0
-        raw -= scale * _second_order(query, csum, C)
+        C = _weights(table.row(test).tolist())[1]
+        raw -= scale * _second_order(query, _row_sum(table, test, source), C)
     return _clamp(raw)
+
+
+def _row_sum(table: CoefficientTable, test: TestKind, source: str) -> float:
+    # A_i = sum_k a_ik.  Every row but the table source's gradient row is a
+    # consistent-chain row, which sums to zero exactly; its float sum (~1e-19),
+    # times G_1 ~ 1, would swamp a small upper tail
+    if source == SOURCE_TABLE and test == TestKind.GRADIENT:
+        return _weights(table.row(test).tolist())[0]
+    return 0.0
 
 
 def _difference_terms(table: CoefficientTable, i: TestKind, j: TestKind):
@@ -233,8 +237,9 @@ def power_difference(
     query: PowerQuery, i: TestKind, j: TestKind, source: str = SOURCE_CHAIN
 ) -> float:
     """Pi_i - Pi_j via the telescoped density representation (exact antisymmetry)."""
-    csum, C = _difference_terms(query.coefficients(source), i, j)
-    return query.scale * _second_order(query, csum, C)
+    table = query.coefficients(source)
+    csum = _row_sum(table, j, source) - _row_sum(table, i, source)  # A_j - A_i, as local_power
+    return query.scale * _second_order(query, csum, _difference_terms(table, i, j)[1])
 
 
 @dataclass(frozen=True)
@@ -312,6 +317,8 @@ def power_ordering(
     _check_alpha(alpha)
     if not eps_grid or any(e <= 0.0 for e in eps_grid):
         raise DomainError("eps_grid must contain positive magnitudes")
+    for eps in eps_grid:
+        _check_drift(eps)  # before the sign multiplies it
     sign = 1.0 if eps_sign == "above" else -1.0
     tables = [power_coefficients(model, theta0, sign * eps, source) for eps in eps_grid]
     tols = [_COEF_TOL * max(1.0, float(np.max(np.abs(t.a)))) for t in tables]

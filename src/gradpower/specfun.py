@@ -18,9 +18,10 @@ which its second-order term uses (``_nc_chisq1_densities``).
 Every other noncentral CDF and density is a sum over the Poisson weights,
 walked once from the modal index up and then down (Benton & Krishnamoorthy
 2003, *CSDA* 43:249); the weights and the sweeps' stops depend on the
-noncentrality alone.  One loop over them sums a CDF, another the densities
-at df, df + 2 and df + 4, so :func:`nc_chisq_mixture` takes the CDF and the
-three densities of a telescoped second-order sum from one weight pass.
+noncentrality alone.  Each term is added to a CDF sum and to the densities
+at three consecutive degrees of freedom as the walk reaches it, so memory
+stays constant and :func:`nc_chisq_mixture` takes the CDF and the three
+densities of a telescoped second-order sum from one pass.
 """
 
 from __future__ import annotations
@@ -264,22 +265,29 @@ def _walk_too_long(params: ChiSquareParams):
     )
 
 
-def _poisson_weights(params: ChiSquareParams):
-    # (j0, w0, up, down): the Poisson(lam) weights that a mixture sum takes, walked
-    # once outward from the modal index j0 = floor(lam), which avoids weight
-    # underflow for large lam.  w0 is the modal weight, up holds w_{j0+1}, w_{j0+2},
-    # ... and down w_{j0-1}, ..., w_0.  Each sweep stops once a geometric bound on
-    # its remaining tail mass falls below half of _POISSON_TAIL, after at most
-    # _POISSON_MAX_TERMS terms.
-    lam = params.noncentrality
-    j0 = int(lam)
+def _mixture_sums(params: ChiSquareParams, x: float, d: float):
+    # (G, f1, f2, f3): sums over the Poisson(lam) weights w_j of the central cdf at
+    # df + 2j and of the central densities at d + 2j, d + 2 + 2j and d + 4 + 2j, all
+    # at x.  The weights are walked once outward from the modal index j0 = floor(lam),
+    # which avoids weight underflow for large lam: the modal term, then up, then down,
+    # each term added to all four sums as it is reached.  Each sweep stops once a
+    # geometric bound on its remaining weight falls below half of _POISSON_TAIL, after
+    # at most _POISSON_MAX_TERMS terms.
+    # With a = df/2 + j and T(a) = xg^a e^-xg / Gamma(a+1), P(a+1, xg) = P(a, xg) - T(a),
+    # and each step clamps the cdf base back into [0, 1]; f_{v+2}(x) = f_v(x) * xg / a
+    # with a = v/2, a product of non-negative factors that needs no clamp.
+    lam, df = params.noncentrality, params.df
     half_tail = 0.5 * _POISSON_TAIL
-
+    if lam >= _POISSON_MAX_TERMS ** 2:
+        # within the cap above the mode the up sweep's tail bound stays above about
+        # 0.24, so it cannot stop; the gate below is rounding noise from about 1e15
+        _walk_too_long(params)
+    j0 = int(lam)
     if lam > _POISSON_MAX_TERMS:
         # The weights fall above the mode, and each up step's tail bound is at least
         # its next weight, so the up sweep cannot stop within its cap while the weight
-        # at j0 + cap exceeds half_tail.  Such a lam is refused before any list is
-        # built.  The factor e covers lgamma's rounding wherever a sweep can end
+        # at j0 + cap exceeds half_tail.  Such a lam is refused before any term is
+        # summed.  The factor e covers lgamma's rounding wherever a sweep can end
         # within the cap (lam below about 7e10).
         j_cap = j0 + _POISSON_MAX_TERMS
         if j_cap * math.log(lam) - lam - math.lgamma(j_cap + 1.0) > math.log(half_tail) + 1.0:
@@ -289,88 +297,56 @@ def _poisson_weights(params: ChiSquareParams):
     if j0 > 0:
         logw0 += j0 * math.log(lam)
     w0 = math.exp(logw0)
-
-    up = []
-    w = w0
-    for j in range(j0, j0 + _POISSON_MAX_TERMS):
-        wnext = w * lam / (j + 1.0)
-        if j + 1.0 > lam:
-            # tail above j is bounded by w_{j+1} / (1 - lam/(j+2))
-            bound = wnext / (1.0 - lam / (j + 2.0))
-            if bound < half_tail:
-                break
-        w = wnext
-        up.append(w)
-    else:
-        _walk_too_long(params)
-
-    down = []
-    w = w0
-    for j in range(j0 - 1, max(j0 - 1 - _POISSON_MAX_TERMS, -1), -1):
-        w *= (j + 1) / lam
-        down.append(w)
-        if j > 0 and lam > j:
-            # tail below j is bounded by w_{j-1} / (1 - (j-1)/lam)
-            bound = (w * j / lam) / (1.0 - (j - 1.0) / lam)
-            if bound < half_tail:
-                break
-    else:
-        if j0 > _POISSON_MAX_TERMS:
-            _walk_too_long(params)
-    return j0, w0, up, down
-
-
-def _cdf_sum(weights, df: float, x: float) -> float:
-    # sum_j w_j P_{df+2j}(x) over _poisson_weights' terms, modal term first, then
-    # up, then down.  With a = df/2 + j and T(a) = xg^a e^-xg / Gamma(a+1),
-    # P(a+1, xg) = P(a, xg) - T(a); each step clamps the base back into [0, 1].
-    j0, w0, up, down = weights
     xg = 0.5 * x
     a0 = 0.5 * df + j0
     logT0 = a0 * math.log(xg) - xg - math.lgamma(a0 + 1.0)
     T0 = math.exp(logT0) if logT0 > -_MAXLOG else 0.0
     c0 = central_chisq_cdf(df + 2.0 * j0, x)
-    total = w0 * c0
+    d2, d3 = d + 2.0, d + 4.0
+    a10, a20, a30 = 0.5 * d + j0, 0.5 * d2 + j0, 0.5 * d3 + j0
+    b10, b20, b30 = (central_chisq_pdf(v + 2.0 * j0, x) for v in (d, d2, d3))
+    g = w0 * c0
+    t1, t2, t3 = w0 * b10, w0 * b20, w0 * b30
 
-    c, T, a = c0, T0, a0
-    for w in up:
+    w, c, T, a = w0, c0, T0, a0
+    b1, b2, b3, a1, a2, a3 = b10, b20, b30, a10, a20, a30
+    for j in range(j0, j0 + _POISSON_MAX_TERMS):
+        wnext = w * lam / (j + 1.0)
+        if j + 1.0 > lam:
+            # tail above j is bounded by w_{j+1} / (1 - lam/(j+2))
+            if wnext / (1.0 - lam / (j + 2.0)) < half_tail:
+                break
+        w = wnext
         c -= T
         T *= xg / (a + 1.0)
         a += 1.0
         c = max(c, 0.0)
-        total += w * c
-
-    c, T, a = c0, T0, a0
-    for w in down:
-        a -= 1.0
-        T *= (a + 1.0) / xg
-        c = min(c + T, 1.0)
-        total += w * c
-    return total
-
-
-def _density_sums(weights, df: float, x: float) -> tuple[float, float, float]:
-    # sum_j w_j f_v(x) at v = df + 2j, df + 2 + 2j and df + 4 + 2j in one loop over
-    # _poisson_weights' terms, as f_{v+2}(x) = f_v(x) * xg / a with a = v/2.  Each
-    # base is a product of non-negative factors, so no step clamps it.
-    j0, w0, up, down = weights
-    xg = 0.5 * x
-    d2, d3 = df + 2.0, df + 4.0
-    a10, a20, a30 = 0.5 * df + j0, 0.5 * d2 + j0, 0.5 * d3 + j0
-    b10, b20, b30 = (central_chisq_pdf(d + 2.0 * j0, x) for d in (df, d2, d3))
-    t1, t2, t3 = w0 * b10, w0 * b20, w0 * b30
-
-    b1, b2, b3, a1, a2, a3 = b10, b20, b30, a10, a20, a30
-    for w in up:
+        g += w * c
         b1, b2, b3 = b1 * (xg / a1), b2 * (xg / a2), b3 * (xg / a3)
         a1, a2, a3 = a1 + 1.0, a2 + 1.0, a3 + 1.0
         t1, t2, t3 = t1 + w * b1, t2 + w * b2, t3 + w * b3
+    else:
+        _walk_too_long(params)
+
+    w, c, T, a = w0, c0, T0, a0
     b1, b2, b3, a1, a2, a3 = b10, b20, b30, a10, a20, a30
-    for w in down:
+    for j in range(j0 - 1, max(j0 - 1 - _POISSON_MAX_TERMS, -1), -1):
+        w *= (j + 1) / lam
+        a -= 1.0
+        T *= (a + 1.0) / xg
+        c = min(c + T, 1.0)
+        g += w * c
         a1, a2, a3 = a1 - 1.0, a2 - 1.0, a3 - 1.0
         b1, b2, b3 = b1 * (a1 / xg), b2 * (a2 / xg), b3 * (a3 / xg)
         t1, t2, t3 = t1 + w * b1, t2 + w * b2, t3 + w * b3
-    return t1, t2, t3
+        if j > 0 and lam > j:
+            # tail below j is bounded by w_{j-1} / (1 - (j-1)/lam)
+            if (w * j / lam) / (1.0 - (j - 1.0) / lam) < half_tail:
+                break
+    else:
+        if j0 > _POISSON_MAX_TERMS:
+            _walk_too_long(params)
+    return g, t1, t2, t3
 
 
 def nc_chisq_cdf(params: ChiSquareParams, x: float) -> float:
@@ -378,7 +354,8 @@ def nc_chisq_cdf(params: ChiSquareParams, x: float) -> float:
     _check_finite_x(x)
     if x <= 0.0:
         return 0.0
-    return min(max(_cdf_sum(_poisson_weights(params), params.df, x), 0.0), 1.0)
+    # the densities at df + 2 and up, as the mixture takes them, cannot overflow
+    return min(max(_mixture_sums(params, x, params.df + 2.0)[0], 0.0), 1.0)
 
 
 def nc_chisq1_tails(lam: float, x: float) -> tuple[float, float]:
@@ -454,12 +431,12 @@ def _nc_chisq1_densities(lam: float, x: float) -> tuple[float, float, float]:
 def nc_chisq_pdf(params: ChiSquareParams, x: float) -> float:
     """Density of the (Poisson-mixture) noncentral chi-square distribution."""
     _check_positive_x(x)
-    return max(_density_sums(_poisson_weights(params), params.df, x)[0], 0.0)
+    return max(_mixture_sums(params, x, params.df)[1], 0.0)
 
 
 def nc_chisq_mixture(
-    params: ChiSquareParams, x: float, cdf: bool = True
-) -> tuple[float | None, tuple[float, float, float]]:
+    params: ChiSquareParams, x: float
+) -> tuple[float, tuple[float, float, float]]:
     """``(G, (g2, g4, g6))`` at ``x`` from one pass over the Poisson weights.
 
     ``G`` is the CDF with ``params.df`` degrees of freedom and ``g2``, ``g4``,
@@ -467,13 +444,11 @@ def nc_chisq_mixture(
     at noncentrality ``lam``: the values of a telescoped second-order sum.
     ``x`` must be positive and finite; there each value equals what
     :func:`nc_chisq_cdf` or :func:`nc_chisq_pdf` returns at the same degrees of
-    freedom.  With ``cdf=False`` the CDF is skipped and ``G`` is ``None``.
+    freedom.
     """
     _check_positive_x(x)
-    weights = _poisson_weights(params)
-    g = min(max(_cdf_sum(weights, params.df, x), 0.0), 1.0) if cdf else None
-    g2, g4, g6 = _density_sums(weights, params.df + 2.0, x)
-    return g, (max(g2, 0.0), max(g4, 0.0), max(g6, 0.0))
+    g, g2, g4, g6 = _mixture_sums(params, x, params.df + 2.0)
+    return min(max(g, 0.0), 1.0), (max(g2, 0.0), max(g4, 0.0), max(g6, 0.0))
 
 
 @lru_cache(maxsize=_QUANTILE_MEMO)

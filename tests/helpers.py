@@ -69,9 +69,9 @@ def random_tensors(rng, p, q=0, with_k111=False):
 def reference_poisson_mixture(params, x, pdf):
     """One noncentral cdf (``pdf`` false) or density sum, by a Poisson walk of its own.
 
-    This is the single-kernel walk that one shared pass over the Poisson weights
-    replaced (``specfun._poisson_weights``, then ``_cdf_sum`` or ``_density_sums``),
-    kept as the reference that each of those sums must equal bit for bit.
+    This is the single-kernel walk that ``specfun._mixture_sums`` replaced, which
+    adds every term to a cdf sum and three density sums as it walks; it is kept as
+    the reference that each of those four sums must equal bit for bit.
     """
     df, lam = params.df, params.noncentrality
     xg = 0.5 * x

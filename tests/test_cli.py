@@ -672,6 +672,22 @@ class TestCliContract:
         assert err.startswith("numeric failure:")
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["power", *GAMMA_ARGS, "--eps", "1e200", "--n", "50", "--alpha", "0.05"],
+        ["power", *GAMMA_ARGS, "--eps", "1e120", "--n", "50", "--alpha", "0.05"],
+        ["order", *GAMMA_ARGS, "--eps-grid", "1e200", "--direction", "above",
+         "--alpha", "0.05"],
+        ["simulate", *GAMMA_ARGS, "--eps", "1e200", "--n", "50", "--reps", "10",
+         "--alpha", "0.05", "--seed", "1"],
+    ])
+    def test_huge_drift_is_a_domain_error(self, capsys, argv):
+        # eps ** 3 would overflow: refused by one rule before any sampling, no warning
+        code, out, err = _capture(capsys, argv)
+        assert code == 2 and out == ""
+        drift = float(argv[argv.index("--eps-grid" if argv[0] == "order" else "--eps") + 1])
+        assert err == (f"domain error: eps must be at most {expansion._DRIFT_MAX} "
+                       f"in magnitude, got {drift}\n")
+
     def test_poisson_walk_is_bounded(self, capsys):
         # the composite fixture's lam = 2.5e13 would need ~4e7 mixture terms per sweep
         start = time.perf_counter()
@@ -875,12 +891,12 @@ class TestCriticalValueReuse:
 class TestMixtureReuse:
     """Each evaluation point builds a table per source, computes its df-1 tails once
     and takes its three densities from one closed-form call; local power walks no
-    Poisson weights and sums no cdf."""
+    Poisson weights."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
         calls = {"nc_chisq1_tails": [], "power_coefficients": [], "densities": [],
-                 "weights": [], "sums": []}
+                 "walks": []}
 
         def recording(module, name, log, entry=lambda args, result: args):
             inner = getattr(module, name)
@@ -896,20 +912,10 @@ class TestMixtureReuse:
             recording(localpower, name, calls[name])
         # (lam, x) of every closed-form density call, under the name localpower resolves
         recording(localpower, "_nc_chisq1_densities", calls["densities"])
-        # (lam, weights) of every weight pass; (kind, df, weights) of every kernel sum
-        recording(specfun, "_poisson_weights", calls["weights"],
-                  lambda args, result: (args[0].noncentrality, result))
-        for kind, name in (("cdf", "_cdf_sum"), ("densities", "_density_sums")):
-            recording(specfun, name, calls["sums"],
-                      lambda args, result, kind=kind: (kind, args[1], args[0]))
+        # (lam, cdf df, first density df) of every Poisson walk
+        recording(specfun, "_mixture_sums", calls["walks"],
+                  lambda args, result: (args[0].noncentrality, args[0].df, args[2]))
         return calls
-
-    @staticmethod
-    def walks(calls):
-        # (lam, sums taken) of every weight pass, each sum as (kind, df); a sum
-        # counts only on the very weights that pass returned
-        return [(lam, [(kind, df) for kind, df, used in calls["sums"] if used is weights])
-                for lam, weights in calls["weights"]]
 
     def test_power_grid(self, capsys, calls):
         code, _, _ = _capture(
@@ -922,7 +928,7 @@ class TestMixtureReuse:
         # has an all-zero table, so none there
         crit = specfun.central_chisq_quantile(1.0, 0.05, upper=True)
         assert calls["densities"] == [(0.25, crit), (1.0, crit)]
-        assert calls["weights"] == [] and calls["sums"] == []
+        assert calls["walks"] == []
         assert len(calls["power_coefficients"]) == 3
 
     def test_simulate_both_sources(self, capsys, calls):
@@ -934,7 +940,7 @@ class TestMixtureReuse:
         assert code == 0
         assert [lam for lam, _ in calls["nc_chisq1_tails"]] == [0.25]
         assert [lam for lam, _ in calls["densities"]] == [0.25]
-        assert calls["weights"] == [] and calls["sums"] == []
+        assert calls["walks"] == []
         assert len(calls["power_coefficients"]) == 2
 
     def test_no_walk_at_infinite_n(self, calls):
@@ -944,14 +950,13 @@ class TestMixtureReuse:
             for kind in TestKind:
                 localpower.local_power(query, kind, source)
         assert [lam for lam, _ in calls["nc_chisq1_tails"]] == [0.25]
-        assert calls["densities"] == [] and calls["weights"] == [] and calls["sums"] == []
+        assert calls["densities"] == [] and calls["walks"] == []
         assert len(calls["power_coefficients"]) == 2
 
     def test_cdf_expansion_walks_once(self, calls):
         e = expansion.PowerExpansion(2, 0.5, (0.1, -0.3, 0.15, 0.05))
         expansion.cdf_expansion(e, 50, 3.84)
-        assert self.walks(calls) == [(0.5, [("cdf", 2.0), ("densities", 4.0)])]
-        # at n = inf the cdf is summed alone
+        assert calls["walks"] == [(0.5, 2.0, 4.0)]
+        # at n = inf too: the same walk, whose second-order sum the zero scale drops
         expansion.cdf_expansion(e, math.inf, 3.84)
-        assert self.walks(calls)[1:] == [(0.5, [("cdf", 2.0)])]
-        assert len(calls["sums"]) == 3
+        assert calls["walks"] == [(0.5, 2.0, 4.0)] * 2

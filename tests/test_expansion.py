@@ -194,6 +194,9 @@ class TestReductionChain:
     @pytest.mark.parametrize("k_tt,eps,message", [
         (-2.0, math.nan, "eps must be finite, got nan"),
         (-2.0, math.inf, "eps must be finite, got inf"),
+        (-2.0, 1e200, "eps must be at most 5.643803094122288e\\+102 in magnitude, got 1e\\+200"),
+        pytest.param(-2.0, -10 ** 400, "eps must be at most 5.643803094122288e\\+102 in "
+                     f"magnitude, got {-10 ** 400}", id="-10**400"),
         (0.0, 1.0, "Fisher information must be positive, got -0.0"),
         (1.0, 1.0, "Fisher information must be positive, got -1.0"),
     ])

@@ -12,6 +12,7 @@ from gradpower import localpower
 from gradpower.errors import DomainError
 from gradpower.expfam import catalog_model, cumulants
 from gradpower.expansion import (
+    _DRIFT_MAX,
     cdf_expansion,
     scalar_coefficients,
     st_moments,
@@ -137,6 +138,24 @@ class TestCoefficientTable:
     def test_non_finite_eps_refused(self, eps):
         with pytest.raises(DomainError, match=f"^eps must be finite, got {eps}$"):
             power_coefficients(catalog_model("gamma", {"k": 1.0}), 1.0, eps)
+
+    @pytest.mark.parametrize("eps", [1e120, -1e200, pytest.param(10 ** 400, id="10**400"), 5.7e102])
+    def test_huge_eps_refused(self, eps):
+        # one drift rule: eps ** 3, a factor of every coefficient, must be finite
+        model = catalog_model("gamma", {"k": 1.0})
+        def message(eps):
+            return f"^{re.escape(f'eps must be at most {_DRIFT_MAX} in magnitude, got {eps}')}$"
+
+        with pytest.raises(DomainError, match=message(eps)):
+            power_coefficients(model, 1.0, eps)
+        for n in (50, math.inf):
+            with pytest.raises(DomainError, match=message(eps)):
+                PowerQuery(model=model, theta0=1.0, eps=eps, n=n, alpha=0.05)
+        with pytest.raises(DomainError, match=message(abs(eps))):
+            power_ordering(model, 1.0, "above" if eps > 0 else "below", 0.05,
+                           eps_grid=(abs(eps),))
+        # the largest drift allowed builds its table
+        assert power_coefficients(model, 1.0, -_DRIFT_MAX).a.shape == (4, 4)
 
     @pytest.mark.parametrize("beta_d1", [0.0, -1.0])
     def test_non_positive_information_refused(self, beta_d1):
@@ -426,6 +445,28 @@ class TestPowerDifference:
             direct = local_power(q, i).raw - local_power(q, j).raw
             tele = power_difference(q, i, j)
             assert tele == pytest.approx(direct, abs=1e-13)
+
+    def test_row_sums_as_local_power_takes_them(self):
+        # A_j - A_i, with A zero for every consistent-chain row: the float sum of two
+        # such rows' difference (~1e-17), times G_1 ~ 1, would swamp a small tail
+        q = PowerQuery(model=catalog_model("tev"), theta0=1.0, eps=0.5, n=50, alpha=1e-12)
+        d = power_difference(q, TestKind.LR, TestKind.WALD)
+        assert d == 5.428100501695604e-10
+        assert d == local_power(q, TestKind.LR).raw - local_power(q, TestKind.WALD).raw
+        for name, model in all_models():
+            theta0 = 0.4 if name == "normal-mean" else 1.0
+            for eps in (-0.5, 0.5, 1.0):
+                for alpha in (0.05, 1e-6, 1e-12):
+                    q = PowerQuery(model=model, theta0=theta0, eps=eps, n=50, alpha=alpha)
+                    for source in SOURCES:
+                        for i in TestKind:
+                            for j in TestKind:
+                                d = power_difference(q, i, j, source)
+                                pi_i = local_power(q, i, source).raw
+                                direct = pi_i - local_power(q, j, source).raw
+                                # the direct difference keeps a few ulps of pi_i
+                                tol = 1e-13 * abs(d) + 4.0 * sys.float_info.epsilon * abs(pi_i)
+                                assert abs(d - direct) <= tol, (name, eps, alpha, source, i, j)
 
     def test_gamma_example_weights(self):
         # grad-vs-lr telescopes through C = (0, -1/2, -1/3)

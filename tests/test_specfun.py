@@ -291,8 +291,8 @@ class TestNoncentralPdf:
 
 
 class TestPoissonWalk:
-    """One pass over the Poisson weights feeds a cdf sum and three density sums, each
-    bit-identical to a walk of its own."""
+    """One pass over the Poisson weights sums a cdf and three densities as it walks, each
+    sum bit-identical to a walk of its own."""
 
     DFS = (1.0, 2.0, 3.0, 5.0, 12.0)
     LAMS = (0.0, 1e-3, 0.5, 5.0, 50.0, 200.0, 1e4)
@@ -304,24 +304,22 @@ class TestPoissonWalk:
         underflows = 0
         for lam in self.LAMS:
             params = ChiSquareParams(df, lam)
-            weights = specfun._poisson_weights(params)
-            # the weights depend on lam alone
-            assert specfun._poisson_weights(ChiSquareParams(df + 7.0, lam)) == weights
             for x in self.XS:
                 cdf = reference_poisson_mixture(params, x, pdf=False)
                 dfs = (df, df + 2.0, df + 4.0, df + 6.0)
                 dens = [reference_poisson_mixture(ChiSquareParams(d, lam), x, True) for d in dfs]
                 where = (df, lam, x)
-                assert specfun._cdf_sum(weights, df, x) == cdf, where
-                assert specfun._density_sums(weights, df, x) == tuple(dens[:3]), where
-                assert specfun._density_sums(weights, df + 2.0, x) == tuple(dens[1:]), where
+                assert specfun._mixture_sums(params, x, df) == (cdf, *dens[:3]), where
+                assert specfun._mixture_sums(params, x, df + 2.0) == (cdf, *dens[1:]), where
+                # the density sums depend on lam and their own df alone
+                other = ChiSquareParams(df + 7.0, lam)
+                assert specfun._mixture_sums(other, x, df)[1:] == tuple(dens[:3]), where
                 # the public kernels clamp the same sums
                 g = min(max(cdf, 0.0), 1.0)
                 clamped = tuple(max(d, 0.0) for d in dens)
                 assert nc_chisq_cdf(params, x) == g, where
                 assert nc_chisq_pdf(params, x) == clamped[0], where
                 assert nc_chisq_mixture(params, x) == (g, clamped[1:]), where
-                assert nc_chisq_mixture(params, x, cdf=False) == (None, clamped[1:]), where
                 underflows += central_chisq_pdf(df + 2.0 * int(lam), x) == 0.0
         assert underflows >= len(self.XS)
 
@@ -329,8 +327,8 @@ class TestPoissonWalk:
         monkeypatch.setattr(specfun, "_POISSON_MAX_TERMS", 50)
         params = ChiSquareParams(1.0, 1e4)
         kernels = (
+            lambda: specfun._mixture_sums(params, 2e4, 3.0),
             lambda: nc_chisq_mixture(params, 2e4),
-            lambda: nc_chisq_mixture(params, 2e4, cdf=False),
             lambda: nc_chisq_cdf(params, 2e4),
             lambda: nc_chisq_pdf(params, 2e4),
         )
@@ -346,26 +344,48 @@ class TestPoissonWalk:
 
     def test_refused_lam_also_fails_the_walk(self, monkeypatch):
         # Above the cap, a lam whose weight at j0 + cap is too large for the up sweep
-        # to stop is refused before any weight list exists; the reference walk, with
-        # the same cap, raises at each such lam.
+        # to stop, and every lam from cap**2 on, is refused before any term is summed;
+        # the reference walk, with the same cap, raises at each such lam.
         monkeypatch.setattr(specfun, "_POISSON_MAX_TERMS", 50)
         refused = capped = 0
         for lam in np.geomspace(1e-3, 5e3, 400):
             params = ChiSquareParams(1.0, float(lam))
             try:
-                specfun._poisson_weights(params)
+                specfun._mixture_sums(params, float(lam), 3.0)
                 continue
             except ConvergenceError as exc:
                 tb = exc.__traceback__
-                while tb.tb_frame.f_code.co_name != "_poisson_weights":
+                while tb.tb_frame.f_code.co_name != "_mixture_sums":
                     tb = tb.tb_next
-                if "up" in tb.tb_frame.f_locals:
+                if "g" in tb.tb_frame.f_locals:
                     capped += 1  # a sweep reached the cap
                     continue
             refused += 1
             with pytest.raises(ConvergenceError, match="more than 50 terms per sweep"):
                 reference_poisson_mixture(params, float(lam), pdf=False)
         assert refused > 100 and capped > 0
+
+    def test_every_unfinishable_lam_is_refused(self):
+        # From about 1e15 on the refusal gate's lgamma expression is rounding noise, and
+        # near 2**53 the weight recurrence stalls; from _POISSON_MAX_TERMS**2 on the up
+        # sweep's tail bound stays above about 0.24 within the cap.  Every lam here is
+        # refused, none gives a value or a bare ZeroDivisionError or OverflowError.
+        def around(v, k=35):
+            lo = hi = v
+            out = [v]
+            for _ in range(k):
+                lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+                out += [lo, hi]
+            return out
+
+        lams = [float(v) for v in np.geomspace(2e11, 1.7e308, 2000)]
+        lams += around(2.0 ** 52) + around(2.0 ** 53)
+        assert len(lams) == 2142
+        for lam in lams:
+            params = ChiSquareParams(1.0, lam)
+            for kernel in (nc_chisq_cdf, nc_chisq_pdf, nc_chisq_mixture):
+                with pytest.raises(ConvergenceError, match="Poisson mixture needs more than"):
+                    kernel(params, lam)
 
     def test_refusal_allocates_nothing(self):
         # about 8e7 terms per sweep are needed, 2**21 are allowed
@@ -377,6 +397,17 @@ class TestPoissonWalk:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_completed_walk_keeps_no_weights(self):
+        # about 16k terms at lam = 1e6, summed as they are reached rather than stored
+        tracemalloc.start()
+        try:
+            g, densities = nc_chisq_mixture(ChiSquareParams(1.0, 1e6), 2e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 < g < 1.0 and all(d > 0.0 for d in densities)
+        assert peak < 64 << 10
 
 
 HUGE = 10 ** 400  # an integer past the largest float
@@ -512,7 +543,7 @@ class TestOddDensities:
         # near the centre the walk's absolute error is ~1e-14 of the largest density
         for lam in (0.01, 1.0, 8.0, 50.0):
             for x in (0.5, 3.84, 2.0 * lam + 1.0):
-                walk = nc_chisq_mixture(ChiSquareParams(1.0, lam), x, cdf=False)[1]
+                walk = nc_chisq_mixture(ChiSquareParams(1.0, lam), x)[1]
                 for got, want in zip(specfun._nc_chisq1_densities(lam, x), walk):
                     assert got == pytest.approx(want, rel=1e-10)
 
