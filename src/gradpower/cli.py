@@ -65,6 +65,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
+    if type(x) is float:  # most values; the checks below are for the rest
+        return f"{x:.17g}"
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     return f"{float(x):.17g}"

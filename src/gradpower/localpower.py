@@ -20,7 +20,10 @@ Nothing cancels in the upper tail, so small-alpha power keeps its relative
 accuracy at every alpha in (0, 1).  A :class:`PowerQuery` takes ``g_3``,
 ``g_5`` and ``g_7`` in closed form, from modified spherical Bessel functions,
 and its four tests and both coefficient sources share them; no Poisson
-weights are walked.  Pairwise power differences take the same form, with
+weights are walked.  It evaluates its point once per source, on the first
+:func:`local_power` call: one coefficient table of plain-float rows, each
+row's weights taken once, and all four powers in one pass; every later call
+looks its test up.  Pairwise power differences take the same form, with
 ``A_j - A_i`` and the partial sums of ``a_jk - a_ik``; those density weights
 give sign certificates that are uniform in the critical value, and
 :func:`power_ordering` turns them into an ordered partition of the four tests.
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -90,12 +92,35 @@ def _check_alpha(alpha: float) -> None:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Rows LR, Wald, score, gradient; columns mixture index k = 0..3."""
+    """Rows LR, Wald, score, gradient of plain floats; columns mixture index k = 0..3.
 
-    a: np.ndarray
+    ``sums`` holds each row's A_i = sum_k a_ik as local power takes it.
+    """
+
+    rows: tuple[tuple[float, float, float, float], ...]
+    sums: tuple[float, float, float, float]
+
+    @property
+    def a(self) -> np.ndarray:
+        return np.array(self.rows)
 
     def row(self, kind: TestKind) -> np.ndarray:
         return self.a[kind - 1]
+
+
+class _lazy:
+    # functools.cached_property without the lock that Python 3.11 takes on every
+    # first access: the value lands in the instance dict, which shadows this
+    # non-data descriptor from then on
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -125,11 +150,11 @@ class PowerQuery:
         """The alternative theta0 + eps/sqrt(n) that the data are drawn under."""
         return self.theta0 + self.eps / math.sqrt(self.n)
 
-    @cached_property
+    @_lazy
     def crit(self) -> float:  # solved on first use, never at construction
         return central_chisq_quantile(1.0, self.alpha, upper=True)
 
-    @cached_property
+    @_lazy
     def lam(self) -> float:
         return 0.5 * self.model.fisher_information(self.theta0) * self.eps ** 2
 
@@ -137,12 +162,12 @@ class PowerQuery:
     def scale(self) -> float:
         return _inv_sqrt(self.n)
 
-    @cached_property
+    @_lazy
     def tails(self) -> tuple[float, float]:
         """(G_{1,lam}(crit), Q_{1,lam}(crit)): the df-1 cdf and upper tail, in closed form."""
         return nc_chisq1_tails(self.lam, self.crit)
 
-    @cached_property
+    @_lazy
     def densities(self) -> tuple[float, float, float]:
         """(g_{3,lam}(crit), g_{5,lam}(crit), g_{7,lam}(crit)), in closed form.
 
@@ -151,9 +176,14 @@ class PowerQuery:
         """
         return _nc_chisq1_densities(self.lam, self.crit)
 
-    @cached_property
+    @_lazy
     def _values(self) -> dict:
         # source -> table; per instance, as queries are unhashable
+        return {}
+
+    @_lazy
+    def _powers(self) -> dict:
+        # source -> the four tests' powers, from one pass of _four_powers
         return {}
 
     def coefficients(self, source: str) -> CoefficientTable:
@@ -197,40 +227,48 @@ def power_coefficients(
         ap * bpp * e3 / 4.0 - P * e / (4.0 * K),
         -P * e3 / 12.0,
     )
-    return CoefficientTable(a=np.array([lr, wald, score, grad], dtype=float))
+    # A_i: every row but the table source's gradient row is a consistent-chain row,
+    # which sums to zero exactly; its float sum (~1e-19), times G_1 ~ 1, would
+    # swamp a small upper tail
+    grad_sum = _weights(grad)[0] if source == SOURCE_TABLE else 0.0
+    return CoefficientTable(rows=(lr, wald, score, grad), sums=(0.0, 0.0, 0.0, grad_sum))
 
 
 def local_power(
     query: PowerQuery, test: TestKind, source: str = SOURCE_CHAIN
 ) -> ClampedProbability:
-    """Second-order rejection probability of one test at the query point."""
+    """Second-order rejection probability of one test at the query point.
+
+    The query evaluates all four tests under ``source`` on first use; later
+    calls look the value up.
+    """
+    powers = query._powers.get(source)
+    if powers is None:
+        powers = query._powers[source] = _four_powers(query, source)
+    return powers[test - 1]
+
+
+def _four_powers(query: PowerQuery, source: str) -> tuple[ClampedProbability, ...]:
+    # Pi_i = Q_1 - n^{-1/2} [A_i G_1 - 2 sum_m C_im g_{1+2m}] for the four rows in
+    # one pass; G_1 and the densities are evaluated only if a nonzero weight needs them
     table = query.coefficients(source)  # fetched at n = inf too: it validates source and eps
-    raw = query.tails[1]
+    q1 = query.tails[1]
     scale = query.scale
-    if scale != 0.0:  # at n = inf no density is evaluated
-        C = _weights(table.row(test).tolist())[1]
-        raw -= scale * _second_order(query, _row_sum(table, test, source), C)
-    return _clamp(raw)
-
-
-def _row_sum(table: CoefficientTable, test: TestKind, source: str) -> float:
-    # A_i = sum_k a_ik.  Every row but the table source's gradient row is a
-    # consistent-chain row, which sums to zero exactly; its float sum (~1e-19),
-    # times G_1 ~ 1, would swamp a small upper tail
-    if source == SOURCE_TABLE and test == TestKind.GRADIENT:
-        return _weights(table.row(test).tolist())[0]
-    return 0.0
+    if scale == 0.0:  # at n = inf no density is evaluated
+        return (_clamp(q1),) * 4
+    return tuple([_clamp(q1 - scale * _second_order(query, A, _weights(row)[1]))
+                  for A, row in zip(table.sums, table.rows)])
 
 
 def _difference_terms(table: CoefficientTable, i: TestKind, j: TestKind):
     # c_k = a_jk - a_ik; C_m = sum_{k >= m} c_k; csum = sum_k c_k.
     # Pi_i - Pi_j = n^{-1/2} [ csum * G_1 - 2 * sum_m C_m g_{1+2m} ]   (telescoped)
-    return _weights((table.row(j) - table.row(i)).tolist())
+    return _weights([b - a for a, b in zip(table.rows[i - 1], table.rows[j - 1])])
 
 
 def _second_order(query: PowerQuery, csum: float, C) -> float:
     # csum * G_1 - 2 * sum_m C_m g_{1+2m} at the query point
-    return _telescoped(csum, C, lambda: query.tails[0], lambda m: query.densities[m - 1])
+    return _telescoped(csum, C, lambda: query.tails[0], lambda: query.densities)
 
 
 def power_difference(
@@ -238,7 +276,7 @@ def power_difference(
 ) -> float:
     """Pi_i - Pi_j via the telescoped density representation (exact antisymmetry)."""
     table = query.coefficients(source)
-    csum = _row_sum(table, j, source) - _row_sum(table, i, source)  # A_j - A_i, as local_power
+    csum = table.sums[j - 1] - table.sums[i - 1]  # A_j - A_i, as local_power takes them
     return query.scale * _second_order(query, csum, _difference_terms(table, i, j)[1])
 
 

@@ -14,6 +14,7 @@ import pytest
 import gradpower
 from gradpower import cli, expansion, localpower, specfun
 from gradpower.cli import run
+from gradpower.localpower import SOURCE_CHAIN, SOURCE_TABLE
 from gradpower.expfam import CATALOG_NAMES, catalog_model
 from gradpower.teststats import TestKind
 
@@ -1091,7 +1092,7 @@ class TestCriticalValueReuse:
 
 
 class TestMixtureReuse:
-    """Each evaluation point builds a table per source, computes its df-1 tails once
+    """Each evaluation point builds one table per source, computes its df-1 tails once
     and takes its three densities from one closed-form call; local power walks no
     Poisson weights."""
 
@@ -1110,8 +1111,10 @@ class TestMixtureReuse:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("nc_chisq1_tails", "power_coefficients"):
-            recording(localpower, name, calls[name])
+        recording(localpower, "nc_chisq1_tails", calls["nc_chisq1_tails"])
+        # (eps, source) of every coefficient build
+        recording(localpower, "power_coefficients", calls["power_coefficients"],
+                  lambda args, result: (args[2], args[3]))
         # (lam, x) of every closed-form density call, under the name localpower resolves
         recording(localpower, "_nc_chisq1_densities", calls["densities"])
         # (lam, cdf df, first density df) of every Poisson walk
@@ -1131,7 +1134,8 @@ class TestMixtureReuse:
         crit = specfun.central_chisq_quantile(1.0, 0.05, upper=True)
         assert calls["densities"] == [(0.25, crit), (1.0, crit)]
         assert calls["walks"] == []
-        assert len(calls["power_coefficients"]) == 3
+        assert calls["power_coefficients"] == [(0.0, SOURCE_CHAIN), (0.5, SOURCE_CHAIN),
+                                               (1.0, SOURCE_CHAIN)]
 
     def test_simulate_both_sources(self, capsys, calls):
         code, _, _ = _capture(
@@ -1143,7 +1147,7 @@ class TestMixtureReuse:
         assert [lam for lam, _ in calls["nc_chisq1_tails"]] == [0.25]
         assert [lam for lam, _ in calls["densities"]] == [0.25]
         assert calls["walks"] == []
-        assert len(calls["power_coefficients"]) == 2
+        assert calls["power_coefficients"] == [(0.5, SOURCE_CHAIN), (0.5, SOURCE_TABLE)]
 
     def test_no_walk_at_infinite_n(self, calls):
         query = localpower.PowerQuery(
@@ -1153,7 +1157,20 @@ class TestMixtureReuse:
                 localpower.local_power(query, kind, source)
         assert [lam for lam, _ in calls["nc_chisq1_tails"]] == [0.25]
         assert calls["densities"] == [] and calls["walks"] == []
-        assert len(calls["power_coefficients"]) == 2
+        assert calls["power_coefficients"] == [(0.5, SOURCE_CHAIN), (0.5, SOURCE_TABLE)]
+
+    def test_one_build_per_point_and_source(self, calls):
+        # every test and pair of a reused query, each asked for twice, in both sources
+        query = localpower.PowerQuery(catalog_model("tev", {}), 1.0, 0.5, 50, 0.05)
+        for _ in range(2):
+            for source in localpower.SOURCES:
+                for i in TestKind:
+                    localpower.local_power(query, i, source)
+                    for j in TestKind:
+                        localpower.power_difference(query, i, j, source)
+        assert calls["power_coefficients"] == [(0.5, SOURCE_CHAIN), (0.5, SOURCE_TABLE)]
+        assert [lam for lam, _ in calls["nc_chisq1_tails"]] == [0.125]
+        assert [lam for lam, _ in calls["densities"]] == [0.125]
 
     def test_cdf_expansion_walks_once(self, calls):
         e = expansion.PowerExpansion(2, 0.5, (0.1, -0.3, 0.15, 0.05))

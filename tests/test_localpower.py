@@ -300,8 +300,16 @@ class TestLocalPower:
         assert {"crit", "lam", "tails", "densities", "_values"} <= set(vars(q))
 
 
+def _bits(value):
+    # the exact bits of a power or a difference, so that -0.0 and 0.0 differ
+    if isinstance(value, float):
+        return value.hex()
+    return (value.value.hex(), value.raw.hex(), value.clamped)
+
+
 class TestQueryReuse:
-    """A query reused across tests, sources and pairs gives the fresh-query values."""
+    """A query reused across tests, sources and pairs gives the fresh-query values, bit
+    for bit, whichever test or pair it evaluates first."""
 
     POINTS = (
         ("gamma", 1.0, 0.5, 50, 0.05),
@@ -319,15 +327,24 @@ class TestQueryReuse:
         def fresh():
             return PowerQuery(model=model, theta0=theta0, eps=eps, n=n, alpha=alpha)
 
-        q = fresh()
+        # q evaluates each source's tests first, r its pairs first and its tests in
+        # reverse; every fresh query evaluates one test or pair only
+        q, r = fresh(), fresh()
+        pairs = [(i, j) for i in TestKind for j in TestKind if i != j]
         for source in SOURCES:
+            for i, j in pairs:
+                assert _bits(power_difference(r, i, j, source)) == _bits(
+                    power_difference(fresh(), i, j, source))
+            for kind in reversed(TestKind):
+                assert _bits(local_power(r, kind, source)) == _bits(
+                    local_power(fresh(), kind, source))
             for kind in TestKind:
-                assert local_power(q, kind, source) == local_power(fresh(), kind, source)
-            for i in TestKind:
-                for j in TestKind:
-                    if i != j:
-                        got = power_difference(q, i, j, source)
-                        assert got == power_difference(fresh(), i, j, source)
+                want = _bits(local_power(fresh(), kind, source))
+                assert _bits(local_power(q, kind, source)) == want
+                assert _bits(local_power(r, kind, source)) == want
+            for i, j in pairs:
+                assert _bits(power_difference(q, i, j, source)) == _bits(
+                    power_difference(fresh(), i, j, source))
 
     def test_unknown_source_raises_at_infinite_n(self):
         q = PowerQuery(model=catalog_model("gamma", {"k": 2.0}), theta0=1.0, eps=0.5,
