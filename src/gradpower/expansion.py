@@ -42,7 +42,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import _FLOAT_MAX, DomainError, _check_float_size, _check_integer, _check_sample_size
+from .errors import (
+    _FLOAT_MAX,
+    DomainError,
+    GradpowerError,
+    _check_float_size,
+    _check_integer,
+    _check_sample_size,
+)
 from .expfam import CumulantSet
 from .specfun import ChiSquareParams, _check_noncentrality, nc_chisq_mixture
 from .specfun import nc_chisq_cdf  # noqa: F401 (unused; perfbench/tracing.py wraps it)
@@ -195,6 +202,8 @@ class ClampedProbability(NamedTuple):
 
 
 def _clamp(raw: float) -> ClampedProbability:
+    if raw != raw:  # NaN is a failed evaluation, not a probability to clamp
+        raise GradpowerError("second-order probability is NaN")
     value = min(max(raw, 0.0), 1.0)
     return ClampedProbability(value, raw, value != raw)
 

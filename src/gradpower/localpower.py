@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -190,7 +191,8 @@ class PowerQuery:
         """The coefficient table under ``source``."""
         tables = self._values
         if source not in tables:
-            tables[source] = power_coefficients(self.model, self.theta0, self.eps, source)
+            table = power_coefficients(self.model, self.theta0, self.eps, source)
+            tables[source] = _finite(table, self.theta0, self.eps)
         return tables[source]
 
 
@@ -232,6 +234,14 @@ def power_coefficients(
     # swamp a small upper tail
     grad_sum = _weights(grad)[0] if source == SOURCE_TABLE else 0.0
     return CoefficientTable(rows=(lr, wald, score, grad), sums=(0.0, 0.0, 0.0, grad_sum))
+
+
+def _finite(table: CoefficientTable, theta0: float, eps: float) -> CoefficientTable:
+    # P eps^3 and its kin overflow below the drift bound too; such a table would make
+    # every power and certificate NaN, so the queries and the ordering refuse it
+    if not all(map(math.isfinite, chain.from_iterable(table.rows))):
+        raise DomainError(f"local power coefficients overflow at theta0={theta0}, eps={eps}")
+    return table
 
 
 def local_power(
@@ -358,7 +368,8 @@ def power_ordering(
     for eps in eps_grid:
         _check_drift(eps)  # before the sign multiplies it
     sign = 1.0 if eps_sign == "above" else -1.0
-    tables = [power_coefficients(model, theta0, sign * eps, source) for eps in eps_grid]
+    tables = [_finite(power_coefficients(model, theta0, e, source), theta0, e)
+              for e in (sign * eps for eps in eps_grid)]
     tols = [_COEF_TOL * max(1.0, float(np.max(np.abs(t.a)))) for t in tables]
 
     fallback = None  # pointwise queries, built when the first pair needs them

@@ -15,6 +15,8 @@ import gradpower
 from gradpower import cli, expansion, localpower, specfun
 from gradpower.cli import run
 from gradpower.localpower import SOURCE_CHAIN, SOURCE_TABLE
+
+from helpers import CATALOG_FIXED
 from gradpower.expfam import CATALOG_NAMES, catalog_model
 from gradpower.teststats import TestKind
 
@@ -890,6 +892,23 @@ class TestCliContract:
         drift = float(argv[argv.index("--eps-grid" if argv[0] == "order" else "--eps") + 1])
         assert err == (f"domain error: eps must be at most {expansion._DRIFT_MAX} "
                        f"in magnitude, got {drift}\n")
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_overflowing_coefficients_are_a_domain_error(self, capsys, name):
+        # below the drift bound P eps^3 still overflows at theta0 = 0.1, for every model
+        # but normal-mean, whose coefficients are all zero; no command prints NaN
+        fixed = ",".join(f"{k}={v}" for k, v in CATALOG_FIXED[name].items()) or "-"
+        base = ["--model", name, "--theta0", "0.1"] + (["--fixed", fixed] if fixed != "-" else [])
+        for argv in (["power", *base, "--eps", "5e102", "--n", "50", "--alpha", "0.05"],
+                     ["order", *base, "--eps-grid", "1,5e102", "--direction", "above",
+                      "--alpha", "0.05"]):
+            code, out, err = _capture(capsys, argv)
+            if name == "normal-mean":
+                assert code == 0 and err == "" and "nan" not in out
+            else:
+                assert code == 2 and out == ""
+                assert err == ("domain error: local power coefficients overflow at"
+                               " theta0=0.1, eps=5e+102\n")
 
     def test_poisson_walk_is_bounded(self, capsys):
         # the composite fixture's lam = 2.5e13 would need ~4e7 mixture terms per sweep

@@ -11,7 +11,7 @@ import pytest
 from scipy.stats import chi2
 
 from gradpower import expansion
-from gradpower.errors import DomainError
+from gradpower.errors import DomainError, GradpowerError
 from gradpower.expfam import CumulantSet, catalog_model, cumulants
 from gradpower.expansion import (
     CumulantTensors,
@@ -339,6 +339,23 @@ class TestOverflowingDrift:
             simple_coefficients(t, [1e200])
         with pytest.raises(DomainError, match=self.MESSAGE):
             st_moments(t, [1e200], 50)
+
+
+class TestClamp:
+    """``_clamp`` reports a probability outside [0, 1] as clamped, and never NaN."""
+
+    def test_nan_is_refused_not_clamped(self):
+        for raw in (math.nan, -math.nan):
+            with pytest.raises(GradpowerError, match="^second-order probability is NaN$"):
+                expansion._clamp(raw)
+
+    def test_values(self):
+        assert expansion._clamp(0.25) == (0.25, 0.25, False)
+        assert expansion._clamp(-1e-300) == (0.0, -1e-300, True)
+        assert expansion._clamp(1.5) == (1.0, 1.5, True)
+        assert expansion._clamp(math.inf) == (1.0, math.inf, True)
+        got = expansion._clamp(-0.0)
+        assert not got.clamped and math.copysign(1.0, got.value) == -1.0
 
 
 class TestTelescopedWeights:

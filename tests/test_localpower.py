@@ -157,6 +157,22 @@ class TestCoefficientTable:
         # the largest drift allowed builds its table
         assert power_coefficients(model, 1.0, -_DRIFT_MAX).a.shape == (4, 4)
 
+    def test_overflowing_coefficients_refused(self):
+        # below the drift bound P eps^3 still overflows at theta0 = 0.1: the table is
+        # built, but no query or ordering evaluates it, as every power would be NaN
+        model = catalog_model("gamma", {"k": 2.0})
+        message = re.escape("local power coefficients overflow at theta0=0.1, eps=5e+102")
+        for source in SOURCES:
+            assert not np.isfinite(power_coefficients(model, 0.1, 5e102, source).a).all()
+            for n in (50, math.inf):
+                q = PowerQuery(model=model, theta0=0.1, eps=5e102, n=n, alpha=0.05)
+                with pytest.raises(DomainError, match=message):
+                    local_power(q, TestKind.LR, source)
+                with pytest.raises(DomainError, match=message):
+                    power_difference(q, TestKind.LR, TestKind.WALD, source)
+            with pytest.raises(DomainError, match=message):
+                power_ordering(model, 0.1, "above", 0.05, source, eps_grid=(1.0, 5e102))
+
     @pytest.mark.parametrize("beta_d1", [0.0, -1.0])
     def test_non_positive_information_refused(self, beta_d1):
         model = dataclasses.replace(catalog_model("gamma", {"k": 1.0}),
