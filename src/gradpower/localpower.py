@@ -15,7 +15,9 @@ the density, it is evaluated telescoped:
 with ``Q_1 = 1 - G_1`` from its ``erfc`` closed form, ``A_i = sum_k a_ik``
 and ``C_im = sum_{k>=m} a_ik`` for m = 1..3.  Every row but the ``table``
 source's gradient row sums to zero exactly, so :func:`local_power` and
-:func:`power_difference` take its ``A_i`` as 0.
+:func:`power_difference` take its ``A_i`` as 0; that row differs from its
+chain row in ``a_0`` alone, so its ``A_i`` is that difference, 0 again in a
+natural family (``alpha'' = 0``).
 Nothing cancels in the upper tail, so small-alpha power keeps its relative
 accuracy at every alpha in (0, 1).  A :class:`PowerQuery` takes ``g_3``,
 ``g_5`` and ``g_7`` in closed form, from modified spherical Bessel functions,
@@ -229,11 +231,11 @@ def power_coefficients(
         ap * bpp * e3 / 4.0 - P * e / (4.0 * K),
         -P * e3 / 12.0,
     )
-    # A_i: every row but the table source's gradient row is a consistent-chain row,
-    # which sums to zero exactly; its float sum (~1e-19), times G_1 ~ 1, would
-    # swamp a small upper tail
-    grad_sum = _weights(grad)[0] if source == SOURCE_TABLE else 0.0
-    return CoefficientTable(rows=(lr, wald, score, grad), sums=(0.0, 0.0, 0.0, grad_sum))
+    # A_i: every consistent-chain row sums to zero exactly, and the table source's
+    # gradient row differs from its chain row in a_0 alone, so its sum is that
+    # difference (0 where alpha'' = 0, as P = R there).  A float sum (~1e-19),
+    # times G_1 ~ 1, would swamp a small upper tail
+    return CoefficientTable(rows=(lr, wald, score, grad), sums=(0.0, 0.0, 0.0, grad0 - a_shared0))
 
 
 def _finite(table: CoefficientTable, theta0: float, eps: float) -> CoefficientTable:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -376,18 +377,21 @@ class TestUpperTailAccuracy:
     The reference is ``Q_1 + s sum_k a_k Q_{1+2k} - s sum_k a_k``, with
     ``s = n^-1/2``.  The error is scaled by the terms' magnitude
     ``Q_1 + s sum_k |a_k| Q_{1+2k} + s |sum_k a_k|``, which stays fair where the
-    expansion goes negative.  Every row but the table source's gradient row is
-    a consistent-chain row and sums to zero exactly, so its constant is 0, as in
-    the program; the table gradient row's is its numpy sum.
+    expansion goes negative.  The constant is the row's exact sum: every row but
+    the table source's gradient row is a consistent-chain row and sums to zero
+    exactly; the table gradient row differs from its chain row in ``a_0`` alone,
+    by ``(P - R) eps^3 / 6 = alpha'' beta' eps^3 / 2``, taken here in rational
+    arithmetic from the model's float derivatives.
     """
 
     EPS = (0.1, 0.5, 1.0, 2.0, -0.1, -0.5, -1.0, -2.0)
 
     @staticmethod
-    def constant(table, kind, source):
+    def constant(model, eps, kind, source):
         if source == SOURCE_CHAIN or kind != TestKind.GRADIENT:
             return 0.0
-        return float(table.row(kind).sum())
+        return float(Fraction(model.alpha_d2(1.0)) * Fraction(model.beta_d1(1.0))
+                     * Fraction(eps) ** 3 / 2)
 
     # each bound is at most 10x the worst error measured (1.7e-15, 1.2e-15,
     # 1.8e-15, 3.9e-15 and 5.5e-15)
@@ -408,7 +412,7 @@ class TestUpperTailAccuracy:
                         table = q.coefficients(source)
                         for kind in TestKind:
                             term = q.scale * table.row(kind)
-                            const = q.scale * self.constant(table, kind, source)
+                            const = q.scale * self.constant(model, eps, kind, source)
                             want = sf[0] + term @ sf - const
                             magnitude = sf[0] + np.abs(term) @ sf + abs(const)
                             got = local_power(q, kind, source).raw
@@ -500,6 +504,34 @@ class TestPowerDifference:
                                 # the direct difference keeps a few ulps of pi_i
                                 tol = 1e-13 * abs(d) + 4.0 * sys.float_info.epsilon * abs(pi_i)
                                 assert abs(d - direct) <= tol, (name, eps, alpha, source, i, j)
+
+    def test_table_gradient_row_sum_is_its_a0_difference(self):
+        # the table source's gradient row differs from its chain row in a_0 alone, so
+        # its sum A is that difference: exactly 0 in a natural family (alpha'' = 0),
+        # where both sources then give the same powers and differences, bit for bit
+        for name, model in all_models():
+            for eps in (-0.7, 0.1, 1.3):
+                chain = power_coefficients(model, 1.0, eps, SOURCE_CHAIN)
+                table = power_coefficients(model, 1.0, eps, SOURCE_TABLE)
+                assert chain.sums == (0.0, 0.0, 0.0, 0.0)
+                assert table.sums[:3] == (0.0, 0.0, 0.0)
+                assert table.sums[3] == table.rows[3][0] - chain.rows[3][0]
+                if name not in NATURAL:
+                    continue
+                assert table.sums[3] == 0.0 and table.rows == chain.rows
+                q = PowerQuery(model=model, theta0=1.0, eps=eps, n=1000, alpha=1e-12)
+                for i in TestKind:
+                    assert _bits(local_power(q, i, SOURCE_TABLE)) == _bits(local_power(q, i))
+                    for j in TestKind:
+                        assert (_bits(power_difference(q, i, j, SOURCE_TABLE))
+                                == _bits(power_difference(q, i, j)))
+        # gamma k = 2, lam = 0.01, alpha = 1e-12, n = 1000: a 50-digit mpmath evaluation
+        # of the telescoped difference, at the program's rows with A = 0, gives
+        # -4.8587602341605467e-12; the row's float sum (~1e-19) moved it by 1.4e-8
+        q = PowerQuery(model=catalog_model("gamma", {"k": 2.0}), theta0=1.0, eps=0.1,
+                       n=1000, alpha=1e-12)
+        got = power_difference(q, TestKind.WALD, TestKind.GRADIENT, SOURCE_TABLE)
+        assert abs(got / -4.8587602341605467e-12 - 1.0) <= 1e-12
 
     def test_gamma_example_weights(self):
         # grad-vs-lr telescopes through C = (0, -1/2, -1/3)
