@@ -42,14 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    _FLOAT_MAX,
-    DomainError,
-    GradpowerError,
-    _check_float_size,
-    _check_integer,
-    _check_sample_size,
-)
+from .errors import _FLOAT_MAX, DomainError, GradpowerError, _check_float_size, _check_integer
+from .errors import _check_sample_size
 from .expfam import CumulantSet
 from .specfun import ChiSquareParams, _check_noncentrality, nc_chisq_mixture
 from .specfun import nc_chisq_cdf  # noqa: F401 (unused; perfbench/tracing.py wraps it)
@@ -202,7 +196,7 @@ class ClampedProbability(NamedTuple):
 
 
 def _clamp(raw: float) -> ClampedProbability:
-    if raw != raw:  # NaN is a failed evaluation, not a probability to clamp
+    if math.isnan(raw):  # a failed evaluation, not a probability to clamp
         raise GradpowerError("second-order probability is NaN")
     value = min(max(raw, 0.0), 1.0)
     return ClampedProbability(value, raw, value != raw)
@@ -249,16 +243,14 @@ def _drift_terms(t: CumulantTensors, eps: np.ndarray):
     return np.concatenate([top, -eps]), A, lam
 
 
-def _telescoped(csum, C, cdf, densities):
+def _telescoped(csum, C, cdf, density):
     # sum_k c_k G_{f+2k} = csum * G_f - 2 * sum_m C_m g_{f+2m}, as G_{v+2} = G_v - 2 g_{v+2}:
     # the second-order sum of local power, power differences and the CDF expansion.
-    # cdf() gives G_f and densities() (g_{f+2}, g_{f+4}, g_{f+6}), each called only
-    # for a nonzero weight.
+    # cdf() gives G_f and density(m) g_{f+2m}, each called only for a nonzero weight.
     total = csum * cdf() if csum != 0.0 else 0.0
-    if C[0] != 0.0 or C[1] != 0.0 or C[2] != 0.0:
-        for c, g in zip(C, densities()):
-            if c != 0.0:
-                total -= 2.0 * c * g
+    for m, c in enumerate(C, start=1):
+        if c != 0.0:
+            total -= 2.0 * c * density(m)
     return total
 
 
@@ -382,7 +374,7 @@ def cdf_expansion(e: PowerExpansion, n, x: float) -> ClampedProbability:
     g, densities = nc_chisq_mixture(ChiSquareParams(e.f, e.lam), x)
     csum, C = _weights(e.a)
     # at n = inf the scale is 0 and the sum finite, so the value is g itself
-    return _clamp(g + _inv_sqrt(n) * _telescoped(csum, C, lambda: g, lambda: densities))
+    return _clamp(g + _inv_sqrt(n) * _telescoped(csum, C, lambda: g, lambda m: densities[m - 1]))
 
 
 def st_moments(t: CumulantTensors, eps, n) -> MomentSet:

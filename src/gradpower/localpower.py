@@ -95,10 +95,7 @@ def _check_alpha(alpha: float) -> None:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Rows LR, Wald, score, gradient of plain floats; columns mixture index k = 0..3.
-
-    ``sums`` holds each row's A_i = sum_k a_ik as local power takes it.
-    """
+    """Float rows LR, Wald, score, gradient; columns k = 0..3; ``sums``: each row's A_i."""
 
     rows: tuple[tuple[float, float, float, float], ...]
     sums: tuple[float, float, float, float]
@@ -112,9 +109,8 @@ class CoefficientTable:
 
 
 class _lazy:
-    # functools.cached_property without the lock that Python 3.11 takes on every
-    # first access: the value lands in the instance dict, which shadows this
-    # non-data descriptor from then on
+    # functools.cached_property without the lock Python 3.11 takes on each first access:
+    # the value lands in the instance dict, which shadows this non-data descriptor
     def __init__(self, fn):
         self.fn = fn
         self.__doc__ = fn.__doc__
@@ -251,8 +247,7 @@ def local_power(
 ) -> ClampedProbability:
     """Second-order rejection probability of one test at the query point.
 
-    The query evaluates all four tests under ``source`` on first use; later
-    calls look the value up.
+    The first call per source evaluates all four tests in one pass; later calls look up.
     """
     powers = query._powers.get(source)
     if powers is None:
@@ -280,7 +275,7 @@ def _difference_terms(table: CoefficientTable, i: TestKind, j: TestKind):
 
 def _second_order(query: PowerQuery, csum: float, C) -> float:
     # csum * G_1 - 2 * sum_m C_m g_{1+2m} at the query point
-    return _telescoped(csum, C, lambda: query.tails[0], lambda: query.densities)
+    return _telescoped(csum, C, lambda: query.tails[0], lambda m: query.densities[m - 1])
 
 
 def power_difference(
