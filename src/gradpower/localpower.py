@@ -247,7 +247,7 @@ def local_power(
 ) -> ClampedProbability:
     """Second-order rejection probability of one test at the query point.
 
-    The first call per source evaluates all four tests in one pass; later calls look up.
+    The first call per source evaluates all four tests in one pass; later calls look it up.
     """
     powers = query._powers.get(source)
     if powers is None:
@@ -256,8 +256,8 @@ def local_power(
 
 
 def _four_powers(query: PowerQuery, source: str) -> tuple[ClampedProbability, ...]:
-    # Pi_i = Q_1 - n^{-1/2} [A_i G_1 - 2 sum_m C_im g_{1+2m}] for the four rows in
-    # one pass; G_1 and the densities are evaluated only if a nonzero weight needs them
+    # Pi_i = Q_1 - n^{-1/2} [A_i G_1 - 2 sum_m C_im g_{1+2m}] for the four rows in one
+    # pass; the densities are evaluated only if a nonzero weight needs them
     table = query.coefficients(source)  # fetched at n = inf too: it validates source and eps
     q1 = query.tails[1]
     scale = query.scale
