@@ -21,10 +21,12 @@ The second-order sum is evaluated telescoped, through
     sum_k a_k G_{f+2k,lam}(x) = A G_{f,lam}(x) - 2 sum_m C_m g_{f+2m,lam}(x),
 
 with ``A = sum_k a_k`` (zero up to rounding) and ``C_m = sum_{k>=m} a_k``
-for m = 1..3.  Here one Poisson-mixture walk gives the CDF and all three
-densities, at n = inf too, where the zero scale drops the second-order sum;
-local power and power differences share the same form, with their df-1
-values in closed form.
+for m = 1..3.  At f = 1, the scalar case, the CDF and all three densities
+are elementary, as in local power and power differences: ``G_1`` from
+``erfc`` and ``g_3``, ``g_5``, ``g_7`` from modified spherical Bessel
+functions, so no Poisson weights are walked.  Every other f takes them from
+one Poisson-mixture walk.  Both are evaluated at n = inf too, where the zero
+scale drops the second-order sum.
 
 Contractions are single ``np.einsum`` calls over dense arrays, bit-identical to
 direct triple loops.  The tested-block contraction zero-pads the drift to
@@ -45,7 +47,8 @@ import numpy as np
 from .errors import _FLOAT_MAX, DomainError, GradpowerError, _check_float_size, _check_integer
 from .errors import _check_sample_size
 from .expfam import CumulantSet
-from .specfun import ChiSquareParams, _check_noncentrality, nc_chisq_mixture
+from .specfun import ChiSquareParams, _check_noncentrality, _nc_chisq1_densities
+from .specfun import nc_chisq1_tails, nc_chisq_mixture
 from .specfun import nc_chisq_cdf  # noqa: F401 (unused; perfbench/tracing.py wraps it)
 
 __all__ = [
@@ -361,7 +364,12 @@ def scalar_coefficients(c: CumulantSet, eps: float) -> PowerExpansion:
 
 
 def cdf_expansion(e: PowerExpansion, n, x: float) -> ClampedProbability:
-    """Evaluate Pr(S <= x) to second order; ``n`` may be ``math.inf``."""
+    """Evaluate Pr(S <= x) to second order; ``n`` may be ``math.inf``.
+
+    At f = 1 the CDF and densities are in closed form and keep their relative
+    accuracy in both tails; any other f walks the Poisson weights once
+    (:func:`~gradpower.specfun.nc_chisq_mixture`).
+    """
     if math.isnan(x):
         raise DomainError("x must not be NaN")
     _check_n(n)
@@ -371,7 +379,10 @@ def cdf_expansion(e: PowerExpansion, n, x: float) -> ClampedProbability:
     if math.isinf(x):
         # all mixture components reach 1 and the coefficients sum to zero
         return ClampedProbability(1.0, 1.0, False)
-    g, densities = nc_chisq_mixture(ChiSquareParams(e.f, e.lam), x)
+    if e.f == 1:
+        g, densities = nc_chisq1_tails(e.lam, x)[0], _nc_chisq1_densities(e.lam, x)
+    else:
+        g, densities = nc_chisq_mixture(ChiSquareParams(e.f, e.lam), x)
     csum, C = _weights(e.a)
     # at n = inf the scale is 0 and the sum finite, so the value is g itself
     return _clamp(g + _inv_sqrt(n) * _telescoped(csum, C, lambda: g, lambda m: densities[m - 1]))

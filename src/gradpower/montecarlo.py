@@ -49,7 +49,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, EstimationError, _check_integer
+from .errors import DomainError, EstimationError, GradpowerError, _check_integer
 from .expfam import ExpFamModel, catalog_model, cumulants
 from .expansion import composite_coefficients, st_moments, tensors_from_cumulants
 from .localpower import SOURCE_CHAIN, SOURCE_TABLE, PowerQuery, local_power
@@ -266,9 +266,15 @@ def _run_chunk(model, theta_gen, theta0, n, seed, lo, hi, xcrit):
     s4 = stats[3]
     power = s4
     sums = []
-    for _ in range(6):  # exactly rounded sums of s4, s4^2, ..., s4^6
-        sums.append(_exact_sum(power))
-        power = power * s4
+    # exactly rounded sums of s4, s4^2, ..., s4^6; a power or sum past the float range
+    # gives a non-finite sum, which simulate refuses by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(6):
+            try:
+                sums.append(_exact_sum(power))
+            except (OverflowError, ValueError):  # math.fsum past the range, or inf - inf
+                sums.append(math.nan)
+            power = power * s4
     rej = tuple(int(np.count_nonzero(r)) for r in reject)
     return (rej, joint34, hi - lo - used, used, tuple(sums))
 
@@ -300,12 +306,31 @@ def _central_moments(power_sums, used):
     )
 
 
+def _moment_estimates(partials, used, config) -> MomentEstimates:
+    # the moments of the gradient statistic from the chunks' power sums; sums or moments
+    # past the float range are refused by name rather than reported as inf or nan
+    try:
+        sums = [math.fsum(p[4][t] for p in partials) for t in range(6)]
+        moments = _central_moments(sums, used)
+    except (OverflowError, ValueError):  # math.fsum or ** past the range, or inf - inf
+        moments = None
+    if moments is None or not all(map(math.isfinite, vars(moments).values())):
+        raise GradpowerError(
+            f"moment sums of the gradient statistic overflow (model={config.model.name!r}, "
+            f"theta0={config.theta0}, eps={config.eps}, n={config.n}, seed={config.seed})"
+        )
+    return moments
+
+
 def simulate(config: SimulationConfig) -> SimulationReport:
     """Run the experiment; deterministic for fixed (seed, reps, n, model)."""
     t_start = time.perf_counter()
     model = config.model
     theta_gen = config.query.theta_drifted
     xcrit = config.query.crit
+    sources = (SOURCE_CHAIN, SOURCE_TABLE) if config.compare_sources else (SOURCE_CHAIN,)
+    for src in sources:  # an overflowing coefficient table is refused before any chunk runs
+        config.query.coefficients(src)
 
     partials = [
         _run_chunk(model, theta_gen, config.theta0, config.n, config.seed, lo,
@@ -317,7 +342,6 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     joint34 = sum(p[1] for p in partials)
     failures = sum(p[2] for p in partials)
     used = sum(p[3] for p in partials)
-    sums = [math.fsum(p[4][t] for p in partials) for t in range(6)]
 
     # reps >= 1, so a run with no usable replicate always trips this limit
     if failures > _FAILURE_LIMIT * config.reps:
@@ -327,10 +351,10 @@ def simulate(config: SimulationConfig) -> SimulationReport:
             f"n={config.n}, seed={config.seed})"
         )
 
+    moments = _moment_estimates(partials, used, config)
     rates = tuple(r / used for r in rej)
     stderr = tuple(math.sqrt(r * (1.0 - r) / used) for r in rates)
 
-    sources = (SOURCE_CHAIN, SOURCE_TABLE) if config.compare_sources else (SOURCE_CHAIN,)
     predicted = {
         src: tuple(local_power(config.query, kind, src).value for kind in ALL_KINDS)
         for src in sources
@@ -340,7 +364,7 @@ def simulate(config: SimulationConfig) -> SimulationReport:
         rejection_rate=rates,
         mc_stderr=stderr,
         predicted_power=predicted,
-        st_moment_estimates=_central_moments(sums, used),
+        st_moment_estimates=moments,
         joint_score_gradient_rate=joint34 / used,
         failures=failures,
         reps=config.reps,

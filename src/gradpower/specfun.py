@@ -9,11 +9,12 @@ degrees of freedom and noncentrality ``lam`` is a central chi-square with
 ``df + 2*lam``.  Below df + 1 at df < 0.1, where P is near 1, the upper
 tail is summed on its own rather than taken as 1 - P.
 
-Local power needs only odd degrees of freedom, and there every value is
-elementary.  At one degree of freedom both tails have a closed form in
-``erfc``, which the local power expansion uses for its leading term, and
-the densities at df 3, 5 and 7 are modified spherical Bessel functions,
-which its second-order term uses (``_nc_chisq1_densities``).
+Local power and the scalar (f = 1) CDF expansion need only odd degrees of
+freedom, and there every value is elementary.  At one degree of freedom
+both tails have a closed form in ``erfc``, which both expansions use for
+their leading term, and the densities at df 3, 5 and 7 are modified
+spherical Bessel functions, which their second-order terms use
+(``_nc_chisq1_densities``).
 
 Every other noncentral CDF and density is a sum over the Poisson weights,
 walked once from the modal index up and then down (Benton & Krishnamoorthy
@@ -64,6 +65,10 @@ _QUANTILE_MEMO = 1024
 _QUANTILE_MAX_STEPS = 100
 # a solve stops once a step moves x by at most this relative amount (a few ulps)
 _QUANTILE_STEP_TOL = 4.0 * _MACHEP
+# the spacing of floats below 2**-1022: a bracket this narrow holds no float between
+# its ends, while above 2**-1022 the relative test is met first
+_SUBNORMAL_STEP = 5e-324
+_FLOAT_MIN = 2.0 ** -1022
 # after a Newton step this small the error is at rounding level, so a next
 # step that fails to halve is the tail's rounding noise
 _QUANTILE_NOISE_STEP = 1e-6
@@ -72,6 +77,7 @@ _NORMAL = NormalDist()
 _C = 1.0 / math.sqrt(2.0 * math.pi)
 _LOG_C = math.log(_C)
 _SQRT2 = math.sqrt(2.0)
+_LOG2 = math.log(2.0)
 
 
 def _bessel_series_coefficients(terms: int):
@@ -196,7 +202,7 @@ _LGAMMA1P_SERIES = tuple((-1) ** k * _zeta(k) / k for k in range(2, 19))
 _SMALL_A = 0.05
 
 
-def _upper_gamma_small_a(a: float, x: float) -> float:
+def _upper_gamma_small_a(a: float, x: float, log_x: float) -> float:
     # Q(a, x) for a < _SMALL_A and x < a + 1/2, where P is near 1 and 1 - P cancels:
     # with y = x^a / Gamma(a + 1) and S = sum_{n>=1} (-x)^n / (n! (a + n)),
     # P = y (1 + a S), so Q = (1 - y) - y a S, two non-negative terms as S < 0
@@ -206,7 +212,7 @@ def _upper_gamma_small_a(a: float, x: float) -> float:
     for c in _LGAMMA1P_SERIES:
         power *= a
         lg1p += c * power
-    log_y = a * math.log(x) - lg1p
+    log_y = a * log_x - lg1p
     term, s = 1.0, 0.0
     for n in range(1, 20):  # x < 1, so x^n / n! < 1e-16 by n = 19
         term *= -x / n
@@ -222,15 +228,16 @@ def _central_tails(df: float, x: float) -> tuple[float, float]:
     if x <= 0.0:
         return 0.0, 1.0
     a, h = 0.5 * df, 0.5 * x
+    log_h = math.log(h) if h > 0.0 else math.log(x) - _LOG2  # x = 5e-324 halves to 0
     # both tails carry the prefactor h**a e**-h / Gamma(a); where it underflows,
     # so does the smaller tail
-    log_ax = a * math.log(h) - h - math.lgamma(a)
+    log_ax = a * log_h - h - math.lgamma(a)
     lower = x < df + 1.0
     if log_ax < -_MAXLOG:
         return (0.0, 1.0) if lower else (1.0, 0.0)
     if lower:
         p = _lower_gamma_series(a, h, math.exp(log_ax))
-        return p, _upper_gamma_small_a(a, h) if a < _SMALL_A else 1.0 - p
+        return p, _upper_gamma_small_a(a, h, log_h) if a < _SMALL_A else 1.0 - p
     q = _upper_gamma_contfrac(a, h, math.exp(log_ax))
     return 1.0 - q, q
 
@@ -521,12 +528,24 @@ def _solve_tail(df: float, target: float, upper: bool) -> float:
             lo = x
         else:
             hi = x
-        if hi - lo <= _QUANTILE_STEP_TOL * lo:
+        gap = hi - lo
+        if gap <= _QUANTILE_STEP_TOL * lo:
+            return x
+        if gap <= _SUBNORMAL_STEP:  # adjacent floats below 2**-1022
+            if target < _FLOAT_MIN:
+                # the tail kernel flushes values below about 2**-1022 to 0, so the
+                # bracket may have closed on that flush rather than on the root
+                raise ConvergenceError(
+                    f"chi-square quantile: tail probability {target} is below the "
+                    f"kernel's underflow (df={df}, tail={'upper' if upper else 'lower'})"
+                )
             return x
         new = step = math.nan
         if value > 0.0:
             # d log(tail) / dt = +-x f(x) / tail, where log(x f(x)) = a log(x/2) - x/2 - lgamma(a)
-            log_slope = a * math.log(0.5 * x) - 0.5 * x - lga - math.log(value)
+            h = 0.5 * x
+            log_h = math.log(h) if h > 0.0 else math.log(x) - _LOG2
+            log_slope = a * log_h - h - lga - math.log(value)
             ratio = value / target
             log_ratio = math.log(ratio) if ratio < math.inf else math.log(value) - log_target
             step = log_ratio * math.exp(min(-log_slope, _MAXLOG))

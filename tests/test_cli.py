@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gradpower
-from gradpower import cli, expansion, localpower, specfun
+from gradpower import cli, expansion, localpower, montecarlo, specfun
 from gradpower.cli import run
 from gradpower.localpower import SOURCE_CHAIN, SOURCE_TABLE
 
@@ -347,7 +347,8 @@ class TestExpandCommand:
         assert err == "domain error: noncentrality must be >= 0 and finite, got inf\n"
 
     def test_normal_composite_fixture_golden(self, capsys, tmp_path, monkeypatch):
-        # normal(mu, v) with mu the nuisance: the composite expansion's full stdout
+        # normal(mu, v) with mu the nuisance: the composite expansion's full stdout; each
+        # cdf is within 6.3e-17 of a 40-digit evaluation of the same expansion
         name = "normal_composite_tensors.json"
         shutil.copy(Path(__file__).resolve().parent / name, tmp_path / name)
         monkeypatch.chdir(tmp_path)  # the header echoes the path
@@ -367,11 +368,11 @@ class TestExpandCommand:
             "# variance=3.2399494936611664\n"
             "# third_moment=10.737436867076458\n"
             "x,cdf,clamped\n"
-            "1,0.66081849751165589,0\n"
-            "2,0.81384781821316843,0\n"
+            "1,0.660818497511656,0\n"
+            "2,0.81384781821316821,0\n"
             "3,0.88750373099177915,0\n"
-            "4,0.92835046640829144,0\n"
-            "5,0.95292263918782405,0\n"
+            "4,0.92835046640829155,0\n"
+            "5,0.95292263918782394,0\n"
         )
 
 
@@ -869,18 +870,52 @@ class TestCliContract:
                 assert err == ("domain error: local power coefficients overflow at"
                                " theta0=0.1, eps=5e+102\n")
 
-    def test_poisson_walk_is_bounded(self, capsys):
-        # the composite fixture's lam = 2.5e13 would need ~4e7 mixture terms per sweep
+    @pytest.mark.parametrize("compare", [[], ["--compare-sources"]])
+    def test_simulate_refuses_overflowing_coefficients_before_sampling(
+            self, capsys, monkeypatch, compare):
+        # the chunks of this point warn from numpy, so none may run before the refusal
+        chunks = []
+        monkeypatch.setattr(montecarlo, "_run_chunk", lambda *args: chunks.append(args))
+        code, out, err = _capture(
+            capsys,
+            ["simulate", "--model", "normal-mean", "--fixed", "theta=5e-324", "--theta0", "1",
+             "--eps", "-1.6803743083905776", "--n", "50", "--reps", "10", "--alpha", "1e-300",
+             "--seed", "3", *compare])
+        assert code == 2 and out == "" and chunks == []
+        assert err == ("domain error: local power coefficients overflow at"
+                       " theta0=1.0, eps=-1.6803743083905776\n")
+
+    def test_overflowing_moment_sums_are_named(self, capsys):
+        # S_G^k overflows in the power sums; refused by name, with no numpy warning
+        code, out, err = _capture(
+            capsys,
+            ["simulate", "--model", "invnormal-mu", "--fixed", "theta=1e150", "--theta0", "1",
+             "--eps", "0.5", "--n", "50", "--reps", "10", "--alpha", "1e-16", "--seed", "3"])
+        assert code == 3 and out == ""
+        assert err == ("numeric failure: moment sums of the gradient statistic overflow"
+                       " (model='invnormal-mu', theta0=1.0, eps=0.5, n=50, seed=3)\n")
+
+    def test_poisson_walk_is_bounded(self, capsys, tmp_path):
+        # the composite fixture with both parameters tested (q = 0) has f = 2, and its
+        # lam = 7.5e13 would need ~7e7 mixture terms per sweep
+        doc = json.loads(Path(__file__).with_name("normal_composite_tensors.json").read_text())
+        tensors = tmp_path / "both_tested.json"
+        tensors.write_text(json.dumps({**doc, "q": 0}))
         start = time.perf_counter()
+        code, out, err = _capture(
+            capsys, ["expand", "--tensors", str(tensors), "--eps=1e7,1e7", "--n", "50", "--x", "1"])
+        assert code == 3
+        assert err.startswith("numeric failure:") and "Poisson" in err
+        assert out == ""
+        assert time.perf_counter() - start < 30.0
+        # at f = 1 the expansion is in closed form, so the fixture's lam = 2.5e13 walks nothing
         code, out, err = _capture(
             capsys,
             ["expand", "--tensors", str(Path(__file__).with_name("normal_composite_tensors.json")),
              "--eps=1e7", "--n", "50", "--x", "1"],
         )
-        assert code == 3
-        assert err.startswith("numeric failure:") and "Poisson" in err
-        assert out == ""
-        assert time.perf_counter() - start < 30.0
+        assert code == 0 and err == ""
+        assert out.endswith("x,cdf,clamped\n1,0,0\n")
         # local power walks no Poisson weights, so lam = eps^2 = 1e14 is in closed form
         code, out, err = _capture(
             capsys, ["power", *GAMMA_ARGS, "--eps", "1e7", "--n", "50", "--alpha", "0.05"]
@@ -1157,3 +1192,15 @@ class TestMixtureReuse:
         # at n = inf too: the same walk, whose second-order sum the zero scale drops
         expansion.cdf_expansion(e, math.inf, 3.84)
         assert calls["walks"] == [(0.5, 2.0, 4.0)] * 2
+
+    def test_cdf_expansion_walks_nothing_at_f1(self, monkeypatch, calls):
+        # f = 1 takes G_1 and g_3, g_5, g_7 in closed form, at n = inf too
+        densities = []
+        inner = expansion._nc_chisq1_densities
+        monkeypatch.setattr(expansion, "_nc_chisq1_densities",
+                            lambda *args: densities.append(args) or inner(*args))
+        e = expansion.PowerExpansion(1, 0.5, (0.1, -0.3, 0.15, 0.05))
+        for n in (50, math.inf):
+            expansion.cdf_expansion(e, n, 3.84)
+        assert calls["walks"] == []
+        assert densities == [(0.5, 3.84)] * 2

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import random
 import re
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -31,7 +33,7 @@ from gradpower.specfun import (
     nc_chisq_cdf,
 )
 
-from helpers import random_tensors
+from helpers import CATALOG_FIXED, random_tensors
 
 # pinned by the quadrature+series oracle: gradient-coefficient expansion for
 # the gamma(k=2) tensors at theta0=1, eps=1, n=50, evaluated at x=3.8415
@@ -251,6 +253,39 @@ class TestCdfExpansion:
                 for x in np.linspace(0.05, 20.0, 40):
                     raw = cdf_expansion(e, 20, float(x)).raw
                     assert -0.02 <= raw <= 1.02, (name, eps, x, raw)
+
+
+    def test_f1_matches_a_40_digit_telescoped_sum(self):
+        # G_1 and g_3, g_5, g_7 in 40 digits: G_1 from the normal cdf and each density
+        # from its Bessel form, summed as sum_k a_k G_{1+2k} with G_{v+2} = G_v - 2 g_{v+2}.
+        # Points as analytic-sweep draws them (lam <= 200, x from 1e-2 to 1e2) reach
+        # values below 1e-60, which the Poisson walk returned as 0 or with no correct digit.
+        rng = random.Random(26)
+        names = list(CATALOG_FIXED)
+        tails = set()
+        worst = 0.0
+        with mpmath.workdps(40):
+            for i in range(200):
+                name = names[i % len(names)]
+                model = catalog_model(name, CATALOG_FIXED[name])
+                lam = math.exp(rng.uniform(math.log(1e-3), math.log(200.0)))
+                eps = rng.choice((-1.0, 1.0)) * math.sqrt(2.0 * lam / model.fisher_information(1.0))
+                e = scalar_coefficients(cumulants(model, 1.0), eps)
+                x = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
+                n = rng.choice((20, 1000))
+                L, xm = 2 * mpmath.mpf(e.lam), mpmath.mpf(x)
+                r, mu = mpmath.sqrt(xm), mpmath.sqrt(L)
+                G = [mpmath.ncdf(r - mu) - mpmath.ncdf(-r - mu)]
+                for k in (3, 5, 7):
+                    g = (mpmath.exp(-(xm + L) / 2) * (xm / L) ** (mpmath.mpf(k - 2) / 4)
+                         * mpmath.besseli(mpmath.mpf(k) / 2 - 1, mpmath.sqrt(L * xm)) / 2)
+                    G.append(G[-1] - 2 * g)
+                want = G[0] + mpmath.fsum(mpmath.mpf(a) * v for a, v in zip(e.a, G)) / mpmath.sqrt(n)
+                got = cdf_expansion(e, n, x).raw
+                worst = max(worst, float(abs(got - want) / abs(want)))
+                tails.add(x < 1.0 + 2.0 * e.lam)
+        assert tails == {True, False}
+        assert worst <= 1e-13
 
 
 class TestPowerExpansionValidation:

@@ -583,6 +583,41 @@ class TestQuantile:
         # the lower-tail start 2 exp((log p + lgamma(a + 1)) / a) underflows at a = 0.005
         assert central_chisq_quantile(0.01, 1e-10) == 0.0
 
+    # lower-tail solves with a subnormal answer, each of which raised ConvergenceError
+    # when the bracket had to shrink to a relative width the subnormals cannot hold:
+    # the first from an earlier scan, the others from a scan of df in [0.01, 10] and
+    # p in [1e-320, 0.49] (the last one also took log(0) at x = 5e-324)
+    SUBNORMAL_SOLVES = [
+        (0.047223405554182446, 2.7569349141498448e-08),
+        (0.0822724134170047, 6.557905749819136e-14),
+        (0.2359833466782195, 1.6423857575671216e-37),
+        (0.6768750009458534, 2.5799136419283652e-108),
+        (1.0811807510766078, 1.1077726085638996e-172),
+        (1.536174946671828, 1.2445398373323484e-245),
+        (1.726983290659436, 5.832566663241798e-280),
+    ]
+
+    @pytest.mark.parametrize("df,p", SUBNORMAL_SOLVES)
+    def test_subnormal_lower_quantile(self, df, p):
+        want = chi2.ppf(p, df)
+        assert 0.0 < want < 2.0 ** -1022
+        assert abs(central_chisq_quantile(df, p) - want) <= 4 * 5e-324
+
+    def test_subnormal_target_below_the_tail_underflow_is_refused(self):
+        # at df 1.94 the cdf flushes values below about 2**-1022 to 0, so the bracket
+        # closes on that flush, near 5.8e-318, not on the root near 1.9e-323
+        with pytest.raises(ConvergenceError, match="underflow"):
+            central_chisq_quantile(1.9414919457438815, 2.733446762e-314)
+
+    @pytest.mark.parametrize("df", [0.05, 0.5, 1.0, 1.9])
+    def test_tails_at_the_smallest_double(self, df):
+        # x / 2 rounds to 0 at x = 5e-324, so the log of x / 2 is taken from x
+        with mpmath.workdps(40):
+            want = mpmath.gammainc(mpmath.mpf(df) / 2, 0, mpmath.mpf(5e-324) / 2,
+                                   regularized=True)
+            assert central_chisq_cdf(df, 5e-324) == pytest.approx(float(want), rel=1e-13)
+            assert central_chisq_sf(df, 5e-324) == pytest.approx(float(1 - want), rel=1e-13)
+
     def test_extreme_tails(self):
         for p in (1e-10, 1e-6, 1.0 - 1e-10):
             q = central_chisq_quantile(1.0, p)
