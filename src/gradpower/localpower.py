@@ -189,8 +189,7 @@ class PowerQuery:
         """The coefficient table under ``source``."""
         tables = self._values
         if source not in tables:
-            table = power_coefficients(self.model, self.theta0, self.eps, source)
-            tables[source] = _finite(table, self.theta0, self.eps)
+            tables[source] = power_coefficients(self.model, self.theta0, self.eps, source)
         return tables[source]
 
 
@@ -227,19 +226,16 @@ def power_coefficients(
         ap * bpp * e3 / 4.0 - P * e / (4.0 * K),
         -P * e3 / 12.0,
     )
+    rows = (lr, wald, score, grad)
+    # P eps^3 and its kin overflow below the drift bound too; such a table would make
+    # every power and certificate NaN, so it is refused
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        raise DomainError(f"local power coefficients overflow at theta0={theta0}, eps={eps}")
     # A_i: every consistent-chain row sums to zero exactly, and the table source's
     # gradient row differs from its chain row in a_0 alone, so its sum is that
     # difference (0 where alpha'' = 0, as P = R there).  A float sum (~1e-19),
     # times G_1 ~ 1, would swamp a small upper tail
-    return CoefficientTable(rows=(lr, wald, score, grad), sums=(0.0, 0.0, 0.0, grad0 - a_shared0))
-
-
-def _finite(table: CoefficientTable, theta0: float, eps: float) -> CoefficientTable:
-    # P eps^3 and its kin overflow below the drift bound too; such a table would make
-    # every power and certificate NaN, so the queries and the ordering refuse it
-    if not all(map(math.isfinite, chain.from_iterable(table.rows))):
-        raise DomainError(f"local power coefficients overflow at theta0={theta0}, eps={eps}")
-    return table
+    return CoefficientTable(rows=rows, sums=(0.0, 0.0, 0.0, grad0 - a_shared0))
 
 
 def local_power(
@@ -365,8 +361,7 @@ def power_ordering(
     for eps in eps_grid:
         _check_drift(eps)  # before the sign multiplies it
     sign = 1.0 if eps_sign == "above" else -1.0
-    tables = [_finite(power_coefficients(model, theta0, e, source), theta0, e)
-              for e in (sign * eps for eps in eps_grid)]
+    tables = [power_coefficients(model, theta0, sign * eps, source) for eps in eps_grid]
     tols = [_COEF_TOL * max(1.0, float(np.max(np.abs(t.a)))) for t in tables]
 
     fallback = None  # pointwise queries, built when the first pair needs them

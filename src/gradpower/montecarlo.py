@@ -21,15 +21,18 @@ count.
 Whatever its source, a chunk's d-bar array has a single evaluation: one call
 of :func:`~gradpower.teststats.statistics_from_dbar`, which computes the
 estimates and statistics element by element in numpy; a replicate whose
-estimate fails has a NaN estimate in its row and is counted as a failure.
+estimate fails has a NaN estimate in its row, and it or a replicate with a
+non-finite statistic is counted as a failure.  The draw and the evaluation run
+with numpy's float warnings off, so such rows warn nothing.
 Each chunk returns the exactly rounded sums of the first six powers of the
 gradient statistic, which ``simulate`` combines across chunks with
 ``math.fsum``; :func:`_exact_sum` gives each chunk's sums bit for bit as
-``math.fsum`` would, without its per-value Python loop.  The chunk drops
-failed rows from each of the four statistic arrays and counts each test's
-rejections on its own 1-D array.  For gamma with n = 50 a chunk of 4096 drawn
-from the law takes about 0.46-1.1 ms: 0.18-0.37 ms to draw, 0.08-0.12 ms to
-evaluate, 0.29-0.44 ms for the six power sums and 0.03-0.04 ms to drop failed
+``math.fsum`` would, with an error-free extraction and a certified rounding
+instead of its per-value Python loop.  The chunk drops failed rows from each
+of the four statistic arrays and counts each test's rejections on its own 1-D
+array.  For gamma with n = 50 a chunk of 4096 drawn from the law takes about
+0.64-0.89 ms (medians of two runs): 0.33-0.47 ms to draw, 0.12-0.15 ms to
+evaluate, 0.13-0.18 ms for the six power sums and 0.05-0.07 ms to drop failed
 rows and count rejections (2-vCPU x86-64 shared with other tenants, numpy 2.4).
 
 Besides plain size/power estimation the module carries the two arbitration
@@ -72,11 +75,11 @@ _MASK64 = (1 << 64) - 1
 # chunk streams set this bit of the key's second word; replicate indices stay below it
 _CHUNK_KEY = 1 << 63
 _FAILURE_LIMIT = 1e-3
-# _exact_sum is exact for up to 2**18 values below 2**960; past either bound a
-# bin sum could round or math.fsum's partial sums could overflow, so it calls
-# math.fsum there instead
+# _exact_sum's fast path: up to 2**18 values, max|x| in [2**-900, 2**960); below, its
+# grid could underflow, above, math.fsum's partial sums could overflow
 _EXACT_SUM_SIZE = 1 << 18
-_EXACT_SUM_EXP = 960
+_EXACT_SUM_MIN = 2.0 ** -900
+_EXACT_SUM_MAX = 2.0 ** 960
 
 
 @dataclass(frozen=True)
@@ -220,56 +223,56 @@ def replicate_statistics(
 def _exact_sum(x: np.ndarray) -> float:
     """``math.fsum(x.tolist())``, bit for bit, without a Python loop over ``x``.
 
-    Each value is ``M * 2**(e - 53)`` with ``M = m * 2**53`` a 53-bit integer
-    (``np.frexp`` gives m and e).  With ``e - min(e) = 16 q + r``, the integer
-    ``M * 2**r`` splits exactly into ``hi * 2**35 + lo``, ``|hi| < 2**33`` and
-    ``0 <= lo < 2**35``.  For at most ``2**18`` values every per-``q`` sum of
-    either half stays below 2**53, so ``np.bincount`` adds them exactly; the
-    few bins combine into one Python int, which is rounded once, to nearest
-    even, as ``math.fsum`` rounds (Shewchuk 1997).  An empty or oversized
-    array, a non-finite value, a value of 2**960 or more, an exact total of 0
-    and a subnormal result go to ``math.fsum`` itself, so those results,
-    signed zeros and raised errors are its own.
+    With ``sigma = 2**(e + size.bit_length())`` and ``2**e`` above max|x|, the
+    extraction ``hi = (sigma + x) - sigma`` and ``x - hi`` are exact (Rump, Ogita
+    & Oishi 2008, *SIAM J. Sci. Comput.* 31(1):189, Lemma 3.3): every ``hi`` is a
+    multiple of ``2**-53 sigma``, so ``t = hi.sum()`` is exact in any order, and
+    ``|x - hi| <= 2**-53 sigma``, so their float sum ``r`` is within
+    ``size**2 * 2**-106 * sigma`` (taken as ``2**-104``, for any summation tree).
+    ``s = t + r`` is returned when its TwoSum error plus that bound is below half
+    the gap to either neighbour of ``s``, so that the exact total rounds to ``s``.
+    Near-ties, an empty or oversized array, a non-finite value, max|x| outside
+    [2**-900, 2**960) and a zero or subnormal ``s`` go to ``math.fsum`` itself,
+    so those results, signed zeros and raised errors are its own.
     """
-    if not 0 < x.size <= _EXACT_SUM_SIZE or not np.isfinite(x).all():
+    size = x.size
+    top = float(np.abs(x).max()) if 0 < size <= _EXACT_SUM_SIZE else math.nan
+    if not _EXACT_SUM_MIN <= top < _EXACT_SUM_MAX:  # NaN (no, too many or NaN values) or inf
         return math.fsum(x.tolist())
-    m, e = np.frexp(x)
-    emin = int(e.min())
-    if int(e.max()) > _EXACT_SUM_EXP:
-        return math.fsum(x.tolist())
-    offset = e - emin
-    scaled = np.ldexp(m, (offset & 15) + 18)  # M * 2**r / 2**35
-    hi = np.floor(scaled)
-    lo = (scaled - hi) * 2.0 ** 35
-    q = offset >> 4
-    total = 0
-    for h, l in zip(np.bincount(q, weights=hi).astype(np.int64).tolist()[::-1],
-                    np.bincount(q, weights=lo).astype(np.int64).tolist()[::-1]):
-        total = (total << 16) + (h << 35) + l
-    scale = emin - 53  # the exact sum is total * 2**scale
-    if total == 0 or abs(total).bit_length() + scale < -1021:  # 0, or below 2**-1022
-        return math.fsum(x.tolist())
-    # int / int and float(int) both round correctly, half to even
-    return total / (1 << -scale) if scale < 0 else float(total << scale)
+    scale = math.frexp(top)[1] + size.bit_length()  # sigma = 2**scale
+    sigma = math.ldexp(1.0, scale)
+    hi = (x + sigma) - sigma
+    t = float(hi.sum())
+    r = float((x - hi).sum())
+    s = t + r
+    z = s - t
+    err = abs((t - (s - z)) + (r - z)) + math.ldexp(size * size, scale - 104)
+    # the bound is at least 2**-1002, so a zero or subnormal s always falls back
+    if 2.0 * err < min(math.nextafter(s, math.inf) - s, s - math.nextafter(s, -math.inf)):
+        return s
+    return math.fsum(x.tolist())
 
 
 def _run_chunk(model, theta_gen, theta0, n, seed, lo, hi, xcrit):
-    # returns (rejection counts[4], joint34, failures, used, s4 power sums[6]);
-    # a failed estimate leaves a NaN theta_hat, and its row is dropped
-    d_bar = _dbars(model, theta_gen, n, seed, lo, hi)
-    theta_hat, s = statistics_from_dbar(model, theta0, d_bar, n)
-    ok = ~np.isnan(theta_hat)
-    stats = [si[ok] for si in s]
-    used = len(stats[3])
-    reject = [si > xcrit for si in stats]
-    joint34 = int(np.count_nonzero(reject[2] & reject[3]))
-    s4 = stats[3]
-    power = s4
-    sums = []
-    # exactly rounded sums of s4, s4^2, ..., s4^6; a power or sum past the float range
-    # gives a non-finite sum, which simulate refuses by name
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(6):
+    # returns (rejection counts[4], joint34, failures, used, s4 power sums[6]); a row
+    # with a failed estimate (a NaN theta_hat) or a non-finite statistic is dropped.
+    # numpy's float warnings are off for the whole chunk: such rows are counted as
+    # failures, and a power or sum past the float range gives a non-finite sum,
+    # which simulate refuses by name
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d_bar = _dbars(model, theta_gen, n, seed, lo, hi)
+        theta_hat, s = statistics_from_dbar(model, theta0, d_bar, n)
+        ok = ~np.isnan(theta_hat)
+        for si in s:
+            ok &= np.isfinite(si)
+        stats = [si[ok] for si in s]
+        used = len(stats[3])
+        reject = [si > xcrit for si in stats]
+        joint34 = int(np.count_nonzero(reject[2] & reject[3]))
+        s4 = stats[3]
+        power = s4
+        sums = []
+        for _ in range(6):  # exactly rounded sums of s4, s4^2, ..., s4^6
             try:
                 sums.append(_exact_sum(power))
             except (OverflowError, ValueError):  # math.fsum past the range, or inf - inf

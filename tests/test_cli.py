@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -894,6 +895,21 @@ class TestCliContract:
         assert code == 3 and out == ""
         assert err == ("numeric failure: moment sums of the gradient statistic overflow"
                        " (model='invnormal-mu', theta0=1.0, eps=0.5, n=50, seed=3)\n")
+
+    def test_infinite_statistics_are_failures_not_rejections(self, capsys):
+        # a shape of 1e-16 makes most Wald statistics infinite: those rows are failures,
+        # so the run is refused by the failure limit, with no numpy warning on the way
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _capture(
+                capsys,
+                ["simulate", "--model", "invnormal-mu", "--fixed", "theta=1e-16", "--theta0", "7",
+                 "--eps", "4.301078817733611", "--n", "5", "--reps", "200", "--alpha", "0.999999",
+                 "--seed", "3"])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert code == 3 and out == ""
+        assert err == ("numeric failure: estimation failed in 148/200 replicates (model="
+                       "'invnormal-mu', theta0=7.0, eps=4.301078817733611, n=5, seed=3)\n")
 
     def test_poisson_walk_is_bounded(self, capsys, tmp_path):
         # the composite fixture with both parameters tested (q = 0) has f = 2, and its

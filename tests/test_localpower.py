@@ -155,16 +155,19 @@ class TestCoefficientTable:
         with pytest.raises(DomainError, match=message(abs(eps))):
             power_ordering(model, 1.0, "above" if eps > 0 else "below", 0.05,
                            eps_grid=(abs(eps),))
-        # the largest drift allowed builds its table
-        assert power_coefficients(model, 1.0, -_DRIFT_MAX).a.shape == (4, 4)
+        # the largest drift allowed passes the drift rule, but its table overflows
+        overflow = re.escape(f"local power coefficients overflow at theta0=1.0, eps={-_DRIFT_MAX}")
+        with pytest.raises(DomainError, match=overflow):
+            power_coefficients(model, 1.0, -_DRIFT_MAX)
 
     def test_overflowing_coefficients_refused(self):
-        # below the drift bound P eps^3 still overflows at theta0 = 0.1: the table is
-        # built, but no query or ordering evaluates it, as every power would be NaN
+        # below the drift bound P eps^3 still overflows at theta0 = 0.1: the builder
+        # refuses the table, so no query or ordering evaluates it (every power would be NaN)
         model = catalog_model("gamma", {"k": 2.0})
         message = re.escape("local power coefficients overflow at theta0=0.1, eps=5e+102")
         for source in SOURCES:
-            assert not np.isfinite(power_coefficients(model, 0.1, 5e102, source).a).all()
+            with pytest.raises(DomainError, match=message):
+                power_coefficients(model, 0.1, 5e102, source)
             for n in (50, math.inf):
                 q = PowerQuery(model=model, theta0=0.1, eps=5e102, n=n, alpha=0.05)
                 with pytest.raises(DomainError, match=message):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import warnings
 from functools import partial
 
 import numpy as np
@@ -324,6 +325,24 @@ def _assert_same_sum(x):
         assert math.copysign(1.0, got[1]) == math.copysign(1.0, want[1])
 
 
+class _FsumCalls(list):
+    """The length of each ``math.fsum`` argument, recorded while patched in."""
+
+    fsum = staticmethod(math.fsum)
+
+
+def _count_fsum(monkeypatch):
+    calls = _FsumCalls()
+
+    def counting(values):
+        values = list(values)
+        calls.append(len(values))
+        return calls.fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counting)
+    return calls
+
+
 def _fsum_power_sums(s4):
     # the chain _run_chunk sums: s4, s4*s4, (s4*s4)*s4, ...
     power, sums = s4, []
@@ -422,6 +441,94 @@ class TestExactSum:
             _assert_same_sum(x)
             _assert_same_sum(-x)
 
+    def test_half_ulp_split_over_many_parts(self):
+        # 2**-53, half an ulp of 1, split exactly into thousands of parts: a tie that
+        # rounds to even both down (from 1) and up (from 1 + 2**-52), and one ulp of
+        # the half ulp either way of it
+        rng = np.random.default_rng(27)
+        for parts in (2000, 4095, 10_000):
+            split = rng.multinomial(2 ** 30, np.full(parts, 1.0 / parts)) * 2.0 ** -83
+            for head in (1.0, 1.0 + 2.0 ** -52):
+                for nudge in (0.0, 2.0 ** -105, -(2.0 ** -105)):
+                    x = np.concatenate(([head, nudge], split))
+                    rng.shuffle(x)
+                    _assert_same_sum(x)
+                    _assert_same_sum(-x)
+
+    def test_mirrored_cancellation(self):
+        rng = np.random.default_rng(28)
+        for size in (1, 100, 2048):
+            x = rng.choice([-1.0, 1.0], size) * np.exp2(rng.uniform(-60.0, 60.0, size))
+            both = np.concatenate((x, -x))
+            rng.shuffle(both)
+            _assert_same_sum(both)
+            for residual in (5e-324, 1e-300, 2.0 ** -60, 1.0, -1.0):
+                _assert_same_sum(np.append(both, residual))
+
+    def test_sizes(self, monkeypatch):
+        # spread positive values take the fast path at every size; mixed signs agree too
+        rng = np.random.default_rng(29)
+        calls = _count_fsum(monkeypatch)
+        for size in (1, 2, montecarlo._CHUNK, montecarlo._EXACT_SUM_SIZE):
+            x = np.exp2(rng.uniform(-30.0, 30.0, size))
+            want = calls.fsum(x.tolist())
+            calls.clear()
+            assert montecarlo._exact_sum(x) == want
+            assert calls == []
+            _assert_same_sum(x * rng.choice([-1.0, 1.0], size))
+
+    def test_fast_path_range(self, monkeypatch):
+        # the fast path covers max|x| in [2**-900, 2**960); just outside, math.fsum answers
+        rng = np.random.default_rng(30)
+        base = rng.choice([-1.0, 1.0], 1000) * rng.uniform(0.25, 1.0, 1000)
+        base[17] = 1.0
+        calls = _count_fsum(monkeypatch)
+        for top, fast in ((2.0 ** -900, True), (np.nextafter(2.0 ** -900, 0.0), False),
+                          (np.nextafter(2.0 ** 960, 0.0), True), (2.0 ** 960, False)):
+            x = base * top
+            assert np.abs(x).max() == top
+            want = calls.fsum(x.tolist())
+            calls.clear()
+            assert montecarlo._exact_sum(x) == want
+            assert calls == ([] if fast else [x.size])
+
+    def test_seeded_scan(self):
+        # mixed arrays: wide exponents (overflow and subnormals included), chunk-like
+        # powers, near-cancellation, near-ties and coarse grids with exact ties
+        rng = np.random.default_rng(20261019)
+        for i in range(2000):
+            size = int(rng.integers(1, 600))
+            signs = rng.choice([-1.0, 1.0], size)
+            kind = i % 5
+            if kind == 0:
+                x = signs * np.exp2(rng.uniform(-1070.0, 1023.0, size))
+            elif kind == 1:
+                x = (rng.gamma(0.5, 4.0, size) * np.exp2(rng.integers(-40, 40))) ** (i % 6 + 1)
+            elif kind == 2:
+                y = signs * np.exp2(rng.uniform(-50.0, 50.0, size))
+                x = np.concatenate((y, -y * (1.0 + 2.0 ** -52 * rng.integers(-2, 3, size))))
+            elif kind == 3:
+                head = 2.0 ** int(rng.integers(-800, 900))
+                x = np.concatenate(([head, head * 2.0 ** -53 * rng.choice([-1.0, 1.0])],
+                                    head * 2.0 ** -106 * signs * rng.integers(0, 4, size)))
+            else:
+                x = signs * rng.integers(0, 2 ** 20, size) * 2.0 ** int(rng.integers(-60, 60))
+            rng.shuffle(x)
+            _assert_same_sum(x)
+
+    def test_real_chunks_take_the_fast_path(self, monkeypatch):
+        # one law-route chunk of three benchmark legs: all six power sums are exact
+        # without math.fsum, so a silent fall-back to it shows up here
+        calls = _count_fsum(monkeypatch)
+        for model, eps, n in ((GAMMA, 0.5, 50), (catalog_model("tev"), 1.0, 400),
+                              (catalog_model("invnormal-mu", {"theta": 2.0}), 1.0, 2000)):
+            config = SimulationConfig(model=model, theta0=1.0, eps=eps, n=n,
+                                      reps=montecarlo._CHUNK, alpha=0.05, seed=11)
+            query = config.query
+            got = montecarlo._run_chunk(config.model, query.theta_drifted, 1.0, n, 11, 0,
+                                        montecarlo._CHUNK, query.crit)
+            assert calls == [] and got[3] == montecarlo._CHUNK
+
     def _chunk_matches_reference(self, model, theta0, theta, n, lo, hi):
         got = montecarlo._run_chunk(model, theta, theta0, n, 5, lo, hi, 3.84)
         assert got == _reference_chunk(model, theta, theta0, n, 5, lo, hi, 3.84)
@@ -448,6 +555,28 @@ class TestFailureAccounting:
     def _threshold_for(self, cfg, n_failures):
         dbars = _law_dbars(GAMMA, cfg.query.theta_drifted, cfg.n, cfg.seed, cfg.reps)
         return float(np.sort(dbars)[-(n_failures + 1)] + 1e-12)
+
+    def test_non_finite_statistics_are_failures(self):
+        # invnormal-mu with a shape of 1e-16: most rows have an infinite Wald statistic.
+        # They are dropped as failures, not counted as rejections, and warn nothing
+        model = catalog_model("invnormal-mu", {"theta": 1e-16})
+        config = SimulationConfig(model=model, theta0=7.0, eps=4.301078817733611, n=5,
+                                  reps=200, alpha=0.999999, seed=3)
+        q = config.query
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rej, _, failures, used, _ = montecarlo._run_chunk(
+                model, q.theta_drifted, 7.0, 5, 3, 0, 200, q.crit)
+        with np.errstate(all="ignore"):
+            theta_hat, s = statistics_from_dbar(
+                model, 7.0, _law_dbars(model, q.theta_drifted, 5, 3, 200), 5)
+        stats = np.column_stack(s)
+        finite = np.isfinite(stats).all(axis=1) & ~np.isnan(theta_hat)
+        assert np.count_nonzero(np.isinf(stats[:, 1])) > 100
+        assert (failures, used) == (200 - np.count_nonzero(finite), np.count_nonzero(finite))
+        assert rej == tuple(int(c) for c in np.count_nonzero(stats[finite] > q.crit, axis=0))
+        with pytest.raises(EstimationError, match="^estimation failed in 148/200 replicates"):
+            simulate(config)
 
     def test_failures_counted_and_excluded(self):
         cfg = SimulationConfig(
