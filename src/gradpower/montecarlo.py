@@ -20,18 +20,15 @@ count.
 
 Whatever its source, a chunk's d-bar array has a single evaluation: one call
 of :func:`~gradpower.teststats.statistics_from_dbar`, which computes the
-estimates and statistics element by element in numpy; a replicate whose
-estimate fails has a NaN estimate in its row, and it or a replicate with a
-non-finite statistic is counted as a failure.  The draw and the evaluation run
-with numpy's float warnings off, so such rows warn nothing.
+estimates and statistics element by element in numpy, float warnings off; a
+replicate whose estimate fails (NaN) or with a non-finite statistic is a failure.
 Each chunk returns the exactly rounded sums of the first six powers of the
 gradient statistic, which ``simulate`` combines across chunks with
 ``math.fsum``; :func:`_exact_sum` gives each chunk's sums bit for bit as
-``math.fsum`` would, with an error-free extraction and a certified rounding
-instead of its per-value Python loop.  The chunk drops failed rows from each
-of the four statistic arrays and counts each test's rejections on its own 1-D
-array.  For gamma with n = 50 a chunk of 4096 drawn from the law takes about
-0.64-0.89 ms (medians of two runs): 0.33-0.47 ms to draw, 0.12-0.15 ms to
+``math.fsum`` would, without its per-value Python loop.  The chunk drops
+failed rows from each of the four statistic arrays and counts each test's
+rejections on its own 1-D array.  For gamma with n = 50 a chunk of 4096 drawn
+from the law takes about 0.64-0.89 ms: 0.33-0.47 ms to draw, 0.12-0.15 ms to
 evaluate, 0.13-0.18 ms for the six power sums and 0.05-0.07 ms to drop failed
 rows and count rejections (2-vCPU x86-64 shared with other tenants, numpy 2.4).
 
@@ -201,21 +198,33 @@ def _dbars(model, theta_gen, n, seed, lo, hi) -> np.ndarray:
                      for j in range(lo, hi)], dtype=float)
 
 
+def _statistics(model, theta_gen, theta0, n, seed, lo, hi):
+    # the statistics of replicates lo..hi-1 and the mask of usable rows; a failed row (a
+    # NaN theta_hat or a non-finite statistic) is counted, so numpy's warnings are off
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d_bar = _dbars(model, theta_gen, n, seed, lo, hi)
+        theta_hat, s = statistics_from_dbar(model, theta0, d_bar, n)
+        ok = ~np.isnan(theta_hat)
+        for si in s:
+            ok &= np.isfinite(si)
+    return ok, s
+
+
 def replicate_statistics(
     model: ExpFamModel, theta_gen: float, theta0: float, n: int, seed: int, j: int
 ) -> tuple[float, float, float, float]:
     """Statistics of replicate ``j``: its row of the array evaluation :func:`simulate` makes.
 
     They depend on (seed, j) only, for a fixed model, ``theta_gen`` and ``n``.
-    Raises :class:`EstimationError` when the estimate fails, and
+    Raises :class:`EstimationError` when the estimate fails or a statistic is
+    not finite (a row :func:`simulate` counts as a failure), and
     :class:`DomainError` for a seed or ``j`` that is not an integer, a seed
     outside [0, 2**64) or a ``j`` outside [0, 2**63), whose stream key would
     wrap onto another replicate's or a chunk's.
     """
     _check_replicate_key(seed, j)
-    d_bar = _dbars(model, theta_gen, n, seed, j, j + 1)
-    theta_hat, s = statistics_from_dbar(model, theta0, d_bar, n)
-    if math.isnan(theta_hat[0]):
+    ok, s = _statistics(model, theta_gen, theta0, n, seed, j, j + 1)
+    if not ok[0]:
         raise EstimationError(f"estimation failed in replicate {j} (model={model.name!r})")
     return tuple(float(si[0]) for si in s)
 
@@ -254,25 +263,19 @@ def _exact_sum(x: np.ndarray) -> float:
 
 
 def _run_chunk(model, theta_gen, theta0, n, seed, lo, hi, xcrit):
-    # returns (rejection counts[4], joint34, failures, used, s4 power sums[6]); a row
-    # with a failed estimate (a NaN theta_hat) or a non-finite statistic is dropped.
-    # numpy's float warnings are off for the whole chunk: such rows are counted as
-    # failures, and a power or sum past the float range gives a non-finite sum,
-    # which simulate refuses by name
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d_bar = _dbars(model, theta_gen, n, seed, lo, hi)
-        theta_hat, s = statistics_from_dbar(model, theta0, d_bar, n)
-        ok = ~np.isnan(theta_hat)
-        for si in s:
-            ok &= np.isfinite(si)
-        stats = [si[ok] for si in s]
-        used = len(stats[3])
-        reject = [si > xcrit for si in stats]
-        joint34 = int(np.count_nonzero(reject[2] & reject[3]))
-        s4 = stats[3]
-        power = s4
-        sums = []
-        for _ in range(6):  # exactly rounded sums of s4, s4^2, ..., s4^6
+    # returns (rejection counts[4], joint34, failures, used, s4 power sums[6])
+    ok, s = _statistics(model, theta_gen, theta0, n, seed, lo, hi)
+    stats = [si[ok] for si in s]
+    used = len(stats[3])
+    reject = [si > xcrit for si in stats]
+    joint34 = int(np.count_nonzero(reject[2] & reject[3]))
+    s4 = stats[3]
+    power = s4
+    sums = []
+    # exactly rounded sums of s4, s4^2, ..., s4^6; a power or sum past the float range
+    # gives a non-finite sum, which simulate refuses by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(6):
             try:
                 sums.append(_exact_sum(power))
             except (OverflowError, ValueError):  # math.fsum past the range, or inf - inf

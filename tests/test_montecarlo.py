@@ -577,6 +577,11 @@ class TestFailureAccounting:
         assert rej == tuple(int(c) for c in np.count_nonzero(stats[finite] > q.crit, axis=0))
         with pytest.raises(EstimationError, match="^estimation failed in 148/200 replicates"):
             simulate(config)
+        j = int(np.flatnonzero(~finite)[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match=f"^estimation failed in replicate {j} "):
+                replicate_statistics(model, q.theta_drifted, 7.0, 5, 3, j)
 
     def test_failures_counted_and_excluded(self):
         cfg = SimulationConfig(
