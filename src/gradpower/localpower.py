@@ -196,7 +196,7 @@ class PowerQuery:
 def power_coefficients(
     model: ExpFamModel, theta0: float, eps: float, source: str = SOURCE_CHAIN
 ) -> CoefficientTable:
-    """The 4 x 4 local power coefficient array at ``theta0``."""
+    """The 4 x 4 local power coefficient array at ``theta0``; one that overflows is refused."""
     _check_source(source)
     model.require_theta(theta0)
     _check_drift(eps)

@@ -217,10 +217,9 @@ def replicate_statistics(
 
     They depend on (seed, j) only, for a fixed model, ``theta_gen`` and ``n``.
     Raises :class:`EstimationError` when the estimate fails or a statistic is
-    not finite (a row :func:`simulate` counts as a failure), and
-    :class:`DomainError` for a seed or ``j`` that is not an integer, a seed
-    outside [0, 2**64) or a ``j`` outside [0, 2**63), whose stream key would
-    wrap onto another replicate's or a chunk's.
+    not finite, and :class:`DomainError` for a seed or ``j`` that is not an
+    integer, a seed outside [0, 2**64) or a ``j`` outside [0, 2**63), whose
+    stream key would wrap onto another replicate's or a chunk's.
     """
     _check_replicate_key(seed, j)
     ok, s = _statistics(model, theta_gen, theta0, n, seed, j, j + 1)

@@ -325,19 +325,17 @@ def _assert_same_sum(x):
         assert math.copysign(1.0, got[1]) == math.copysign(1.0, want[1])
 
 
-class _FsumCalls(list):
-    """The length of each ``math.fsum`` argument, recorded while patched in."""
-
-    fsum = staticmethod(math.fsum)
+_FSUM = math.fsum  # the reference while _count_fsum's counter is patched in
 
 
 def _count_fsum(monkeypatch):
-    calls = _FsumCalls()
+    # patches math.fsum with a counter; returns the list of its arguments' lengths
+    calls = []
 
     def counting(values):
         values = list(values)
         calls.append(len(values))
-        return calls.fsum(values)
+        return _FSUM(values)
 
     monkeypatch.setattr(math, "fsum", counting)
     return calls
@@ -471,7 +469,7 @@ class TestExactSum:
         calls = _count_fsum(monkeypatch)
         for size in (1, 2, montecarlo._CHUNK, montecarlo._EXACT_SUM_SIZE):
             x = np.exp2(rng.uniform(-30.0, 30.0, size))
-            want = calls.fsum(x.tolist())
+            want = _FSUM(x.tolist())
             calls.clear()
             assert montecarlo._exact_sum(x) == want
             assert calls == []
@@ -487,7 +485,7 @@ class TestExactSum:
                           (np.nextafter(2.0 ** 960, 0.0), True), (2.0 ** 960, False)):
             x = base * top
             assert np.abs(x).max() == top
-            want = calls.fsum(x.tolist())
+            want = _FSUM(x.tolist())
             calls.clear()
             assert montecarlo._exact_sum(x) == want
             assert calls == ([] if fast else [x.size])
