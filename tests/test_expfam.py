@@ -576,7 +576,8 @@ class TestGammaDraw:
 
     @pytest.mark.parametrize("key", [[13, 0], [17, 1], [19, 2]])
     def test_per_observation_sampler(self, key):
-        got = expfam._sample_gamma(2.0, 1.3, 50, Generator(Philox(key=key)))
+        sampler = catalog_model("gamma", {"k": 2.0}).sampler
+        got = sampler(1.3, 50, Generator(Philox(key=key)))
         want = self.reference(Generator(Philox(key=key)), 2.0, 50) / 1.3
         assert np.array_equal(got, want)
 
