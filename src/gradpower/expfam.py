@@ -9,6 +9,11 @@ analytic cumulants, maximum likelihood estimation, and seedable samplers.
 Each catalog sampler is a :class:`LawSampler`: besides drawing observations
 it draws the mean of the sufficient statistic, d-bar, straight from its
 closed-form law (gamma, normal or inverse Gaussian), in O(1) per draw.
+There is one law function per family: ``_dbar_gamma`` draws the affine gamma
+``shift + sign Gamma`` whose shape, scale or rate, shift and sign each model
+binds, and ``_dbar_normal_mean`` and ``_dbar_invnormal_mu`` draw the other
+two.  A model with d(x) = x (gamma, normal mean, inverse normal mean) draws
+its observations as its law of d-bar at n = 1.
 
 The catalog is one name-keyed table, ``_CATALOG``: each row holds the model's
 builder, the name of its one fixed constant (if any) and whether that constant
@@ -243,20 +248,8 @@ def _sample_normal_variance(mu, theta, n, rng):
     return mu + math.sqrt(theta) * _standard_normal(rng, n)
 
 
-def _sample_normal_mean(var, theta, n, rng):
-    return theta + math.sqrt(var) * _standard_normal(rng, n)
-
-
 def _sample_invnormal_theta(mu, theta, n, rng):
     return _invgauss(rng, mu, theta, n)
-
-
-def _sample_invnormal_mu(lam, theta, n, rng):
-    return _invgauss(rng, theta, lam, n)
-
-
-def _sample_gamma(k, theta, n, rng):
-    return _gamma_unit_rate(rng, k, n) / theta
 
 
 def _sample_tev(theta, n, rng):
@@ -278,28 +271,17 @@ def _sample_power(phi, theta, n, rng):
 
 
 # Exact laws of d-bar over n observations, ``(theta, n, size, rng) -> size
-# draws``.  Every catalog d(X) is gamma, normal or inverse Gaussian, and each
-# of those families is closed under taking means.
+# draws``: one per family.  Every catalog d(X) is gamma, normal or inverse
+# Gaussian, and each of those families is closed under taking means.
 
 
-def _dbar_gamma_rate(k, theta, n, size, rng):
-    # d(X) ~ Gamma(k, rate theta), so d-bar ~ Gamma(n k, rate n theta)
-    return _gamma_unit_rate(rng, n * k, size) / (n * theta)
-
-
-def _dbar_gamma_scale(k, c, theta, n, size, rng):
-    # d(X) ~ Gamma(k, scale c theta), so d-bar ~ Gamma(n k, scale c theta / n)
-    return _gamma_unit_rate(rng, n * k, size) * (c * theta / n)
-
-
-def _dbar_pareto(logk, theta, n, size, rng):
-    # log X = log k + Exp(rate theta)
-    return logk + _dbar_gamma_rate(1.0, theta, n, size, rng)
-
-
-def _dbar_power(logphi, theta, n, size, rng):
-    # log X = log phi - Exp(rate theta)
-    return logphi - _dbar_gamma_rate(1.0, theta, n, size, rng)
+def _dbar_gamma(theta, n, size, rng, *, k, c=None, shift=0.0, sign=1.0):
+    # d(X) = shift + sign G with G ~ Gamma(k, scale c theta), or Gamma(k, rate theta)
+    # when c is None, so d-bar = shift + sign Gamma(n k, scale c theta / n or rate
+    # n theta); the shift and the sign are exact
+    g = _gamma_unit_rate(rng, n * k, size)
+    g = g / (n * theta) if c is None else g * (c * theta / n)
+    return shift + sign * g
 
 
 def _dbar_normal_mean(var, theta, n, size, rng):
@@ -326,6 +308,16 @@ class LawSampler:
 
     def __call__(self, theta: float, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.draw(theta, n, rng)
+
+
+def _one_observation_law(law, theta, n, rng):
+    # for d(x) = x, n observations are n draws of d-bar over one observation
+    return law(theta, 1, n, rng)
+
+
+def _observation_law(law):
+    # the LawSampler of a model with d(x) = x, whose observations are its law at n = 1
+    return LawSampler(partial(_one_observation_law, law), law)
 
 
 # ------------------------------------------------------------------ #
@@ -530,7 +522,7 @@ def _normal_variance(mu):
         v=_nv_v,
         support=Support(),
         sampler=LawSampler(
-            partial(_sample_normal_variance, mu), partial(_dbar_gamma_scale, 0.5, 2.0)
+            partial(_sample_normal_variance, mu), partial(_dbar_gamma, k=0.5, c=2.0)
         ),
     )
 
@@ -546,7 +538,7 @@ def _normal_mean(var):
         v=partial(_nm_v, var),
         support=Support(),
         param_space=_REAL,
-        sampler=LawSampler(partial(_sample_normal_mean, var), partial(_dbar_normal_mean, var)),
+        sampler=_observation_law(partial(_dbar_normal_mean, var)),
     )
 
 
@@ -556,9 +548,7 @@ def _invnormal_theta(mu):
         d=partial(_ivt_d, mu),
         v=_ivt_v,
         support=Support(lo=0.0),
-        sampler=LawSampler(
-            partial(_sample_invnormal_theta, mu), partial(_dbar_gamma_rate, 0.5)
-        ),
+        sampler=LawSampler(partial(_sample_invnormal_theta, mu), partial(_dbar_gamma, k=0.5)),
     )
 
 
@@ -572,9 +562,7 @@ def _invnormal_mu(lam):
         d=_identity,
         v=partial(_ivm_v, lam),
         support=Support(lo=0.0),
-        sampler=LawSampler(
-            partial(_sample_invnormal_mu, lam), partial(_dbar_invnormal_mu, lam)
-        ),
+        sampler=_observation_law(partial(_dbar_invnormal_mu, lam)),
     )
 
 
@@ -584,7 +572,7 @@ def _gamma(k):
         d=_identity,
         v=partial(_gam_v, k),
         support=Support(lo=0.0),
-        sampler=LawSampler(partial(_sample_gamma, k), partial(_dbar_gamma_rate, k)),
+        sampler=_observation_law(partial(_dbar_gamma, k=k)),
     )
 
 
@@ -596,7 +584,7 @@ def _tev():
         d=np.expm1,
         v=_identity,
         support=Support(lo=0.0),
-        sampler=LawSampler(_sample_tev, partial(_dbar_gamma_scale, 1.0, 1.0)),
+        sampler=LawSampler(_sample_tev, partial(_dbar_gamma, k=1.0, c=1.0)),
     )
 
 
@@ -613,7 +601,10 @@ def _pareto(k):
         d=np.log,
         v=_zero_v,
         support=Support(lo=k),
-        sampler=LawSampler(partial(_sample_pareto, k), partial(_dbar_pareto, math.log(k))),
+        # log X = log k + Exp(rate theta)
+        sampler=LawSampler(
+            partial(_sample_pareto, k), partial(_dbar_gamma, k=1.0, shift=math.log(k))
+        ),
     )
 
 
@@ -626,7 +617,7 @@ def _laplace(k):
         d=partial(_lap_d, k),
         v=_zero_v,
         support=Support(),
-        sampler=LawSampler(partial(_sample_laplace, k), partial(_dbar_gamma_scale, 1.0, 1.0)),
+        sampler=LawSampler(partial(_sample_laplace, k), partial(_dbar_gamma, k=1.0, c=1.0)),
     )
 
 
@@ -644,7 +635,10 @@ def _power(phi):
         d=np.log,
         v=_zero_v,
         support=Support(lo=0.0, hi=phi),
-        sampler=LawSampler(partial(_sample_power, phi), partial(_dbar_power, math.log(phi))),
+        # log X = log phi - Exp(rate theta)
+        sampler=LawSampler(
+            partial(_sample_power, phi), partial(_dbar_gamma, k=1.0, shift=math.log(phi), sign=-1.0)
+        ),
     )
 
 
