@@ -199,15 +199,17 @@ def _dbars(model, theta_gen, n, seed, lo, hi) -> np.ndarray:
 
 
 def _statistics(model, theta_gen, theta0, n, seed, lo, hi):
-    # the statistics of replicates lo..hi-1 and the mask of usable rows; a failed row (a
-    # NaN theta_hat or a non-finite statistic) is counted, so numpy's warnings are off
+    # the statistics of replicates lo..hi-1, the mask of rows with an estimate and the
+    # mask of usable rows; a failed row (a NaN theta_hat, or an estimate with a
+    # non-finite statistic) is counted, so numpy's warnings are off
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d_bar = _dbars(model, theta_gen, n, seed, lo, hi)
         theta_hat, s = statistics_from_dbar(model, theta0, d_bar, n)
-        ok = ~np.isnan(theta_hat)
+        estimated = ~np.isnan(theta_hat)
+        ok = estimated.copy()
         for si in s:
             ok &= np.isfinite(si)
-    return ok, s
+    return estimated, ok, s
 
 
 def replicate_statistics(
@@ -222,9 +224,11 @@ def replicate_statistics(
     stream key would wrap onto another replicate's or a chunk's.
     """
     _check_replicate_key(seed, j)
-    ok, s = _statistics(model, theta_gen, theta0, n, seed, j, j + 1)
-    if not ok[0]:
+    estimated, ok, s = _statistics(model, theta_gen, theta0, n, seed, j, j + 1)
+    if not estimated[0]:
         raise EstimationError(f"estimation failed in replicate {j} (model={model.name!r})")
+    if not ok[0]:
+        raise EstimationError(f"non-finite statistic in replicate {j} (model={model.name!r})")
     return tuple(float(si[0]) for si in s)
 
 
@@ -262,10 +266,12 @@ def _exact_sum(x: np.ndarray) -> float:
 
 
 def _run_chunk(model, theta_gen, theta0, n, seed, lo, hi, xcrit):
-    # returns (rejection counts[4], joint34, failures, used, s4 power sums[6])
-    ok, s = _statistics(model, theta_gen, theta0, n, seed, lo, hi)
+    # returns (rejection counts[4], joint34, failures by reason (estimation failed, a
+    # statistic not finite), used, s4 power sums[6])
+    estimated, ok, s = _statistics(model, theta_gen, theta0, n, seed, lo, hi)
     stats = [si[ok] for si in s]
     used = len(stats[3])
+    n_estimated = int(np.count_nonzero(estimated))
     reject = [si > xcrit for si in stats]
     joint34 = int(np.count_nonzero(reject[2] & reject[3]))
     s4 = stats[3]
@@ -281,7 +287,7 @@ def _run_chunk(model, theta_gen, theta0, n, seed, lo, hi, xcrit):
                 sums.append(math.nan)
             power = power * s4
     rej = tuple(int(np.count_nonzero(r)) for r in reject)
-    return (rej, joint34, hi - lo - used, used, tuple(sums))
+    return (rej, joint34, (hi - lo - n_estimated, n_estimated - used), used, tuple(sums))
 
 
 def _central_moments(power_sums, used):
@@ -345,13 +351,16 @@ def simulate(config: SimulationConfig) -> SimulationReport:
 
     rej = [sum(p[0][i] for p in partials) for i in range(4)]
     joint34 = sum(p[1] for p in partials)
-    failures = sum(p[2] for p in partials)
+    unestimated = sum(p[2][0] for p in partials)
+    non_finite = sum(p[2][1] for p in partials)
+    failures = unestimated + non_finite
     used = sum(p[3] for p in partials)
 
     # reps >= 1, so a run with no usable replicate always trips this limit
     if failures > _FAILURE_LIMIT * config.reps:
         raise EstimationError(
-            f"estimation failed in {failures}/{config.reps} replicates "
+            f"{failures}/{config.reps} replicates failed: estimation failed in "
+            f"{unestimated}, a statistic was not finite in {non_finite} "
             f"(model={model.name!r}, theta0={config.theta0}, eps={config.eps}, "
             f"n={config.n}, seed={config.seed})"
         )

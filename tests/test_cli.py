@@ -908,8 +908,9 @@ class TestCliContract:
                  "--seed", "3"])
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert code == 3 and out == ""
-        assert err == ("numeric failure: estimation failed in 148/200 replicates (model="
-                       "'invnormal-mu', theta0=7.0, eps=4.301078817733611, n=5, seed=3)\n")
+        assert err == ("numeric failure: 148/200 replicates failed: estimation failed in 0,"
+                       " a statistic was not finite in 148 (model='invnormal-mu', theta0=7.0,"
+                       " eps=4.301078817733611, n=5, seed=3)\n")
 
     def test_poisson_walk_is_bounded(self, capsys, tmp_path):
         # the composite fixture with both parameters tested (q = 0) has f = 2, and its

@@ -352,7 +352,7 @@ def _fsum_power_sums(s4):
 
 def _reference_chunk(model, theta, theta0, n, seed, lo, hi, xcrit):
     # _run_chunk's whole result on a (rows, 4) stack of the statistics: rows
-    # with a failed estimate dropped, rejections counted down each column, and
+    # with a failed estimate dropped and counted, rejections counted down each column, and
     # the power sums by math.fsum
     d_bar = montecarlo._law_dbars(model.sampler.dbar, theta, n, seed,
                                   lo // montecarlo._CHUNK)[:hi - lo]
@@ -361,7 +361,9 @@ def _reference_chunk(model, theta, theta0, n, seed, lo, hi, xcrit):
     reject = stats > xcrit
     rej = tuple(int(c) for c in np.count_nonzero(reject, axis=0))
     joint34 = int(np.count_nonzero(reject[:, 2] & reject[:, 3]))
-    return rej, joint34, hi - lo - len(stats), len(stats), _fsum_power_sums(stats[:, 3])
+    # these chunks have no estimate with a non-finite statistic
+    failures = (hi - lo - len(stats), 0)
+    return rej, joint34, failures, len(stats), _fsum_power_sums(stats[:, 3])
 
 
 class TestExactSum:
@@ -530,9 +532,9 @@ class TestExactSum:
     def _chunk_matches_reference(self, model, theta0, theta, n, lo, hi):
         got = montecarlo._run_chunk(model, theta, theta0, n, 5, lo, hi, 3.84)
         assert got == _reference_chunk(model, theta, theta0, n, 5, lo, hi, 3.84)
-        rej, _, failures, _, _ = got
+        rej, _, (unestimated, _), _, _ = got
         assert all(0 < r < hi - lo for r in rej)  # every count is tested on a mix
-        return failures
+        return unestimated
 
     def test_chunk_sums_are_fsums_of_s4_powers(self):
         # a full chunk and a partial last chunk of 904, for every catalog model
@@ -555,8 +557,9 @@ class TestFailureAccounting:
         return float(np.sort(dbars)[-(n_failures + 1)] + 1e-12)
 
     def test_non_finite_statistics_are_failures(self):
-        # invnormal-mu with a shape of 1e-16: most rows have an infinite Wald statistic.
-        # They are dropped as failures, not counted as rejections, and warn nothing
+        # invnormal-mu with a shape of 1e-16: most rows have a finite estimate and an
+        # infinite Wald statistic.  They are dropped as failures, not counted as
+        # rejections, and warn nothing
         model = catalog_model("invnormal-mu", {"theta": 1e-16})
         config = SimulationConfig(model=model, theta0=7.0, eps=4.301078817733611, n=5,
                                   reps=200, alpha=0.999999, seed=3)
@@ -569,16 +572,20 @@ class TestFailureAccounting:
             theta_hat, s = statistics_from_dbar(
                 model, 7.0, _law_dbars(model, q.theta_drifted, 5, 3, 200), 5)
         stats = np.column_stack(s)
-        finite = np.isfinite(stats).all(axis=1) & ~np.isnan(theta_hat)
-        assert np.count_nonzero(np.isinf(stats[:, 1])) > 100
-        assert (failures, used) == (200 - np.count_nonzero(finite), np.count_nonzero(finite))
+        estimated = ~np.isnan(theta_hat)
+        finite = np.isfinite(stats).all(axis=1) & estimated
+        assert np.count_nonzero(np.isinf(stats[:, 1]) & estimated) > 100
+        assert (failures, used) == ((200 - np.count_nonzero(estimated),
+                                     np.count_nonzero(estimated & ~finite)),
+                                    np.count_nonzero(finite))
         assert rej == tuple(int(c) for c in np.count_nonzero(stats[finite] > q.crit, axis=0))
-        with pytest.raises(EstimationError, match="^estimation failed in 148/200 replicates"):
+        with pytest.raises(EstimationError, match="^148/200 replicates failed: estimation "
+                                                  "failed in 0, a statistic was not finite in 148 "):
             simulate(config)
         j = int(np.flatnonzero(~finite)[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(EstimationError, match=f"^estimation failed in replicate {j} "):
+            with pytest.raises(EstimationError, match=f"^non-finite statistic in replicate {j} "):
                 replicate_statistics(model, q.theta_drifted, 7.0, 5, 3, j)
 
     def test_failures_counted_and_excluded(self):
@@ -612,7 +619,8 @@ class TestFailureAccounting:
         cfg = SimulationConfig(
             model=always_fail, theta0=1.0, eps=0.0, n=10, reps=1, alpha=0.05, seed=1
         )
-        with pytest.raises(EstimationError, match="^estimation failed in 1/1 replicates"):
+        with pytest.raises(EstimationError, match="^1/1 replicates failed: estimation failed in 1,"
+                                                  " a statistic was not finite in 0 "):
             simulate(cfg)
 
 
