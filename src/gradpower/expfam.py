@@ -233,15 +233,18 @@ def _gamma_unit_rate(rng: np.random.Generator, shape: float, n: int) -> np.ndarr
 
 
 def _invgauss(rng: np.random.Generator, mu: float, lam: float, n: int) -> np.ndarray:
-    # Michael-Schucany-Haas: one squared normal, one uniform per draw
+    # Michael-Schucany-Haas: one squared normal, one uniform per draw.  The roots
+    # have product mu^2; the larger is a sum of positive terms, and the smaller is
+    # taken as mu^2 over it, which keeps its relative accuracy where their
+    # difference form cancels (a small shape lam)
     z = _standard_normal(rng, n)
     y = z * z
-    x1 = mu + mu * mu * y / (2.0 * lam) - (mu / (2.0 * lam)) * np.sqrt(
+    x2 = mu + mu * mu * y / (2.0 * lam) + (mu / (2.0 * lam)) * np.sqrt(
         4.0 * mu * lam * y + (mu * y) ** 2
     )
-    x1 = np.maximum(x1, 1e-300)
+    x1 = mu * mu / x2
     u = rng.random(n)
-    return np.where(u <= mu / (mu + x1), x1, mu * mu / x1)
+    return np.where(u <= mu / (mu + x1), x1, x2)
 
 
 def _sample_normal_variance(mu, theta, n, rng):

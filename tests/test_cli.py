@@ -897,19 +897,19 @@ class TestCliContract:
                        " (model='invnormal-mu', theta0=1.0, eps=0.5, n=50, seed=3)\n")
 
     def test_infinite_statistics_are_failures_not_rejections(self, capsys):
-        # a shape of 1e-16 makes most Wald statistics infinite: those rows are failures,
+        # a shape of 3e-110 makes most Wald statistics infinite: those rows are failures,
         # so the run is refused by the failure limit, with no numpy warning on the way
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = _capture(
                 capsys,
-                ["simulate", "--model", "invnormal-mu", "--fixed", "theta=1e-16", "--theta0", "7",
+                ["simulate", "--model", "invnormal-mu", "--fixed", "theta=3e-110", "--theta0", "7",
                  "--eps", "4.301078817733611", "--n", "5", "--reps", "200", "--alpha", "0.999999",
                  "--seed", "3"])
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert code == 3 and out == ""
-        assert err == ("numeric failure: 148/200 replicates failed: estimation failed in 0,"
-                       " a statistic was not finite in 148 (model='invnormal-mu', theta0=7.0,"
+        assert err == ("numeric failure: 143/200 replicates failed: estimation failed in 0,"
+                       " a statistic was not finite in 143 (model='invnormal-mu', theta0=7.0,"
                        " eps=4.301078817733611, n=5, seed=3)\n")
 
     def test_poisson_walk_is_bounded(self, capsys, tmp_path):
