@@ -1,5 +1,6 @@
 """Composite/simple/scalar coefficient chains, CDF expansion, and moments."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -10,7 +11,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy import integrate
+from scipy.stats import chi2, norm
 
 from gradpower import expansion
 from gradpower.errors import DomainError, GradpowerError
@@ -633,3 +635,49 @@ class TestCompositeNormalVariance:
             want, got = composite_coefficients(t, [eps]), composite_coefficients(tc, [eps])
             assert got.lam == want.lam
             np.testing.assert_allclose(got.a, want.a, rtol=1e-15, atol=1e-15)
+
+
+def _exact_both_tested_gradient_cdf(n, eps, x):
+    # with both parameters tested at (mu0, v0) = (0, 1), the gradient statistic is
+    # S = n z (1 + s2) / 2 + n (s2 - 1)^2 / 2 with z = xbar^2 and s2 the variance MLE;
+    # xbar ~ N(mu, v / n) is independent of n s2 / v ~ chi-square(n - 1), so given s2,
+    # S <= x is |xbar| <= h, and the cdf is one integral over the law of s2
+    mu, v = eps[0] / math.sqrt(n), 1.0 + eps[1] / math.sqrt(n)
+    sd = math.sqrt(v / n)
+
+    def given(c):
+        s2 = v * c / n
+        room = x - 0.5 * n * (s2 - 1.0) ** 2
+        if room <= 0.0:
+            return 0.0
+        h = math.sqrt(room / (0.5 * n * (1.0 + s2)))
+        return chi2.pdf(c, n - 1) * (norm.cdf((h - mu) / sd) - norm.cdf((-h - mu) / sd))
+
+    r = math.sqrt(2.0 * x / n)
+    value, _ = integrate.quad(given, max(n * (1.0 - r) / v, 0.0), n * (1.0 + r) / v,
+                              epsabs=1e-14, epsrel=1e-12, limit=200)
+    return value
+
+
+class TestCompositeNormalBothTested:
+    """The composite expansion at f = 2 against the exact law of a normal (mu, v) test."""
+
+    def test_error_against_the_exact_law_is_of_order_one_over_n(self):
+        fixture = load_tensor_file(NORMAL_COMPOSITE)
+        t = dataclasses.replace(fixture, q=0)
+        e = composite_coefficients(t, [0.6, 0.8])
+        assert (e.f, e.lam) == (2, 0.34)
+        x = central_chisq_quantile(2.0, 0.05, upper=True)
+        second, first = [], []
+        for n in (50, 200, 800, 3200, 12800):
+            exact = _exact_both_tested_gradient_cdf(n, (0.6, 0.8), x)
+            second.append(cdf_expansion(e, n, x).value - exact)
+            first.append(cdf_expansion(e, math.inf, x).value - exact)
+        # each 4x in n divides the second-order error by about 4 and the
+        # first-order error by at most 2
+        for a, b in zip(second, second[1:]):
+            assert 3.9 < a / b < 4.1, second
+        for a, b in zip(first, first[1:]):
+            assert 1.3 < a / b < 2.0, first
+        assert second[0] == pytest.approx(-8.22e-3, rel=1e-3)
+        assert second[-1] == pytest.approx(-3.08e-5, rel=1e-3)
