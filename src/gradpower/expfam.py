@@ -640,7 +640,8 @@ def _power(phi):
         support=Support(lo=0.0, hi=phi),
         # log X = log phi - Exp(rate theta)
         sampler=LawSampler(
-            partial(_sample_power, phi), partial(_dbar_gamma, k=1.0, shift=math.log(phi), sign=-1.0)
+            partial(_sample_power, phi),
+            partial(_dbar_gamma, k=1.0, shift=math.log(phi), sign=-1.0),
         ),
     )
 

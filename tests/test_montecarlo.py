@@ -579,8 +579,9 @@ class TestFailureAccounting:
                                      np.count_nonzero(estimated & ~finite)),
                                     np.count_nonzero(finite))
         assert rej == tuple(int(c) for c in np.count_nonzero(stats[finite] > q.crit, axis=0))
-        with pytest.raises(EstimationError, match="^143/200 replicates failed: estimation "
-                                                  "failed in 0, a statistic was not finite in 143 "):
+        message = ("^143/200 replicates failed: estimation failed in 0,"
+                   " a statistic was not finite in 143 ")
+        with pytest.raises(EstimationError, match=message):
             simulate(config)
         j = int(np.flatnonzero(~finite)[0])
         with warnings.catch_warnings():
