@@ -176,9 +176,8 @@ def cumulants(model: ExpFamModel, theta: float) -> CumulantSet:
 def _open_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     # uniforms in the open interval (0, 1); Generator.random() covers [0, 1)
     u = rng.random(n)
-    zeros = u == 0.0
-    if zeros.any():
-        u[zeros] = 2.0 ** -54
+    if not u.all():  # a zero is rare, so the mask is built only when one exists
+        u[u == 0.0] = 2.0 ** -54
     return u
 
 
@@ -189,7 +188,9 @@ def _standard_normal(rng: np.random.Generator, n: int) -> np.ndarray:
     u2 = rng.random(m)
     r = np.sqrt(-2.0 * np.log(u1))
     ang = 2.0 * math.pi * u2
-    z = np.concatenate([r * np.cos(ang), r * np.sin(ang)])
+    z = np.empty(2 * m)
+    np.multiply(r, np.cos(ang), out=z[:m])
+    np.multiply(r, np.sin(ang), out=z[m:])
     return z[:n]
 
 
@@ -209,7 +210,7 @@ def _gamma_unit_rate(rng: np.random.Generator, shape: float, n: int) -> np.ndarr
         u = _open_unit(rng, m)
         v = (1.0 + c * z) ** 3
         pos = v > 0.0
-        vsafe = np.where(pos, v, 1.0)
+        vsafe = v if pos.all() else np.where(pos, v, 1.0)
         # Accept on squeeze | full, but with the exact log test first: numpy's
         # float64 pow leaves its SIMD loop for a negative base, so z ** 4 over
         # the whole array costs more than the logs.  The squeeze then runs
@@ -284,7 +285,7 @@ def _dbar_gamma(theta, n, size, rng, *, k, c=None, shift=0.0, sign=1.0):
     # n theta); the shift and the sign are exact
     g = _gamma_unit_rate(rng, n * k, size)
     g = g / (n * theta) if c is None else g * (c * theta / n)
-    return shift + sign * g
+    return g if shift == 0.0 and sign == 1.0 else shift + sign * g
 
 
 def _dbar_normal_mean(var, theta, n, size, rng):
@@ -876,7 +877,8 @@ def mle_from_dbar(model: ExpFamModel, d_bar: float | np.ndarray) -> float | np.n
 
     Given a float64 array of d-bar values, returns the array of estimates and
     makes the same checks element by element: an element that would raise
-    gets a NaN estimate instead.
+    gets a NaN estimate instead.  Where every element passes and the closed
+    form is the identity, the result is ``d_bar`` itself, so write to neither.
     """
     if isinstance(d_bar, np.ndarray):
         return _mle_from_dbars(model, d_bar)
@@ -923,7 +925,7 @@ def _mle_from_dbars(model: ExpFamModel, d_bar: np.ndarray) -> np.ndarray:
         ok = np.isfinite(d_bar) & np.isfinite(theta) & (lo < theta) & (theta < hi)
         resid = model.beta(theta) + d_bar
         ok &= ~(np.abs(resid) > 1e-12 * (1.0 + np.abs(d_bar)))
-    return np.where(ok, theta, math.nan)
+    return theta if ok.all() else np.where(ok, theta, math.nan)
 
 
 def checked_data(model: ExpFamModel, data) -> np.ndarray:

@@ -248,14 +248,16 @@ def _exact_sum(x: np.ndarray) -> float:
     so those results, signed zeros and raised errors are its own.
     """
     size = x.size
-    top = float(np.abs(x).max()) if 0 < size <= _EXACT_SUM_SIZE else math.nan
+    top = float(max(x.max(), -x.min())) if 0 < size <= _EXACT_SUM_SIZE else math.nan
     if not _EXACT_SUM_MIN <= top < _EXACT_SUM_MAX:  # NaN (no, too many or NaN values) or inf
         return math.fsum(x.tolist())
     scale = math.frexp(top)[1] + size.bit_length()  # sigma = 2**scale
     sigma = math.ldexp(1.0, scale)
-    hi = (x + sigma) - sigma
+    hi = x + sigma
+    hi -= sigma
     t = float(hi.sum())
-    r = float((x - hi).sum())
+    np.subtract(x, hi, out=hi)  # the low parts, in place of the high ones
+    r = float(hi.sum())
     s = t + r
     z = s - t
     err = abs((t - (s - z)) + (r - z)) + math.ldexp(size * size, scale - 104)
@@ -269,7 +271,7 @@ def _run_chunk(model, theta_gen, theta0, n, seed, lo, hi, xcrit):
     # returns (rejection counts[4], joint34, failures by reason (estimation failed, a
     # statistic not finite), used, s4 power sums[6])
     estimated, ok, s = _statistics(model, theta_gen, theta0, n, seed, lo, hi)
-    stats = [si[ok] for si in s]
+    stats = s if ok.all() else [si[ok] for si in s]
     used = len(stats[3])
     n_estimated = int(np.count_nonzero(estimated))
     reject = [si > xcrit for si in stats]

@@ -395,6 +395,31 @@ class TestSampling:
 
         assert expfam._open_unit(Zeros(), 3).tolist() == [2.0 ** -54] * 3
 
+    def test_open_unit_replaces_only_the_zeros(self):
+        class OneZero:
+            def random(self, n):
+                return np.array([0.5, 0.0, 0.25, 2.0 ** -53])[:n]
+
+        assert expfam._open_unit(OneZero(), 4).tolist() == [0.5, 2.0 ** -54, 0.25, 2.0 ** -53]
+        assert expfam._open_unit(OneZero(), 1).tolist() == [0.5]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 904, 4095, 4096])
+    def test_standard_normal_is_the_concatenated_box_muller(self, n):
+        # r cos and r sin written into one array, against the concatenation of the two
+        def concatenated(rng, n):
+            m = (n + 1) // 2
+            u1 = expfam._open_unit(rng, m)
+            u2 = rng.random(m)
+            r = np.sqrt(-2.0 * np.log(u1))
+            ang = 2.0 * math.pi * u2
+            return np.concatenate([r * np.cos(ang), r * np.sin(ang)])[:n]
+
+        got_rng, want_rng = Generator(Philox(key=[23, n])), Generator(Philox(key=[23, n]))
+        got = expfam._standard_normal(got_rng, n)
+        assert got.shape == (n,)
+        assert np.array_equal(got, concatenated(want_rng, n))
+        assert got_rng.random() == want_rng.random()
+
     def test_stream_determinism(self):
         m = catalog_model("gamma", {"k": 2.0})
         a = sample(m, 1.0, 16, Generator(Philox(key=[9, 3])))

@@ -550,6 +550,14 @@ class TestExactSum:
         assert self._chunk_matches_reference(flaky, 1.0, 1.0, 10, 0, montecarlo._CHUNK) > 0
         assert self._chunk_matches_reference(flaky, 1.0, 1.0, 10, montecarlo._CHUNK, 5000) > 0
 
+    def test_chunk_with_one_failed_row(self):
+        # the largest d-bar of the chunk fails: the other rows are gathered, not all of them
+        top = float(_law_dbars(GAMMA, 1.0, 10, 5, montecarlo._CHUNK).max())
+        flaky = dataclasses.replace(
+            GAMMA, mle_closed_form=partial(_failing_closed_form, math.nextafter(top, 0.0))
+        )
+        assert self._chunk_matches_reference(flaky, 1.0, 1.0, 10, 0, montecarlo._CHUNK) == 1
+
 
 class TestFailureAccounting:
     def _threshold_for(self, cfg, n_failures):

@@ -186,6 +186,25 @@ class TestArrayForm:
                 assert np.array_equal(np.isnan(rows), np.isnan(theta_hat[:7]))
 
 
+    @pytest.mark.parametrize("name,value", [
+        ("gamma", -1.0), ("normal-mean", math.inf),
+        ("pareto", math.log(CATALOG_FIXED["pareto"]["k"]) - 1.0)])
+    def test_one_failed_element_is_nan_there_only(self, name, value):
+        # every element passes but one, whose closed form is outside the parameter
+        # space (-2, inf, -1), not NaN; the closed form's values stand everywhere else
+        model = catalog_model(name, CATALOG_FIXED[name])
+        theta = theta_grid(name)[1]
+        d_bar = model.sampler.dbar(theta, 50, 64, Generator(Philox(key=[31, 0])))
+        passing = mle_from_dbar(model, d_bar)
+        assert not np.isnan(passing).any()
+        bad = d_bar.copy()
+        bad[17] = value
+        theta_hat = mle_from_dbar(model, bad)
+        assert np.flatnonzero(np.isnan(theta_hat)).tolist() == [17]
+        assert np.array_equal(np.delete(theta_hat, 17), np.delete(passing, 17))
+        assert np.array_equal(np.delete(bad, 17), np.delete(d_bar, 17))  # d-bar untouched
+
+
 class TestScoreGradientIdentity:
     """beta'' = 0 makes the score and gradient statistics one function of d-bar."""
 
