@@ -305,6 +305,8 @@ def _mixture_sums(params: ChiSquareParams, x: float, d: float):
         logw0 += j0 * math.log(lam)
     w0 = math.exp(logw0)
     xg = 0.5 * x
+    if xg == 0.0:  # x = 5e-324: the walk's steps divide by x/2 and take its log
+        raise DomainError(f"x={x} is too small for the Poisson mixture (x/2 underflows to 0)")
     a0 = 0.5 * df + j0
     logT0 = a0 * math.log(xg) - xg - math.lgamma(a0 + 1.0)
     T0 = math.exp(logT0) if logT0 > -_MAXLOG else 0.0

@@ -24,6 +24,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from .errors import GradpowerError
 from .expfam import ExpFamModel, checked_data, mle_from_dbar
 from .specfun import central_chisq_cdf  # noqa: F401 (unused; perfbench/tracing.py wraps it)
 from .specfun import central_chisq_sf
@@ -96,8 +97,15 @@ def compute_statistics(model: ExpFamModel, data, theta0: float) -> TestResult:
     """All four statistics and their chi-square(1) p-values for H0: theta = theta0."""
     model.require_theta(theta0)
     x = checked_data(model, data)
-    d_bar = float(np.mean(model.d(x)))
-    theta_hat, s = statistics_from_dbar(model, theta0, d_bar, x.size)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d_bar = float(np.mean(model.d(x)))  # a non-finite mean is refused by the estimate
+    try:
+        theta_hat, s = statistics_from_dbar(model, theta0, d_bar, x.size)
+    except (ZeroDivisionError, OverflowError):  # a term past the float range
+        raise GradpowerError(
+            f"statistics of {model.name!r} leave the float range at theta0={theta0}, "
+            f"dbar={d_bar}"
+        ) from None
     p = tuple(central_chisq_sf(1.0, si) for si in s)
     return TestResult(theta_hat=theta_hat, s=s, p_values=p, n=int(x.size), d_bar=d_bar)
 

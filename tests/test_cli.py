@@ -838,6 +838,58 @@ class TestCliContract:
         assert err.startswith("numeric failure:")
         assert out == ""
 
+    @pytest.mark.parametrize("argv,name,theta0", [
+        # theta0 ** 2 underflows to 0 in the derivatives, and theta0 ** 3 overflows
+        (["order", "--model", "pareto", "--theta0", "1e-300", "--fixed", "k=1.5",
+          "--alpha", "0.05", "--direction", "below"], "pareto", "1e-300"),
+        (["power", "--model", "normal-variance", "--theta0", "1e150", "--fixed", "mu=0.001",
+          "--eps", "7", "--n", "1000", "--alpha", "1e-300"], "normal-variance", "1e+150"),
+        # the Fisher information of the lambda column fails first
+        (["power", "--model", "normal-variance", "--fixed", "mu=0.7", "--theta0", "4e-200",
+          "--eps", "1e-6", "--n", "1000", "--alpha", "0.01"], "normal-variance", "4e-200"),
+    ])
+    def test_derivatives_past_the_float_range_are_named(self, capsys, argv, name, theta0):
+        code, out, err = _capture(capsys, argv)
+        assert code == 3 and out == ""
+        assert err == (f"numeric failure: derivatives of {name!r} leave the float range"
+                       f" at theta0={theta0}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "pareto", "--theta0", "1e-300", "--fixed", "k=1.5",
+         "--eps", "0.5", "--n", "50", "--reps", "10", "--alpha", "0.05", "--seed", "1"],
+        ["simulate", "--model", "normal-variance", "--theta0", "1e150", "--fixed", "mu=0.001",
+         "--eps", "7", "--n", "1000", "--reps", "10", "--alpha", "1e-300", "--seed", "1"],
+    ])
+    def test_simulate_refuses_such_a_theta0_before_sampling(self, capsys, monkeypatch, argv):
+        chunks = []
+        monkeypatch.setattr(montecarlo, "_run_chunk", lambda *args: chunks.append(args))
+        code, out, err = _capture(capsys, argv)
+        assert code == 3 and out == "" and chunks == []
+        assert " leave the float range at theta0=" in err
+
+    @pytest.mark.parametrize("argv,err", [
+        # (theta_hat - theta0) ** 2 overflows in S2, and alpha(theta0) divides by 0 in S1
+        (["stat", "--model", "tev", "--theta0", "1e300"],
+         "numeric failure: statistics of 'tev' leave the float range at theta0=1e+300, "),
+        (["stat", "--model", "gamma", "--fixed", "k=2", "--theta0", "5e-324"],
+         "numeric failure: statistics of 'gamma' leave the float range at theta0=5e-324, "),
+    ])
+    def test_stat_past_the_float_range_is_named(self, capsys, tmp_path, argv, err):
+        data = tmp_path / "x.txt"
+        data.write_text("0.5\n1.5\n2.5\n")
+        code, out, got = _capture(capsys, [*argv, "--data", str(data)])
+        assert code == 3 and out == ""
+        assert got.startswith(err)
+
+    def test_stat_overflowing_data_is_refused_without_a_warning(self, capsys, tmp_path):
+        # d(x) = x^2 overflows for 1e300: the infinite mean is refused by the estimate
+        data = tmp_path / "x.txt"
+        data.write_text("1e300\n3\n")
+        code, out, err = _capture(capsys, ["stat", "--model", "normal-variance", "--fixed",
+                                           "mu=0.7", "--theta0", "1", "--data", str(data)])
+        assert code == 3 and out == ""
+        assert err == "numeric failure: non-finite sufficient-statistic mean inf\n"
+
     @pytest.mark.parametrize("argv", [
         ["power", *GAMMA_ARGS, "--eps", "1e200", "--n", "50", "--alpha", "0.05"],
         ["power", *GAMMA_ARGS, "--eps", "1e120", "--n", "50", "--alpha", "0.05"],

@@ -342,6 +342,14 @@ class TestPoissonWalk:
             with pytest.raises(DomainError):
                 nc_chisq_mixture(ChiSquareParams(1.0, 0.5), x)
 
+    @pytest.mark.parametrize("kernel", [nc_chisq_mixture, nc_chisq_cdf, nc_chisq_pdf])
+    @pytest.mark.parametrize("lam", [0.5, 3.0])
+    def test_walk_refuses_an_x_whose_half_underflows(self, kernel, lam):
+        # the walk steps by x/2 and takes its log; at 5e-324 that is 0, refused by name
+        with pytest.raises(DomainError, match=r"x=5e-324 is too small for the Poisson mixture"):
+            kernel(ChiSquareParams(2.0, lam), 5e-324)
+        kernel(ChiSquareParams(2.0, lam), 1e-323)  # the next float up is walked
+
     def test_refused_lam_also_fails_the_walk(self, monkeypatch):
         # Above the cap, a lam whose weight at j0 + cap is too large for the up sweep
         # to stop, and every lam from cap**2 on, is refused before any term is summed;
