@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.stats import chi2, norm
+from scipy.stats import chi2, nct, norm
 
 from gradpower import expansion
 from gradpower.errors import DomainError, GradpowerError
@@ -681,3 +681,39 @@ class TestCompositeNormalBothTested:
             assert 1.3 < a / b < 2.0, first
         assert second[0] == pytest.approx(-8.22e-3, rel=1e-3)
         assert second[-1] == pytest.approx(-3.08e-5, rel=1e-3)
+
+
+class TestCompositeNormalMeanTested:
+    """The composite expansion against the exact noncentral-t law of a normal mean test."""
+
+    @staticmethod
+    def mean_tested():
+        # the fixture in coordinates (v, mu): the nuisance v first, the mean tested
+        t = load_tensor_file(NORMAL_COMPOSITE)
+        ix = [1, 0]
+        return CumulantTensors(p=2, q=1, K=t.K[np.ix_(ix, ix)], k3=t.k3[np.ix_(ix, ix, ix)],
+                               k21=t.k21[np.ix_(ix, ix, ix)], k111=t.k111[np.ix_(ix, ix, ix)])
+
+    def test_every_coefficient_is_zero(self):
+        for eps in (-1.25, 0.3, 0.9, 2.0):
+            e = composite_coefficients(self.mean_tested(), [eps])
+            assert e.f == 1 and e.lam == 0.5 * eps * eps
+            assert all(a == 0.0 for a in e.a), (eps, e.a)
+
+    def test_error_against_the_exact_law_is_of_order_one_over_n(self):
+        # with mu0 = 0, S_G = n xbar^2 / (s2 + xbar^2) = n T^2 / (n - 1 + T^2) for the
+        # t statistic T, which is noncentral t with n - 1 degrees of freedom and
+        # noncentrality eps at mu = eps / sqrt(n); S_G <= x is |T| <= h
+        e = composite_coefficients(self.mean_tested(), [0.9])
+        x = central_chisq_quantile(1.0, 0.05, upper=True)
+        errors = []
+        for n in (50, 200, 800, 3200, 12800):
+            h = math.sqrt(x * (n - 1) / (n - x))
+            exact = nct.cdf(h, n - 1, 0.9) - nct.cdf(-h, n - 1, 0.9)
+            errors.append(cdf_expansion(e, n, x).value - exact)
+        # all a_k = 0, so the expansion is its leading term, and each 4x in n
+        # divides its error by about 4
+        for a, b in zip(errors, errors[1:]):
+            assert 3.9 < a / b < 4.2, errors
+        assert errors[0] == pytest.approx(-5.977e-3, rel=1e-3)
+        assert errors[-1] == pytest.approx(-2.2455e-5, rel=1e-3)
