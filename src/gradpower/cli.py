@@ -220,7 +220,10 @@ def _cmd_model(args) -> list[str]:
 def _cmd_stat(args) -> list[str]:
     model = catalog_model(args.model, _parse_fixed(args.fixed))
     data = load_data(args.data)
-    result = compute_statistics(model, data, args.theta0)
+    # extreme data overflow d(x) without a numpy warning; the estimate refuses a non-finite
+    # mean by name
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        result = compute_statistics(model, data, args.theta0)
     header = _config_header("stat", [
         ("model", args.model), ("fixed", args.fixed or "-"),
         ("theta0", _fmt(args.theta0)), ("data", args.data), ("format", args.format),
