@@ -220,8 +220,8 @@ def _cmd_model(args) -> list[str]:
 def _cmd_stat(args) -> list[str]:
     model = catalog_model(args.model, _parse_fixed(args.fixed))
     data = load_data(args.data)
-    # extreme data overflow d(x) without a numpy warning; the estimate refuses a non-finite
-    # mean by name
+    # d(x) of extreme data may overflow: numpy's warnings are off, and the estimate
+    # refuses the non-finite mean by name
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         result = compute_statistics(model, data, args.theta0)
     header = _config_header("stat", [

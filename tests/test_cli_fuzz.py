@@ -142,7 +142,7 @@ def test_cli_contract_under_fuzz(capsys, inputs):
         argv = _argv(rng, data, tensors)
         try:
             code = cli.run(argv)
-        except BaseException as exc:  # noqa: BLE001 (any escape breaks the contract)
+        except Exception as exc:  # any escape breaks the contract
             pytest.fail(f"{type(exc).__name__} escaped cli.run for {argv}: {exc}")
         out, err = capsys.readouterr()
         codes.add(code)
