@@ -128,6 +128,12 @@ def _config_header(command: str, pairs: list[tuple[str, object]]) -> list[str]:
     return [f"# gradpower {command} {parts}".rstrip()]
 
 
+def _catalog_model(args):
+    # a catalog command's model, built before its grids are parsed, and its header's first pairs
+    head = [("model", args.model), ("fixed", args.fixed or "-"), ("theta0", _fmt(args.theta0))]
+    return catalog_model(args.model, _parse_fixed(args.fixed)), head
+
+
 def _emit(lines: list[str], path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if path:
@@ -218,16 +224,13 @@ def _cmd_model(args) -> list[str]:
 
 
 def _cmd_stat(args) -> list[str]:
-    model = catalog_model(args.model, _parse_fixed(args.fixed))
+    model, head = _catalog_model(args)
     data = load_data(args.data)
     # d(x) of extreme data may overflow: numpy's warnings are off, and the estimate
     # refuses the non-finite mean by name
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         result = compute_statistics(model, data, args.theta0)
-    header = _config_header("stat", [
-        ("model", args.model), ("fixed", args.fixed or "-"),
-        ("theta0", _fmt(args.theta0)), ("data", args.data), ("format", args.format),
-    ])
+    header = _config_header("stat", [*head, ("data", args.data), ("format", args.format)])
     pairs = [("n", str(result.n)), ("d_bar", _fmt(result.d_bar)),
              ("theta_hat", _fmt(result.theta_hat))]
     pairs += [(f"s_{kind.label}", _fmt(result.statistic(kind))) for kind in ALL_KINDS]
@@ -238,12 +241,11 @@ def _cmd_stat(args) -> list[str]:
 
 
 def _cmd_power(args) -> list[str]:
-    model = catalog_model(args.model, _parse_fixed(args.fixed))
+    model, head = _catalog_model(args)
     source = _SOURCE_FLAG[args.source]
     eps_values = _parse_grid(args.eps, "--eps")
     lines = _config_header("power", [
-        ("model", args.model), ("fixed", args.fixed or "-"), ("theta0", _fmt(args.theta0)),
-        ("eps", args.eps), ("n", args.n), ("alpha", _fmt(args.alpha)), ("source", source),
+        *head, ("eps", args.eps), ("n", args.n), ("alpha", _fmt(args.alpha)), ("source", source),
     ])
     lines.append("eps,lambda,pi_lr,pi_wald,pi_score,pi_gradient")
     clamped = 0
@@ -261,14 +263,13 @@ def _cmd_power(args) -> list[str]:
 
 
 def _cmd_order(args) -> list[str]:
-    model = catalog_model(args.model, _parse_fixed(args.fixed))
+    model, head = _catalog_model(args)
     source = _SOURCE_FLAG[args.source]
     grid = tuple(_parse_grid(args.eps_grid, "--eps-grid"))
     report = power_ordering(model, args.theta0, args.direction, args.alpha,
                             source=source, eps_grid=grid)
     lines = _config_header("order", [
-        ("model", args.model), ("fixed", args.fixed or "-"), ("theta0", _fmt(args.theta0)),
-        ("alpha", _fmt(args.alpha)), ("direction", args.direction), ("source", source),
+        *head, ("alpha", _fmt(args.alpha)), ("direction", args.direction), ("source", source),
         ("eps_grid", args.eps_grid),
     ])
     lines.append(f"ordering: {report.describe()}")
@@ -312,15 +313,14 @@ def _cmd_expand(args) -> list[str]:
 
 
 def _cmd_simulate(args) -> list[str]:
-    model = catalog_model(args.model, _parse_fixed(args.fixed))
+    model, head = _catalog_model(args)
     config = SimulationConfig(
         model=model, theta0=args.theta0, eps=args.eps, n=args.n, reps=args.reps,
         alpha=args.alpha, seed=args.seed, compare_sources=args.compare_sources,
     )
     report = simulate(config)
     lines = _config_header("simulate", [
-        ("model", args.model), ("fixed", args.fixed or "-"), ("theta0", _fmt(args.theta0)),
-        ("eps", _fmt(args.eps)), ("n", args.n), ("reps", args.reps),
+        *head, ("eps", _fmt(args.eps)), ("n", args.n), ("reps", args.reps),
         ("alpha", _fmt(args.alpha)), ("seed", args.seed),
         ("compare_sources", _fmt(args.compare_sources)),
     ])

@@ -6,6 +6,8 @@ and Fisher information ``K(theta) = alpha'(theta) beta'(theta)``.  The module
 ships a nine-entry catalog (normal with either parameter tested, inverse
 normal likewise, gamma, truncated extreme value, Pareto, Laplace, power),
 analytic cumulants, maximum likelihood estimation, and seedable samplers.
+It owns the refusal of derivatives past the float range: ``_derivatives`` names
+it for the Fisher information, the cumulants and the local power coefficients.
 Each catalog sampler is a :class:`LawSampler`: besides drawing observations
 it draws the mean of the sufficient statistic, d-bar, straight from its
 closed-form law (gamma, normal or inverse Gaussian), in O(1) per draw.
@@ -40,7 +42,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, EstimationError
+from .errors import ConvergenceError, DomainError, EstimationError, GradpowerError
 
 __all__ = [
     "CATALOG_NAMES",
@@ -131,7 +133,19 @@ class ExpFamModel:
 
     def fisher_information(self, theta: float) -> float:
         self.require_theta(theta)
-        return self.alpha_d1(theta) * self.beta_d1(theta)
+        ap, bp = _derivatives(self, theta, "alpha_d1", "beta_d1")
+        return ap * bp
+
+
+def _derivatives(model: ExpFamModel, theta: float, *names: str) -> list[float]:
+    # the named derivatives at theta; a power of theta past the float range, as in c / theta**2
+    # at 1e-300 or theta**3 at 1e150, is a numeric failure: the true values may be finite
+    try:
+        return [getattr(model, name)(theta) for name in names]
+    except (ZeroDivisionError, OverflowError):
+        raise GradpowerError(
+            f"derivatives of {model.name!r} leave the float range at theta0={theta}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -154,10 +168,7 @@ class CumulantSet:
 def cumulants(model: ExpFamModel, theta: float) -> CumulantSet:
     """Evaluate the four third-order cumulants from the analytic derivatives."""
     model.require_theta(theta)
-    ap = model.alpha_d1(theta)
-    app = model.alpha_d2(theta)
-    bp = model.beta_d1(theta)
-    bpp = model.beta_d2(theta)
+    ap, app, bp, bpp = _derivatives(model, theta, "alpha_d1", "alpha_d2", "beta_d1", "beta_d2")
     k_tt = -ap * bp
     return CumulantSet(
         k_tt=k_tt,

@@ -47,9 +47,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, GradpowerError, _check_sample_size
+from .errors import DomainError, _check_sample_size
 from .expansion import ClampedProbability, _check_drift, _clamp, _inv_sqrt, _telescoped, _weights
-from .expfam import ExpFamModel
+from .expfam import ExpFamModel, _derivatives
 from .specfun import (
     _nc_chisq1_densities,
     central_chisq_quantile,
@@ -155,11 +155,7 @@ class PowerQuery:
 
     @_lazy
     def lam(self) -> float:
-        try:
-            K = self.model.fisher_information(self.theta0)
-        except (ZeroDivisionError, OverflowError):
-            raise _derivatives_out_of_range(self.model, self.theta0) from None
-        return 0.5 * K * self.eps ** 2
+        return 0.5 * self.model.fisher_information(self.theta0) * self.eps ** 2
 
     @property
     def scale(self) -> float:
@@ -197,15 +193,6 @@ class PowerQuery:
         return tables[source]
 
 
-def _derivatives_out_of_range(model: ExpFamModel, theta0: float) -> GradpowerError:
-    # a power of theta0 past the float range, as in c / theta0**2 at theta0 = 1e-300 or
-    # theta0**3 at 1e150; the point's true coefficients may still be finite, so this is
-    # a numeric failure, not a domain error
-    return GradpowerError(
-        f"derivatives of {model.name!r} leave the float range at theta0={theta0}"
-    )
-
-
 def power_coefficients(
     model: ExpFamModel, theta0: float, eps: float, source: str = SOURCE_CHAIN
 ) -> CoefficientTable:
@@ -213,13 +200,7 @@ def power_coefficients(
     _check_source(source)
     model.require_theta(theta0)
     _check_drift(eps)
-    try:
-        ap = model.alpha_d1(theta0)
-        app = model.alpha_d2(theta0)
-        bp = model.beta_d1(theta0)
-        bpp = model.beta_d2(theta0)
-    except (ZeroDivisionError, OverflowError):
-        raise _derivatives_out_of_range(model, theta0) from None
+    ap, app, bp, bpp = _derivatives(model, theta0, "alpha_d1", "alpha_d2", "beta_d1", "beta_d2")
     K = ap * bp
     if K <= 0.0:
         raise DomainError(f"Fisher information must be positive at theta0={theta0}")

@@ -101,7 +101,7 @@ class SimulationConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("n", "reps", "workers", "seed"):
+        for name in ("n", "reps", "workers"):
             _check_integer(name, getattr(self, name))
         if self.n < 2:
             raise DomainError(f"per-replicate sample size must be >= 2, got {self.n}")
@@ -110,8 +110,7 @@ class SimulationConfig:
             raise DomainError(f"replicate count must lie in [1, 2**63], got {self.reps}")
         if self.workers < 1:
             raise DomainError(f"workers must be >= 1, got {self.workers}")
-        if not 0 <= self.seed <= _MASK64:
-            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
+        _check_seed(self.seed)
 
     @cached_property
     def query(self) -> PowerQuery:
@@ -158,12 +157,16 @@ class SimulationReport:
     wall_time: float = field(compare=False)
 
 
-def _check_replicate_key(seed: int, j: int) -> None:
-    # a seed or index out of range would wrap onto another replicate's key or a chunk's
+def _check_seed(seed: int) -> None:
     _check_integer("seed", seed)
-    _check_integer("replicate index", j)
     if not 0 <= seed <= _MASK64:
         raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
+
+
+def _check_replicate_key(seed: int, j: int) -> None:
+    # a seed or index out of range would wrap onto another replicate's key or a chunk's
+    _check_seed(seed)
+    _check_integer("replicate index", j)
     if not 0 <= j < _CHUNK_KEY:
         raise DomainError(f"replicate index must lie in [0, 2**63), got {j}")
 

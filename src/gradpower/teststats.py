@@ -19,6 +19,7 @@ information).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -101,6 +102,8 @@ def compute_statistics(model: ExpFamModel, data, theta0: float) -> TestResult:
     try:
         theta_hat, s = statistics_from_dbar(model, theta0, d_bar, x.size)
     except (ZeroDivisionError, OverflowError):  # a term past the float range
+        s = None
+    if s is None or not all(map(math.isfinite, s)):  # also inf - inf, which raises nothing
         raise GradpowerError(
             f"statistics of {model.name!r} leave the float range at theta0={theta0}, "
             f"dbar={d_bar}"

@@ -873,6 +873,10 @@ class TestCliContract:
          "numeric failure: statistics of 'tev' leave the float range at theta0=1e+300, "),
         (["stat", "--model", "gamma", "--fixed", "k=2", "--theta0", "5e-324"],
          "numeric failure: statistics of 'gamma' leave the float range at theta0=5e-324, "),
+        # S1 is inf - inf, which raises nothing; no domain error about an x never given
+        (["stat", "--model", "normal-mean", "--fixed", "theta=1e-300", "--theta0", "1e10"],
+         "numeric failure: statistics of 'normal-mean' leave the float range"
+         " at theta0=10000000000.0, dbar=1.5\n"),
     ])
     def test_stat_past_the_float_range_is_named(self, capsys, tmp_path, argv, err):
         data = tmp_path / "x.txt"

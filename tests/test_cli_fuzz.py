@@ -150,6 +150,8 @@ def test_cli_contract_under_fuzz(capsys, inputs):
         lines = err.splitlines()
         assert all(DOCUMENTED.fullmatch(line) for line in lines), (argv, err)
         assert not BARE.search(err), (argv, err)
+        if argv[0] == "stat":  # stat takes no x, so a refusal of x is a NaN statistic
+            assert "x must be finite" not in err, (argv, err)
         if code:
             assert out == "", argv
             assert len(lines) == 1 and lines[0].startswith(PREFIX[code]), (argv, err)

@@ -9,9 +9,10 @@ from numpy.random import Generator, Philox
 from scipy import stats
 
 from gradpower import expfam
-from gradpower.errors import ConvergenceError, DomainError, EstimationError
+from gradpower.errors import ConvergenceError, DomainError, EstimationError, GradpowerError
 from gradpower.expfam import (
     CATALOG_NAMES,
+    ExpFamModel,
     Support,
     catalog_model,
     cumulants,
@@ -293,6 +294,26 @@ class TestCumulants:
     def test_theta_outside_space(self):
         with pytest.raises(DomainError):
             cumulants(catalog_model("gamma", {"k": 1.0}), -0.5)
+
+    @pytest.mark.parametrize("name, fixed, theta, call", [
+        # k / theta**2 divides by an underflowed square
+        ("gamma", {"k": 2.0}, 1e-300, cumulants),
+        ("gamma", {"k": 2.0}, 1e-300, ExpFamModel.fisher_information),
+        # theta**3 overflows in beta''
+        ("normal-variance", {"mu": 0.001}, 1e150, cumulants),
+    ])
+    def test_derivatives_past_the_float_range_are_named(self, name, fixed, theta, call):
+        with pytest.raises(GradpowerError) as info:
+            call(catalog_model(name, fixed), theta)
+        assert type(info.value) is GradpowerError
+        assert str(info.value) == f"derivatives of {name!r} leave the float range at theta0={theta}"
+
+    def test_information_needs_only_first_derivatives(self):
+        # beta'' = -2k / theta**3 overflows at 1e103, but K = alpha' beta' does not
+        model = catalog_model("gamma", {"k": 2.0})
+        assert model.fisher_information(1e103) == 2e-206
+        with pytest.raises(GradpowerError, match="leave the float range"):
+            cumulants(model, 1e103)
 
 
 class TestMle:

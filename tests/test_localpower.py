@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gradpower import localpower
-from gradpower.errors import DomainError
+from gradpower.errors import DomainError, GradpowerError
 from gradpower.expfam import catalog_model, cumulants
 from gradpower.expansion import (
     _DRIFT_MAX,
@@ -318,6 +318,48 @@ class TestLocalPower:
         # the names above are the cached attributes, so the first check can fail
         q.tails, q.densities, q.coefficients(SOURCE_CHAIN)
         assert {"crit", "lam", "tails", "densities", "_values"} <= set(vars(q))
+
+
+EDGE_THETAS = (5e-324, 1e-300, 1e-120, 1e103, 1e150, 1e300)
+
+
+class TestNamedRefusalsAtEdgeTheta:
+    """Every entry point that evaluates alpha' .. beta'' at theta0 returns finite values
+    or refuses by name, never with Python's bare ZeroDivisionError or OverflowError."""
+
+    CASES = [(name, t) for name in CATALOG_FIXED for t in EDGE_THETAS] + [
+        ("normal-mean", -t) for t in EDGE_THETAS]
+
+    @pytest.mark.parametrize("name, theta0", CASES)
+    def test_finite_or_named(self, name, theta0):
+        model = catalog_model(name, CATALOG_FIXED[name])
+        calls = {
+            "fisher_information": lambda: [model.fisher_information(theta0)],
+            "cumulants": lambda: dataclasses.astuple(cumulants(model, theta0)),
+            "power_coefficients": lambda: [
+                a for row in power_coefficients(model, theta0, 1.0).rows for a in row],
+            "lam": lambda: [PowerQuery(model, theta0, 1.0, 50, 0.05).lam],
+        }
+        named = f"derivatives of {name!r} leave the float range at theta0={theta0}"
+        for label, call in calls.items():
+            try:
+                values = call()
+            except GradpowerError as exc:
+                assert isinstance(exc, DomainError) or str(exc) == named, (label, exc)
+                continue
+            assert all(map(math.isfinite, values)), (label, values)
+
+    def test_coefficients_refuse_source_theta0_and_eps_before_the_derivatives(self):
+        model = catalog_model("gamma", {"k": 2.0})  # its derivatives fail at 1e-300
+        for theta0, eps, source, match in [
+            (-1.0, math.inf, "bogus", "unknown coefficient source"),
+            (-1.0, math.inf, SOURCE_CHAIN, "outside parameter space"),
+            (1e-300, math.inf, SOURCE_CHAIN, "eps must be finite"),
+        ]:
+            with pytest.raises(DomainError, match=match):
+                power_coefficients(model, theta0, eps, source)
+        with pytest.raises(GradpowerError, match="leave the float range"):
+            power_coefficients(model, 1e-300, 1.0, SOURCE_CHAIN)
 
 
 def _bits(value):

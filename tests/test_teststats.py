@@ -9,7 +9,7 @@ from numpy.random import Generator, Philox
 from scipy import integrate
 from scipy.stats import chi2
 
-from gradpower.errors import DomainError, EstimationError
+from gradpower.errors import DomainError, EstimationError, GradpowerError
 from gradpower.expfam import catalog_model, mle_from_dbar, sample
 from gradpower.teststats import (
     TestKind,
@@ -248,6 +248,15 @@ class TestValidation:
         model = catalog_model("power", {"phi": 2.0})
         with pytest.raises(DomainError):
             compute_statistics(model, [0.5, 2.5], 1.0)
+
+    def test_a_statistic_that_is_nan_without_raising_is_named(self):
+        # S1 is inf - inf here: log zeta(theta0) and alpha(theta0) dbar both overflow
+        model = catalog_model("normal-mean", {"theta": 1e-300})
+        with pytest.raises(GradpowerError) as info:
+            compute_statistics(model, [0.5, 1.5, 2.5], 1e10)
+        assert type(info.value) is GradpowerError
+        assert str(info.value) == ("statistics of 'normal-mean' leave the float range at "
+                                   "theta0=10000000000.0, dbar=1.5")
 
     def test_generic_route_validates_like_the_dbar_route(self):
         model = catalog_model("power", {"phi": 2.0})
