@@ -249,8 +249,10 @@ def _cmd_power(args) -> list[str]:
     ])
     lines.append("eps,lambda,pi_lr,pi_wald,pi_score,pi_gradient")
     clamped = 0
+    # every grid point moves one query, so theta0's derivatives and crit are taken once
+    query = PowerQuery(model, args.theta0, eps_values[0], args.n, args.alpha)
     for eps in eps_values:
-        query = PowerQuery(model=model, theta0=args.theta0, eps=eps, n=args.n, alpha=args.alpha)
+        query = query.at_eps(eps)
         row = [_fmt(eps), _fmt(query.lam)]
         for kind in ALL_KINDS:
             value = local_power(query, kind, source)

@@ -7,7 +7,8 @@ ships a nine-entry catalog (normal with either parameter tested, inverse
 normal likewise, gamma, truncated extreme value, Pareto, Laplace, power),
 analytic cumulants, maximum likelihood estimation, and seedable samplers.
 It owns the refusal of derivatives past the float range: ``_derivatives`` names
-it for the Fisher information, the cumulants and the local power coefficients.
+it for the Fisher information, the cumulants and the local power coefficients,
+whether a derivative raises or comes out inf or NaN.
 Each catalog sampler is a :class:`LawSampler`: besides drawing observations
 it draws the mean of the sufficient statistic, d-bar, straight from its
 closed-form law (gamma, normal or inverse Gaussian), in O(1) per draw.
@@ -139,13 +140,23 @@ class ExpFamModel:
 
 def _derivatives(model: ExpFamModel, theta: float, *names: str) -> list[float]:
     # the named derivatives at theta; a power of theta past the float range, as in c / theta**2
-    # at 1e-300 or theta**3 at 1e150, is a numeric failure: the true values may be finite
+    # at 1e-300 or theta**3 at 1e150, is a numeric failure: the true values may be finite.
+    # One that raises and one that comes out inf or NaN are the same fault, refused alike
     try:
-        return [getattr(model, name)(theta) for name in names]
+        values = [getattr(model, name)(theta) for name in names]
     except (ZeroDivisionError, OverflowError):
+        values = None
+    return _in_range(model, theta, values)
+
+
+def _in_range(model: ExpFamModel, theta: float, values):
+    # ``values``, derivatives at theta or the products that form its cumulants, if all are
+    # finite; None (a derivative raised) or any inf or NaN is refused by one name
+    if values is None or not all(map(math.isfinite, values)):
         raise GradpowerError(
             f"derivatives of {model.name!r} leave the float range at theta0={theta}"
-        ) from None
+        )
+    return values
 
 
 @dataclass(frozen=True)
@@ -169,14 +180,10 @@ def cumulants(model: ExpFamModel, theta: float) -> CumulantSet:
     """Evaluate the four third-order cumulants from the analytic derivatives."""
     model.require_theta(theta)
     ap, app, bp, bpp = _derivatives(model, theta, "alpha_d1", "alpha_d2", "beta_d1", "beta_d2")
-    k_tt = -ap * bp
-    return CumulantSet(
-        k_tt=k_tt,
-        k_ttt=-(2.0 * app * bp + ap * bpp),
-        k_t_tt=app * bp,
-        k_t_t_t=ap * bpp - app * bp,
-        k_inv=-1.0 / k_tt,
-    )
+    # finite derivatives can still multiply past the float range: the same fault
+    k_tt, k_ttt, k_t_tt, k_t_t_t = _in_range(model, theta, (
+        -ap * bp, -(2.0 * app * bp + ap * bpp), app * bp, ap * bpp - app * bp))
+    return CumulantSet(k_tt=k_tt, k_ttt=k_ttt, k_t_tt=k_t_tt, k_t_t_t=k_t_t_t, k_inv=-1.0 / k_tt)
 
 
 # ------------------------------------------------------------------ #

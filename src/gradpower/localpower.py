@@ -22,13 +22,16 @@ Nothing cancels in the upper tail, so small-alpha power keeps its relative
 accuracy at every alpha in (0, 1).  A :class:`PowerQuery` takes ``g_3``,
 ``g_5`` and ``g_7`` in closed form, from modified spherical Bessel functions,
 and its four tests and both coefficient sources share them; no Poisson
-weights are walked.  It evaluates its point once per source, on the first
-:func:`local_power` call: one coefficient table of plain-float rows, each
-row's weights taken once, and all four powers in one pass; every later call
-looks its test up.  Pairwise power differences take the same form, with
-``A_j - A_i`` and the partial sums of ``a_jk - a_ik``; those density weights
-give sign certificates that are uniform in the critical value, and
-:func:`power_ordering` turns them into an ordered partition of the four tests.
+weights are walked.  Every query that :meth:`PowerQuery.at_eps` moves to
+another drift shares what no drift changes: theta0's derivative terms (K, P,
+Q, R), its Fisher information and the critical value.  A query evaluates its
+own point once per source, on the first :func:`local_power` call: one
+coefficient table of plain-float rows and all four powers in one flat pass;
+every later call looks its test up.  Pairwise power differences take the
+same form, with ``A_j - A_i`` and the partial sums of ``a_jk - a_ik``; those
+density weights give sign certificates that are uniform in the critical
+value, and :func:`power_ordering` turns them into an ordered partition of the
+four tests.
 
 Two conventions exist for the leading gradient coefficient ``a_40``; they
 disagree whenever ``alpha'' != 0``.  The default ``consistent-chain`` source
@@ -49,7 +52,7 @@ import numpy as np
 
 from .errors import DomainError, _check_sample_size
 from .expansion import ClampedProbability, _check_drift, _clamp, _inv_sqrt, _telescoped, _weights
-from .expfam import ExpFamModel, _derivatives
+from .expfam import ExpFamModel, _derivatives, _in_range
 from .specfun import (
     _nc_chisq1_densities,
     central_chisq_quantile,
@@ -105,7 +108,7 @@ class CoefficientTable:
         return np.array(self.rows)
 
     def row(self, kind: TestKind) -> np.ndarray:
-        return self.a[kind - 1]
+        return np.array(self.rows[kind - 1])
 
 
 class _lazy:
@@ -131,6 +134,7 @@ class PowerQuery:
     eps: float
     n: float
     alpha: float
+    _root = None  # the query that at_eps moved this one from; it holds the null point's values
 
     def __post_init__(self):
         self.model.require_theta(self.theta0)
@@ -138,11 +142,22 @@ class PowerQuery:
         _check_sample_size(self.n)
         if not (self.n >= 1):
             raise DomainError(f"n must be >= 1, got {self.n}")
+        self._check_alternative()
+
+    def _check_alternative(self) -> None:
         _check_drift(self.eps)
         if math.isfinite(self.n) and not self.model.in_param_space(self.theta_drifted):
             raise DomainError(
                 f"drifted parameter {self.theta_drifted} leaves the parameter space"
             )
+
+    def at_eps(self, eps: float) -> PowerQuery:
+        """This query at drift ``eps``; it shares the null point and checks only the drift."""
+        moved = object.__new__(PowerQuery)
+        vars(moved).update(model=self.model, theta0=self.theta0, eps=eps, n=self.n,
+                           alpha=self.alpha, _root=self._root or self)
+        moved._check_alternative()
+        return moved
 
     @property
     def theta_drifted(self) -> float:
@@ -151,11 +166,20 @@ class PowerQuery:
 
     @_lazy
     def crit(self) -> float:  # solved on first use, never at construction
-        return central_chisq_quantile(1.0, self.alpha, upper=True)
+        root = self._root
+        return central_chisq_quantile(1.0, self.alpha, upper=True) if root is None else root.crit
 
     @_lazy
     def lam(self) -> float:
-        return 0.5 * self.model.fisher_information(self.theta0) * self.eps ** 2
+        return 0.5 * (self._root or self)._fisher * self.eps ** 2
+
+    @_lazy
+    def _fisher(self) -> float:  # alpha' and beta' alone: K can be finite where beta'' is not
+        return self.model.fisher_information(self.theta0)
+
+    @_lazy
+    def _terms(self) -> tuple[float, float, float, float, float]:
+        return _null_terms(self.model, self.theta0)
 
     @property
     def scale(self) -> float:
@@ -189,38 +213,39 @@ class PowerQuery:
         """The coefficient table under ``source``."""
         tables = self._values
         if source not in tables:
-            tables[source] = power_coefficients(self.model, self.theta0, self.eps, source)
+            _check_source(source)
+            terms = (self._root or self)._terms
+            tables[source] = _coefficient_table(terms, self.theta0, self.eps, source)
         return tables[source]
 
 
-def power_coefficients(
-    model: ExpFamModel, theta0: float, eps: float, source: str = SOURCE_CHAIN
-) -> CoefficientTable:
-    """The 4 x 4 local power coefficient array at ``theta0``; one that overflows is refused."""
-    _check_source(source)
-    model.require_theta(theta0)
-    _check_drift(eps)
+def _null_terms(model: ExpFamModel, theta0: float) -> tuple[float, float, float, float, float]:
+    # the drift-free terms of the coefficient table at theta0: K, P, Q, R and alpha' beta''
     ap, app, bp, bpp = _derivatives(model, theta0, "alpha_d1", "alpha_d2", "beta_d1", "beta_d2")
     K = ap * bp
     if K <= 0.0:
         raise DomainError(f"Fisher information must be positive at theta0={theta0}")
+    # P is minus the third-derivative cumulant; a product that overflows is refused by
+    # the derivatives' name, as no drift can make that table finite
+    P = 2.0 * app * bp + ap * bpp
+    return _in_range(model, theta0, (K, P, app * bp, ap * bpp - app * bp, ap * bpp))
 
-    P = 2.0 * app * bp + ap * bpp  # minus the third-derivative cumulant
-    Q = app * bp
-    R = ap * bpp - app * bp
-    e = eps
+
+def _coefficient_table(terms, theta0: float, eps: float, source: str) -> CoefficientTable:
+    # the table at drift eps from the null point's terms; one that overflows is refused
+    K, P, Q, R, apbpp = terms
     e3 = eps ** 3
 
     a_shared0 = -P * e3 / 6.0
     lr = (a_shared0, Q * e3 / 2.0, R * e3 / 6.0, 0.0)
-    w1 = Q * e3 / 2.0 - P * e / (2.0 * K)
+    w1 = Q * e3 / 2.0 - P * eps / (2.0 * K)
     wald = (a_shared0, w1, -w1, P * e3 / 6.0)
-    score = (a_shared0, Q * e3 / 2.0 - R * e / (2.0 * K), R * e / (2.0 * K), R * e3 / 6.0)
+    score = (a_shared0, Q * e3 / 2.0 - R * eps / (2.0 * K), R * eps / (2.0 * K), R * e3 / 6.0)
     grad0 = a_shared0 if source == SOURCE_CHAIN else -R * e3 / 6.0
     grad = (
         grad0,
-        Q * e3 / 2.0 + P * e / (4.0 * K),
-        ap * bpp * e3 / 4.0 - P * e / (4.0 * K),
+        Q * e3 / 2.0 + P * eps / (4.0 * K),
+        apbpp * e3 / 4.0 - P * eps / (4.0 * K),
         -P * e3 / 12.0,
     )
     rows = (lr, wald, score, grad)
@@ -233,6 +258,16 @@ def power_coefficients(
     # difference (0 where alpha'' = 0, as P = R there).  A float sum (~1e-19),
     # times G_1 ~ 1, would swamp a small upper tail
     return CoefficientTable(rows=rows, sums=(0.0, 0.0, 0.0, grad0 - a_shared0))
+
+
+def power_coefficients(
+    model: ExpFamModel, theta0: float, eps: float, source: str = SOURCE_CHAIN
+) -> CoefficientTable:
+    """The 4 x 4 local power coefficient array at ``theta0``; one that overflows is refused."""
+    _check_source(source)
+    model.require_theta(theta0)
+    _check_drift(eps)
+    return _coefficient_table(_null_terms(model, theta0), theta0, eps, source)
 
 
 def local_power(
@@ -249,15 +284,21 @@ def local_power(
 
 
 def _four_powers(query: PowerQuery, source: str) -> tuple[ClampedProbability, ...]:
-    # Pi_i = Q_1 - n^{-1/2} [A_i G_1 - 2 sum_m C_im g_{1+2m}] for the four rows in one
-    # pass; the densities are evaluated only if a nonzero weight needs them
+    # Pi_i = Q_1 - n^{-1/2} [A_i G_1 - 2 sum_m C_im g_{1+2m}] for the four rows in one loop,
+    # by _telescoped's rules: zero weights skipped, m = 1..3 in order, densities on demand
     table = query.coefficients(source)  # fetched at n = inf too: it validates source and eps
-    q1 = query.tails[1]
+    g1, q1 = query.tails
     scale = query.scale
     if scale == 0.0:  # at n = inf no density is evaluated
         return (_clamp(q1),) * 4
-    return tuple([_clamp(q1 - scale * _second_order(query, A, _weights(row)[1]))
-                  for A, row in zip(table.sums, table.rows)])
+    powers = []
+    for A, (_, c1, c2, c3) in zip(table.sums, table.rows):
+        total = A * g1 if A != 0.0 else 0.0
+        for m, C in enumerate((c1 + c2 + c3, c2 + c3, c3)):  # C_im, as _weights takes it
+            if C != 0.0:
+                total -= 2.0 * C * query.densities[m]
+        powers.append(_clamp(q1 - scale * total))
+    return tuple(powers)
 
 
 def _difference_terms(table: CoefficientTable, i: TestKind, j: TestKind):
@@ -358,7 +399,9 @@ def power_ordering(
     for eps in eps_grid:
         _check_drift(eps)  # before the sign multiplies it
     sign = 1.0 if eps_sign == "above" else -1.0
-    tables = [power_coefficients(model, theta0, sign * eps, source) for eps in eps_grid]
+    model.require_theta(theta0)
+    terms = _null_terms(model, theta0)
+    tables = [_coefficient_table(terms, theta0, sign * eps, source) for eps in eps_grid]
     tols = [_COEF_TOL * max(1.0, float(np.max(np.abs(t.a)))) for t in tables]
 
     fallback = None  # pointwise queries, built when the first pair needs them
@@ -394,11 +437,11 @@ def power_ordering(
 
 
 def _grid_queries(model, theta0, sign, alpha, eps_grid) -> list[list[PowerQuery]]:
-    # per grid eps, one query per alpha; at n = inf no drifted point is built,
-    # and the sign needs none
+    # per grid eps, one query per alpha, each alpha's moved from one query; at n = inf
+    # no drifted point is built, and the sign needs none
     alphas = sorted({0.01, 0.025, alpha, 0.10, 0.20})
-    return [[PowerQuery(model, theta0, sign * eps, math.inf, a) for a in alphas]
-            for eps in eps_grid]
+    roots = [PowerQuery(model, theta0, sign * eps_grid[0], math.inf, a) for a in alphas]
+    return [[q.at_eps(sign * eps) for q in roots] for eps in eps_grid]
 
 
 def _grid_relation(queries, weights) -> str:

@@ -847,6 +847,14 @@ class TestCliContract:
         # the Fisher information of the lambda column fails first
         (["power", "--model", "normal-variance", "--fixed", "mu=0.7", "--theta0", "4e-200",
           "--eps", "1e-6", "--n", "1000", "--alpha", "0.01"], "normal-variance", "4e-200"),
+        # beta'' = 2k / theta**3 comes out inf without raising: the same fault, not exit 2
+        (["power", "--model", "gamma", "--fixed", "k=2", "--theta0", "1e-105",
+          "--eps", "1e-106", "--n", "50", "--alpha", "0.05"], "gamma", "1e-105"),
+        # every derivative is finite at 2**-341, but 2 alpha'' beta' overflows in the
+        # third cumulant, whatever the drift
+        (["power", "--model", "normal-variance", "--fixed", "mu=0.7",
+          "--theta0", "2.2323972485981933e-103", "--eps", "1e-104", "--n", "50",
+          "--alpha", "0.05"], "normal-variance", "2.2323972485981933e-103"),
     ])
     def test_derivatives_past_the_float_range_are_named(self, capsys, argv, name, theta0):
         code, out, err = _capture(capsys, argv)
@@ -930,7 +938,9 @@ class TestCliContract:
     @pytest.mark.parametrize("compare", [[], ["--compare-sources"]])
     def test_simulate_refuses_overflowing_coefficients_before_sampling(
             self, capsys, monkeypatch, compare):
-        # the chunks of this point warn from numpy, so none may run before the refusal
+        # the chunks of this point warn from numpy, so none may run before the refusal.
+        # alpha' = -1/var is -inf at a variance of 5e-324 without raising: the same fault
+        # as a derivative whose division raises, so the same exit 3 and message
         chunks = []
         monkeypatch.setattr(montecarlo, "_run_chunk", lambda *args: chunks.append(args))
         code, out, err = _capture(
@@ -938,9 +948,9 @@ class TestCliContract:
             ["simulate", "--model", "normal-mean", "--fixed", "theta=5e-324", "--theta0", "1",
              "--eps", "-1.6803743083905776", "--n", "50", "--reps", "10", "--alpha", "1e-300",
              "--seed", "3", *compare])
-        assert code == 2 and out == "" and chunks == []
-        assert err == ("domain error: local power coefficients overflow at"
-                       " theta0=1.0, eps=-1.6803743083905776\n")
+        assert code == 3 and out == "" and chunks == []
+        assert err == ("numeric failure: derivatives of 'normal-mean' leave the float range"
+                       " at theta0=1.0\n")
 
     def test_overflowing_moment_sums_are_named(self, capsys):
         # S_G^k overflows in the power sums; refused by name, with no numpy warning
@@ -1145,7 +1155,7 @@ class TestCliContract:
 
 
 class TestCriticalValueReuse:
-    """Each evaluation point solves its critical value once, for all four tests."""
+    """Each null point solves its critical value once, for all four tests and every eps."""
 
     @pytest.fixture()
     def quantile_calls(self, monkeypatch):
@@ -1159,13 +1169,13 @@ class TestCriticalValueReuse:
         monkeypatch.setattr(localpower, "central_chisq_quantile", counting)
         return calls
 
-    def test_power_grid_one_solve_per_eps(self, capsys, quantile_calls):
+    def test_power_grid_one_solve_per_command(self, capsys, quantile_calls):
         code, _, _ = _capture(
             capsys,
             ["power", *GAMMA_ARGS, "--eps", "0:1:0.5", "--n", "50", "--alpha", "0.05"],
         )
         assert code == 0
-        assert len(quantile_calls) == 3
+        assert quantile_calls == [(1.0, 0.05)]
 
     def test_simulate_one_solve_for_both_sources(self, capsys, quantile_calls):
         code, _, _ = _capture(
@@ -1178,13 +1188,13 @@ class TestCriticalValueReuse:
 
 
 class TestMixtureReuse:
-    """Each evaluation point builds one table per source, computes its df-1 tails once
-    and takes its three densities from one closed-form call; local power walks no
-    Poisson weights."""
+    """Each command evaluates theta0's derivative terms once; each evaluation point builds
+    one table per source from them, computes its df-1 tails once and takes its three
+    densities from one closed-form call; local power walks no Poisson weights."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        calls = {"nc_chisq1_tails": [], "power_coefficients": [], "densities": [],
+        calls = {"nc_chisq1_tails": [], "terms": [], "tables": [], "densities": [],
                  "walks": []}
 
         def recording(module, name, log, entry=lambda args, result: args):
@@ -1198,8 +1208,9 @@ class TestMixtureReuse:
             monkeypatch.setattr(module, name, wrapper)
 
         recording(localpower, "nc_chisq1_tails", calls["nc_chisq1_tails"])
-        # (eps, source) of every coefficient build
-        recording(localpower, "power_coefficients", calls["power_coefficients"],
+        # theta0 of every derivative evaluation, and (eps, source) of every table built
+        recording(localpower, "_null_terms", calls["terms"], lambda args, result: args[1])
+        recording(localpower, "_coefficient_table", calls["tables"],
                   lambda args, result: (args[2], args[3]))
         # (lam, x) of every closed-form density call, under the name localpower resolves
         recording(localpower, "_nc_chisq1_densities", calls["densities"])
@@ -1220,8 +1231,8 @@ class TestMixtureReuse:
         crit = specfun.central_chisq_quantile(1.0, 0.05, upper=True)
         assert calls["densities"] == [(0.25, crit), (1.0, crit)]
         assert calls["walks"] == []
-        assert calls["power_coefficients"] == [(0.0, SOURCE_CHAIN), (0.5, SOURCE_CHAIN),
-                                               (1.0, SOURCE_CHAIN)]
+        assert calls["terms"] == [1.0]
+        assert calls["tables"] == [(0.0, SOURCE_CHAIN), (0.5, SOURCE_CHAIN), (1.0, SOURCE_CHAIN)]
 
     def test_simulate_both_sources(self, capsys, calls):
         code, _, _ = _capture(
@@ -1233,7 +1244,8 @@ class TestMixtureReuse:
         assert [lam for lam, _ in calls["nc_chisq1_tails"]] == [0.25]
         assert [lam for lam, _ in calls["densities"]] == [0.25]
         assert calls["walks"] == []
-        assert calls["power_coefficients"] == [(0.5, SOURCE_CHAIN), (0.5, SOURCE_TABLE)]
+        assert calls["terms"] == [1.0]
+        assert calls["tables"] == [(0.5, SOURCE_CHAIN), (0.5, SOURCE_TABLE)]
 
     def test_no_walk_at_infinite_n(self, calls):
         query = localpower.PowerQuery(
@@ -1243,7 +1255,8 @@ class TestMixtureReuse:
                 localpower.local_power(query, kind, source)
         assert [lam for lam, _ in calls["nc_chisq1_tails"]] == [0.25]
         assert calls["densities"] == [] and calls["walks"] == []
-        assert calls["power_coefficients"] == [(0.5, SOURCE_CHAIN), (0.5, SOURCE_TABLE)]
+        assert calls["terms"] == [1.0]
+        assert calls["tables"] == [(0.5, SOURCE_CHAIN), (0.5, SOURCE_TABLE)]
 
     def test_one_build_per_point_and_source(self, calls):
         # every test and pair of a reused query, each asked for twice, in both sources
@@ -1254,7 +1267,8 @@ class TestMixtureReuse:
                     localpower.local_power(query, i, source)
                     for j in TestKind:
                         localpower.power_difference(query, i, j, source)
-        assert calls["power_coefficients"] == [(0.5, SOURCE_CHAIN), (0.5, SOURCE_TABLE)]
+        assert calls["terms"] == [1.0]
+        assert calls["tables"] == [(0.5, SOURCE_CHAIN), (0.5, SOURCE_TABLE)]
         assert [lam for lam, _ in calls["nc_chisq1_tails"]] == [0.125]
         assert [lam for lam, _ in calls["densities"]] == [0.125]
 

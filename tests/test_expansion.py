@@ -717,3 +717,79 @@ class TestCompositeNormalMeanTested:
             assert 3.9 < a / b < 4.2, errors
         assert errors[0] == pytest.approx(-5.977e-3, rel=1e-3)
         assert errors[-1] == pytest.approx(-2.2455e-5, rel=1e-3)
+
+
+# inverse Gaussian IG(mu, lam) at (lam, mu) = (1, 1), in coordinates (lam, mu): the
+# shape lam is the nuisance (q = 1) and the mean mu is tested.  Per observation
+# l = log(lam) / 2 - lam x / (2 mu^2) + lam / mu - lam / (2 x) + const, and with
+# E x = 1, var x = 1 and E 1/x = 2 the tensors below are small integers and halves
+IG_MEAN_TESTED = CumulantTensors(
+    p=2, q=1, K=np.diag([0.5, 1.0]),
+    k3=np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, -1.0], [-1.0, 6.0]]]),
+    k21=np.array([[[0.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, -3.0]]]),
+    k111=np.array([[[-1.0, 0.0], [0.0, -1.0]], [[0.0, -1.0], [-1.0, 3.0]]]),
+)
+
+
+def _exact_ig_mean_gradient_cdf(n, eps, x):
+    # xbar ~ IG(mu, n lam) is independent of n lam V ~ chi-square(n - 1), where
+    # V = mean(1/x) - 1/xbar (Tweedie 1957).  With mu0 = 1 the restricted shape is
+    # 1 / (V + (xbar - 1)^2 / xbar), so S_G = n (xbar - 1)^2 / (V + (xbar - 1)^2 / xbar),
+    # and S_G <= x is n lam V >= n lam (xbar - 1)^2 (n / x - 1 / xbar); lam = 1 here
+    mu = 1.0 + eps / math.sqrt(n)
+    shape = float(n)
+
+    def given(u):
+        pdf = math.sqrt(shape / (2.0 * math.pi * u ** 3)) * math.exp(
+            -shape * (u - mu) ** 2 / (2.0 * mu * mu * u))
+        return pdf * chi2.sf(n * (u - 1.0) ** 2 * (n / x - 1.0 / u), n - 1)
+
+    # outside 1 +- 14 / sqrt(n) the law of xbar or the chi-square tail leaves no mass
+    w = 14.0 / math.sqrt(n)
+    value, _ = integrate.quad(given, max(1.0 - w, 1e-3), 1.0 + w, points=[1.0, mu],
+                              epsabs=1e-14, epsrel=1e-12, limit=200)
+    return value
+
+
+class TestCompositeInverseGaussianMeanTested:
+    """The composite expansion against the exact law of an inverse-Gaussian mean test with
+    its shape as nuisance: a tested mean whose coefficients are not all zero."""
+
+    def test_tensors_meet_the_bartlett_identities(self):
+        t = IG_MEAN_TESTED
+        total = (t.k3 + t.k21 + np.einsum("srt->rst", t.k21) + np.einsum("trs->rst", t.k21)
+                 + t.k111)
+        assert np.array_equal(total, np.zeros((2, 2, 2)))
+
+    def test_every_row_sums_to_zero_and_no_coefficient_is_zero(self):
+        for eps in (-1.25, -0.6, 0.3, 0.9, 2.0):
+            e = composite_coefficients(IG_MEAN_TESTED, [eps])
+            assert e.f == 1 and e.lam == 0.5 * eps * eps
+            assert abs(sum(e.a)) <= 1e-15 * max(map(abs, e.a)), (eps, e.a)
+            assert all(a != 0.0 for a in e.a), (eps, e.a)
+        e = composite_coefficients(IG_MEAN_TESTED, [0.9])
+        np.testing.assert_allclose(e.a, (0.729, -2.4435, 1.35, 0.3645), rtol=1e-15)
+
+    @pytest.mark.parametrize("eps, pinned", [
+        (0.9, (-1.4550e-2, -4.0021e-3, -1.0502e-3, -2.6899e-4, -6.8063e-5)),
+        (-0.6, (-9.2238e-3, -2.4040e-3, -5.9753e-4, -1.4842e-4, -3.6962e-5)),
+    ])
+    def test_error_against_the_exact_law_is_of_order_one_over_n(self, eps, pinned):
+        e = composite_coefficients(IG_MEAN_TESTED, [eps])
+        x = central_chisq_quantile(1.0, 0.05, upper=True)
+        second, first = [], []
+        for n in (50, 200, 800, 3200, 12800):
+            exact = _exact_ig_mean_gradient_cdf(n, eps, x)
+            second.append(cdf_expansion(e, n, x).value - exact)
+            first.append(cdf_expansion(e, math.inf, x).value - exact)
+        for got, want in zip(second, pinned):
+            assert got == pytest.approx(want, rel=1e-3), second
+        # the n^-1/2 term matters: dropping it leaves a larger error at every n
+        assert all(abs(s) < abs(f) for s, f in zip(second, first)), (second, first)
+        # each 4x in n divides the second-order error by about 4; an n^-3/2 term shows
+        # at n = 50, so the 3.9-4.1 band holds from n = 800 up
+        ratios = [a / b for a, b in zip(second, second[1:])]
+        assert all(3.6 < r < 4.1 for r in ratios), ratios
+        assert all(3.9 < r < 4.1 for r in ratios[2:]), ratios
+        if eps == 0.9:  # there the ratios reach 4 from below
+            assert ratios == sorted(ratios) and ratios[-1] < 4.0, ratios

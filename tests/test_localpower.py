@@ -5,6 +5,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import chain as flat
 
 import numpy as np
 import pytest
@@ -349,6 +350,46 @@ class TestNamedRefusalsAtEdgeTheta:
                 continue
             assert all(map(math.isfinite, values)), (label, values)
 
+    @pytest.mark.parametrize("name", list(CATALOG_FIXED))
+    def test_every_power_of_two(self, name):
+        # every theta0 = 2**k in the float range, at eps = 1: a finite result or the one
+        # named numeric failure, never the coefficient-overflow DomainError, which is kept
+        # for a drift that overflows the table (eps = 5e102)
+        model = catalog_model(name, CATALOG_FIXED[name])
+
+        def cumulant_values(theta0):
+            c = cumulants(model, theta0)
+            return c.k_tt, c.k_ttt, c.k_t_tt, c.k_t_t_t, c.k_inv
+
+        calls = {
+            "fisher_information": lambda theta0: [model.fisher_information(theta0)],
+            "cumulants": cumulant_values,
+            "power_coefficients": lambda theta0: [
+                a for row in power_coefficients(model, theta0, 1.0).rows for a in row],
+            "lam": lambda theta0: [PowerQuery(model, theta0, 1.0, 50, 0.05).lam],
+        }
+        refused = dict.fromkeys(calls, 0)
+        powers = [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+        if name == "normal-mean":  # its parameter space is the real line
+            powers += [-t for t in powers]
+        for theta0 in powers:
+            for label, call in calls.items():
+                try:
+                    values = call(theta0)
+                except GradpowerError as exc:
+                    assert type(exc) is GradpowerError, (label, theta0, exc)
+                    assert str(exc) == (f"derivatives of {name!r} leave the float range"
+                                        f" at theta0={theta0}"), (label, exc)
+                    refused[label] += 1
+                    continue
+                assert all(map(math.isfinite, values)), (label, theta0, values)
+        # normal-mean's derivatives do not depend on theta0; every other model's entry
+        # points are refused somewhere, the second derivatives' at least wherever the
+        # information's are
+        assert all(refused.values()) == (name != "normal-mean"), refused
+        assert refused["power_coefficients"] == refused["cumulants"] >= refused["lam"]
+        assert refused["lam"] == refused["fisher_information"]
+
     def test_coefficients_refuse_source_theta0_and_eps_before_the_derivatives(self):
         model = catalog_model("gamma", {"k": 2.0})  # its derivatives fail at 1e-300
         for theta0, eps, source, match in [
@@ -414,6 +455,84 @@ class TestQueryReuse:
         assert local_power(q, TestKind.LR).value == local_power(q, TestKind.GRADIENT).value
         with pytest.raises(DomainError, match="source"):
             local_power(q, TestKind.LR, "bogus")
+
+
+class TestSharedNullPoint:
+    """A query moved to another drift shares its null point (theta0's derivative terms,
+    Fisher information and critical value) and gives a fresh query's values bit for bit."""
+
+    EPS = (0.0, 1e-3, -1e-3, 0.7, -0.7, 2.0, -2.0)
+
+    @pytest.mark.parametrize("name", list(CATALOG_FIXED))
+    def test_moved_equals_fresh(self, name):
+        model = catalog_model(name, CATALOG_FIXED[name])
+        theta0 = 0.4 if name == "normal-mean" else 1.0
+        pairs = [(i, j) for i in TestKind for j in TestKind if i != j]
+        for n in (20, 1000, math.inf):
+            for alpha in (0.05, 1e-9):
+                base = PowerQuery(model, theta0, 0.3, n, alpha)
+                moved = base
+                for step, eps in enumerate(self.EPS):
+                    # moved from the base and along a chain, in turn; each asks for its
+                    # powers or its differences first, and for its sources in either order
+                    moved = (base if step % 2 else moved).at_eps(eps)
+                    assert moved._root is base
+                    assert (moved.eps, moved.n, moved.alpha) == (eps, n, alpha)
+
+                    def fresh():
+                        return PowerQuery(model=model, theta0=theta0, eps=eps, n=n, alpha=alpha)
+
+                    def powers(source):
+                        for kind in TestKind:
+                            assert _bits(local_power(moved, kind, source)) == _bits(
+                                local_power(fresh(), kind, source)), (n, eps, source, kind)
+
+                    def differences(source):
+                        for i, j in pairs:
+                            assert _bits(power_difference(moved, i, j, source)) == _bits(
+                                power_difference(fresh(), i, j, source)), (n, eps, source, i, j)
+
+                    first, then = (powers, differences) if step % 3 else (differences, powers)
+                    for source in SOURCES[::1 if step % 2 else -1]:
+                        first(source)
+                        then(source)
+                        table = power_coefficients(model, theta0, eps, source)
+                        got = moved.coefficients(source)
+                        assert [_bits(a) for a in flat(*got.rows, got.sums)] == [
+                            _bits(a) for a in flat(*table.rows, table.sums)]
+                    assert _bits(moved.lam) == _bits(fresh().lam)
+                    assert moved.crit == fresh().crit
+                # one critical value and one derivative evaluation for the whole grid
+                assert {"crit", "_fisher", "_terms"} <= set(vars(base))
+                assert not {"_fisher", "_terms"} & set(vars(moved))
+
+    @pytest.mark.parametrize("eps", [-5.0, 1e120, math.inf, math.nan])
+    def test_moved_drift_refused_as_fresh(self, eps):
+        # theta0 - 5 / sqrt(20) leaves gamma's parameter space; the others break the drift rule
+        model = catalog_model("gamma", {"k": 2.0})
+        base = PowerQuery(model, 1.0, 0.5, 20, 0.05)
+        with pytest.raises(DomainError) as fresh:
+            PowerQuery(model, 1.0, eps, 20, 0.05)
+        with pytest.raises(DomainError) as moved:
+            base.at_eps(eps)
+        assert str(moved.value) == str(fresh.value)
+        # at n = inf no drifted point is built: only the drift rule applies
+        far = PowerQuery(model, 1.0, 0.5, math.inf, 0.05)
+        if math.isfinite(eps) and abs(eps) < 1e100:
+            assert far.at_eps(eps).eps == eps
+        else:
+            with pytest.raises(DomainError, match=re.escape(str(fresh.value))):
+                far.at_eps(eps)
+
+    def test_derivative_failure_not_cached(self):
+        # a refused derivative evaluation is refused again at every drift, not remembered
+        # as a value; gamma k = 2 at 1e103: K is finite, beta'' is not
+        model = catalog_model("gamma", {"k": 2.0})
+        q = PowerQuery(model, 1e103, 1.0, 50, 0.05)
+        assert q.lam == 0.5 * model.fisher_information(1e103)
+        for eps in (1.0, 2.0):
+            with pytest.raises(GradpowerError, match="leave the float range"):
+                local_power(q.at_eps(eps), TestKind.LR)
 
 
 class TestUpperTailAccuracy:
@@ -735,22 +854,25 @@ class TestOrderingFallback:
 
     def test_grid_shared_by_all_pairs(self, monkeypatch):
         calls = []
+        terms = []
         tables = []
-        solve = localpower.central_chisq_quantile
-        build = localpower.power_coefficients
 
-        def counting(df, p, *args, **kwargs):
-            calls.append((df, p))
-            return solve(df, p, *args, **kwargs)
+        def counting(log, name):
+            inner = getattr(localpower, name)
 
-        def counting_tables(*args, **kwargs):
-            tables.append(args)
-            return build(*args, **kwargs)
+            def wrapper(*args, **kwargs):
+                log.append(args)
+                return inner(*args, **kwargs)
 
-        monkeypatch.setattr(localpower, "central_chisq_quantile", counting)
-        monkeypatch.setattr(localpower, "power_coefficients", counting_tables)
+            monkeypatch.setattr(localpower, name, wrapper)
+
+        counting(calls, "central_chisq_quantile")
+        counting(terms, "_null_terms")
+        counting(tables, "_coefficient_table")
         report = self._report()
-        # one solve per (eps, alpha) grid point, not one per point and pair
-        assert len(calls) == len(report.eps_grid) * len(self.ALPHAS) == 20
-        # one table per eps, built by the certificate loop; the grid reuses its weights
-        assert len(tables) == len(report.eps_grid) == 4
+        # one solve per alpha, shared by every grid eps and pair
+        assert sorted(p for _, p in calls) == list(self.ALPHAS)
+        # one derivative evaluation, and one table per eps built from it by the
+        # certificate loop; the grid reuses its weights
+        assert len(terms) == 1
+        assert [args[2] for args in tables] == list(report.eps_grid)
