@@ -617,6 +617,35 @@ class TestGoldenOutput:
             "pair score vs gradient: equal (uniform); csum=0; C=(0,0,0)\n"
         )
 
+    def test_order_grid_certified(self, capsys):
+        # score and gradient differ in A alone (every C_m is 0): within the tolerance at
+        # eps = 0.01, below it at 5, so the pair goes through _grid_queries and _grid_relation
+        code, out, _ = _capture(
+            capsys,
+            ["order", "--model", "invnormal-mu", "--fixed", "theta=1", "--theta0", "100",
+             "--alpha", "0.05", "--direction", "above", "--source", "table",
+             "--eps-grid", "0.01,5"],
+        )
+        assert code == 0
+        assert out == (
+            "# gradpower order model=invnormal-mu fixed=theta=1 theta0=100"
+            " alpha=0.050000000000000003 direction=above source=table eps_grid=0.01,5\n"
+            "ordering: gradient > score > lr > wald (grid-certified only)\n"
+            "uniform: false\n"
+            "pair lr vs wald: greater (uniform); csum=8.1891145340545757e-18;"
+            " C=(8.1891145340545757e-18,-0.14999999999999999,-1.2499999999999999e-06)\n"
+            "pair lr vs score: less (uniform); csum=-4.0945572670272878e-18;"
+            " C=(-4.0945572670272878e-18,0.074999999999999997,6.2499999999999995e-07)\n"
+            "pair lr vs gradient: less (uniform); csum=-1.8750000000025003e-06;"
+            " C=(-4.0945572670272878e-18,0.074999999999999997,6.2499999999999995e-07)\n"
+            "pair wald vs score: less (uniform); csum=1.547190381454705e-17;"
+            " C=(1.547190381454705e-17,0.22500000000000001,1.8749999999999998e-06)\n"
+            "pair wald vs gradient: less (uniform); csum=-1.8749999999968116e-06;"
+            " C=(1.547190381454705e-17,0.22500000000000001,1.8749999999999998e-06)\n"
+            "pair score vs gradient: less (grid-certified); csum=-1.8749999999999998e-06;"
+            " C=(0,0,0)\n"
+        )
+
     def test_expand(self, capsys):
         idx = range(3)
         doc = {

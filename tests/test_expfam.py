@@ -86,8 +86,12 @@ def _ref_log(t):
     return np.log(t) if isinstance(t, np.ndarray) else math.log(t)
 
 
+_REF_LOG_2PI = math.log(2.0 * math.pi)
+
+
 # Each catalog formula as an IEEE expression, operation for operation: alpha,
-# alpha', alpha'', log zeta, beta, beta', beta'' and the closed-form MLE of d-bar.
+# alpha', alpha'', log zeta, beta, beta', beta'', the closed-form MLE of d-bar,
+# and d and v of an observation.
 REFERENCE = {
     "normal-variance": lambda mu: dict(
         alpha=lambda t: 0.5 / t,
@@ -98,6 +102,8 @@ REFERENCE = {
         beta_d1=lambda t: -1.0,
         beta_d2=lambda t: 0.0,
         mle_closed_form=lambda d: d,
+        d=lambda x: (x - mu) ** 2,
+        v=lambda x: x * 0.0 - 0.5 * _REF_LOG_2PI,
     ),
     "normal-mean": lambda var: dict(
         alpha=lambda t: -t / var,
@@ -108,6 +114,8 @@ REFERENCE = {
         beta_d1=lambda t: -1.0,
         beta_d2=lambda t: 0.0,
         mle_closed_form=lambda d: d,
+        d=lambda x: x,
+        v=lambda x: -x * x / (2.0 * var) - 0.5 * math.log(2.0 * math.pi * var),
     ),
     "invnormal-theta": lambda mu: dict(
         alpha=lambda t: t,
@@ -118,6 +126,8 @@ REFERENCE = {
         beta_d1=lambda t: 0.5 / (t * t),
         beta_d2=lambda t: -1.0 / t ** 3,
         mle_closed_form=lambda d: 0.5 / d,
+        d=lambda x: (x - mu) ** 2 / (2.0 * mu * mu * x),
+        v=lambda x: -0.5 * (_REF_LOG_2PI + 3.0 * np.log(x)),
     ),
     "invnormal-mu": lambda lam: dict(
         alpha=lambda t: lam / (2.0 * t * t),
@@ -128,6 +138,10 @@ REFERENCE = {
         beta_d1=lambda t: -1.0,
         beta_d2=lambda t: 0.0,
         mle_closed_form=lambda d: d,
+        d=lambda x: x,
+        v=lambda x: (
+            -lam / (2.0 * x) + 0.5 * (math.log(lam) - _REF_LOG_2PI - 3.0 * np.log(x))
+        ),
     ),
     "gamma": lambda k: dict(
         alpha=lambda t: t,
@@ -138,6 +152,8 @@ REFERENCE = {
         beta_d1=lambda t: k / (t * t),
         beta_d2=lambda t: -2.0 * k / t ** 3,
         mle_closed_form=lambda d: k / d,
+        d=lambda x: x,
+        v=lambda x: (k - 1.0) * np.log(x) - math.lgamma(k),
     ),
     "tev": lambda: dict(
         alpha=lambda t: 1.0 / t,
@@ -148,6 +164,8 @@ REFERENCE = {
         beta_d1=lambda t: -1.0,
         beta_d2=lambda t: 0.0,
         mle_closed_form=lambda d: d,
+        d=lambda x: np.expm1(x),
+        v=lambda x: x,
     ),
     "pareto": lambda k: dict(
         alpha=lambda t: 1.0 + t,
@@ -158,6 +176,8 @@ REFERENCE = {
         beta_d1=lambda t: 1.0 / (t * t),
         beta_d2=lambda t: -2.0 / t ** 3,
         mle_closed_form=lambda d: 1.0 / (d - math.log(k)),
+        d=lambda x: np.log(x),
+        v=lambda x: x * 0.0,
     ),
     "laplace": lambda k: dict(
         alpha=lambda t: 1.0 / t,
@@ -168,6 +188,8 @@ REFERENCE = {
         beta_d1=lambda t: -1.0,
         beta_d2=lambda t: 0.0,
         mle_closed_form=lambda d: d,
+        d=lambda x: np.abs(x - k),
+        v=lambda x: x * 0.0,
     ),
     "power": lambda phi: dict(
         alpha=lambda t: 1.0 - t,
@@ -178,12 +200,27 @@ REFERENCE = {
         beta_d1=lambda t: -1.0 / (t * t),
         beta_d2=lambda t: 2.0 / t ** 3,
         mle_closed_form=lambda d: 1.0 / (math.log(phi) - d),
+        d=lambda x: np.log(x),
+        v=lambda x: x * 0.0,
     ),
 }
 
+# each model's support and parameter space, given its fixed constant
+DOMAINS = {
+    "normal-variance": lambda mu: (Support(), (0.0, math.inf)),
+    "normal-mean": lambda var: (Support(), (-math.inf, math.inf)),
+    "invnormal-theta": lambda mu: (Support(lo=0.0), (0.0, math.inf)),
+    "invnormal-mu": lambda lam: (Support(lo=0.0), (0.0, math.inf)),
+    "gamma": lambda k: (Support(lo=0.0), (0.0, math.inf)),
+    "tev": lambda: (Support(lo=0.0), (0.0, math.inf)),
+    "pareto": lambda k: (Support(lo=k), (0.0, math.inf)),
+    "laplace": lambda k: (Support(), (0.0, math.inf)),
+    "power": lambda phi: (Support(lo=0.0, hi=phi), (0.0, math.inf)),
+}
+
 _MAGNITUDES = [1e-200, 1e-150, 1e-100, 1e-30, 1e-8, 0.3, 1.0, 2.7, 1e8, 1e30, 1e100, 1e150, 1e200]
-# zero and negative arguments too: outside a parameter space the formulas must
-# still fail (or overflow) the same way
+# zero and negative arguments too: outside a parameter space (or, for d and v, a
+# support) the formulas must still fail (or overflow) the same way
 EXPRESSION_GRID = np.array([0.0] + _MAGNITUDES + [-m for m in _MAGNITUDES])
 
 
@@ -229,6 +266,31 @@ class TestCatalogExpressions:
                 assert _outcome(got, float(t)) == _outcome(want, float(t)), (field, t)
             grid = EXPRESSION_GRID.copy()
             assert _outcome(got, grid) == _outcome(want, grid), field
+
+    @pytest.mark.parametrize("name, fixed", CASES)
+    def test_data_formulas_at_the_support_edges(self, name, fixed):
+        # d and v at each fixed constant and its two float neighbours (Pareto's and
+        # power's support ends, normal-variance's and Laplace's d = 0) and at +-inf
+        model = catalog_model(name, fixed)
+        want = REFERENCE[name](*fixed.values())
+        edges = [math.inf, -math.inf] + [
+            x for c in fixed.values()
+            for x in (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf))
+        ]
+        for field in ("d", "v"):
+            got = getattr(model, field)
+            for x in edges:
+                assert _outcome(got, x) == _outcome(want[field], x), (field, x)
+            grid = np.array(edges)
+            assert _outcome(got, grid) == _outcome(want[field], grid), field
+
+    def test_domains_cover_catalog(self):
+        assert set(DOMAINS) == set(CATALOG_NAMES)
+
+    @pytest.mark.parametrize("name, fixed", CASES)
+    def test_support_and_parameter_space(self, name, fixed):
+        model = catalog_model(name, fixed)
+        assert (model.support, model.param_space) == DOMAINS[name](*fixed.values())
 
 
 class TestDerivativeConsistency:
