@@ -13,25 +13,27 @@ Each catalog sampler is a :class:`LawSampler`: besides drawing observations
 it draws the mean of the sufficient statistic, d-bar, straight from its
 closed-form law (gamma, normal or inverse Gaussian), in O(1) per draw.
 There is one law function per family: ``_dbar_gamma`` draws the affine gamma
-``shift + sign Gamma`` whose shape, scale or rate, shift and sign each model
-binds, and ``_dbar_normal_mean`` and ``_dbar_invnormal_mu`` draw the other
-two.  A model with d(x) = x (gamma, normal mean, inverse normal mean) draws
-its observations as its law of d-bar at n = 1.
+``shift + sign Gamma`` whose shape, scale or rate, shift and sign each block
+binds, and ``_dbar_normal_mean`` and ``_dbar_invnormal_mu`` draw the other two.
 
 The catalog is one name-keyed table, ``_CATALOG``: each row holds the model's
 builder, the name of its one fixed constant (if any) and whether that constant
 must be positive, and its ``model info`` strings.  :func:`catalog_model` and
 :func:`model_info` share the row lookup, and one check refuses a missing,
-extra, non-numeric, non-finite or wrongly signed fixed constant.  A builder
-returns the model's formulas; ``_model`` adds the name, the fixed constants and
-an MLE bracket derived from the parameter space.
+extra, non-numeric, non-finite or wrongly signed fixed constant.  ``_model``
+adds to a builder's fields the name, the fixed constants, an MLE bracket from
+the parameter space and the sampler: its observations are the law of d-bar at
+n = 1 where d(x) = x, and the builder's ``draw`` elsewhere.
 
-All catalog callables are module-level functions bound with
-``functools.partial``, so entries that share a formula share one function and
-differ only in the constants bound to it: ``c / t``, ``c / t^2`` and ``c / t^3``
-are each one function, and the blocks ``_NEG_BETA`` (beta = -theta, so d-bar is
-the MLE), ``_scale_alpha(c)`` (alpha = c / theta) and ``_gamma_rate(k)``
-(alpha = theta, zeta = theta^-k) give the fields that several models share.
+Catalog callables are module-level functions bound with ``functools.partial``,
+so models that share a formula share one function (``c / t^2`` is one).  A
+family block gives alpha and beta with their derivatives, the closed-form MLE
+and the law of d-bar: ``_gamma_scale(k, c)`` (beta = -theta, d(X) ~ Gamma(k,
+scale c theta)) for normal variance, tev and Laplace; ``_gamma_rate(k)`` (alpha
+= theta, d(X) ~ Gamma(k, rate theta)) for gamma and inverse normal shape; and
+``_log_exponential(x0, s)`` (d(X) = log x0 + s Exp(rate theta)) for Pareto
+(s = 1) and power (s = -1).  A builder adds what its block lacks (d, v, the
+support, log zeta, a ``draw``); the two mean-tested normals bind every field.
 """
 
 from __future__ import annotations
@@ -159,6 +161,13 @@ def _in_range(model: ExpFamModel, theta: float, values):
     return values
 
 
+def _third_order(model: ExpFamModel, theta: float) -> tuple[float, float, float, float, float]:
+    # K = a'b', P = 2a''b' + a'b'', Q = a''b', R = a'b'' - a''b' and a'b'' (a = alpha, b = beta)
+    # at theta; each caller refuses by _in_range a product that overflows
+    ap, app, bp, bpp = _derivatives(model, theta, "alpha_d1", "alpha_d2", "beta_d1", "beta_d2")
+    return ap * bp, 2.0 * app * bp + ap * bpp, app * bp, ap * bpp - app * bp, ap * bpp
+
+
 @dataclass(frozen=True)
 class CumulantSet:
     """Per-observation log-likelihood cumulants at a fixed parameter value.
@@ -179,11 +188,8 @@ class CumulantSet:
 def cumulants(model: ExpFamModel, theta: float) -> CumulantSet:
     """Evaluate the four third-order cumulants from the analytic derivatives."""
     model.require_theta(theta)
-    ap, app, bp, bpp = _derivatives(model, theta, "alpha_d1", "alpha_d2", "beta_d1", "beta_d2")
-    # finite derivatives can still multiply past the float range: the same fault
-    k_tt, k_ttt, k_t_tt, k_t_t_t = _in_range(model, theta, (
-        -ap * bp, -(2.0 * app * bp + ap * bpp), app * bp, ap * bpp - app * bp))
-    return CumulantSet(k_tt=k_tt, k_ttt=k_ttt, k_t_tt=k_t_tt, k_t_t_t=k_t_t_t, k_inv=-1.0 / k_tt)
+    K, P, Q, R, _ = _in_range(model, theta, _third_order(model, theta))
+    return CumulantSet(k_tt=-K, k_ttt=-P, k_t_tt=Q, k_t_t_t=R, k_inv=1.0 / K)
 
 
 # ------------------------------------------------------------------ #
@@ -251,7 +257,7 @@ def _gamma_unit_rate(rng: np.random.Generator, shape: float, n: int) -> np.ndarr
     return out
 
 
-def _invgauss(rng: np.random.Generator, mu: float, lam: float, n: int) -> np.ndarray:
+def _invgauss(mu: float, lam: float, n: int, rng: np.random.Generator) -> np.ndarray:
     # Michael-Schucany-Haas: one squared normal, one uniform per draw.  The roots
     # have product mu^2; the larger is a sum of positive terms, and the smaller is
     # taken as mu^2 over it, which keeps its relative accuracy where their
@@ -270,17 +276,9 @@ def _sample_normal_variance(mu, theta, n, rng):
     return mu + math.sqrt(theta) * _standard_normal(rng, n)
 
 
-def _sample_invnormal_theta(mu, theta, n, rng):
-    return _invgauss(rng, mu, theta, n)
-
-
 def _sample_tev(theta, n, rng):
     e = -np.log(_open_unit(rng, n))
     return np.log1p(theta * e)
-
-
-def _sample_pareto(k, theta, n, rng):
-    return k * _open_unit(rng, n) ** (-1.0 / theta)
 
 
 def _sample_laplace(k, theta, n, rng):
@@ -288,8 +286,9 @@ def _sample_laplace(k, theta, n, rng):
     return k - theta * np.sign(s) * np.log1p(-2.0 * np.abs(s))
 
 
-def _sample_power(phi, theta, n, rng):
-    return phi * _open_unit(rng, n) ** (1.0 / theta)
+def _sample_log_exp(x0, s, theta, n, rng):
+    # x0 U^(-s / theta): log X = log x0 + s Exp(rate theta), as -log U is Exp(1)
+    return x0 * _open_unit(rng, n) ** (-s / theta)
 
 
 # Exact laws of d-bar over n observations, ``(theta, n, size, rng) -> size
@@ -312,7 +311,7 @@ def _dbar_normal_mean(var, theta, n, size, rng):
 
 def _dbar_invnormal_mu(lam, theta, n, size, rng):
     # the mean of n draws of IG(mu, lam) is IG(mu, n lam)
-    return _invgauss(rng, theta, n * lam, size)
+    return _invgauss(theta, n * lam, size, rng)
 
 
 @dataclass(frozen=True)
@@ -335,11 +334,6 @@ class LawSampler:
 def _one_observation_law(law, theta, n, rng):
     # for d(x) = x, n observations are n draws of d-bar over one observation
     return law(theta, 1, n, rng)
-
-
-def _observation_law(law):
-    # the LawSampler of a model with d(x) = x, whose observations are its law at n = 1
-    return LawSampler(partial(_one_observation_law, law), law)
 
 
 # ------------------------------------------------------------------ #
@@ -378,10 +372,6 @@ def _log(t):
 
 
 # normal, variance tested (mean fixed)
-def _nv_log_zeta(t):
-    return 0.5 * _log(t)
-
-
 def _nv_d(mu, x):
     return (x - mu) ** 2
 
@@ -434,23 +424,6 @@ def _gam_v(k, x):
     return (k - 1.0) * np.log(x) - math.lgamma(k)
 
 
-# Pareto, exponent tested (scale fixed)
-def _par_alpha(t):
-    return 1.0 + t
-
-
-def _par_log_zeta(k, t):
-    return -_log(t) - t * math.log(k)
-
-
-def _par_beta(k, t):
-    return -1.0 / t - math.log(k)
-
-
-def _zero_v(x):
-    return x * 0.0
-
-
 # Laplace, scale tested (location fixed)
 def _lap_log_zeta(t):
     return _log(2.0 * t)
@@ -460,26 +433,32 @@ def _lap_d(k, x):
     return np.abs(x - k)
 
 
-# power, exponent tested (upper endpoint fixed)
-def _pow_alpha(t):
-    return 1.0 - t
+# Pareto and power, exponent tested: log X = b + s Exp(rate theta) with b the log
+# of the fixed end, s = 1 above it (Pareto) and s = -1 below it (power)
+def _lx_alpha(s, t):
+    return 1.0 + s * t
+
+
+def _lx_beta(s, b, t):
+    return -s / t - b
+
+
+def _lx_mle(s, sb, dbar):
+    # s / (dbar - b), the root of beta + dbar = 0, with a difference of +0 at dbar = b
+    return 1.0 / (s * dbar - sb)
+
+
+# two log zeta: one shared form would flip the sign of a NaN from the log of t < 0
+def _par_log_zeta(k, t):
+    return -_log(t) - t * math.log(k)
 
 
 def _pow_log_zeta(phi, t):
     return t * math.log(phi) - _log(t)
 
 
-def _pow_beta(phi, t):
-    return 1.0 / t - math.log(phi)
-
-
-# closed-form MLE roots of beta(theta) + dbar = 0
-def _mle_pareto(logk, dbar):
-    return 1.0 / (dbar - logk)
-
-
-def _mle_power(logphi, dbar):
-    return 1.0 / (logphi - dbar)
+def _zero_v(x):
+    return x * 0.0
 
 
 def _bracket_positive(closed, dbar):
@@ -508,12 +487,14 @@ _NEG_BETA = dict(
 )
 
 
-def _scale_alpha(c):
-    # alpha(theta) = c / theta
+def _gamma_scale(k, c):
+    # beta = -theta and alpha = 1 / (c theta): d(X) is Gamma(k, scale c theta)
     return dict(
-        alpha=partial(_over, c),
-        alpha_d1=partial(_over_sq, -c),
-        alpha_d2=partial(_over_cube, 2.0 * c),
+        _NEG_BETA,
+        alpha=partial(_over, 1.0 / c),
+        alpha_d1=partial(_over_sq, -1.0 / c),
+        alpha_d2=partial(_over_cube, 2.0 / c),
+        dbar=partial(_dbar_gamma, k=k, c=c),
     )
 
 
@@ -528,24 +509,41 @@ def _gamma_rate(k):
         beta_d1=partial(_over_sq, k),
         beta_d2=partial(_over_cube, -2.0 * k),
         mle_closed_form=partial(_over, k),
+        dbar=partial(_dbar_gamma, k=k),
     )
 
 
-# Each builder maps the model's checked fixed constant to its ExpFamModel
-# fields; name, fixed_params and mle_bracket are filled in by _model.
+def _log_exponential(x0, s):
+    # d(X) = log X = b + s Exp(rate theta) with b = log x0: alpha = 1 + s theta,
+    # beta = -s / theta - b; log zeta and the support are the builders'
+    b = math.log(x0)
+    return dict(
+        alpha=partial(_lx_alpha, s),
+        alpha_d1=partial(_const, s),
+        alpha_d2=partial(_const, 0.0),
+        beta=partial(_lx_beta, s, b),
+        beta_d1=partial(_over_sq, s),
+        beta_d2=partial(_over_cube, -2.0 * s),
+        mle_closed_form=partial(_lx_mle, s, s * b),
+        dbar=partial(_dbar_gamma, k=1.0, shift=b, sign=s),
+        d=np.log,
+        v=_zero_v,
+        draw=partial(_sample_log_exp, x0, s),
+    )
+
+
+# Each builder maps the model's checked fixed constant to its fields, its block's and
+# its own: d, v, the support, log zeta where the block has none, and a draw if d(x) != x.
 
 
 def _normal_variance(mu):
     return dict(
-        _NEG_BETA,
-        **_scale_alpha(0.5),
-        log_zeta=_nv_log_zeta,
+        _gamma_scale(0.5, 2.0),
+        log_zeta=partial(_gam_log_zeta, -0.5),  # zeta = sqrt(theta), gamma's at k = -1/2
         d=partial(_nv_d, mu),
         v=_nv_v,
         support=Support(),
-        sampler=LawSampler(
-            partial(_sample_normal_variance, mu), partial(_dbar_gamma, k=0.5, c=2.0)
-        ),
+        draw=partial(_sample_normal_variance, mu),
     )
 
 
@@ -560,7 +558,7 @@ def _normal_mean(var):
         v=partial(_nm_v, var),
         support=Support(),
         param_space=_REAL,
-        sampler=_observation_law(partial(_dbar_normal_mean, var)),
+        dbar=partial(_dbar_normal_mean, var),
     )
 
 
@@ -570,7 +568,7 @@ def _invnormal_theta(mu):
         d=partial(_ivt_d, mu),
         v=_ivt_v,
         support=Support(lo=0.0),
-        sampler=LawSampler(partial(_sample_invnormal_theta, mu), partial(_dbar_gamma, k=0.5)),
+        draw=partial(_invgauss, mu),
     )
 
 
@@ -584,7 +582,7 @@ def _invnormal_mu(lam):
         d=_identity,
         v=partial(_ivm_v, lam),
         support=Support(lo=0.0),
-        sampler=_observation_law(partial(_dbar_invnormal_mu, lam)),
+        dbar=partial(_dbar_invnormal_mu, lam),
     )
 
 
@@ -594,74 +592,46 @@ def _gamma(k):
         d=_identity,
         v=partial(_gam_v, k),
         support=Support(lo=0.0),
-        sampler=_observation_law(partial(_dbar_gamma, k=k)),
     )
 
 
 def _tev():
     return dict(
-        _NEG_BETA,
-        **_scale_alpha(1.0),
+        _gamma_scale(1.0, 1.0),
         log_zeta=_log,
         d=np.expm1,
         v=_identity,
         support=Support(lo=0.0),
-        sampler=LawSampler(_sample_tev, partial(_dbar_gamma, k=1.0, c=1.0)),
+        draw=_sample_tev,
     )
 
 
 def _pareto(k):
     return dict(
-        alpha=_par_alpha,
-        alpha_d1=partial(_const, 1.0),
-        alpha_d2=partial(_const, 0.0),
+        _log_exponential(k, 1.0),
         log_zeta=partial(_par_log_zeta, k),
-        beta=partial(_par_beta, k),
-        beta_d1=partial(_over_sq, 1.0),
-        beta_d2=partial(_over_cube, -2.0),
-        mle_closed_form=partial(_mle_pareto, math.log(k)),
-        d=np.log,
-        v=_zero_v,
         support=Support(lo=k),
-        # log X = log k + Exp(rate theta)
-        sampler=LawSampler(
-            partial(_sample_pareto, k), partial(_dbar_gamma, k=1.0, shift=math.log(k))
-        ),
     )
 
 
 def _laplace(k):
     # the density only normalizes on the whole real line, so the support is R
     return dict(
-        _NEG_BETA,
-        **_scale_alpha(1.0),
+        _gamma_scale(1.0, 1.0),
         log_zeta=_lap_log_zeta,
         d=partial(_lap_d, k),
         v=_zero_v,
         support=Support(),
-        sampler=LawSampler(partial(_sample_laplace, k), partial(_dbar_gamma, k=1.0, c=1.0)),
+        draw=partial(_sample_laplace, k),
     )
 
 
 def _power(phi):
     # theta * phi^-theta * x^(theta-1) integrates to one on (0, phi)
     return dict(
-        alpha=_pow_alpha,
-        alpha_d1=partial(_const, -1.0),
-        alpha_d2=partial(_const, 0.0),
+        _log_exponential(phi, -1.0),
         log_zeta=partial(_pow_log_zeta, phi),
-        beta=partial(_pow_beta, phi),
-        beta_d1=partial(_over_sq, -1.0),
-        beta_d2=partial(_over_cube, 2.0),
-        mle_closed_form=partial(_mle_power, math.log(phi)),
-        d=np.log,
-        v=_zero_v,
         support=Support(lo=0.0, hi=phi),
-        # log X = log phi - Exp(rate theta)
-        sampler=LawSampler(
-            partial(_sample_power, phi),
-            partial(_dbar_gamma, k=1.0, shift=math.log(phi), sign=-1.0),
-        ),
     )
 
 
@@ -810,14 +780,17 @@ def _checked_fixed(name: str, entry: _Entry, fixed: Mapping) -> dict[str, float]
     return {key: val}
 
 
-def _model(name, fixed_params, param_space=_POSITIVE, **fields) -> ExpFamModel:
+def _model(name, fixed_params, param_space=_POSITIVE, *, dbar, draw=None, **fields):
     # _bracket_positive needs a positive estimate, which only a space other than R ensures
     bracket = _bracket_real if param_space == _REAL else _bracket_positive
+    if draw is None:  # d(x) = x: the observations are the law of d-bar at n = 1
+        draw = partial(_one_observation_law, dbar)
     return ExpFamModel(
         name=name,
         param_space=param_space,
         fixed_params=fixed_params,
         mle_bracket=partial(bracket, fields["mle_closed_form"]),
+        sampler=LawSampler(draw, dbar),
         **fields,
     )
 

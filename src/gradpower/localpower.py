@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import DomainError, _check_sample_size
 from .expansion import ClampedProbability, _check_drift, _clamp, _inv_sqrt, _telescoped, _weights
-from .expfam import ExpFamModel, _derivatives, _in_range
+from .expfam import ExpFamModel, _in_range, _third_order
 from .specfun import (
     _nc_chisq1_densities,
     central_chisq_quantile,
@@ -220,15 +220,11 @@ class PowerQuery:
 
 
 def _null_terms(model: ExpFamModel, theta0: float) -> tuple[float, float, float, float, float]:
-    # the drift-free terms of the coefficient table at theta0: K, P, Q, R and alpha' beta''
-    ap, app, bp, bpp = _derivatives(model, theta0, "alpha_d1", "alpha_d2", "beta_d1", "beta_d2")
-    K = ap * bp
-    if K <= 0.0:
+    # the table's drift-free terms at theta0; no drift makes an overflowed product finite
+    terms = _third_order(model, theta0)
+    if terms[0] <= 0.0:
         raise DomainError(f"Fisher information must be positive at theta0={theta0}")
-    # P is minus the third-derivative cumulant; a product that overflows is refused by
-    # the derivatives' name, as no drift can make that table finite
-    P = 2.0 * app * bp + ap * bpp
-    return _in_range(model, theta0, (K, P, app * bp, ap * bpp - app * bp, ap * bpp))
+    return _in_range(model, theta0, terms)
 
 
 def _coefficient_table(terms, theta0: float, eps: float, source: str) -> CoefficientTable:
