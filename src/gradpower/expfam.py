@@ -514,8 +514,7 @@ def _gamma_rate(k):
 
 
 def _log_exponential(x0, s):
-    # d(X) = log X = b + s Exp(rate theta) with b = log x0: alpha = 1 + s theta,
-    # beta = -s / theta - b; log zeta and the support are the builders'
+    # alpha = 1 + s theta and beta = -s / theta - b; log zeta and the support are the builders'
     b = math.log(x0)
     return dict(
         alpha=partial(_lx_alpha, s),
@@ -780,7 +779,7 @@ def _checked_fixed(name: str, entry: _Entry, fixed: Mapping) -> dict[str, float]
     return {key: val}
 
 
-def _model(name, fixed_params, param_space=_POSITIVE, *, dbar, draw=None, **fields):
+def _model(name, fixed_params, param_space=_POSITIVE, *, dbar, draw=None, **fields) -> ExpFamModel:
     # _bracket_positive needs a positive estimate, which only a space other than R ensures
     bracket = _bracket_real if param_space == _REAL else _bracket_positive
     if draw is None:  # d(x) = x: the observations are the law of d-bar at n = 1

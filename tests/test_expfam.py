@@ -284,9 +284,6 @@ class TestCatalogExpressions:
             grid = np.array(edges)
             assert _outcome(got, grid) == _outcome(want[field], grid), field
 
-    def test_domains_cover_catalog(self):
-        assert set(DOMAINS) == set(CATALOG_NAMES)
-
     @pytest.mark.parametrize("name, fixed", CASES)
     def test_support_and_parameter_space(self, name, fixed):
         model = catalog_model(name, fixed)
