@@ -746,6 +746,118 @@ class TestGoldenOutput:
         )
 
 
+class TestExpandListGolden:
+    """Full ``expand`` stdout over an x list that mixes walked points with 0, a negative
+    value and inf, at f = 3 and at lam = 198, and which x of a list is refused first."""
+
+    @pytest.fixture(autouse=True)
+    def _in_tmp(self, tmp_path, monkeypatch):
+        # the config header echoes file paths, so run on relative ones
+        monkeypatch.chdir(tmp_path)
+        idx = range(3)
+        f3 = {
+            "p": 3,
+            "q": 0,
+            "K": [[2.0, 0.5, 0.25], [0.5, 1.5, 0.125], [0.25, 0.125, 1.0]],
+            "k3": [[[0.1 * (r + s + u) + 0.05 * r * s * u for u in idx] for s in idx]
+                   for r in idx],
+            "k21": [[[0.2 * r - 0.1 * (s + u) + 0.03 * s * u for u in idx] for s in idx]
+                    for r in idx],
+        }
+        lam200 = {
+            "p": 2,
+            "q": 0,
+            "K": [[1.0, 0.0], [0.0, 0.5]],
+            "k3": [[[0.0, 0.001], [0.001, 0.0]], [[0.001, 0.0], [0.0, 0.002]]],
+            "k21": [[[0.0, -0.001], [-0.001, 0.0]], [[0.0, 0.0], [0.0, -0.001]]],
+        }
+        for name, doc in (("f3.json", f3), ("lam200.json", lam200)):
+            with open(name, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+
+    def test_f3(self, capsys):
+        code, out, err = _capture(
+            capsys,
+            ["expand", "--tensors", "f3.json", "--eps", "0.5,-0.25,1", "--n", "50",
+             "--x=0,-1,1e-3,0.5,2,3.5,5,8,12,25,inf"],
+        )
+        assert code == 0 and err == ""
+        assert out == (
+            "# gradpower expand tensors=f3.json eps=0.5,-0.25,1 n=50"
+            " x=0,-1,1e-3,0.5,2,3.5,5,8,12,25,inf\n"
+            "# f=3\n"
+            "# lambda=0.828125\n"
+            "# a0=0.18138020833333346\n"
+            "# a1=-0.25724724264705889\n"
+            "# a2=-0.01482306985294124\n"
+            "# a3=0.090690104166666674\n"
+            "# mean_literal=3.9940799719386062\n"
+            "# mean_mixture=4.6520574027155934\n"
+            "# variance=10.267361919302068\n"
+            "# third_moment=44.886381068308602\n"
+            "x,cdf,clamped\n"
+            "0,0,0\n"
+            "-1,0,0\n"
+            "0.001,3.7679650909522763e-06,0\n"
+            "0.5,0.039218721812620518,0\n"
+            "2,0.2511518800657182,0\n"
+            "3.5,0.46378576272505451,0\n"
+            "5,0.63381867681994597,0\n"
+            "8,0.84360407124001624,0\n"
+            "12,0.95502606788742284,0\n"
+            "25,0.99949036490129373,0\n"
+            "inf,1,0\n"
+        )
+
+    def test_lam_near_200(self, capsys):
+        code, out, err = _capture(
+            capsys,
+            ["expand", "--tensors", "lam200.json", "--eps=14,20", "--n", "50",
+             "--x=0,-2.5,1e-3,300,350,380,396,398,420,450,520,inf"],
+        )
+        assert code == 0 and err == ""
+        assert out == (
+            "# gradpower expand tensors=lam200.json eps=14,20 n=50"
+            " x=0,-2.5,1e-3,300,350,380,396,398,420,450,520,inf\n"
+            "# f=2\n"
+            "# lambda=198\n"
+            "# a0=4.6266666666666669\n"
+            "# a1=-7.9449999999999994\n"
+            "# a2=1.0049999999999999\n"
+            "# a3=2.313333333333333\n"
+            "# mean_literal=201.96999949238571\n"
+            "# mean_mixture=398.28425692603702\n"
+            "# variance=812.86873937198629\n"
+            "# third_moment=4789.3560390053963\n"
+            "x,cdf,clamped\n"
+            "0,0,0\n"
+            "-2.5,0,0\n"
+            "0.001,0,0\n"
+            "300,0.0045799050310220543,0\n"
+            "350,0.11104976241712707,0\n"
+            "380,0.33094482396281322,0\n"
+            "396,0.48722791062206061,0\n"
+            "398,0.50720415874435776,0\n"
+            "420,0.71254246501822804,0\n"
+            "450,0.89946652330112742,0\n"
+            "520,0.99791618673908622,0\n"
+            "inf,1,0\n"
+        )
+
+    @pytest.mark.parametrize("xs,err", [
+        ("5e-324,nan",
+         "domain error: x=5e-324 is too small for the Poisson mixture (x/2 underflows to 0)\n"),
+        ("nan,5e-324", "domain error: x must not be NaN\n"),
+    ])
+    def test_first_refused_x_decides(self, capsys, xs, err):
+        code, out, got = _capture(
+            capsys,
+            ["expand", "--tensors", "f3.json", "--eps", "0.5,-0.25,1", "--n", "50",
+             f"--x={xs}"],
+        )
+        assert (code, out, got) == (2, "", err)
+
+
 class TestCliContract:
     @pytest.mark.parametrize("grid", ["0:nan:0.1", "0:1:nan", "0:inf:0.1",
                                       "0:2000000:1", "0:1e300:1",
