@@ -308,8 +308,7 @@ def _cmd_expand(args) -> list[str]:
     lines.append(f"# variance={_fmt(moments.m2)}")
     lines.append(f"# third_moment={_fmt(moments.m3)}")
     lines.append("x,cdf,clamped")
-    for x in xs:
-        value = cdf_expansion(expansion, args.n, x)
+    for x, value in zip(xs, cdf_expansion(expansion, args.n, xs)):
         lines.append(f"{_fmt(x)},{_fmt(value.value)},{int(value.clamped)}")
     return lines
 

@@ -25,8 +25,8 @@ for m = 1..3.  At f = 1, the scalar case, the CDF and all three densities
 are elementary, as in local power and power differences: ``G_1`` from
 ``erfc`` and ``g_3``, ``g_5``, ``g_7`` from modified spherical Bessel
 functions, so no Poisson weights are walked.  Every other f takes them from
-one Poisson-mixture walk.  Both are evaluated at n = inf too, where the zero
-scale drops the second-order sum.
+one Poisson-mixture walk, which a list of x shares.  Both are evaluated at
+n = inf too, where the zero scale drops the second-order sum.
 
 Contractions are single ``np.einsum`` calls over dense arrays, bit-identical to
 direct triple loops.  The tested-block contraction zero-pads the drift to
@@ -47,8 +47,8 @@ import numpy as np
 from .errors import _FLOAT_MAX, DomainError, GradpowerError, _check_float_size, _check_integer
 from .errors import _check_sample_size
 from .expfam import CumulantSet
-from .specfun import ChiSquareParams, _check_noncentrality, _nc_chisq1_densities
-from .specfun import nc_chisq1_tails, nc_chisq_mixture
+from .specfun import ChiSquareParams, _check_noncentrality, _clamped_mixture, _mixture_grid
+from .specfun import _nc_chisq1_densities, nc_chisq1_tails, nc_chisq_mixture
 from .specfun import nc_chisq_cdf  # noqa: F401 (unused; perfbench/tracing.py wraps it)
 
 __all__ = [
@@ -74,8 +74,13 @@ _EQUIV_TOL = 1e-12
 def _check_symmetric_3(t: np.ndarray, perms, label: str) -> None:
     scale = max(1.0, float(np.max(np.abs(t))) if t.size else 1.0)
     for perm in perms:
-        if not np.allclose(t, np.transpose(t, perm), rtol=0.0, atol=_SYM_TOL * scale):
+        if not _close(t, np.transpose(t, perm), _SYM_TOL * scale):
             raise DomainError(f"{label} is not symmetric under axis order {perm}")
+
+
+def _close(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    # np.allclose(a, b, rtol=0, atol=atol) for the finite arrays checked before it
+    return bool(np.all(np.abs(a - b) <= atol))
 
 
 @dataclass(frozen=True)
@@ -112,8 +117,20 @@ class CumulantTensors:
             raise DomainError(f"K must have shape ({p}, {p}), got {K.shape}")
         if k3.shape != (p, p, p) or k21.shape != (p, p, p):
             raise DomainError(f"k3 and k21 must have shape ({p}, {p}, {p})")
+        arrays = {"K": K, "k3": k3, "k21": k21}
+        if self.k111 is not None:
+            k111 = np.asarray(self.k111, dtype=float)
+            object.__setattr__(self, "k111", k111)
+            if k111.shape != (p, p, p):
+                raise DomainError(f"k111 must have shape ({p}, {p}, {p})")
+            arrays["k111"] = k111
+        # a NaN or inf entry would otherwise fail a symmetry check or a later step
+        # under another name
+        for name, a in arrays.items():
+            if not np.all(np.isfinite(a)):
+                raise DomainError(f"{name} must be finite")
         scale = max(1.0, float(np.max(np.abs(K))))
-        if not np.allclose(K, K.T, rtol=0.0, atol=_SYM_TOL * scale):
+        if not _close(K, K.T, _SYM_TOL * scale):
             raise DomainError("K must be symmetric")
         try:
             np.linalg.cholesky(K)
@@ -122,11 +139,7 @@ class CumulantTensors:
         _check_symmetric_3(k3, [(0, 2, 1), (1, 0, 2), (2, 1, 0)], "k3")
         _check_symmetric_3(k21, [(0, 2, 1)], "k21")
         if self.k111 is not None:
-            k111 = np.asarray(self.k111, dtype=float)
-            object.__setattr__(self, "k111", k111)
-            if k111.shape != (p, p, p):
-                raise DomainError(f"k111 must have shape ({p}, {p}, {p})")
-            _check_symmetric_3(k111, [(0, 2, 1), (1, 0, 2), (2, 1, 0)], "k111")
+            _check_symmetric_3(self.k111, [(0, 2, 1), (1, 0, 2), (2, 1, 0)], "k111")
 
 
 @dataclass(frozen=True)
@@ -363,13 +376,42 @@ def scalar_coefficients(c: CumulantSet, eps: float) -> PowerExpansion:
     return PowerExpansion(f=1, lam=0.5 * K * eps ** 2, a=(a0, a1, a2, a3))
 
 
-def cdf_expansion(e: PowerExpansion, n, x: float) -> ClampedProbability:
+def cdf_expansion(e: PowerExpansion, n, x):
     """Evaluate Pr(S <= x) to second order; ``n`` may be ``math.inf``.
 
     At f = 1 the CDF and densities are in closed form and keep their relative
     accuracy in both tails; any other f walks the Poisson weights once
-    (:func:`~gradpower.specfun.nc_chisq_mixture`).
+    (:func:`~gradpower.specfun.nc_chisq_mixture`).  ``x`` may also be a sequence
+    of points, for which a tuple of values is returned, each the value of its
+    own call.  There one walk serves every point, and the first point that a
+    loop of single calls would refuse raises that call's error.
     """
+    if isinstance(x, numbers.Real):
+        return _cdf_at(e, n, x)
+    if e.f == 1:
+        return tuple(_cdf_at(e, n, v) for v in x)
+    values, walked, refused = [], [], None
+    for v in x:
+        try:
+            value = _settled(n, v)
+        except DomainError as exc:
+            refused = exc
+            break
+        values.append(value)
+        if value is None:
+            walked.append(v)
+    if walked:
+        grid = _mixture_grid(ChiSquareParams(e.f, e.lam), walked, e.f + 2.0)
+        mixtures = (_clamped_mixture(*sums) for sums in zip(*(a.tolist() for a in grid)))
+        values = [_second_order(e, n, *next(mixtures)) if value is None else value
+                  for value in values]
+    if refused is not None:
+        raise refused
+    return tuple(values)
+
+
+def _settled(n, x):
+    # the value at an x that needs no CDF, or None where it needs one
     if math.isnan(x):
         raise DomainError("x must not be NaN")
     _check_n(n)
@@ -379,10 +421,22 @@ def cdf_expansion(e: PowerExpansion, n, x: float) -> ClampedProbability:
     if math.isinf(x):
         # all mixture components reach 1 and the coefficients sum to zero
         return ClampedProbability(1.0, 1.0, False)
+    return None
+
+
+def _cdf_at(e: PowerExpansion, n, x) -> ClampedProbability:
+    value = _settled(n, x)
+    if value is not None:
+        return value
     if e.f == 1:
         g, densities = nc_chisq1_tails(e.lam, x)[0], _nc_chisq1_densities(e.lam, x)
     else:
         g, densities = nc_chisq_mixture(ChiSquareParams(e.f, e.lam), x)
+    return _second_order(e, n, g, densities)
+
+
+def _second_order(e: PowerExpansion, n, g, densities) -> ClampedProbability:
+    # G_f plus the telescoped second-order sum at densities (g_{f+2}, g_{f+4}, g_{f+6})
     csum, C = _weights(e.a)
     # at n = inf the scale is 0 and the sum finite, so the value is g itself
     return _clamp(g + _inv_sqrt(n) * _telescoped(csum, C, lambda: g, lambda m: densities[m - 1]))

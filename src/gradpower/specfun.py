@@ -18,21 +18,33 @@ spherical Bessel functions, which their second-order terms use
 
 Every other noncentral CDF and density is a sum over the Poisson weights,
 walked once from the modal index up and then down (Benton & Krishnamoorthy
-2003, *CSDA* 43:249); the weights and the sweeps' stops depend on the
-noncentrality alone.  Each term is added to a CDF sum and to the densities
-at three consecutive degrees of freedom as the walk reaches it, so memory
-stays constant and :func:`nc_chisq_mixture` takes the CDF and the three
-densities of a telescoped second-order sum from one pass.
+2003, *CSDA* 43:249).  One generator, ``_poisson_weights``, yields the
+weights as the walk reaches them and owns the sweeps' stops, their cap and
+the refusal of a noncentrality whose walk could not finish; all of these
+depend on the noncentrality alone.  Each term is added to a CDF sum and to
+the densities at three consecutive degrees of freedom as the walk reaches
+it, so memory stays constant and :func:`nc_chisq_mixture` takes the CDF and
+the three densities of a telescoped second-order sum from one pass.
+
+As the weights do not depend on x, a whole grid of x (the CDF expansion
+over an ``expand`` x list) takes them from one walk as well
+(``_mixture_grid``): each x starts from the same scalar values, and the
+steps run as in-order numpy accumulations over fixed-size segments of
+weights and blocks of x.  Every value equals the scalar walk's bit for bit,
+and memory stays bounded for any noncentrality and grid length.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
 
-from .errors import _FLOAT_MAX, ConvergenceError, DomainError
+import numpy as np
+
+from .errors import _FLOAT_MAX, ConvergenceError, DomainError, GradpowerError
 
 __all__ = [
     "ChiSquareParams",
@@ -59,6 +71,9 @@ _CONTFRAC_MAX_TERMS = 1 << 22
 _POISSON_TAIL = 1e-14
 # terms per sweep of the Poisson walk: lam = 1e10 needs about 8 sqrt(lam) = 8e5
 _POISSON_MAX_TERMS = 1 << 21
+# a walk over a grid of x takes this many weights, for this many x, per numpy step
+_GRID_STEPS = 256
+_GRID_BLOCK = 32
 # memo entries for the quantile solve; each run uses a few (df, p) pairs
 _QUANTILE_MEMO = 1024
 # evaluations per quantile solve; a converging solve at df = 1 takes at most 8
@@ -272,18 +287,15 @@ def _walk_too_long(params: ChiSquareParams):
     )
 
 
-def _mixture_sums(params: ChiSquareParams, x: float, d: float):
-    # (G, f1, f2, f3): sums over the Poisson(lam) weights w_j of the central cdf at
-    # df + 2j and of the central densities at d + 2j, d + 2 + 2j and d + 4 + 2j, all
-    # at x.  The weights are walked once outward from the modal index j0 = floor(lam),
-    # which avoids weight underflow for large lam: the modal term, then up, then down,
-    # each term added to all four sums as it is reached.  Each sweep stops once a
-    # geometric bound on its remaining weight falls below half of _POISSON_TAIL, after
-    # at most _POISSON_MAX_TERMS terms.
-    # With a = df/2 + j and T(a) = xg^a e^-xg / Gamma(a+1), P(a+1, xg) = P(a, xg) - T(a),
-    # and each step clamps the cdf base back into [0, 1]; f_{v+2}(x) = f_v(x) * xg / a
-    # with a = v/2, a product of non-negative factors that needs no clamp.
-    lam, df = params.noncentrality, params.df
+def _poisson_weights(params: ChiSquareParams):
+    # The Poisson(lam) weights of the walk, computed as they are reached and stored
+    # nowhere: first (j0, w_j0) at the modal index j0 = floor(lam), which avoids weight
+    # underflow for large lam; then w_j0+1, w_j0+2, ... up; then None; then w_j0-1,
+    # w_j0-2, ... down.  Each sweep stops once a geometric bound on its remaining weight
+    # falls below half of _POISSON_TAIL, after at most _POISSON_MAX_TERMS terms, and a
+    # lam whose up sweep cannot stop within that cap is refused before the first yield.
+    # The weights and the stops depend on lam alone, so one walk serves every x.
+    lam = params.noncentrality
     half_tail = 0.5 * _POISSON_TAIL
     if lam >= _POISSON_MAX_TERMS ** 2:
         # within the cap above the mode the up sweep's tail bound stays above about
@@ -304,21 +316,9 @@ def _mixture_sums(params: ChiSquareParams, x: float, d: float):
     if j0 > 0:
         logw0 += j0 * math.log(lam)
     w0 = math.exp(logw0)
-    xg = 0.5 * x
-    if xg == 0.0:  # x = 5e-324: the walk's steps divide by x/2 and take its log
-        raise DomainError(f"x={x} is too small for the Poisson mixture (x/2 underflows to 0)")
-    a0 = 0.5 * df + j0
-    logT0 = a0 * math.log(xg) - xg - math.lgamma(a0 + 1.0)
-    T0 = math.exp(logT0) if logT0 > -_MAXLOG else 0.0
-    c0 = central_chisq_cdf(df + 2.0 * j0, x)
-    d2, d3 = d + 2.0, d + 4.0
-    a10, a20, a30 = 0.5 * d + j0, 0.5 * d2 + j0, 0.5 * d3 + j0
-    b10, b20, b30 = (central_chisq_pdf(v + 2.0 * j0, x) for v in (d, d2, d3))
-    g = w0 * c0
-    t1, t2, t3 = w0 * b10, w0 * b20, w0 * b30
+    yield j0, w0
 
-    w, c, T, a = w0, c0, T0, a0
-    b1, b2, b3, a1, a2, a3 = b10, b20, b30, a10, a20, a30
+    w = w0
     for j in range(j0, j0 + _POISSON_MAX_TERMS):
         wnext = w * lam / (j + 1.0)
         if j + 1.0 > lam:
@@ -326,6 +326,62 @@ def _mixture_sums(params: ChiSquareParams, x: float, d: float):
             if wnext / (1.0 - lam / (j + 2.0)) < half_tail:
                 break
         w = wnext
+        yield w
+    else:
+        _walk_too_long(params)
+    yield None
+
+    w = w0
+    for j in range(j0 - 1, max(j0 - 1 - _POISSON_MAX_TERMS, -1), -1):
+        w *= (j + 1) / lam
+        yield w
+        if j > 0 and lam > j:
+            # tail below j is bounded by w_{j-1} / (1 - (j-1)/lam)
+            if (w * j / lam) / (1.0 - (j - 1.0) / lam) < half_tail:
+                break
+    else:
+        if j0 > _POISSON_MAX_TERMS:
+            _walk_too_long(params)
+
+
+def _walk_shapes(df: float, d: float, j0: int) -> tuple[float, float, float, float]:
+    # the shape parameters a = df/2 + j of the cdf and a_v = v/2 + j of the densities
+    # at v = d, d + 2 and d + 4, at the modal index j0
+    return 0.5 * df + j0, 0.5 * d + j0, 0.5 * (d + 2.0) + j0, 0.5 * (d + 4.0) + j0
+
+
+def _walk_start(df: float, d: float, j0: int, x: float):
+    # (xg, T, c, b1, b2, b3) at the modal index j0: x/2, the cdf step
+    # T(a) = xg^a e^-xg / Gamma(a+1), the central cdf at df + 2 j0 and the central
+    # densities at d + 2 j0, d + 2 + 2 j0 and d + 4 + 2 j0, all at x
+    xg = 0.5 * x
+    if xg == 0.0:  # x = 5e-324: the walk's steps divide by x/2 and take its log
+        raise DomainError(f"x={x} is too small for the Poisson mixture (x/2 underflows to 0)")
+    a0 = 0.5 * df + j0
+    logT0 = a0 * math.log(xg) - xg - math.lgamma(a0 + 1.0)
+    T0 = math.exp(logT0) if logT0 > -_MAXLOG else 0.0
+    c0 = central_chisq_cdf(df + 2.0 * j0, x)
+    return (xg, T0, c0, *(central_chisq_pdf(v + 2.0 * j0, x) for v in (d, d + 2.0, d + 4.0)))
+
+
+def _mixture_sums(params: ChiSquareParams, x: float, d: float):
+    # (G, f1, f2, f3): sums over the Poisson(lam) weights w_j of the central cdf at
+    # df + 2j and of the central densities at d + 2j, d + 2 + 2j and d + 4 + 2j, all
+    # at x.  The weights come from one _poisson_weights walk: the modal term, then up,
+    # then down, each term added to all four sums as it is reached.
+    # With a = df/2 + j and T(a) = xg^a e^-xg / Gamma(a+1), P(a+1, xg) = P(a, xg) - T(a),
+    # and each step clamps the cdf base back into [0, 1]; f_{v+2}(x) = f_v(x) * xg / a
+    # with a = v/2, a product of non-negative factors that needs no clamp.
+    walk = _poisson_weights(params)
+    j0, w0 = next(walk)
+    xg, T0, c0, b10, b20, b30 = _walk_start(params.df, d, j0, x)
+    a0, a10, a20, a30 = _walk_shapes(params.df, d, j0)
+    g = w0 * c0
+    t1, t2, t3 = w0 * b10, w0 * b20, w0 * b30
+
+    c, T, a = c0, T0, a0
+    b1, b2, b3, a1, a2, a3 = b10, b20, b30, a10, a20, a30
+    for w in iter(walk.__next__, None):
         c -= T
         T *= xg / (a + 1.0)
         a += 1.0
@@ -334,13 +390,10 @@ def _mixture_sums(params: ChiSquareParams, x: float, d: float):
         b1, b2, b3 = b1 * (xg / a1), b2 * (xg / a2), b3 * (xg / a3)
         a1, a2, a3 = a1 + 1.0, a2 + 1.0, a3 + 1.0
         t1, t2, t3 = t1 + w * b1, t2 + w * b2, t3 + w * b3
-    else:
-        _walk_too_long(params)
 
-    w, c, T, a = w0, c0, T0, a0
+    c, T, a = c0, T0, a0
     b1, b2, b3, a1, a2, a3 = b10, b20, b30, a10, a20, a30
-    for j in range(j0 - 1, max(j0 - 1 - _POISSON_MAX_TERMS, -1), -1):
-        w *= (j + 1) / lam
+    for w in walk:
         a -= 1.0
         T *= (a + 1.0) / xg
         c = min(c + T, 1.0)
@@ -348,14 +401,92 @@ def _mixture_sums(params: ChiSquareParams, x: float, d: float):
         a1, a2, a3 = a1 - 1.0, a2 - 1.0, a3 - 1.0
         b1, b2, b3 = b1 * (a1 / xg), b2 * (a2 / xg), b3 * (a3 / xg)
         t1, t2, t3 = t1 + w * b1, t2 + w * b2, t3 + w * b3
-        if j > 0 and lam > j:
-            # tail below j is bounded by w_{j-1} / (1 - (j-1)/lam)
-            if (w * j / lam) / (1.0 - (j - 1.0) / lam) < half_tail:
-                break
-    else:
-        if j0 > _POISSON_MAX_TERMS:
-            _walk_too_long(params)
     return g, t1, t2, t3
+
+
+def _mixture_grid(params: ChiSquareParams, xs, d: float):
+    # (G, f1, f2, f3) of _mixture_sums at every x of xs, positive and finite, as four
+    # arrays, from one _poisson_weights walk.  Each x's modal terms come from the same
+    # scalar calls (_walk_start); the steps are taken _GRID_STEPS weights at a time, for
+    # _GRID_BLOCK x at a time, so memory stays bounded for any lam and grid length.
+    # An x refused at its modal terms is refused after the walk of the x before it, as
+    # a loop of _mixture_sums calls would refuse it.
+    walk = _poisson_weights(params)
+    j0, w0 = next(walk)
+    starts, refused = [], None
+    for x in xs:
+        try:
+            starts.append(_walk_start(params.df, d, j0, x))
+        except (GradpowerError, ArithmeticError) as exc:
+            if not starts:
+                raise
+            refused = exc
+            break
+    xg, T0, c0, *b0 = np.array(starts).T
+    steps0 = np.array([T0, *b0])  # T, b1, b2, b3 at j0
+    shapes0 = _walk_shapes(params.df, d, j0)
+    sums = w0 * np.array([c0, *b0])  # G, f1, f2, f3
+    for up in (True, False):
+        steps, c, shapes = steps0.copy(), c0.copy(), shapes0
+        sweep = iter(walk.__next__, None) if up else walk
+        while (w := np.fromiter(itertools.islice(sweep, _GRID_STEPS), float)).size:
+            shapes = _grid_segment(w, up, shapes, xg, steps, c, sums)
+    if refused is not None:
+        raise refused
+    return tuple(sums)
+
+
+def _grid_segment(w, up, shapes, xg, steps, c, sums):
+    # One segment of a sweep over the weights w, in place on every x's steps (T, b1, b2,
+    # b3), clamped cdf base c and sums (G, f1, f2, f3); returns the shape parameters
+    # after it.  np.multiply.accumulate and np.add.accumulate run in sequence, so each
+    # product and sum rounds as _mixture_sums rounds it, and the shape parameters step
+    # by repeated +-1.0.  The clamp comes after the running sum: going up, c - T - T' ...
+    # only falls, so once it is below 0 it stays there, as the clamped base stays at 0;
+    # going down, c + T + T' ... only rises past 1 likewise.
+    s = w.size
+    a_seq = np.empty((4, s + 1))  # a, a1, a2, a3 before each step and after the last
+    a_seq[:, 0] = shapes
+    a_seq[:, 1:] = 1.0 if up else -1.0
+    np.add.accumulate(a_seq, axis=1, out=a_seq)
+    # the shapes that each step divides x/2 by (up) or divides by x/2 (down): a + 1.0
+    # for T and a1, a2, a3 for the densities, before the step going up, after it down
+    a_fac = a_seq[:, :s].copy() if up else a_seq[:, 1:].copy()
+    a_fac[0] += 1.0
+    rows = min(_GRID_BLOCK, xg.size)
+    buf, cbuf = np.empty((4, rows, s + 1)), np.empty((rows, s + 1))
+    with np.errstate(all="ignore"):  # overflow and inf * 0 as in float arithmetic
+        for lo in range(0, xg.size, _GRID_BLOCK):
+            hi = min(lo + _GRID_BLOCK, xg.size)
+            prod, base = buf[:, :hi - lo], cbuf[:hi - lo]
+            # T, b1, b2, b3 before each step and after the last
+            prod[:, :, 0] = steps[:, lo:hi]
+            h = xg[lo:hi, None]
+            if up:
+                np.divide(h, a_fac[:, None, :], out=prod[:, :, 1:])
+            else:
+                np.divide(a_fac[:, None, :], h, out=prod[:, :, 1:])
+            np.multiply.accumulate(prod, axis=2, out=prod)
+            # the cdf base: c - T before each step going up, c + T after it going down
+            base[:, 0] = c[lo:hi]
+            if up:
+                np.negative(prod[0, :, :s], out=base[:, 1:])
+            else:
+                base[:, 1:] = prod[0, :, 1:]
+            np.add.accumulate(base, axis=1, out=base)
+            if up:  # Python's max(c, 0.0) and min(c, 1.0), signed zeros and NaN included
+                np.copyto(base, 0.0, where=base < 0.0)
+            else:
+                np.copyto(base, 1.0, where=base > 1.0)
+            c[lo:hi] = base[:, s]
+            steps[:, lo:hi] = prod[:, :, s]
+            # the terms w * c and w * b of each step, then their running sums
+            prod[0, :, 1:] = base[:, 1:]
+            prod[:, :, 1:] *= w
+            prod[:, :, 0] = sums[:, lo:hi]
+            np.add.accumulate(prod, axis=2, out=prod)
+            sums[:, lo:hi] = prod[:, :, s]
+    return a_seq[:, s]
 
 
 def nc_chisq_cdf(params: ChiSquareParams, x: float) -> float:
@@ -456,7 +587,11 @@ def nc_chisq_mixture(
     freedom.
     """
     _check_positive_x(x)
-    g, g2, g4, g6 = _mixture_sums(params, x, params.df + 2.0)
+    return _clamped_mixture(*_mixture_sums(params, x, params.df + 2.0))
+
+
+def _clamped_mixture(g, g2, g4, g6) -> tuple[float, tuple[float, float, float]]:
+    # the cdf clamped into [0, 1] and the densities at 0 and up
     return min(max(g, 0.0), 1.0), (max(g2, 0.0), max(g4, 0.0), max(g6, 0.0))
 
 

@@ -325,6 +325,24 @@ class TestExpandCommand:
         assert code == 0
         assert len(built) == 1
 
+    def test_one_cdf_call_per_command(self, capsys, monkeypatch, tmp_path):
+        # the whole x list goes to one cdf_expansion call, which walks the weights once
+        calls, walks = [], []
+        inner, weights = cli.cdf_expansion, specfun._poisson_weights
+        monkeypatch.setattr(cli, "cdf_expansion",
+                            lambda *args: calls.append(args[2]) or inner(*args))
+        monkeypatch.setattr(specfun, "_poisson_weights",
+                            lambda params: walks.append(params) or weights(params))
+        doc = json.loads(Path(__file__).with_name("normal_composite_tensors.json").read_text())
+        tensors = tmp_path / "both_tested.json"
+        tensors.write_text(json.dumps({**doc, "q": 0}))
+        code, out, _ = _capture(
+            capsys, ["expand", "--tensors", str(tensors), "--eps=0.5,1", "--n", "50",
+                     "--x", "0:10:0.5"])
+        assert code == 0 and out.count("\n") == 12 + 21
+        assert calls == [[0.5 * i for i in range(21)]]
+        assert len(walks) == 1
+
     def test_eps_dimension_mismatch(self, capsys, tensor_file):
         code, _, err = _capture(
             capsys,
@@ -346,6 +364,27 @@ class TestExpandCommand:
             capsys, ["expand", "--tensors", tensors, "--eps", "1e200", "--n", "50", "--x", "1"])
         assert code == 2 and out == ""
         assert err == "domain error: noncentrality must be >= 0 and finite, got inf\n"
+
+    @pytest.mark.parametrize("name", ["K", "k3", "k21", "k111"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_tensor_entry_is_named(self, capsys, tmp_path, name, bad):
+        # one stderr line that names the array, and no numpy warning on the way
+        text = Path(__file__).with_name("normal_composite_tensors.json").read_text()
+        doc = json.loads(text)
+        entry = doc[name][-1]
+        while isinstance(entry[-1], list):
+            entry = entry[-1]
+        entry[-1] = float(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _capture(
+                capsys, ["expand", "--tensors", str(path), "--eps", "0.5", "--n", "50",
+                         "--x", "1"])
+        assert caught == []
+        assert (code, out) == (2, "")
+        assert err == f"domain error: {path}: malformed tensor arrays: {name} must be finite\n"
 
     def test_normal_composite_fixture_golden(self, capsys, tmp_path, monkeypatch):
         # normal(mu, v) with mu the nuisance: the composite expansion's full stdout; each

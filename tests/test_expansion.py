@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 import re
@@ -14,7 +15,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import chi2, nct, norm
 
-from gradpower import expansion
+from gradpower import expansion, specfun
 from gradpower.errors import DomainError, GradpowerError
 from gradpower.expfam import CumulantSet, catalog_model, cumulants
 from gradpower.expansion import (
@@ -290,6 +291,80 @@ class TestCdfExpansion:
         assert worst <= 1e-13
 
 
+def _value_bits(values):
+    # each ClampedProbability with its floats in hex form: equal exactly, sign of zero included
+    return [(v.value.hex(), v.raw.hex(), v.clamped) for v in values]
+
+
+class TestCdfExpansionOverAList:
+    """A list of x gives each x's value of its own call, from one Poisson walk at f >= 2;
+    the first x a loop of single calls would refuse decides the error."""
+
+    XS = [0.0, -1.0, 1e-6, 0.05, 0.4, 1.0, 2.0, 3.5, 6.0, 9.0, 15.0, 30.0, 80.0, 300.0,
+          450.0, math.inf]
+
+    @pytest.fixture()
+    def walks(self, monkeypatch):
+        walks = []
+        inner = specfun._poisson_weights
+        monkeypatch.setattr(specfun, "_poisson_weights",
+                            lambda params: walks.append(params.noncentrality) or inner(params))
+        return walks
+
+    @pytest.mark.parametrize("f", [1, 2, 3])
+    @pytest.mark.parametrize("n", [20, 1000, math.inf])
+    def test_equals_one_call_per_x(self, f, n, walks):
+        for lam in (0.0, 0.4, 5.0, 190.0):
+            for a in ((0.1, -0.3, 0.15, 0.05), (-20.0, 50.0, -10.0, -20.0), (0.0, 0.0, 0.0, 0.0)):
+                e = expansion.PowerExpansion(f, lam, a)
+                got = cdf_expansion(e, n, self.XS)
+                assert isinstance(got, tuple)
+                walks.clear()
+                want = [cdf_expansion(e, n, x) for x in self.XS]
+                assert _value_bits(got) == _value_bits(want), (f, n, lam, a)
+                # the per-x calls walk once per positive finite x, the list once in all
+                assert len(walks) == (0 if f == 1 else sum(0.0 < x < math.inf for x in self.XS))
+        # the large coefficients clamp some values at both ends
+        e = expansion.PowerExpansion(f, 5.0, (-20.0, 50.0, -10.0, -20.0))
+        raw = [v.raw for v in cdf_expansion(e, 20, self.XS)]
+        assert min(raw) < 0.0 and max(raw) > 1.0
+
+    def test_one_walk_per_list(self, walks):
+        e = expansion.PowerExpansion(3, 7.0, (0.1, -0.3, 0.15, 0.05))
+        cdf_expansion(e, 50, self.XS)
+        assert walks == [7.0]
+        # a list with no positive finite x walks nothing, and an empty list gives ()
+        assert cdf_expansion(e, 50, [0.0, -2.0, math.inf]) == (
+            (0.0, 0.0, False), (0.0, 0.0, False), (1.0, 1.0, False))
+        assert cdf_expansion(e, 50, []) == ()
+        assert walks == [7.0]
+
+    @pytest.mark.parametrize("f", [1, 3])
+    @pytest.mark.parametrize("xs,n,error", [
+        ([1.0, math.nan, 5e-324], 50, "^x must not be NaN$"),
+        ([math.nan, 1.0], 50.5, "^x must not be NaN$"),
+        ([0.0, 1.0], 50.5, "^n must be an integer, got 50.5$"),
+        ([2.0, 5e-324, math.nan], 50, r"^x=5e-324 is too small"),
+    ])
+    def test_first_refused_x_decides(self, f, xs, n, error):
+        e = expansion.PowerExpansion(f, 3.0, (0.1, -0.3, 0.15, 0.05))
+        if f == 1 and "5e-324" in error:
+            # at f = 1 nothing is walked, so 5e-324 has a value and the NaN decides
+            error = "^x must not be NaN$"
+        with pytest.raises(DomainError, match=error):
+            for x in xs:
+                cdf_expansion(e, n, x)
+        with pytest.raises(DomainError, match=error):
+            cdf_expansion(e, n, xs)
+
+    def test_refused_walk_decides_before_a_later_nan(self):
+        e = expansion.PowerExpansion(2, 1e14, (0.1, -0.3, 0.15, 0.05))
+        with pytest.raises(GradpowerError, match="Poisson mixture needs more than"):
+            cdf_expansion(e, 50, [0.0, 2e14, math.nan])
+        with pytest.raises(DomainError, match="^x must not be NaN$"):
+            cdf_expansion(e, 50, [0.0, math.nan, 2e14])
+
+
 class TestPowerExpansionValidation:
     @pytest.mark.parametrize("lam", [-1e-13, -1e-300, -1.0, math.nan, math.inf, -math.inf,
                                      pytest.param(10 ** 400, id="10**400")])
@@ -491,6 +566,17 @@ class TestTensorValidation:
             CumulantTensors(p=p, q=0, K=np.eye(p), k3=np.zeros(k3), k21=np.zeros(k21),
                             k111=None if k111 is None else np.zeros(k111))
 
+    @pytest.mark.parametrize("name", ["K", "k3", "k21", "k111"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_is_named(self, name, bad):
+        # refused by name before the symmetry checks, which would report a NaN as an
+        # asymmetry and warn about an infinite tolerance
+        arrays = {"K": np.eye(2), "k3": np.zeros((2, 2, 2)), "k21": np.zeros((2, 2, 2)),
+                  "k111": np.zeros((2, 2, 2))}
+        arrays[name][(0,) * arrays[name].ndim] = bad
+        with pytest.raises(DomainError, match=f"^{name} must be finite$"):
+            CumulantTensors(p=2, q=0, **arrays)
+
     def test_bad_shapes_and_q(self):
         with pytest.raises(DomainError):
             CumulantTensors(p=2, q=2, K=np.eye(2), k3=np.zeros((2, 2, 2)), k21=np.zeros((2, 2, 2)))
@@ -544,6 +630,20 @@ class TestTensorFile:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(DomainError, match="invalid tensor file"):
+            load_tensor_file(path)
+
+    @pytest.mark.parametrize("name", ["K", "k3", "k21", "k111"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entry_is_named_on_load(self, tmp_path, name, bad):
+        doc = json.loads(NORMAL_COMPOSITE.read_text())
+        entry = doc[name][0]
+        while isinstance(entry[0], list):
+            entry = entry[0]
+        entry[0] = float(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert bad in path.read_text()
+        with pytest.raises(DomainError, match=f": {name} must be finite$"):
             load_tensor_file(path)
 
     def test_symmetry_enforced_on_load(self, tmp_path):

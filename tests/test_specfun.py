@@ -19,7 +19,7 @@ from scipy.special import gammainc
 from scipy.stats import chi2
 
 from gradpower import specfun
-from gradpower.errors import ConvergenceError, DomainError
+from gradpower.errors import ConvergenceError, DomainError, GradpowerError
 from gradpower.specfun import (
     ChiSquareParams,
     central_chisq_cdf,
@@ -416,6 +416,81 @@ class TestPoissonWalk:
             tracemalloc.stop()
         assert 0.5 < g < 1.0 and all(d > 0.0 for d in densities)
         assert peak < 64 << 10
+
+
+def _bits(values):
+    # each value as its hex form: equal exactly, sign of zero and NaN included
+    return tuple(float(v).hex() for v in values)
+
+
+class TestPoissonGrid:
+    """One walk over a whole x grid gives each x's four sums bit for bit as its own
+    scalar walk does."""
+
+    XS = [float(v) for v in np.geomspace(1e-6, 1e5, 23)]
+
+    @pytest.mark.parametrize("df", [0.03, 0.7, 2.0, 5.0, 40.0])
+    def test_grid_equals_scalar_walk(self, df):
+        for lam in (0.0, 1e-3, 0.6, 7.0, 90.0, 1e4):
+            params = ChiSquareParams(df, lam)
+            # the walk takes the x at lam = 1e4 in several segments of weights
+            xs = self.XS if lam < 1e4 else self.XS[::3] + [1.9e4, 2e4 + df, 2.1e4]
+            for d in (df, df + 2.0):
+                grid = specfun._mixture_grid(params, xs, d)
+                for i, x in enumerate(xs):
+                    assert _bits(a[i] for a in grid) == _bits(
+                        specfun._mixture_sums(params, x, d)), (df, lam, d, x)
+
+    @pytest.mark.parametrize("size", [1, specfun._GRID_BLOCK, specfun._GRID_BLOCK + 1])
+    def test_grid_lengths(self, size):
+        # a single x, one full block and a block plus one, over weights that span
+        # several segments; the clamps of the cdf base engage at the ends of the grid
+        params = ChiSquareParams(3.0, 2e3)
+        xs = [float(v) for v in np.linspace(3.6e3, 4.6e3, size)]
+        grid = specfun._mixture_grid(params, xs, 5.0)
+        assert all(a.shape == (size,) for a in grid)
+        for i, x in enumerate(xs):
+            assert _bits(a[i] for a in grid) == _bits(specfun._mixture_sums(params, x, 5.0))
+
+    def test_one_walk_per_grid(self, monkeypatch):
+        walks = []
+        inner = specfun._poisson_weights
+        monkeypatch.setattr(specfun, "_poisson_weights",
+                            lambda params: walks.append(params) or inner(params))
+        params = ChiSquareParams(2.0, 50.0)
+        specfun._mixture_grid(params, [1.0, 50.0, 100.0, 200.0], 4.0)
+        assert walks == [params]
+
+    def test_grid_keeps_no_weights(self):
+        # about 16k weights at lam = 1e6, for a block of x and one more: the buffers hold
+        # a segment of them for one block of x at a time
+        xs = [float(v) for v in np.linspace(1.95e6, 2.05e6, specfun._GRID_BLOCK + 1)]
+        tracemalloc.start()
+        try:
+            g, *densities = specfun._mixture_grid(ChiSquareParams(1.0, 1e6), xs, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < g[0] < 0.5 < g[-1] < 1.0 and all(np.all(d > 0.0) for d in densities)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("lam,xs,error", [
+        # the walk itself is refused at the first x, however the x after it fares
+        (1e14, [2e14, 5e-324], "Poisson mixture needs more than"),
+        (30.0, [1.0, 5e-324], "Poisson mixture needs more than 50 terms per sweep"),
+        # the first x is refused before the walk is taken
+        (30.0, [5e-324, 1.0], "x=5e-324 is too small"),
+        (5.0, [1.0, 2.0, 5e-324], "x=5e-324 is too small"),
+    ])
+    def test_first_refusal_of_a_loop(self, monkeypatch, lam, xs, error):
+        if lam == 30.0:
+            monkeypatch.setattr(specfun, "_POISSON_MAX_TERMS", 50)
+        params = ChiSquareParams(2.0, lam)
+        with pytest.raises(GradpowerError, match=error):
+            for x in xs:
+                specfun._mixture_sums(params, x, 4.0)
+        with pytest.raises(GradpowerError, match=error):
+            specfun._mixture_grid(params, xs, 4.0)
 
 
 HUGE = 10 ** 400  # an integer past the largest float
