@@ -474,17 +474,17 @@ class TestPoissonGrid:
         assert 0.0 < g[0] < 0.5 < g[-1] < 1.0 and all(np.all(d > 0.0) for d in densities)
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("lam,xs,error", [
-        # the walk itself is refused at the first x, however the x after it fares
-        (1e14, [2e14, 5e-324], "Poisson mixture needs more than"),
-        (30.0, [1.0, 5e-324], "Poisson mixture needs more than 50 terms per sweep"),
+    @pytest.mark.parametrize("cap,lam,xs,error", [
+        # the walk itself is refused at the first x, however the x after it fares: before
+        # any term (lam = 1e14) or when a sweep reaches the cap (lam = 30 with 50 terms)
+        (1 << 21, 1e14, [2e14, 5e-324], "Poisson mixture needs more than"),
+        (50, 30.0, [1.0, 5e-324], "Poisson mixture needs more than 50 terms per sweep"),
         # the first x is refused before the walk is taken
-        (30.0, [5e-324, 1.0], "x=5e-324 is too small"),
-        (5.0, [1.0, 2.0, 5e-324], "x=5e-324 is too small"),
+        (50, 30.0, [5e-324, 1.0], "x=5e-324 is too small"),
+        (1 << 21, 5.0, [1.0, 2.0, 5e-324], "x=5e-324 is too small"),
     ])
-    def test_first_refusal_of_a_loop(self, monkeypatch, lam, xs, error):
-        if lam == 30.0:
-            monkeypatch.setattr(specfun, "_POISSON_MAX_TERMS", 50)
+    def test_first_refusal_of_a_loop(self, monkeypatch, cap, lam, xs, error):
+        monkeypatch.setattr(specfun, "_POISSON_MAX_TERMS", cap)
         params = ChiSquareParams(2.0, lam)
         with pytest.raises(GradpowerError, match=error):
             for x in xs:
