@@ -298,9 +298,11 @@ def _four_powers(query: PowerQuery, source: str) -> tuple[ClampedProbability, ..
 
 
 def _difference_terms(table: CoefficientTable, i: TestKind, j: TestKind):
-    # c_k = a_jk - a_ik; C_m = sum_{k >= m} c_k; csum = sum_k c_k.
-    # Pi_i - Pi_j = n^{-1/2} [ csum * G_1 - 2 * sum_m C_m g_{1+2m} ]   (telescoped)
-    return _weights([b - a for a, b in zip(table.rows[i - 1], table.rows[j - 1])])
+    # (csum, C) of Pi_i - Pi_j = n^{-1/2} [csum G_1 - 2 sum_m C_m g_{1+2m}] (telescoped):
+    # csum = A_j - A_i from the exact row sums, as local_power takes them, and
+    # C_m = sum_{k >= m} (a_jk - a_ik) in floats
+    C = _weights([b - a for a, b in zip(table.rows[i - 1], table.rows[j - 1])])[1]
+    return table.sums[j - 1] - table.sums[i - 1], C
 
 
 def _second_order(query: PowerQuery, csum: float, C) -> float:
@@ -312,9 +314,8 @@ def power_difference(
     query: PowerQuery, i: TestKind, j: TestKind, source: str = SOURCE_CHAIN
 ) -> float:
     """Pi_i - Pi_j via the telescoped density representation (exact antisymmetry)."""
-    table = query.coefficients(source)
-    csum = table.sums[j - 1] - table.sums[i - 1]  # A_j - A_i, as local_power takes them
-    return query.scale * _second_order(query, csum, _difference_terms(table, i, j)[1])
+    csum, C = _difference_terms(query.coefficients(source), i, j)
+    return query.scale * _second_order(query, csum, C)
 
 
 @dataclass(frozen=True)
@@ -398,7 +399,7 @@ def power_ordering(
     model.require_theta(theta0)
     terms = _null_terms(model, theta0)
     tables = [_coefficient_table(terms, theta0, sign * eps, source) for eps in eps_grid]
-    tols = [_COEF_TOL * max(1.0, float(np.max(np.abs(t.a)))) for t in tables]
+    tols = [_COEF_TOL * max(1.0, *map(abs, chain.from_iterable(t.rows))) for t in tables]
 
     fallback = None  # pointwise queries, built when the first pair needs them
     certificates = {}
@@ -454,36 +455,18 @@ def _grid_relation(queries, weights) -> str:
 
 
 def _assemble_groups(certificates) -> tuple[tuple[TestKind, ...], ...]:
-    # union equal pairs, then order the equality classes by the strict relations
-    parent = {k: k for k in ALL_KINDS}
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
+    # merge the classes of each equal pair, then sort the classes, stably, by wins:
+    # each strict pair counts +1 for its winner's class, else -1 for its loser's
+    cls = {k: k for k in ALL_KINDS}  # each test's class, named by one of its members
     for (i, j), cert in certificates.items():
         if cert.relation == "equal":
-            parent[find(i)] = find(j)
-
-    roots = {}
-    for k in ALL_KINDS:
-        roots.setdefault(find(k), []).append(k)
-    classes = list(roots.values())
-
-    def wins(members):
-        total = 0
-        for (i, j), cert in certificates.items():
-            if cert.relation == "greater" and i in members:
-                total += 1
-            elif cert.relation == "greater" and j in members:
-                total -= 1
-            elif cert.relation == "less" and j in members:
-                total += 1
-            elif cert.relation == "less" and i in members:
-                total -= 1
-        return total
-
-    classes.sort(key=wins, reverse=True)
-    return tuple(tuple(sorted(cls)) for cls in classes)
+            cls = {k: cls[i] if c == cls[j] else c for k, c in cls.items()}
+    wins = dict.fromkeys(cls.values(), 0)  # in the order of each class's first member
+    for (i, j), cert in certificates.items():
+        if cert.relation in ("greater", "less"):
+            win, lose = (cls[i], cls[j]) if cert.relation == "greater" else (cls[j], cls[i])
+            wins[win] += 1
+            if lose != win:
+                wins[lose] -= 1
+    order = sorted(wins, key=wins.get, reverse=True)
+    return tuple(tuple(k for k in ALL_KINDS if cls[k] == c) for c in order)

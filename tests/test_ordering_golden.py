@@ -25,7 +25,11 @@ from types import SimpleNamespace
 from gradpower.expfam import CATALOG_NAMES, catalog_model
 from gradpower.localpower import (
     SOURCES,
+    PowerQuery,
     _assemble_groups,
+    _second_order,
+    power_coefficients,
+    power_difference,
     power_ordering,
 )
 from gradpower.teststats import ALL_KINDS
@@ -41,6 +45,8 @@ ALPHAS = (1e-6, 0.05)
 # their tolerance, so those pairs are grid-certified
 THETA0S = (0.003, 1.0, 100.0, 3000.0)
 NORMAL_MEAN_THETA0S = (-30.0, -1.3, 0.4, 30.0)
+# the identity below is checked at this n, small enough to keep every drift in range
+N = 1e8
 
 
 def _sha(lines):
@@ -111,6 +117,29 @@ def test_orderings_match_golden():
     assert len(sweep) == golden["orderings_count"]
     assert sum(not report.uniform for _, report in sweep) == golden["grid_certified_count"] > 0
     assert _orderings_digest() == golden["orderings"]
+
+
+def _last_eps_points():
+    # every certificate of the sweep with its case's table and query at the last grid eps
+    for (_, model, theta0, direction, source, alpha, grid), report in _sweep():
+        eps = (1.0 if direction == "above" else -1.0) * grid[-1]
+        table = power_coefficients(model, theta0, eps, source)
+        query = PowerQuery(model, theta0, eps, N, alpha)
+        for cert in report.certificates.values():
+            yield source, table, query, cert
+
+
+def test_certificate_csum_is_the_difference_of_the_row_sums():
+    # A_j - A_i from the table's exact sums, as local_power takes them
+    for _, table, _, cert in _last_eps_points():
+        assert cert.csum == table.sums[cert.j - 1] - table.sums[cert.i - 1], cert
+
+
+def test_certificate_weights_give_power_difference_bit_for_bit():
+    for source, _, query, cert in _last_eps_points():
+        got = query.scale * _second_order(query, cert.csum, cert.partial)
+        want = power_difference(query, cert.i, cert.j, source)
+        assert got == want, cert
 
 
 if __name__ == "__main__":
