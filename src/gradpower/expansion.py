@@ -518,14 +518,19 @@ def load_tensor_file(path) -> CumulantTensors:
     missing = {"p", "q", "K", "k3", "k21"} - set(doc)
     if missing:
         raise DomainError(f"{path}: missing tensor fields {sorted(missing)}")
+    counts = {}
+    for name in ("p", "q"):
+        # a whole number, 2 or 2.0; int() would truncate 2.9 and take true as 1
+        value = doc[name]
+        if not (type(value) is int or type(value) is float and value.is_integer()):
+            raise DomainError(f"{path}: {name} must be an integer, got {value!r}")
+        counts[name] = int(value)
     try:
-        return CumulantTensors(
-            p=int(doc["p"]),
-            q=int(doc["q"]),
-            K=np.asarray(doc["K"], dtype=float),
-            k3=np.asarray(doc["k3"], dtype=float),
-            k21=np.asarray(doc["k21"], dtype=float),
-            k111=np.asarray(doc["k111"], dtype=float) if "k111" in doc else None,
-        )
-    except (TypeError, ValueError) as exc:
+        arrays = {name: np.asarray(doc[name], dtype=float)
+                  for name in ("K", "k3", "k21", "k111") if name in doc}
+    except (TypeError, ValueError) as exc:  # a ragged or non-numeric array
         raise DomainError(f"{path}: malformed tensor arrays: {exc}") from None
+    try:
+        return CumulantTensors(**counts, **arrays)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None

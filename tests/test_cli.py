@@ -384,7 +384,24 @@ class TestExpandCommand:
                          "--x", "1"])
         assert caught == []
         assert (code, out) == (2, "")
-        assert err == f"domain error: {path}: malformed tensor arrays: {name} must be finite\n"
+        assert err == f"domain error: {path}: {name} must be finite\n"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("q", 1.5, "q must be an integer, got 1.5"),
+        ("p", 2.9, "p must be an integer, got 2.9"),
+        ("q", True, "q must be an integer, got True"),
+        ("K", [[1.0, 0.5], [0.0, 1.0]], "K must be symmetric"),
+    ])
+    def test_bad_tensor_file_field_is_named(self, capsys, tmp_path, field, value, message):
+        # a fractional or bool count is refused, not truncated into another model, and a
+        # validation message follows the path alone
+        doc = json.loads(Path(__file__).with_name("normal_composite_tensors.json").read_text())
+        doc[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _capture(
+            capsys, ["expand", "--tensors", str(path), "--eps", "0.5", "--n", "50", "--x", "1"])
+        assert (code, out, err) == (2, "", f"domain error: {path}: {message}\n")
 
     def test_normal_composite_fixture_golden(self, capsys, tmp_path, monkeypatch):
         # normal(mu, v) with mu the nuisance: the composite expansion's full stdout; each
