@@ -319,6 +319,7 @@ def composite_coefficients(t: CumulantTensors, eps) -> PowerExpansion:
     es, A, lam = _drift_terms(t, e)
     K_inv = np.linalg.inv(t.K)
     k3, k21 = t.k3, t.k21
+    k3k21s = _contract_vvv(k3 + 2.0 * k21, es, es, es)  # a term of both a1 and a2
     # first index of the block term runs over the tested coordinates only
     e_pad = np.zeros(t.p)
     e_pad[t.q :] = e
@@ -326,13 +327,10 @@ def composite_coefficients(t: CumulantTensors, eps) -> PowerExpansion:
     a1 = 0.25 * (
         _contract_mv(k3, K_inv, es)
         - _contract_mv(4.0 * k21 + 3.0 * k3, A, es)
-        - 2.0 * _contract_vvv(k3 + 2.0 * k21, es, es, es)
+        - 2.0 * k3k21s
         - 2.0 * _contract_vvv(k3 + k21, e_pad, es, es)
     )
-    a2 = -0.25 * (
-        _contract_mv(k3, K_inv - A, es)
-        - _contract_vvv(k3 + 2.0 * k21, es, es, es)
-    )
+    a2 = -0.25 * (_contract_mv(k3, K_inv - A, es) - k3k21s)
     a3 = -_contract_vvv(k3, es, es, es) / 12.0
     a0 = -(a1 + a2 + a3)
     return PowerExpansion(f=t.p - t.q, lam=lam, a=(a0, a1, a2, a3))

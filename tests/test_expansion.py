@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import chdtr
 from scipy.stats import chi2, nct, norm
 
 from gradpower import expansion, specfun
@@ -938,3 +939,72 @@ class TestCompositeInverseGaussianMeanTested:
         assert all(3.9 < r < 4.1 for r in ratios[2:]), ratios
         if eps == 0.9:  # there the ratios reach 4 from below
             assert ratios == sorted(ratios) and ratios[-1] < 4.0, ratios
+
+
+def _exact_ig_both_tested_gradient_cdf(n, eps, x):
+    # xbar = u ~ IG(mu, n lam) is independent of n lam V ~ chi-square(n - 1), where
+    # V = mean(1/x) - 1/xbar (Tweedie 1957).  Under the null (1, 1) the MLEs are
+    # 1/V and u, and S_G = (n/2)(a/V + V - a - 1) + n (u - 1)^2 with
+    # a = 1 - (u - 1)^2 / u, so given u, S_G <= x is V^2 - r V + a <= 0 with
+    # r = 2 (x - n (u - 1)^2) / n + a + 1: V between the two roots
+    lam = 1.0 + eps[0] / math.sqrt(n)
+    mu = 1.0 + eps[1] / math.sqrt(n)
+    shape = n * lam
+
+    def given(u):
+        a = 1.0 - (u - 1.0) ** 2 / u
+        r = 2.0 * (x - n * (u - 1.0) ** 2) / n + a + 1.0
+        disc = r * r - 4.0 * a
+        if disc < 0.0:
+            return 0.0
+        hi = 0.5 * (r + math.sqrt(disc))
+        if hi <= 0.0:  # both roots at or below 0: no V > 0
+            return 0.0
+        lo = max(a / hi, 0.0)  # the smaller root as the product over the larger
+        pdf = math.sqrt(shape / (2.0 * math.pi * u ** 3)) * math.exp(
+            -shape * (u - mu) ** 2 / (2.0 * mu * mu * u))
+        return pdf * (chdtr(n - 1, shape * hi) - chdtr(n - 1, shape * lo))
+
+    w = 14.0 / math.sqrt(n)
+    value, _ = integrate.quad(given, max(1.0 - w, 1e-3), 1.0 + w, points=[1.0, mu],
+                              epsabs=1e-14, epsrel=1e-12, limit=200)
+    return value
+
+
+class TestCompositeInverseGaussianBothTested:
+    """The f = 2 expansion, through the expand path's walk, against the exact law of the
+    inverse-Gaussian gradient test with (lam, mu) both tested: no coefficient is 0."""
+
+    TENSORS = dataclasses.replace(IG_MEAN_TESTED, q=0)
+
+    def test_coefficients(self):
+        e = composite_coefficients(self.TENSORS, [0.5, 0.9])
+        assert e.f == 2 and e.lam == pytest.approx(0.4675, rel=1e-15)
+        np.testing.assert_allclose(e.a, (0.54733333333333333, -2.1635, 1.3425,
+                                         0.27366666666666667), rtol=1e-14)
+
+    @pytest.mark.parametrize("eps, pinned", [
+        ((0.5, 0.9), (-1.2882e-3, -4.1690e-4, -1.1082e-4, -2.8145e-5, -7.0651e-6)),
+        ((-0.4, -0.6), (3.5059e-3, 7.0550e-4, 1.6389e-4, 3.9880e-5, 9.8607e-6)),
+    ])
+    def test_error_against_the_exact_law_is_of_order_one_over_n(self, eps, pinned):
+        e = composite_coefficients(self.TENSORS, eps)
+        x = central_chisq_quantile(2.0, 0.05, upper=True)
+        second, first = [], []
+        for n in (50, 200, 800, 3200, 12800):
+            exact = _exact_ig_both_tested_gradient_cdf(n, eps, x)
+            (value,) = cdf_expansion(e, n, [x])  # a one-x list: the grid walk of expand
+            assert value == cdf_expansion(e, n, x)  # the scalar walk, bit for bit
+            second.append(value.value - exact)
+            first.append(cdf_expansion(e, math.inf, x).value - exact)
+        for got, want in zip(second, pinned):
+            assert got == pytest.approx(want, rel=1e-3), second
+        assert all(abs(s) < abs(f) for s, f in zip(second, first)), (second, first)
+        # each 4x in n divides the second-order error by a ratio that moves monotonically
+        # to 4, from one side; only the last is banded, as 800 -> 3200 reads 4.11 for
+        # the second eps.  The first-order error halves instead
+        ratios = [a / b for a, b in zip(second, second[1:])]
+        assert ratios in (sorted(ratios), sorted(ratios, reverse=True)), ratios
+        assert all(r < 4.0 for r in ratios) or all(r > 4.0 for r in ratios), ratios
+        assert 3.9 < ratios[-1] < 4.1, ratios
+        assert all(1.8 < a / b < 2.05 for a, b in zip(first, first[1:])), first
