@@ -608,6 +608,15 @@ class TestEquivalenceFlags:
         assert power_equivalence_flags(t)["score_gradient"] is None
 
 
+def _edited_fixture(tmp_path, **fields):
+    # a copy of the normal composite fixture with some fields replaced
+    doc = json.loads(NORMAL_COMPOSITE.read_text())
+    doc.update(fields)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestTensorFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "tensors.json"
@@ -647,50 +656,33 @@ class TestTensorFile:
         with pytest.raises(DomainError, match=f": {name} must be finite$"):
             load_tensor_file(path)
 
-    @pytest.mark.parametrize("name, value", [
-        ("p", 2.9), ("q", 1.5), ("q", True), ("p", "2"), ("q", None),
-    ])
-    def test_count_that_is_no_whole_number_is_named(self, tmp_path, name, value):
+    @pytest.mark.parametrize("field, value, message", [
         # int() would load 2.9 as 2 and true as 1, a different model
-        doc = json.loads(NORMAL_COMPOSITE.read_text())
-        doc[name] = value
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DomainError) as info:
-            load_tensor_file(path)
-        assert str(info.value) == f"{path}: {name} must be an integer, got {value!r}"
-
-    def test_whole_float_counts_load(self, tmp_path):
-        doc = json.loads(NORMAL_COMPOSITE.read_text())
-        doc["p"], doc["q"] = 2.0, 1.0
-        path = tmp_path / "floats.json"
-        path.write_text(json.dumps(doc))
-        t = load_tensor_file(path)
-        assert (t.p, t.q) == (2, 1) and type(t.p) is int and type(t.q) is int
-        assert composite_coefficients(t, [0.5]) == composite_coefficients(
-            load_tensor_file(NORMAL_COMPOSITE), [0.5])
-
-    @pytest.mark.parametrize("K, message", [
-        ([[1.0, 0.0], [1.0, 1.0]], "K must be symmetric"),
-        ([[1.0, 0.0], [0.0, -1.0]], "K must be positive definite"),
-        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "K must have shape (2, 2), got (2, 3)"),
+        ("p", 2.9, "p must be an integer, got 2.9"),
+        ("q", 1.5, "q must be an integer, got 1.5"),
+        ("q", True, "q must be an integer, got True"),
+        ("p", "2", "p must be an integer, got '2'"),
+        ("q", None, "q must be an integer, got None"),
+        ("K", [[1.0, 0.0], [1.0, 1.0]], "K must be symmetric"),
+        ("K", [[1.0, 0.0], [0.0, -1.0]], "K must be positive definite"),
+        ("K", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "K must have shape (2, 2), got (2, 3)"),
     ])
-    def test_validation_message_follows_the_path_alone(self, tmp_path, K, message):
-        doc = json.loads(NORMAL_COMPOSITE.read_text())
-        doc["K"] = K
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+    def test_refusal_follows_the_path_alone(self, tmp_path, field, value, message):
+        path = _edited_fixture(tmp_path, **{field: value})
         with pytest.raises(DomainError) as info:
             load_tensor_file(path)
         assert str(info.value) == f"{path}: {message}"
 
     def test_ragged_array_is_malformed(self, tmp_path):
-        doc = json.loads(NORMAL_COMPOSITE.read_text())
-        doc["K"] = [[1.0, 0.0], [1.0]]
-        path = tmp_path / "ragged.json"
-        path.write_text(json.dumps(doc))
+        path = _edited_fixture(tmp_path, K=[[1.0, 0.0], [1.0]])
         with pytest.raises(DomainError, match="^" + re.escape(f"{path}: malformed tensor arrays: ")):
             load_tensor_file(path)
+
+    def test_whole_float_counts_load(self, tmp_path):
+        t = load_tensor_file(_edited_fixture(tmp_path, p=2.0, q=1.0))
+        assert (t.p, t.q) == (2, 1) and type(t.p) is int and type(t.q) is int
+        assert composite_coefficients(t, [0.5]) == composite_coefficients(
+            load_tensor_file(NORMAL_COMPOSITE), [0.5])
 
     def test_symmetry_enforced_on_load(self, tmp_path):
         path = tmp_path / "asym.json"
