@@ -11,7 +11,8 @@ it for the Fisher information, the cumulants and the local power coefficients,
 whether a derivative raises or comes out inf or NaN.
 Each catalog sampler is a :class:`LawSampler`: besides drawing observations
 it draws the mean of the sufficient statistic, d-bar, straight from its
-closed-form law (gamma, normal or inverse Gaussian), in O(1) per draw.
+closed-form law (gamma, normal or inverse Gaussian), in O(1) per draw, and
+forms only the prefix of its draws that the caller keeps.
 There is one law function per family: ``_dbar_gamma`` draws the affine gamma
 ``shift + sign Gamma`` whose shape, scale or rate, shift and sign each block
 binds, and ``_dbar_normal_mean`` and ``_dbar_invnormal_mu`` draw the other two.
@@ -95,7 +96,7 @@ class ExpFamModel:
     numerical differentiation is deliberately avoided so the cumulant chain
     stays auditable.  ``sampler(theta, n, rng)`` must consume only the given
     ``numpy.random.Generator`` and return ``n`` i.i.d. draws.  A sampler that
-    also has ``dbar(theta, n, size, rng)`` (a :class:`LawSampler`) lets the
+    also has ``dbar(theta, n, size, rng, take)`` (a :class:`LawSampler`) lets the
     simulation draw d-bar from its exact law instead of averaging draws.
 
     Either way the simulation evaluates a whole chunk of estimates at once, so
@@ -205,70 +206,115 @@ def _open_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     return u
 
 
-def _standard_normal(rng: np.random.Generator, n: int) -> np.ndarray:
-    # Box-Muller on uniform pairs; consumption order is fixed by n alone
-    m = (n + 1) // 2
-    u1 = _open_unit(rng, m)
-    u2 = rng.random(m)
-    r = np.sqrt(-2.0 * np.log(u1))
-    ang = 2.0 * math.pi * u2
-    z = np.empty(2 * m)
-    np.multiply(r, np.cos(ang), out=z[:m])
-    np.multiply(r, np.sin(ang), out=z[m:])
-    return z[:n]
+class _BoxMuller:
+    """Box-Muller normals from uniform pairs drawn in full, formed in order on demand.
+
+    ``n`` normals take ``m = (n + 1) // 2`` pairs, all drawn when the object is
+    made, so the stream's consumption is fixed by ``n`` alone.  Normal ``i`` is
+    ``r cos(a)`` of pair ``i`` below ``m`` and ``r sin(a)`` of pair ``i - m`` from
+    ``m`` on, with ``r = sqrt(-2 log u1)`` and ``a = 2 pi u2``; each pair's ``r``
+    and ``a`` are formed once, by the call that first reaches its cosine.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        m = self.m = (n + 1) // 2
+        self.u1 = _open_unit(rng, m)
+        self.u2 = rng.random(m)
+        self.formed = 0
+
+    def upto(self, hi: int) -> np.ndarray:
+        """The normals from the last call's ``hi`` (0 at first) up to ``hi``."""
+        lo, m = self.formed, self.m
+        self.formed = hi
+        z = np.empty(hi - lo)
+        if lo < m:
+            top = min(hi, m)
+            r = np.sqrt(-2.0 * np.log(self.u1[lo:top]))
+            ang = 2.0 * math.pi * self.u2[lo:top]
+            np.multiply(r, np.cos(ang), out=z[:top - lo])
+            if lo:  # a later slice of the cosines: keep every pair's r and a so far
+                r, ang = np.concatenate((self.r, r)), np.concatenate((self.ang, ang))
+            self.r, self.ang = r, ang
+        if hi > m:
+            a = max(lo, m) - m
+            np.multiply(self.r[a:hi - m], np.sin(self.ang[a:hi - m]), out=z[a + m - lo:])
+        return z
 
 
-def _gamma_unit_rate(rng: np.random.Generator, shape: float, n: int) -> np.ndarray:
-    # Marsaglia-Tsang squeeze-rejection, valid for all shape > 0 via the
-    # u^(1/shape) boost below one.
+def _standard_normal(rng: np.random.Generator, n: int, take: int | None = None) -> np.ndarray:
+    # the first take (default n) of n Box-Muller normals; the stream moves as for all n
+    return _BoxMuller(rng, n).upto(n if take is None else take)
+
+
+def _gamma_unit_rate(
+    rng: np.random.Generator, shape: float, n: int, take: int | None = None
+) -> np.ndarray:
+    # The first take (default n) of n Marsaglia-Tsang squeeze-rejection draws, valid
+    # for all shape > 0 via the u^(1/shape) boost below one.  A round draws all its
+    # uniforms but forms its proposals in slices, in order, only until take values are
+    # accepted; a round that runs out has formed them all, so the next one starts
+    # where the full draw's does.  The boost uniforms follow every round, so below
+    # shape one every round is formed in full.
     k = shape if shape >= 1.0 else shape + 1.0
     dd = k - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * dd)
+    want = n if take is None or shape < 1.0 else take
     out = np.empty(n)
     filled = 0
     for _ in range(_GAMMA_MAX_ROUNDS):
-        if filled == n:
+        if filled >= want:
             break
         m = n - filled
-        z = _standard_normal(rng, m)
-        u = _open_unit(rng, m)
-        v = (1.0 + c * z) ** 3
-        pos = v > 0.0
-        vsafe = v if pos.all() else np.where(pos, v, 1.0)
-        # Accept on squeeze | full, but with the exact log test first: numpy's
-        # float64 pow leaves its SIMD loop for a negative base, so z ** 4 over
-        # the whole array costs more than the logs.  The squeeze then runs
-        # only on the exact test's misses; each z ** 4 is the same float on a
-        # gathered subset, so the draws do not change.
-        full = np.log(u) < 0.5 * z * z + dd * (1.0 - vsafe + np.log(vsafe))
-        ok = pos & full
-        miss = np.flatnonzero(pos & ~ok)
-        ok[miss] = u[miss] < 1.0 - 0.0331 * z[miss] ** 4
-        acc = dd * v[ok]
-        out[filled : filled + acc.size] = acc
-        filled += acc.size
-    if filled < n:
+        normals = _BoxMuller(rng, m)
+        u_round = _open_unit(rng, m)
+        lo = 0
+        while lo < m and filled < want:
+            # the proposals still missing, with a margin that the lowest acceptance
+            # rate (about 95%, at shape one) nearly always covers
+            need = want - filled
+            hi = min(m, lo + need + (need >> 4) + 64)
+            z, u = normals.upto(hi), u_round[lo:hi]
+            lo = hi
+            v = (1.0 + c * z) ** 3
+            pos = v > 0.0
+            vsafe = v if pos.all() else np.where(pos, v, 1.0)
+            # Accept on squeeze | full, but with the exact log test first: numpy's
+            # float64 pow leaves its SIMD loop for a negative base, so z ** 4 over
+            # the whole array costs more than the logs.  The squeeze then runs
+            # only on the exact test's misses; each z ** 4 is the same float on a
+            # gathered subset, so the draws do not change.
+            full = np.log(u) < 0.5 * z * z + dd * (1.0 - vsafe + np.log(vsafe))
+            ok = pos & full
+            miss = np.flatnonzero(pos & ~ok)
+            ok[miss] = u[miss] < 1.0 - 0.0331 * z[miss] ** 4
+            acc = dd * v[ok]
+            out[filled : filled + acc.size] = acc
+            filled += acc.size
+    if filled < want:  # every round was formed in full, so filled is the full draw's
         raise ConvergenceError(
             f"gamma rejection sampler left {n - filled} of {n} draws unaccepted "
             f"after {_GAMMA_MAX_ROUNDS} rounds (shape={shape})"
         )
+    out = out[:take]
     if shape < 1.0:
-        out *= _open_unit(rng, n) ** (1.0 / shape)
+        out *= _open_unit(rng, n)[:take] ** (1.0 / shape)
     return out
 
 
-def _invgauss(mu: float, lam: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    # Michael-Schucany-Haas: one squared normal, one uniform per draw.  The roots
-    # have product mu^2; the larger is a sum of positive terms, and the smaller is
-    # taken as mu^2 over it, which keeps its relative accuracy where their
-    # difference form cancels (a small shape lam)
-    z = _standard_normal(rng, n)
+def _invgauss(
+    mu: float, lam: float, n: int, rng: np.random.Generator, take: int | None = None
+) -> np.ndarray:
+    # The first take (default n) of n Michael-Schucany-Haas draws: one squared normal,
+    # one uniform per draw.  The roots have product mu^2; the larger is a sum of
+    # positive terms, and the smaller is taken as mu^2 over it, which keeps its
+    # relative accuracy where their difference form cancels (a small shape lam)
+    z = _standard_normal(rng, n, take)
     y = z * z
     x2 = mu + mu * mu * y / (2.0 * lam) + (mu / (2.0 * lam)) * np.sqrt(
         4.0 * mu * lam * y + (mu * y) ** 2
     )
     x1 = mu * mu / x2
-    u = rng.random(n)
+    u = rng.random(n)[:take]
     return np.where(u <= mu / (mu + x1), x1, x2)
 
 
@@ -291,27 +337,28 @@ def _sample_log_exp(x0, s, theta, n, rng):
     return x0 * _open_unit(rng, n) ** (-s / theta)
 
 
-# Exact laws of d-bar over n observations, ``(theta, n, size, rng) -> size
-# draws``: one per family.  Every catalog d(X) is gamma, normal or inverse
-# Gaussian, and each of those families is closed under taking means.
+# Exact laws of d-bar over n observations, ``(theta, n, size, rng, take=None) ->
+# the first take (default size) of size draws``: one per family.  Every catalog
+# d(X) is gamma, normal or inverse Gaussian, and each of those families is closed
+# under taking means.
 
 
-def _dbar_gamma(theta, n, size, rng, *, k, c=None, shift=0.0, sign=1.0):
+def _dbar_gamma(theta, n, size, rng, take=None, *, k, c=None, shift=0.0, sign=1.0):
     # d(X) = shift + sign G with G ~ Gamma(k, scale c theta), or Gamma(k, rate theta)
     # when c is None, so d-bar = shift + sign Gamma(n k, scale c theta / n or rate
     # n theta); the shift and the sign are exact
-    g = _gamma_unit_rate(rng, n * k, size)
+    g = _gamma_unit_rate(rng, n * k, size, take)
     g = g / (n * theta) if c is None else g * (c * theta / n)
     return g if shift == 0.0 and sign == 1.0 else shift + sign * g
 
 
-def _dbar_normal_mean(var, theta, n, size, rng):
-    return theta + math.sqrt(var / n) * _standard_normal(rng, size)
+def _dbar_normal_mean(var, theta, n, size, rng, take=None):
+    return theta + math.sqrt(var / n) * _standard_normal(rng, size, take)
 
 
-def _dbar_invnormal_mu(lam, theta, n, size, rng):
+def _dbar_invnormal_mu(lam, theta, n, size, rng, take=None):
     # the mean of n draws of IG(mu, lam) is IG(mu, n lam)
-    return _invgauss(theta, n * lam, size, rng)
+    return _invgauss(theta, n * lam, size, rng, take)
 
 
 @dataclass(frozen=True)
@@ -319,13 +366,21 @@ class LawSampler:
     """A sampler that also draws d-bar, the mean of d over n observations, exactly.
 
     ``sampler(theta, n, rng)`` returns ``n`` observations from ``draw``;
-    ``sampler.dbar(theta, n, size, rng)`` returns ``size`` independent draws of
-    d-bar from its closed-form law, consuming only ``rng``.  The law is bound
-    to the sampler, so a model whose sampler is replaced carries no stale law.
+    ``sampler.dbar(theta, n, size, rng, take=None)`` returns the first ``take``
+    (default ``size``) of ``size`` independent draws of d-bar from its
+    closed-form law, consuming only ``rng``.  They equal
+    ``sampler.dbar(theta, n, size, rng)[:take]`` bit for bit: every uniform
+    array is drawn at its full length, and only the transforms are cut to the
+    prefix, so the cost falls with ``take``.  Where a partial draw leaves the
+    stream is not part of the contract (a gamma draw stops at the rejection
+    round that fills the prefix), and a full draw whose rejection rounds run
+    out raises where a prefix that they fill does not.  The law
+    is bound to the sampler, so a model whose sampler is replaced carries no
+    stale law.
     """
 
     draw: Callable[[float, int, np.random.Generator], np.ndarray]
-    dbar: Callable[[float, int, int, np.random.Generator], np.ndarray]
+    dbar: Callable[..., np.ndarray]
 
     def __call__(self, theta: float, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.draw(theta, n, rng)

@@ -51,7 +51,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, _check_sample_size
-from .expansion import ClampedProbability, _check_drift, _clamp, _inv_sqrt, _telescoped, _weights
+from .expansion import ClampedProbability, _check_drift, _clamp, _inv_sqrt, _telescoped
 from .expfam import ExpFamModel, _in_range, _third_order
 from .specfun import (
     _nc_chisq1_densities,
@@ -299,10 +299,12 @@ def _four_powers(query: PowerQuery, source: str) -> tuple[ClampedProbability, ..
 
 def _difference_terms(table: CoefficientTable, i: TestKind, j: TestKind):
     # (csum, C) of Pi_i - Pi_j = n^{-1/2} [csum G_1 - 2 sum_m C_m g_{1+2m}] (telescoped):
-    # csum = A_j - A_i from the exact row sums, as local_power takes them, and
-    # C_m = sum_{k >= m} (a_jk - a_ik) in floats
-    C = _weights([b - a for a, b in zip(table.rows[i - 1], table.rows[j - 1])])[1]
-    return table.sums[j - 1] - table.sums[i - 1], C
+    # csum = A_j - A_i from the exact row sums, as local_power takes them, C_1 = csum
+    # minus the difference of the a_0, by the same sums, and C_m = sum_{k >= m}
+    # (a_jk - a_ik) in floats for m = 2, 3
+    d0, _, d2, d3 = (b - a for a, b in zip(table.rows[i - 1], table.rows[j - 1]))
+    csum = table.sums[j - 1] - table.sums[i - 1]
+    return csum, (csum - d0, d2 + d3, d3)
 
 
 def _second_order(query: PowerQuery, csum: float, C) -> float:

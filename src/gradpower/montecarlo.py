@@ -5,10 +5,15 @@ the sufficient statistic, so a replicate is one d-bar.  Replicates are
 processed in chunks of ``_CHUNK``, and d-bar has two sources:
 
 * When the model's sampler carries the exact law of d-bar (every catalog
-  model does, see :class:`~gradpower.expfam.LawSampler`), chunk ``c`` draws
-  all ``_CHUNK`` values at once from a Philox stream keyed by
+  model does, see :class:`~gradpower.expfam.LawSampler`), chunk ``c`` is one
+  law draw laid out as ``_CHUNK`` values, from a Philox stream keyed by
   ``(seed, 2**63 + c)``, a key no replicate stream uses, and replicate ``j``
-  takes value ``j mod _CHUNK`` of chunk ``j // _CHUNK``.
+  takes value ``j mod _CHUNK`` of chunk ``j // _CHUNK``.  A chunk that ends
+  before its last value (the last chunk of a run, or one replicate) asks the
+  law for the prefix up to its last replicate, ``take = i + hi - lo`` for
+  replicates ``lo..hi-1`` at offset ``i``: the law draws every uniform of the
+  full layout but forms only those values, which equal the full draw's bit for
+  bit.
 * Otherwise replicate ``j`` draws ``n`` observations from its own Philox
   stream, keyed by ``(seed, j)``, and averages their ``d``.
 
@@ -30,10 +35,12 @@ failed rows from each of the four statistic arrays, or uses them as they are
 when every row is usable, and counts each test's rejections on its own 1-D
 array.  Every pass that changes no value on such a clean chunk (one with no
 zero uniform, no non-positive gamma proposal and no failed row) is skipped.
-For gamma with n = 50 a chunk of 4096 drawn from the law takes about 1.0 ms:
-0.54-0.55 ms to draw, 0.18 ms to evaluate, 0.18 ms for the six power sums and
-about 0.1 ms to form the powers and count rejections (2-vCPU x86-64 shared
-with other tenants, numpy 2.4, timed in process).
+For gamma with n = 50 a chunk of 4096 drawn from the law takes about 0.5 ms:
+0.27-0.29 ms to draw, 0.09 ms to evaluate, and the rest for the six power sums,
+the powers and the rejection counts.  A last chunk of 904 replicates takes
+about 0.3 ms, 0.14-0.15 ms of it to draw its prefix, where the full layout
+took as long as a whole chunk's (2-vCPU x86-64 shared with other tenants,
+numpy 2.4, medians of 400 in-process calls).
 
 Besides plain size/power estimation the module carries the two arbitration
 experiments this package is built around: which convention for the leading
@@ -188,18 +195,22 @@ def _chunk_stream(seed: int, c: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _law_dbars(law, theta_gen: float, n: int, seed: int, c: int) -> np.ndarray:
-    # always a full chunk, so that no replicate's d-bar depends on the replicate count
-    return law(theta_gen, n, _CHUNK, _chunk_stream(seed, c))
+def _law_dbars(
+    law, theta_gen: float, n: int, seed: int, c: int, take: int = _CHUNK
+) -> np.ndarray:
+    # the first take values of chunk c's law draw, always laid out as a full chunk, so
+    # that no replicate's d-bar depends on the replicate count
+    return law(theta_gen, n, _CHUNK, _chunk_stream(seed, c), take=take)
 
 
 def _dbars(model, theta_gen, n, seed, lo, hi) -> np.ndarray:
-    # the d-bar of replicates lo..hi-1, all in one chunk: a slice of the chunk's
-    # law draw, or else one observation mean per replicate stream
+    # the d-bar of replicates lo..hi-1, all in one chunk: the tail of the prefix of
+    # the chunk's law draw that reaches hi, or else one observation mean per
+    # replicate stream
     law = getattr(model.sampler, "dbar", None)
     if law is not None:
         c, i = divmod(lo, _CHUNK)
-        return _law_dbars(law, theta_gen, n, seed, c)[i:i + hi - lo]
+        return _law_dbars(law, theta_gen, n, seed, c, i + hi - lo)[i:]
     return np.array([np.mean(model.d(model.sampler(theta_gen, n, replicate_stream(seed, j))))
                      for j in range(lo, hi)], dtype=float)
 

@@ -665,7 +665,7 @@ class TestGoldenOutput:
             "ordering: score = gradient > lr > wald (uniform in x)\n"
             "uniform: true\n"
             "pair lr vs wald: greater (uniform); csum=0;"
-            " C=(8.8817841970012523e-16,-3.9999999999999996,-5.333333333333333)\n"
+            " C=(0,-3.9999999999999996,-5.333333333333333)\n"
             "pair lr vs score: less (uniform); csum=0; C=(0,2,2.6666666666666665)\n"
             "pair lr vs gradient: less (uniform); csum=0; C=(0,2,2.6666666666666665)\n"
             "pair wald vs score: less (uniform); csum=0; C=(0,6,8)\n"
@@ -689,15 +689,15 @@ class TestGoldenOutput:
             "ordering: gradient > score > lr > wald (grid-certified only)\n"
             "uniform: false\n"
             "pair lr vs wald: greater (uniform); csum=0;"
-            " C=(8.1891145340545757e-18,-0.14999999999999999,-1.2499999999999999e-06)\n"
+            " C=(0,-0.14999999999999999,-1.2499999999999999e-06)\n"
             "pair lr vs score: less (uniform); csum=0;"
-            " C=(-4.0945572670272878e-18,0.074999999999999997,6.2499999999999995e-07)\n"
+            " C=(0,0.074999999999999997,6.2499999999999995e-07)\n"
             "pair lr vs gradient: less (uniform); csum=-1.8749999999999998e-06;"
-            " C=(-4.0945572670272878e-18,0.074999999999999997,6.2499999999999995e-07)\n"
+            " C=(0,0.074999999999999997,6.2499999999999995e-07)\n"
             "pair wald vs score: less (uniform); csum=0;"
-            " C=(1.547190381454705e-17,0.22500000000000001,1.8749999999999998e-06)\n"
+            " C=(0,0.22500000000000001,1.8749999999999998e-06)\n"
             "pair wald vs gradient: less (uniform); csum=-1.8749999999999998e-06;"
-            " C=(1.547190381454705e-17,0.22500000000000001,1.8749999999999998e-06)\n"
+            " C=(0,0.22500000000000001,1.8749999999999998e-06)\n"
             "pair score vs gradient: less (grid-certified); csum=-1.8749999999999998e-06;"
             " C=(0,0,0)\n"
         )

@@ -645,6 +645,65 @@ class TestDbarLaw:
             m.sampler.dbar(1.0, 2, 4096, Generator(Philox(key=[5, 0])))
 
 
+def _bits(x):
+    # float64 bit patterns: equal arrays of these are equal in hex, signed zeros included
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestLawPrefix:
+    """``dbar(..., take)`` is the first ``take`` draws of the ``size``-draw layout, bit for bit."""
+
+    TAKES = (1, 2, 903, 904, 2047, 2048, 2049, 3616, 4095, 4096)
+
+    @staticmethod
+    def check(law, theta, n, size, key, takes):
+        full = law(theta, n, size, Generator(Philox(key=key)))
+        assert full.shape == (size,)
+        for take in takes:
+            got = law(theta, n, size, Generator(Philox(key=key)), take=take)
+            assert np.array_equal(_bits(got), _bits(full[:take])), (n, size, key, take)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_every_model(self, name):
+        law = catalog_model(name, CATALOG_FIXED[name]).sampler.dbar
+        theta = 0.8 if name == "normal-mean" else 1.3
+        for n in (2, 50, 2000):
+            for seed in (0, 29, 2**63 + 7):
+                self.check(law, theta, n, 4096, [seed, n], self.TAKES)
+            # an odd layout: normal i >= m = 4 is the sine of pair i - m
+            self.check(law, theta, n, 7, [3, n], range(1, 8))
+
+    def test_signed_zeros_are_kept(self):
+        # normal-mean at mean -0.0 with variance 5e-324: sqrt(var / n) underflows to 0,
+        # so every draw is -0.0 + (±0) z, a zero with its normal's sign
+        law = catalog_model("normal-mean", {"theta": 5e-324}).sampler.dbar
+        full = law(-0.0, 2, 4096, Generator(Philox(key=[5, 5])))
+        assert not full.any() and np.signbit(full).any() and (~np.signbit(full)).any()
+        self.check(law, -0.0, 2, 4096, [5, 5], self.TAKES)
+
+    def test_boost_path_below_shape_one(self):
+        # gamma k = 0.3 at n = 2 draws Gamma(0.6): every round is formed before the boost
+        law = catalog_model("gamma", {"k": 0.3}).sampler.dbar
+        for seed in (1, 2, 3):
+            self.check(law, 1.3, 2, 4096, [seed, 2], self.TAKES)
+
+    def test_round_that_runs_out(self, monkeypatch):
+        # at shape n k = 1 about 5% of the proposals are rejected, so at take = 4090 the
+        # first round runs out and the second starts where the full draw's second does
+        law = catalog_model("gamma", {"k": 0.5}).sampler.dbar
+        for seed in (1, 2, 3):
+            self.check(law, 1.3, 2, 4096, [seed, 2], (4090, *self.TAKES))
+        monkeypatch.setattr(expfam, "_GAMMA_MAX_ROUNDS", 1)
+        messages = []
+        for take in (4096, 4090):
+            with pytest.raises(ConvergenceError, match="rejection sampler") as err:
+                law(1.3, 2, 4096, Generator(Philox(key=[1, 2])), take=take)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("gamma rejection sampler left ")
+        assert messages[0].endswith(" of 4096 draws unaccepted after 1 rounds (shape=1.0)")
+
+
 class TestGammaDraw:
     """The gamma draw against the all-elements squeeze-or-log acceptance, bit for bit."""
 

@@ -6,6 +6,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import chain as flat
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -705,6 +706,21 @@ class TestPowerDifference:
         csum, C = _difference_terms(table, TestKind.GRADIENT, TestKind.LR)
         assert abs(csum) <= 1e-15
         np.testing.assert_allclose(C, (0.0, -0.5, -1 / 3), atol=1e-14)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_first_partial_sum_comes_from_the_exact_row_sums(self, source):
+        # every row has a_0 = -P eps^3 / 6 but the table-source gradient, whose row sum
+        # is exactly its a_0 difference, so C_1 = csum - (a_j0 - a_i0) is exactly 0; a
+        # float sum a_1 + a_2 + a_3 of the row difference left ~1e-16 (tev lr vs wald)
+        from gradpower.localpower import _difference_terms
+
+        for name, model in all_models():
+            for eps in (-1.3, 0.25, 2.0):
+                table = power_coefficients(model, 1.0, eps, source)
+                for i, j in permutations(TestKind, 2):
+                    csum, C = _difference_terms(table, i, j)
+                    assert C[0] == 0.0, (name, eps, i, j)
+                    assert csum == table.sums[j - 1] - table.sums[i - 1]
 
 
 class TestOrderings:

@@ -11,7 +11,7 @@ import pytest
 
 from gradpower import montecarlo
 from gradpower.errors import DomainError, EstimationError
-from gradpower.expfam import catalog_model
+from gradpower.expfam import LawSampler, catalog_model
 from gradpower.montecarlo import (
     SimulationConfig,
     adjudicate_gradient_sources,
@@ -246,6 +246,25 @@ class TestRoutes:
             with pytest.raises(DomainError, match=message):
                 replicate_stream(seed, j)
         assert np.isfinite(replicate_stream(2 ** 64 - 1, 2 ** 63 - 1).random(4)).all()
+
+    def test_law_forms_only_the_prefix_a_chunk_keeps(self):
+        # every chunk is laid out as _CHUNK draws, but the law forms only those up to
+        # the chunk's last replicate; the results are those of the unwrapped law
+        calls = []
+
+        def recording(theta, n, size, rng, take=None):
+            calls.append((size, take))
+            return GAMMA.sampler.dbar(theta, n, size, rng, take=take)
+
+        model = dataclasses.replace(GAMMA, sampler=LawSampler(GAMMA.sampler.draw, recording))
+        cfg = SimulationConfig(model=model, theta0=1.0, eps=0.5, n=50, reps=5000,
+                               alpha=0.05, seed=11)
+        assert simulate(cfg) == simulate(dataclasses.replace(cfg, model=GAMMA))
+        assert calls == [(montecarlo._CHUNK, montecarlo._CHUNK), (montecarlo._CHUNK, 904)]
+        calls.clear()
+        got = replicate_statistics(model, 1.05, 1.0, 50, 11, montecarlo._CHUNK + 1)
+        assert calls == [(montecarlo._CHUNK, 2)]
+        assert got == replicate_statistics(GAMMA, 1.05, 1.0, 50, 11, montecarlo._CHUNK + 1)
 
     def test_chunk_streams_are_not_replicate_streams(self):
         u = montecarlo._chunk_stream(5, 0).random(4)
