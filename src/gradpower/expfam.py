@@ -229,7 +229,9 @@ class _BoxMuller:
         z = np.empty(hi - lo)
         if lo < m:
             top = min(hi, m)
-            r = np.sqrt(-2.0 * np.log(self.u1[lo:top]))
+            r = np.log(self.u1[lo:top])
+            r *= -2.0
+            np.sqrt(r, out=r)
             ang = 2.0 * math.pi * self.u2[lo:top]
             np.multiply(r, np.cos(ang), out=z[:top - lo])
             if lo:  # a later slice of the cosines: keep every pair's r and a so far
@@ -282,9 +284,16 @@ def _gamma_unit_rate(
             # float64 pow leaves its SIMD loop for a negative base, so z ** 4 over
             # the whole array costs more than the logs.  The squeeze then runs
             # only on the exact test's misses; each z ** 4 is the same float on a
-            # gathered subset, so the draws do not change.
-            full = np.log(u) < 0.5 * z * z + dd * (1.0 - vsafe + np.log(vsafe))
-            ok = pos & full
+            # gathered subset, so the draws do not change.  The exact test's right
+            # side, 0.5 z z + dd ((1 - v) + log v), is formed in place: the same
+            # operations, each commutative, so the same floats
+            bound = np.log(vsafe)
+            bound += 1.0 - vsafe
+            bound *= dd
+            zz = 0.5 * z
+            zz *= z
+            bound += zz
+            ok = pos & (np.log(u) < bound)
             miss = np.flatnonzero(pos & ~ok)
             ok[miss] = u[miss] < 1.0 - 0.0331 * z[miss] ** 4
             acc = dd * v[ok]
