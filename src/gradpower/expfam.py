@@ -46,7 +46,13 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, EstimationError, GradpowerError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    EstimationError,
+    GradpowerError,
+    _check_integer,
+)
 
 __all__ = [
     "CATALOG_NAMES",
@@ -243,9 +249,20 @@ class _BoxMuller:
         return z
 
 
+def _prefix(n: int, take: int | None) -> int:
+    # the length of a law draw's prefix: n when take is None, else take in [0, n]
+    if take is None:
+        return n
+    _check_integer("take", take)
+    if not 0 <= take <= n:
+        raise DomainError(f"take must lie in [0, {n}], got {take}")
+    return take
+
+
 def _standard_normal(rng: np.random.Generator, n: int, take: int | None = None) -> np.ndarray:
     # the first take (default n) of n Box-Muller normals; the stream moves as for all n
-    return _BoxMuller(rng, n).upto(n if take is None else take)
+    take = _prefix(n, take)
+    return _BoxMuller(rng, n).upto(take)
 
 
 def _gamma_unit_rate(
@@ -260,7 +277,8 @@ def _gamma_unit_rate(
     k = shape if shape >= 1.0 else shape + 1.0
     dd = k - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * dd)
-    want = n if take is None or shape < 1.0 else take
+    take = _prefix(n, take)
+    want = take if shape >= 1.0 else n
     out = np.empty(n)
     filled = 0
     for _ in range(_GAMMA_MAX_ROUNDS):
@@ -383,7 +401,8 @@ class LawSampler:
     prefix, so the cost falls with ``take``.  Where a partial draw leaves the
     stream is not part of the contract (a gamma draw stops at the rejection
     round that fills the prefix), and a full draw whose rejection rounds run
-    out raises where a prefix that they fill does not.  The law
+    out raises where a prefix that they fill does not.  A ``take`` that is no
+    integer or lies outside [0, ``size``] raises :class:`DomainError`.  The law
     is bound to the sampler, so a model whose sampler is replaced carries no
     stale law.
     """

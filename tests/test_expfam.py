@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -672,6 +673,21 @@ class TestLawPrefix:
                 self.check(law, theta, n, 4096, [seed, n], self.TAKES)
             # an odd layout: normal i >= m = 4 is the sine of pair i - m
             self.check(law, theta, n, 7, [3, n], range(1, 8))
+
+    @pytest.mark.parametrize("take, message", [
+        (-1, "take must lie in [0, 10], got -1"),
+        (11, "take must lie in [0, 10], got 11"),
+        (2.0, "take must be an integer, got 2.0"),
+        (True, "take must be an integer, got True"),
+    ])
+    def test_a_prefix_outside_the_layout_is_refused(self, take, message):
+        # every law, the gamma boost path included, refuses a prefix longer than its
+        # layout, a negative one and one that is no integer count
+        for name, fixed in (*CATALOG_FIXED.items(), ("gamma", {"k": 0.3})):
+            law = catalog_model(name, fixed).sampler.dbar
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                law(1.3, 5, 10, Generator(Philox(key=[1, 1])), take=take)
+        assert law(1.3, 5, 10, Generator(Philox(key=[1, 1])), take=0).shape == (0,)
 
     def test_signed_zeros_are_kept(self):
         # normal-mean at mean -0.0 with variance 5e-324: sqrt(var / n) underflows to 0,
