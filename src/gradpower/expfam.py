@@ -219,13 +219,13 @@ class _BoxMuller:
     made, so the stream's consumption is fixed by ``n`` alone.  Normal ``i`` is
     ``r cos(a)`` of pair ``i`` below ``m`` and ``r sin(a)`` of pair ``i - m`` from
     ``m`` on, with ``r = sqrt(-2 log u1)`` and ``a = 2 pi u2``; each pair's ``r``
-    and ``a`` are formed once, by the call that first reaches its cosine.
+    and ``a`` are formed once, in place, by the call that first reaches its cosine.
     """
 
     def __init__(self, rng: np.random.Generator, n: int):
         m = self.m = (n + 1) // 2
-        self.u1 = _open_unit(rng, m)
-        self.u2 = rng.random(m)
+        self.r = _open_unit(rng, m)  # u1 until its r is formed
+        self.ang = rng.random(m)  # u2 until its angle is formed
         self.formed = 0
 
     def upto(self, hi: int) -> np.ndarray:
@@ -235,14 +235,12 @@ class _BoxMuller:
         z = np.empty(hi - lo)
         if lo < m:
             top = min(hi, m)
-            r = np.log(self.u1[lo:top])
+            r, ang = self.r[lo:top], self.ang[lo:top]
+            np.log(r, out=r)
             r *= -2.0
             np.sqrt(r, out=r)
-            ang = 2.0 * math.pi * self.u2[lo:top]
+            ang *= 2.0 * math.pi
             np.multiply(r, np.cos(ang), out=z[:top - lo])
-            if lo:  # a later slice of the cosines: keep every pair's r and a so far
-                r, ang = np.concatenate((self.r, r)), np.concatenate((self.ang, ang))
-            self.r, self.ang = r, ang
         if hi > m:
             a = max(lo, m) - m
             np.multiply(self.r[a:hi - m], np.sin(self.ang[a:hi - m]), out=z[a + m - lo:])
@@ -250,7 +248,7 @@ class _BoxMuller:
 
 
 def _prefix(n: int, take: int | None) -> int:
-    # the length of a law draw's prefix: n when take is None, else take in [0, n]
+    # a law draw's prefix length: n when take is None, else take, checked to lie in [0, n]
     if take is None:
         return n
     _check_integer("take", take)
@@ -261,8 +259,7 @@ def _prefix(n: int, take: int | None) -> int:
 
 def _standard_normal(rng: np.random.Generator, n: int, take: int | None = None) -> np.ndarray:
     # the first take (default n) of n Box-Muller normals; the stream moves as for all n
-    take = _prefix(n, take)
-    return _BoxMuller(rng, n).upto(take)
+    return _BoxMuller(rng, n).upto(n if take is None else take)
 
 
 def _gamma_unit_rate(
@@ -277,7 +274,7 @@ def _gamma_unit_rate(
     k = shape if shape >= 1.0 else shape + 1.0
     dd = k - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * dd)
-    take = _prefix(n, take)
+    take = n if take is None else take
     want = take if shape >= 1.0 else n
     out = np.empty(n)
     filled = 0
@@ -374,18 +371,18 @@ def _dbar_gamma(theta, n, size, rng, take=None, *, k, c=None, shift=0.0, sign=1.
     # d(X) = shift + sign G with G ~ Gamma(k, scale c theta), or Gamma(k, rate theta)
     # when c is None, so d-bar = shift + sign Gamma(n k, scale c theta / n or rate
     # n theta); the shift and the sign are exact
-    g = _gamma_unit_rate(rng, n * k, size, take)
+    g = _gamma_unit_rate(rng, n * k, size, _prefix(size, take))
     g = g / (n * theta) if c is None else g * (c * theta / n)
     return g if shift == 0.0 and sign == 1.0 else shift + sign * g
 
 
 def _dbar_normal_mean(var, theta, n, size, rng, take=None):
-    return theta + math.sqrt(var / n) * _standard_normal(rng, size, take)
+    return theta + math.sqrt(var / n) * _standard_normal(rng, size, _prefix(size, take))
 
 
 def _dbar_invnormal_mu(lam, theta, n, size, rng, take=None):
     # the mean of n draws of IG(mu, lam) is IG(mu, n lam)
-    return _invgauss(theta, n * lam, size, rng, take)
+    return _invgauss(theta, n * lam, size, rng, _prefix(size, take))
 
 
 @dataclass(frozen=True)
@@ -404,11 +401,14 @@ class LawSampler:
     out raises where a prefix that they fill does not.  A ``take`` that is no
     integer or lies outside [0, ``size``] raises :class:`DomainError`.  The law
     is bound to the sampler, so a model whose sampler is replaced carries no
-    stale law.
+    stale law.  The simulation calls a user's law the same way, with ``take``
+    as the fifth positional argument; one that forms all ``size`` draws and
+    returns their first ``take`` meets the contract, and one that takes no
+    ``take`` is refused with a :class:`TypeError` naming it.
     """
 
     draw: Callable[[float, int, np.random.Generator], np.ndarray]
-    dbar: Callable[..., np.ndarray]
+    dbar: Callable[[float, int, int, np.random.Generator, int | None], np.ndarray]
 
     def __call__(self, theta: float, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.draw(theta, n, rng)
