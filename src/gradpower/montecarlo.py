@@ -51,6 +51,7 @@ statistic.
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import dataclass, field
@@ -195,12 +196,32 @@ def _chunk_stream(seed: int, c: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _takes_a_prefix(law) -> bool:
+    # whether law's signature accepts the five positional arguments _law_dbars passes;
+    # a callable whose signature cannot be read is given the benefit of the doubt
+    try:
+        inspect.signature(law).bind(0.0, 1, _CHUNK, None, _CHUNK)
+    except TypeError:
+        return False
+    except ValueError:
+        pass
+    return True
+
+
 def _law_dbars(
     law, theta_gen: float, n: int, seed: int, c: int, take: int = _CHUNK
 ) -> np.ndarray:
     # the first take values of chunk c's law draw, always laid out as a full chunk, so
     # that no replicate's d-bar depends on the replicate count
-    return law(theta_gen, n, _CHUNK, _chunk_stream(seed, c), take=take)
+    try:
+        return law(theta_gen, n, _CHUNK, _chunk_stream(seed, c), take)
+    except TypeError as exc:
+        if _takes_a_prefix(law):  # the law's own fault
+            raise
+        raise TypeError(
+            f"the law of d-bar {law!r} must accept (theta, n, size, rng, take) and "
+            "return the first take of its size draws, see expfam.LawSampler"
+        ) from exc
 
 
 def _dbars(model, theta_gen, n, seed, lo, hi) -> np.ndarray:

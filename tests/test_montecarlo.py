@@ -266,6 +266,25 @@ class TestRoutes:
         assert calls == [(montecarlo._CHUNK, 2)]
         assert got == replicate_statistics(GAMMA, 1.05, 1.0, 50, 11, montecarlo._CHUNK + 1)
 
+    def test_a_law_without_a_prefix_is_named(self):
+        # a law on the four-argument form of earlier releases is refused with the
+        # contract it misses; a TypeError from inside a law that has it is the law's own
+        def four(theta, n, size, rng):
+            return GAMMA.sampler.dbar(theta, n, size, rng)
+
+        def broken(theta, n, size, rng, take=None):
+            raise TypeError("inside the law")
+
+        for law, message in ((four, r"must accept \(theta, n, size, rng, take\)"),
+                             (broken, "^inside the law$")):
+            model = dataclasses.replace(GAMMA, sampler=LawSampler(GAMMA.sampler.draw, law))
+            cfg = SimulationConfig(model=model, theta0=1.0, eps=0.5, n=50, reps=10,
+                                   alpha=0.05, seed=11)
+            with pytest.raises(TypeError, match=message):
+                simulate(cfg)
+            with pytest.raises(TypeError, match=message):
+                replicate_statistics(model, 1.05, 1.0, 50, 11, 3)
+
     def test_chunk_streams_are_not_replicate_streams(self):
         u = montecarlo._chunk_stream(5, 0).random(4)
         for j in (0, 1, 2 ** 63 - 1):
