@@ -212,39 +212,36 @@ def _open_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     return u
 
 
-class _BoxMuller:
-    """Box-Muller normals from uniform pairs drawn in full, formed in order on demand.
+def _box_muller(u1: np.ndarray, u2: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Normals ``lo..hi-1`` of the Box-Muller layout over the uniform pairs ``(u1, u2)``.
 
-    ``n`` normals take ``m = (n + 1) // 2`` pairs, all drawn when the object is
-    made, so the stream's consumption is fixed by ``n`` alone.  Normal ``i`` is
-    ``r cos(a)`` of pair ``i`` below ``m`` and ``r sin(a)`` of pair ``i - m`` from
-    ``m`` on, with ``r = sqrt(-2 log u1)`` and ``a = 2 pi u2``; each pair's ``r``
-    and ``a`` are formed once, in place, by the call that first reaches its cosine.
+    Normal ``i`` is ``r cos(a)`` of pair ``i`` below ``m = u1.size`` and ``r sin(a)``
+    of pair ``i - m`` from ``m`` on, with ``r = sqrt(-2 log u1)`` and
+    ``a = 2 pi u2``.  The pairs are drawn in full by the caller, so the stream's
+    consumption is fixed by the layout alone.  Each call forms, in place, the
+    radii and angles of the pairs it first reaches, so the calls on one layout
+    must run in order from ``lo = 0``, each starting at the last one's ``hi``.
     """
+    m = u1.size
+    z = np.empty(hi - lo)
+    if lo < m:
+        top = min(hi, m)
+        r, ang = u1[lo:top], u2[lo:top]
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        ang *= 2.0 * math.pi
+        np.multiply(r, np.cos(ang), out=z[:top - lo])
+    if hi > m:
+        a = max(lo, m) - m
+        np.multiply(u1[a:hi - m], np.sin(u2[a:hi - m]), out=z[a + m - lo:])
+    return z
 
-    def __init__(self, rng: np.random.Generator, n: int):
-        m = self.m = (n + 1) // 2
-        self.r = _open_unit(rng, m)  # u1 until its r is formed
-        self.ang = rng.random(m)  # u2 until its angle is formed
-        self.formed = 0
 
-    def upto(self, hi: int) -> np.ndarray:
-        """The normals from the last call's ``hi`` (0 at first) up to ``hi``."""
-        lo, m = self.formed, self.m
-        self.formed = hi
-        z = np.empty(hi - lo)
-        if lo < m:
-            top = min(hi, m)
-            r, ang = self.r[lo:top], self.ang[lo:top]
-            np.log(r, out=r)
-            r *= -2.0
-            np.sqrt(r, out=r)
-            ang *= 2.0 * math.pi
-            np.multiply(r, np.cos(ang), out=z[:top - lo])
-        if hi > m:
-            a = max(lo, m) - m
-            np.multiply(self.r[a:hi - m], np.sin(self.ang[a:hi - m]), out=z[a + m - lo:])
-        return z
+def _box_muller_pairs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # the (n + 1) // 2 uniform pairs of n Box-Muller normals
+    m = (n + 1) // 2
+    return _open_unit(rng, m), rng.random(m)
 
 
 def _prefix(n: int, take: int | None) -> int:
@@ -259,7 +256,7 @@ def _prefix(n: int, take: int | None) -> int:
 
 def _standard_normal(rng: np.random.Generator, n: int, take: int | None = None) -> np.ndarray:
     # the first take (default n) of n Box-Muller normals; the stream moves as for all n
-    return _BoxMuller(rng, n).upto(n if take is None else take)
+    return _box_muller(*_box_muller_pairs(rng, n), 0, n if take is None else take)
 
 
 def _gamma_unit_rate(
@@ -282,7 +279,7 @@ def _gamma_unit_rate(
         if filled >= want:
             break
         m = n - filled
-        normals = _BoxMuller(rng, m)
+        u1, u2 = _box_muller_pairs(rng, m)
         u_round = _open_unit(rng, m)
         lo = 0
         while lo < m and filled < want:
@@ -290,7 +287,7 @@ def _gamma_unit_rate(
             # rate (about 95%, at shape one) nearly always covers
             need = want - filled
             hi = min(m, lo + need + (need >> 4) + 64)
-            z, u = normals.upto(hi), u_round[lo:hi]
+            z, u = _box_muller(u1, u2, lo, hi), u_round[lo:hi]
             lo = hi
             v = (1.0 + c * z) ** 3
             pos = v > 0.0
