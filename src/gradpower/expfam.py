@@ -401,7 +401,9 @@ class LawSampler:
     stale law.  The simulation calls a user's law the same way, with ``take``
     as the fifth positional argument; one that forms all ``size`` draws and
     returns their first ``take`` meets the contract, and one that takes no
-    ``take`` is refused with a :class:`TypeError` naming it.
+    ``take`` is refused with a :class:`TypeError` naming it.  The ``rng`` a law
+    receives from the simulation is re-keyed for the next chunk once the call
+    returns, so it is valid only during the call.
     """
 
     draw: Callable[[float, int, np.random.Generator], np.ndarray]
@@ -442,7 +444,16 @@ def _over_sq(c, t):
 
 
 def _over_cube(c, t):
-    return c / t ** 3
+    q = c / t ** 3
+    if isinstance(q, np.ndarray) and not (np.isfinite(q).all() and q.all()):
+        # t**3 leaves the float range where c / t**3 may not: those rows of an array
+        # of estimates divide step by step; the scalar path keeps the direct form
+        redo = ~np.isfinite(q) | (q == 0.0)
+        redo &= np.isfinite(t) & (t != 0.0)
+        if math.isfinite(c) and c != 0.0 and redo.any():
+            tr = t[redo]
+            q[redo] = c / tr / tr / tr
+    return q
 
 
 def _log(t):

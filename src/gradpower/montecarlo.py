@@ -13,7 +13,9 @@ processed in chunks of ``_CHUNK``, and d-bar has two sources:
   law for the prefix up to its last replicate, ``take = i + hi - lo`` for
   replicates ``lo..hi-1`` at offset ``i``: the law draws every uniform of the
   full layout but forms only those values, which equal the full draw's bit for
-  bit.
+  bit.  Philox is counter-based, so one generator per run serves every chunk:
+  before each law draw it is re-keyed to the chunk's key with a zero counter
+  and an empty buffer, the state a new ``Philox(key=...)`` starts in.
 * Otherwise replicate ``j`` draws ``n`` observations from its own Philox
   stream, keyed by ``(seed, j)``, and averages their ``d``.
 
@@ -23,24 +25,29 @@ after another in the calling process; the worker count is recorded in the
 report and starts no process, so reports are bit-identical for any worker
 count.
 
-Whatever its source, a chunk's d-bar array has a single evaluation: one call
-of :func:`~gradpower.teststats.statistics_from_dbar`, which computes the
+Whatever its source, the d-bar of two consecutive chunks (at most 8192 values)
+has a single evaluation: one call of
+:func:`~gradpower.teststats.statistics_from_dbar`, which computes the
 estimates and statistics element by element in numpy, float warnings off; a
 replicate whose estimate fails (NaN) or with a non-finite statistic is a failure.
-Each chunk returns the exactly rounded sums of the first six powers of the
-gradient statistic, which ``simulate`` combines across chunks with
-``math.fsum``; :func:`_exact_sum` gives each chunk's sums bit for bit as
-``math.fsum`` would, without its per-value Python loop.  The chunk drops
-failed rows from each of the four statistic arrays, or uses them as they are
-when every row is usable, and counts each test's rejections on its own 1-D
-array.  Every pass that changes no value on such a clean chunk (one with no
-zero uniform, no non-positive gamma proposal and no failed row) is skipped.
-For gamma with n = 50 a chunk of 4096 drawn from the law takes about 0.5 ms:
-0.27-0.29 ms to draw, 0.09 ms to evaluate, and the rest for the six power sums,
-the powers and the rejection counts.  A last chunk of 904 replicates takes
-about 0.3 ms, 0.14-0.15 ms of it to draw its prefix, where the full layout
-took as long as a whole chunk's (2-vCPU x86-64 shared with other tenants,
-numpy 2.4, medians of 400 in-process calls).
+The pair drops failed rows from each of the four statistic arrays, or uses them
+as they are when every row is usable, and counts each test's rejections on its
+own 1-D array.  Each chunk of the pair still returns its own exactly rounded
+sums of the first six powers of the gradient statistic over its kept rows,
+which ``simulate`` combines across chunks with ``math.fsum``;
+:func:`_exact_sum` gives each chunk's sums bit for bit as ``math.fsum`` would,
+without its per-value Python loop, and the largest magnitude of every power
+follows from one max/min pass over the chunk's statistic.  Every pass that
+changes no value on a clean chunk (one with no zero uniform, no non-positive
+gamma proposal and no failed row) is skipped.  For gamma with n = 50 a chunk of
+4096 drawn from the law takes about 0.43 ms: 0.20 ms to draw, 0.08 ms to
+evaluate, 0.09 ms for the six power sums and the rest for the rejection counts;
+re-keying the generator takes 1.5 us where a new one took 10 us.  A run of
+5000 is one pair, a full chunk and a last one of 904, and takes about 0.63 ms:
+0.30 ms to draw both (0.10 ms of it for the 904-value prefix), 0.09 ms to
+evaluate the pair and 0.14 ms for both chunks' power sums (2-vCPU x86-64
+shared with other tenants, numpy 2.4, the lowest of eight medians of 200
+in-process calls).
 
 Besides plain size/power estimation the module carries the two arbitration
 experiments this package is built around: which convention for the leading
@@ -196,6 +203,27 @@ def _chunk_stream(seed: int, c: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
+
+
+def _rekey(rng: np.random.Generator, seed: int, c: int) -> np.random.Generator:
+    """``rng``, its Philox put at the start of chunk ``c``'s stream.
+
+    Philox is counter-based, so a key with a zero counter and an empty buffer is
+    the whole state ``Philox(key=...)`` starts in: ``rng`` then draws what
+    ``_chunk_stream(seed, c)`` would, for a fraction of its construction cost.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _PHILOX_ZEROS, "key": (seed & _MASK64, _CHUNK_KEY | c)},
+        "buffer": _PHILOX_ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
 def _takes_a_prefix(law) -> bool:
     # whether law's signature accepts the five positional arguments _law_dbars passes;
     # a callable whose signature cannot be read is given the benefit of the doubt
@@ -209,12 +237,14 @@ def _takes_a_prefix(law) -> bool:
 
 
 def _law_dbars(
-    law, theta_gen: float, n: int, seed: int, c: int, take: int = _CHUNK
+    law, theta_gen: float, n: int, seed: int, c: int, take: int = _CHUNK, rng=None
 ) -> np.ndarray:
     # the first take values of chunk c's law draw, always laid out as a full chunk, so
-    # that no replicate's d-bar depends on the replicate count
+    # that no replicate's d-bar depends on the replicate count; from rng re-keyed to
+    # the chunk's stream when one is given, else from a new generator
+    stream = _chunk_stream(seed, c) if rng is None else _rekey(rng, seed, c)
     try:
-        return law(theta_gen, n, _CHUNK, _chunk_stream(seed, c), take)
+        return law(theta_gen, n, _CHUNK, stream, take)
     except TypeError as exc:
         if _takes_a_prefix(law):  # the law's own fault
             raise
@@ -224,24 +254,28 @@ def _law_dbars(
         ) from exc
 
 
-def _dbars(model, theta_gen, n, seed, lo, hi) -> np.ndarray:
-    # the d-bar of replicates lo..hi-1, all in one chunk: the tail of the prefix of
-    # the chunk's law draw that reaches hi, or else one observation mean per
-    # replicate stream
+def _dbars(model, theta_gen, n, seed, lo, hi, rng=None) -> np.ndarray:
+    # the d-bar of replicates lo..hi-1: on the law route, for each chunk they reach,
+    # the tail of the prefix of its law draw that reaches hi, in order; else one
+    # observation mean per replicate stream
     law = getattr(model.sampler, "dbar", None)
-    if law is not None:
-        c, i = divmod(lo, _CHUNK)
-        return _law_dbars(law, theta_gen, n, seed, c, i + hi - lo)[i:]
-    return np.array([np.mean(model.d(model.sampler(theta_gen, n, replicate_stream(seed, j))))
-                     for j in range(lo, hi)], dtype=float)
+    if law is None:
+        return np.array([np.mean(model.d(model.sampler(theta_gen, n, replicate_stream(seed, j))))
+                         for j in range(lo, hi)], dtype=float)
+    parts = []
+    for c in range(lo // _CHUNK, (hi - 1) // _CHUNK + 1):
+        base = c * _CHUNK
+        take = min(hi - base, _CHUNK)
+        parts.append(_law_dbars(law, theta_gen, n, seed, c, take, rng)[max(lo - base, 0):])
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _statistics(model, theta_gen, theta0, n, seed, lo, hi):
+def _statistics(model, theta_gen, theta0, n, seed, lo, hi, rng=None):
     # the statistics of replicates lo..hi-1, the mask of rows with an estimate and the
     # mask of usable rows; a failed row (a NaN theta_hat, or an estimate with a
     # non-finite statistic) is counted, so numpy's warnings are off
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d_bar = _dbars(model, theta_gen, n, seed, lo, hi)
+        d_bar = _dbars(model, theta_gen, n, seed, lo, hi, rng)
         theta_hat, s = statistics_from_dbar(model, theta0, d_bar, n)
         estimated = ~np.isnan(theta_hat)
         ok = estimated.copy()
@@ -270,8 +304,11 @@ def replicate_statistics(
     return tuple(float(si[0]) for si in s)
 
 
-def _exact_sum(x: np.ndarray) -> float:
+def _exact_sum(x: np.ndarray, top: float | None = None) -> float:
     """``math.fsum(x.tolist())``, bit for bit, without a Python loop over ``x``.
+
+    ``top``, when given, must be max|x| (``max(x.max(), -x.min())``), which a
+    caller may know without a pass over ``x``.
 
     With ``sigma = 2**(e + size.bit_length())`` and ``2**e`` above max|x|, the
     extraction ``hi = (sigma + x) - sigma`` and ``x - hi`` are exact (Rump, Ogita
@@ -286,7 +323,10 @@ def _exact_sum(x: np.ndarray) -> float:
     so those results, signed zeros and raised errors are its own.
     """
     size = x.size
-    top = float(max(x.max(), -x.min())) if 0 < size <= _EXACT_SUM_SIZE else math.nan
+    if not 0 < size <= _EXACT_SUM_SIZE:
+        top = math.nan
+    elif top is None:
+        top = float(max(x.max(), -x.min()))
     if not _EXACT_SUM_MIN <= top < _EXACT_SUM_MAX:  # NaN (no, too many or NaN values) or inf
         return math.fsum(x.tolist())
     scale = math.frexp(top)[1] + size.bit_length()  # sigma = 2**scale
@@ -305,29 +345,50 @@ def _exact_sum(x: np.ndarray) -> float:
     return math.fsum(x.tolist())
 
 
-def _run_chunk(model, theta_gen, theta0, n, seed, lo, hi, xcrit):
+def _power_sums(s4, edges):
+    # the exactly rounded sums of s4, s4^2, ..., s4^6 (each power the last times s4)
+    # over each segment s4[a:b] between consecutive edges, six per segment.  Rounding
+    # is monotone and symmetric in sign, so the largest |power| of a segment is the
+    # same chain of products of its max|s4|, inf and 0 included: one max/min pass per
+    # segment gives _exact_sum every top.  A power or sum past the float range gives a
+    # non-finite sum, which simulate refuses by name
+    segments = list(zip(edges, edges[1:]))
+    firsts = [float(max(s4[a:b].max(), -s4[a:b].min())) if a < b else math.nan
+              for a, b in segments]
+    tops = firsts
+    sums = [[] for _ in segments]
+    power = s4
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(6):
+            if k:
+                power = power * s4
+                tops = [t * f for t, f in zip(tops, firsts)]
+            for (a, b), top, out in zip(segments, tops, sums):
+                try:
+                    out.append(_exact_sum(power[a:b], top))
+                except (OverflowError, ValueError):  # math.fsum past the range, or inf - inf
+                    out.append(math.nan)
+    return [tuple(out) for out in sums]
+
+
+def _run_chunks(model, theta_gen, theta0, n, seed, lo, hi, xcrit, rng):
+    # replicates lo..hi-1, at most two chunks from the start of one, in one evaluation;
     # returns (rejection counts[4], joint34, failures by reason (estimation failed, a
-    # statistic not finite), used, s4 power sums[6])
-    estimated, ok, s = _statistics(model, theta_gen, theta0, n, seed, lo, hi)
-    stats = s if ok.all() else [si[ok] for si in s]
+    # statistic not finite), used, s4 power sums[6] of each chunk)
+    estimated, ok, s = _statistics(model, theta_gen, theta0, n, seed, lo, hi, rng)
+    edges = [0, hi - lo] if hi - lo <= _CHUNK else [0, _CHUNK, hi - lo]
+    if ok.all():
+        stats = s
+    else:
+        stats = [si[ok] for si in s]
+        edges = [int(np.count_nonzero(ok[:b])) for b in edges]  # of the kept rows
     used = len(stats[3])
     n_estimated = int(np.count_nonzero(estimated))
     reject = [si > xcrit for si in stats]
     joint34 = int(np.count_nonzero(reject[2] & reject[3]))
-    s4 = stats[3]
-    power = s4
-    sums = []
-    # exactly rounded sums of s4, s4^2, ..., s4^6; a power or sum past the float range
-    # gives a non-finite sum, which simulate refuses by name
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(6):
-            try:
-                sums.append(_exact_sum(power))
-            except (OverflowError, ValueError):  # math.fsum past the range, or inf - inf
-                sums.append(math.nan)
-            power = power * s4
     rej = tuple(int(np.count_nonzero(r)) for r in reject)
-    return (rej, joint34, (hi - lo - n_estimated, n_estimated - used), used, tuple(sums))
+    sums = _power_sums(stats[3], edges)
+    return (rej, joint34, (hi - lo - n_estimated, n_estimated - used), used, sums)
 
 
 def _central_moments(power_sums, used):
@@ -361,7 +422,7 @@ def _moment_estimates(partials, used, config) -> MomentEstimates:
     # the moments of the gradient statistic from the chunks' power sums; sums or moments
     # past the float range are refused by name rather than reported as inf or nan
     try:
-        sums = [math.fsum(p[4][t] for p in partials) for t in range(6)]
+        sums = [math.fsum(chunk[t] for p in partials for chunk in p[4]) for t in range(6)]
         moments = _central_moments(sums, used)
     except (OverflowError, ValueError):  # math.fsum or ** past the range, or inf - inf
         moments = None
@@ -383,10 +444,11 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     for src in sources:  # an overflowing coefficient table is refused before any chunk runs
         config.query.coefficients(src)
 
+    rng = _chunk_stream(config.seed, 0)  # re-keyed for each chunk's law draw
     partials = [
-        _run_chunk(model, theta_gen, config.theta0, config.n, config.seed, lo,
-                   min(lo + _CHUNK, config.reps), xcrit)
-        for lo in range(0, config.reps, _CHUNK)
+        _run_chunks(model, theta_gen, config.theta0, config.n, config.seed, lo,
+                    min(lo + 2 * _CHUNK, config.reps), xcrit, rng)
+        for lo in range(0, config.reps, 2 * _CHUNK)
     ]
 
     rej = [sum(p[0][i] for p in partials) for i in range(4)]

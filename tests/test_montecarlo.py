@@ -43,6 +43,11 @@ def _failing_closed_form(threshold, dbar):
     return np.where(dbar > threshold, math.nan, 2.0 / dbar)
 
 
+def _failing_at(values, dbar):
+    # gamma k=2's closed form, flagging a failed estimate at each of the given d-bar values
+    return np.where(np.isin(dbar, values), math.nan, 2.0 / dbar)
+
+
 class HidesLaw:
     """A sampler without a law that wraps one with a law, as a tracing wrapper does."""
 
@@ -161,15 +166,18 @@ class TestRoutes:
         calls = []
 
         def recording(model, theta0, d_bar, n):
-            # record each chunk's array evaluation, row by row
+            # record each array evaluation, row by row
             out = statistics_from_dbar(model, theta0, d_bar, n)
             calls[-1].append(list(zip(*(s.tolist() for s in out[1]))))
             return out
 
-        # the lawless route at a small n and within one chunk, to keep it quick
-        cases = [(GAMMA, 50, (5000, 9000), (0, 4095, 4096, 8999)),
-                 (GAMMA_OBSERVED, 2, (300, 500), (0, 299, 300, 499))]
-        for model, n, counts, rows in cases:
+        # the lawless route at a small n and within one chunk, to keep it quick; one
+        # array evaluation per pair of chunks, of the pair's replicates
+        cases = [(GAMMA, 50, {5000: [5000], 9000: [8192, 808]},
+                  (0, 4095, 4096, 8191, 8192, 8999)),
+                 (GAMMA_OBSERVED, 2, {300: [300], 500: [500]}, (0, 299, 300, 499))]
+        for model, n, sizes, rows in cases:
+            counts = list(sizes)
             base = SimulationConfig(model=model, theta0=1.0, eps=0.5, n=n, reps=counts[0],
                                     alpha=0.05, seed=21)
             runs = []
@@ -178,10 +186,7 @@ class TestRoutes:
                 for workers in (1, 3):
                     calls.append([])
                     simulate(dataclasses.replace(base, reps=reps, workers=workers))
-                    # one array evaluation per chunk, of the chunk's replicates
-                    sizes = [min(montecarlo._CHUNK, reps - lo)
-                             for lo in range(0, reps, montecarlo._CHUNK)]
-                    assert [len(c) for c in calls[-1]] == sizes
+                    assert [len(c) for c in calls[-1]] == sizes[reps]
                     runs.append([row for c in calls[-1] for row in c])
             monkeypatch.undo()
             for run in runs[1:]:
@@ -290,6 +295,63 @@ class TestRoutes:
         for j in (0, 1, 2 ** 63 - 1):
             assert not np.array_equal(u, replicate_stream(5, j).random(4))
 
+    @pytest.mark.parametrize("seed,c", [(0, 0), (5, 0), (5, 1), (5, 2 ** 51),
+                                        (2 ** 64 - 1, 0), (2 ** 64 - 1, 2 ** 51 - 1)])
+    def test_rekeyed_stream_is_a_new_chunk_stream(self, seed, c):
+        # re-keyed after draws that left the Philox buffer part-used (an odd count of
+        # doubles, then of float32s, which keep a spare uint32), a generator is in the
+        # state a new one starts in and draws the same doubles, float32s, uint32s and
+        # normals
+        rng = montecarlo._chunk_stream(7, 3)
+        left = []
+        for leftover in ({"doubles": 3}, {"doubles": 4, "words": 5}, {"words": 2}):
+            rng.random(leftover.get("doubles", 0))
+            rng.random(leftover.get("words", 0), dtype=np.float32)
+            state = rng.bit_generator.state
+            left.append((state["buffer_pos"], state["has_uint32"]))
+            assert montecarlo._rekey(rng, seed, c) is rng
+            fresh = montecarlo._chunk_stream(seed, c)
+            want, got = fresh.bit_generator.state, rng.bit_generator.state
+            assert want.keys() == got.keys()
+            for key in want:
+                if key == "state":
+                    for part in ("counter", "key"):
+                        assert np.array_equal(want[key][part], got[key][part])
+                elif key == "buffer":
+                    assert np.array_equal(want[key], got[key])
+                else:
+                    assert want[key] == got[key], key
+            for draw in (lambda g: g.random(5), lambda g: g.standard_normal(3),
+                         lambda g: g.random(3, dtype=np.float32),
+                         lambda g: g.integers(0, 2 ** 32, 7, dtype=np.uint32),
+                         lambda g: g.random(1)):
+                assert np.array_equal(draw(rng), draw(fresh))
+        # each re-key found the buffer part-used, and one of them a spare uint32 kept
+        assert all(pos < 4 for pos, _ in left) and any(spare for _, spare in left)
+
+    def test_one_generator_is_re_keyed_for_each_chunk(self, monkeypatch):
+        # simulate builds one generator and hands it, re-keyed, to each chunk's law call
+        made, seen = [], []
+        new_stream = montecarlo._chunk_stream
+
+        def counting(seed, c):
+            made.append((seed, c))
+            return new_stream(seed, c)
+
+        def recording(theta, n, size, rng, take=None):
+            seen.append((id(rng), tuple(rng.bit_generator.state["state"]["key"].tolist())))
+            return GAMMA.sampler.dbar(theta, n, size, rng, take=take)
+
+        monkeypatch.setattr(montecarlo, "_chunk_stream", counting)
+        model = dataclasses.replace(GAMMA, sampler=LawSampler(GAMMA.sampler.draw, recording))
+        cfg = SimulationConfig(model=model, theta0=1.0, eps=0.5, n=50, reps=9000,
+                               alpha=0.05, seed=2 ** 64 - 1)
+        rep = simulate(cfg)
+        assert len(made) == 1 and len({i for i, _ in seen}) == 1
+        assert [key for _, key in seen] == [(2 ** 64 - 1, 2 ** 63 | c) for c in range(3)]
+        monkeypatch.undo()
+        assert rep == simulate(dataclasses.replace(cfg, model=GAMMA))
+
 
 class TestAggregation:
     def test_size_sanity_at_null(self):
@@ -379,17 +441,20 @@ def _count_fsum(monkeypatch):
     return calls
 
 
-def _fsum_power_sums(s4):
-    # the chain _run_chunk sums: s4, s4*s4, (s4*s4)*s4, ...
-    power, sums = s4, []
+def _chained_powers(s4):
+    # the powers whose sums a chunk returns: s4, s4*s4, (s4*s4)*s4, ...
+    power = s4
     for _ in range(6):
-        sums.append(math.fsum(power.tolist()))
+        yield power
         power = power * s4
-    return tuple(sums)
+
+
+def _fsum_power_sums(s4):
+    return tuple(math.fsum(power.tolist()) for power in _chained_powers(s4))
 
 
 def _reference_chunk(model, theta, theta0, n, seed, lo, hi, xcrit):
-    # _run_chunk's whole result on a (rows, 4) stack of the statistics: rows
+    # one chunk's whole result on a (rows, 4) stack of the statistics: rows
     # with a failed estimate dropped and counted, rejections counted down each column, and
     # the power sums by math.fsum
     d_bar = montecarlo._law_dbars(model.sampler.dbar, theta, n, seed,
@@ -402,6 +467,24 @@ def _reference_chunk(model, theta, theta0, n, seed, lo, hi, xcrit):
     # these chunks have no estimate with a non-finite statistic
     failures = (hi - lo - len(stats), 0)
     return rej, joint34, failures, len(stats), _fsum_power_sums(stats[:, 3])
+
+
+def _reference_chunks(model, theta, theta0, n, seed, lo, hi, xcrit):
+    # _run_chunks' result from each chunk's reference: counts added, power sums by chunk
+    refs = [_reference_chunk(model, theta, theta0, n, seed, a, min(a + montecarlo._CHUNK, hi),
+                             xcrit)
+            for a in range(lo, hi, montecarlo._CHUNK)]
+    return (tuple(sum(r[0][i] for r in refs) for i in range(4)),
+            sum(r[1] for r in refs),
+            tuple(sum(r[2][i] for r in refs) for i in range(2)),
+            sum(r[3] for r in refs),
+            [r[4] for r in refs])
+
+
+def _run_chunks(model, theta, theta0, n, seed, lo, hi, xcrit):
+    # the evaluation simulate makes of replicates lo..hi-1, on a generator re-keyed for it
+    rng = montecarlo._chunk_stream(seed, 0)
+    return montecarlo._run_chunks(model, theta, theta0, n, seed, lo, hi, xcrit, rng)
 
 
 class TestExactSum:
@@ -555,30 +638,34 @@ class TestExactSum:
             _assert_same_sum(x)
 
     def test_real_chunks_take_the_fast_path(self, monkeypatch):
-        # one law-route chunk of three benchmark legs: all six power sums are exact
-        # without math.fsum, so a silent fall-back to it shows up here
+        # one law-route chunk, and a full chunk paired with a last one of 904, of three
+        # benchmark legs: all six power sums of each chunk are exact without math.fsum,
+        # so a silent fall-back to it shows up here
         calls = _count_fsum(monkeypatch)
         for model, eps, n in ((GAMMA, 0.5, 50), (catalog_model("tev"), 1.0, 400),
                               (catalog_model("invnormal-mu", {"theta": 2.0}), 1.0, 2000)):
-            config = SimulationConfig(model=model, theta0=1.0, eps=eps, n=n,
-                                      reps=montecarlo._CHUNK, alpha=0.05, seed=11)
-            query = config.query
-            got = montecarlo._run_chunk(config.model, query.theta_drifted, 1.0, n, 11, 0,
-                                        montecarlo._CHUNK, query.crit)
-            assert calls == [] and got[3] == montecarlo._CHUNK
+            for reps in (montecarlo._CHUNK, 5000):
+                config = SimulationConfig(model=model, theta0=1.0, eps=eps, n=n,
+                                          reps=reps, alpha=0.05, seed=11)
+                query = config.query
+                got = _run_chunks(config.model, query.theta_drifted, 1.0, n, 11, 0, reps,
+                                  query.crit)
+                assert calls == [] and got[3] == reps
+                assert len(got[4]) == -(-reps // montecarlo._CHUNK)
 
     def _chunk_matches_reference(self, model, theta0, theta, n, lo, hi):
-        got = montecarlo._run_chunk(model, theta, theta0, n, 5, lo, hi, 3.84)
-        assert got == _reference_chunk(model, theta, theta0, n, 5, lo, hi, 3.84)
+        got = _run_chunks(model, theta, theta0, n, 5, lo, hi, 3.84)
+        assert got == _reference_chunks(model, theta, theta0, n, 5, lo, hi, 3.84)
         rej, _, (unestimated, _), _, _ = got
         assert all(0 < r < hi - lo for r in rej)  # every count is tested on a mix
         return unestimated
 
     def test_chunk_sums_are_fsums_of_s4_powers(self):
-        # a full chunk and a partial last chunk of 904, for every catalog model
+        # a full chunk, a partial last chunk of 904 and the pair of them, for every
+        # catalog model
         for name, model in all_models():
             theta0 = theta_grid(name)[1]
-            for lo, hi in ((0, montecarlo._CHUNK), (montecarlo._CHUNK, 5000)):
+            for lo, hi in ((0, montecarlo._CHUNK), (montecarlo._CHUNK, 5000), (0, 5000)):
                 self._chunk_matches_reference(model, theta0, theta0 + 0.1, 20, lo, hi)
 
     def test_chunk_with_failed_rows(self):
@@ -587,6 +674,7 @@ class TestExactSum:
         )
         assert self._chunk_matches_reference(flaky, 1.0, 1.0, 10, 0, montecarlo._CHUNK) > 0
         assert self._chunk_matches_reference(flaky, 1.0, 1.0, 10, montecarlo._CHUNK, 5000) > 0
+        assert self._chunk_matches_reference(flaky, 1.0, 1.0, 10, 0, 5000) > 0
 
     def test_chunk_with_one_failed_row(self):
         # the largest d-bar of the chunk fails: the other rows are gathered, not all of them
@@ -596,6 +684,97 @@ class TestExactSum:
         )
         assert self._chunk_matches_reference(flaky, 1.0, 1.0, 10, 0, montecarlo._CHUNK) == 1
 
+    @pytest.mark.parametrize("where", ["first", "second", "both"])
+    def test_pair_with_failed_rows_in_either_chunk(self, where):
+        # a pair of a full chunk and a last one of 904 whose failed rows (chosen d-bar
+        # values) sit in one chunk or both: each chunk's sums are over its own kept rows
+        d_bar = _law_dbars(GAMMA, 1.0, 10, 5, 5000)
+        rows = {"first": [3, 17, 4095], "second": [4096, 4500, 4999],
+                "both": [0, 4095, 4096, 4999]}[where]
+        flaky = dataclasses.replace(GAMMA, mle_closed_form=partial(_failing_at, d_bar[rows]))
+        assert self._chunk_matches_reference(flaky, 1.0, 1.0, 10, 0, 5000) == len(rows)
+
+    @pytest.mark.parametrize("empty", [0, 1])
+    def test_pair_with_a_chunk_without_usable_rows(self, empty):
+        # every row of one chunk fails: its segment of the kept rows is empty, and its
+        # power sums are math.fsum's of no values
+        d_bar = _law_dbars(GAMMA, 1.0, 10, 5, 5000)
+        failed = d_bar[:montecarlo._CHUNK] if empty == 0 else d_bar[montecarlo._CHUNK:]
+        flaky = dataclasses.replace(GAMMA, mle_closed_form=partial(_failing_at, failed))
+        got = _run_chunks(flaky, 1.0, 1.0, 10, 5, 0, 5000, 3.84)
+        assert got == _reference_chunks(flaky, 1.0, 1.0, 10, 5, 0, 5000, 3.84)
+        assert got[2] == (len(failed), 0) and got[3] == 5000 - len(failed)
+        assert got[4][empty] == (0.0,) * 6
+        assert all(math.copysign(1.0, v) == 1.0 for v in got[4][empty])
+
+
+class TestPowerSums:
+    """Each segment's six sums from one max/min pass: the chained maxima are the tops."""
+
+    @staticmethod
+    def _check(s4, edges, monkeypatch):
+        # every top _power_sums passes is max|x| of that power, and every sum is
+        # math.fsum's in hex (NaN where math.fsum raises)
+        exact_sum, tops = montecarlo._exact_sum, []
+
+        def checked(x, top=None):
+            want = float(max(x.max(), -x.min())) if x.size else None
+            tops.append((top, want))
+            return exact_sum(x, top)
+
+        monkeypatch.setattr(montecarlo, "_exact_sum", checked)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = montecarlo._power_sums(s4, edges)
+            want = []
+            for a, b in zip(edges, edges[1:]):
+                sums = []
+                for power in _chained_powers(s4[a:b]):
+                    kind, value = _outcome(math.fsum, power.tolist())
+                    sums.append(value if kind == "value" else math.nan)
+                want.append(tuple(sums))
+        monkeypatch.undo()
+        assert [tuple(map(float.hex, g)) for g in got] == [tuple(map(float.hex, w))
+                                                             for w in want]
+        for top, max_abs in tops:
+            assert max_abs is None or top == max_abs, (top, max_abs)
+        return tops
+
+    def test_seeded_arrays(self, monkeypatch):
+        rng = np.random.default_rng(20261020)
+        for i in range(300):
+            size = int(rng.integers(1, 3000))
+            signs = rng.choice([-1.0, 1.0], size) if i % 2 else 1.0
+            s4 = signs * rng.gamma(0.5, 2.0, size) * np.exp2(rng.integers(-200, 200))
+            cut = int(rng.integers(0, size + 1))
+            self._check(s4, [0, size], monkeypatch)
+            self._check(s4, [0, cut, size], monkeypatch)
+
+    def test_fifth_or_sixth_power_overflows(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        for top in (1e55, 3e61, 1e62, 2.0 ** 171, 2.0 ** 205):
+            s4 = rng.uniform(0.0, 1.0, 1000) * top
+            s4[7] = top
+            tops = self._check(s4, [0, 400, 1000], monkeypatch)
+            assert math.inf in [t for t, _ in tops]  # some power passed the float range
+            assert all(math.isfinite(t) for t, _ in tops[:8])  # the first four did not
+
+    def test_square_crosses_the_fast_path_floor(self, monkeypatch):
+        # T_1 near 2**-450, so T_2 falls on either side of 2**-900, the fast path's floor
+        rng = np.random.default_rng(32)
+        for top in (2.0 ** -450, np.nextafter(2.0 ** -450, 0.0), 2.0 ** -449, 1.5 * 2.0 ** -451):
+            s4 = rng.uniform(0.1, 1.0, 500) * top
+            s4[123] = top
+            tops = self._check(s4, [0, 500], monkeypatch)
+            assert tops[0][0] == top and tops[1][0] == top * top
+
+    def test_zeros_and_single_values(self, monkeypatch):
+        for s4 in ([0.0, -0.0, 0.0], [-0.0], [-0.0, -0.0], [0.0], [3.5], [-2.0 ** -600],
+                   [1e300], [5e-324], [1e-300, 0.0, -0.0]):
+            x = np.array(s4)
+            self._check(x, [0, x.size], monkeypatch)
+            self._check(x, [0, 0, x.size], monkeypatch)  # an empty first segment
+            self._check(x, [0, x.size, x.size], monkeypatch)  # an empty second one
+
 
 class TestFailureAccounting:
     def _threshold_for(self, cfg, n_failures):
@@ -603,16 +782,16 @@ class TestFailureAccounting:
         return float(np.sort(dbars)[-(n_failures + 1)] + 1e-12)
 
     def test_non_finite_statistics_are_failures(self):
-        # invnormal-mu with a shape of 3e-110: most rows have a finite estimate and an
-        # infinite Wald statistic.  They are dropped as failures, not counted as
-        # rejections, and warn nothing
-        model = catalog_model("invnormal-mu", {"theta": 3e-110})
+        # invnormal-mu with a shape of 1e-155: most rows have a finite estimate and a
+        # Wald statistic whose true value passes the float range.  They are dropped as
+        # failures, not counted as rejections, and warn nothing
+        model = catalog_model("invnormal-mu", {"theta": 1e-155})
         config = SimulationConfig(model=model, theta0=7.0, eps=4.301078817733611, n=5,
                                   reps=200, alpha=0.999999, seed=3)
         q = config.query
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rej, _, failures, used, _ = montecarlo._run_chunk(
+            rej, _, failures, used, _ = _run_chunks(
                 model, q.theta_drifted, 7.0, 5, 3, 0, 200, q.crit)
         with np.errstate(all="ignore"):
             theta_hat, s = statistics_from_dbar(
@@ -625,8 +804,8 @@ class TestFailureAccounting:
                                      np.count_nonzero(estimated & ~finite)),
                                     np.count_nonzero(finite))
         assert rej == tuple(int(c) for c in np.count_nonzero(stats[finite] > q.crit, axis=0))
-        message = ("^143/200 replicates failed: estimation failed in 0,"
-                   " a statistic was not finite in 143 ")
+        message = ("^121/200 replicates failed: estimation failed in 0,"
+                   " a statistic was not finite in 121 ")
         with pytest.raises(EstimationError, match=message):
             simulate(config)
         j = int(np.flatnonzero(~finite)[0])

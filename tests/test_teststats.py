@@ -186,6 +186,27 @@ class TestArrayForm:
                 assert np.array_equal(np.isnan(rows), np.isnan(theta_hat[:7]))
 
 
+    def test_wald_is_finite_where_the_cube_of_a_small_estimate_underflows(self):
+        # invnormal-mu's alpha'(mu) = -lam / mu**3: below mu of about 1.7e-108 the cube
+        # underflows, yet S_W is finite until it passes the float range for real
+        lam, theta0, n = 3e-110, 7.0, 5
+        model = catalog_model("invnormal-mu", {"theta": lam})
+        d_bar = np.array([1.9e-110, 1e-109, 1.3e-108, 1e-100, 0.5, 7.0, 1e30, 1e-140])
+        with np.errstate(all="ignore"):
+            theta_hat, s = statistics_from_dbar(model, theta0, d_bar, n)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for i, t in enumerate(theta_hat.tolist()):
+                true = n * (mp.mpf(t) - theta0) ** 2 * mp.mpf(lam) / mp.mpf(t) ** 3
+                if true > np.finfo(float).max:
+                    assert s[1][i] == math.inf, t
+                else:
+                    assert abs(s[1][i] - true) <= 8 * np.finfo(float).eps * true, t
+        assert s[1][-1] == math.inf and np.isfinite(s[1][:-1]).all()
+        # rows whose cube stays in range are the scalar form's, bit for bit
+        for i in (3, 4, 5, 6):
+            assert s[1][i] == statistics_from_dbar(model, theta0, float(d_bar[i]), n)[1][1]
+
     @pytest.mark.parametrize("name,value", [
         ("gamma", -1.0), ("normal-mean", math.inf),
         ("pareto", math.log(CATALOG_FIXED["pareto"]["k"]) - 1.0)])
