@@ -352,23 +352,22 @@ def _power_sums(s4, edges):
     # same chain of products of its max|s4|, inf and 0 included: one max/min pass per
     # segment gives _exact_sum every top.  A power or sum past the float range gives a
     # non-finite sum, which simulate refuses by name
-    segments = list(zip(edges, edges[1:]))
-    firsts = [float(max(s4[a:b].max(), -s4[a:b].min())) if a < b else math.nan
-              for a, b in segments]
-    tops = firsts
-    sums = [[] for _ in segments]
-    power = s4
+    sums = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(6):
-            if k:
-                power = power * s4
-                tops = [t * f for t, f in zip(tops, firsts)]
-            for (a, b), top, out in zip(segments, tops, sums):
+        for a, b in zip(edges, edges[1:]):
+            x = s4[a:b]
+            first = float(max(x.max(), -x.min())) if a < b else math.nan
+            power, top, out = x, first, []
+            for k in range(6):
+                if k:
+                    power = power * x
+                    top *= first
                 try:
-                    out.append(_exact_sum(power[a:b], top))
+                    out.append(_exact_sum(power, top))
                 except (OverflowError, ValueError):  # math.fsum past the range, or inf - inf
                     out.append(math.nan)
-    return [tuple(out) for out in sums]
+            sums.append(tuple(out))
+    return sums
 
 
 def _run_chunks(model, theta_gen, theta0, n, seed, lo, hi, xcrit, rng):
