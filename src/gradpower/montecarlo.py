@@ -40,12 +40,12 @@ without its per-value Python loop, and the largest magnitude of every power
 follows from one max/min pass over the chunk's statistic.  Every pass that
 changes no value on a clean chunk (one with no zero uniform, no non-positive
 gamma proposal and no failed row) is skipped.  For gamma with n = 50 a chunk of
-4096 drawn from the law takes about 0.43 ms: 0.20 ms to draw, 0.08 ms to
-evaluate, 0.09 ms for the six power sums and the rest for the rejection counts;
-re-keying the generator takes 1.5 us where a new one took 10 us.  A run of
-5000 is one pair, a full chunk and a last one of 904, and takes about 0.63 ms:
-0.30 ms to draw both (0.10 ms of it for the 904-value prefix), 0.09 ms to
-evaluate the pair and 0.14 ms for both chunks' power sums (2-vCPU x86-64
+4096 drawn from the law takes about 0.40 ms: 0.19 ms to draw, 0.07 ms to
+evaluate, 0.07 ms for the six power sums and the rest for the rejection counts;
+re-keying the generator takes 1.4 us where a new one took 9 us.  A run of 5000
+is one pair, a full chunk and a last one of 904, and takes about 0.60 ms:
+0.29 ms to draw both (0.09 ms of it for the 904-value prefix), 0.08 ms to
+evaluate the pair and 0.11 ms for both chunks' power sums (2-vCPU x86-64
 shared with other tenants, numpy 2.4, the lowest of eight medians of 200
 in-process calls).
 

@@ -800,6 +800,13 @@ class TestFailureAccounting:
         estimated = ~np.isnan(theta_hat)
         finite = np.isfinite(stats).all(axis=1) & estimated
         assert np.count_nonzero(np.isinf(stats[:, 1]) & estimated) > 100
+        # the failed rows are exactly those whose true S_W = n (mu - 7)^2 lam / mu^3
+        # passes the float range
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            huge = [5 * (mp.mpf(t) - 7) ** 2 * mp.mpf(1e-155) / mp.mpf(t) ** 3
+                    > np.finfo(float).max for t in theta_hat.tolist()]
+        assert np.array_equal(~finite, huge)
         assert (failures, used) == ((200 - np.count_nonzero(estimated),
                                      np.count_nonzero(estimated & ~finite)),
                                     np.count_nonzero(finite))
