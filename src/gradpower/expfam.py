@@ -401,9 +401,7 @@ class LawSampler:
     stale law.  The simulation calls a user's law the same way, with ``take``
     as the fifth positional argument; one that forms all ``size`` draws and
     returns their first ``take`` meets the contract, and one that takes no
-    ``take`` is refused with a :class:`TypeError` naming it.  The ``rng`` a law
-    receives from the simulation is re-keyed for the next chunk once the call
-    returns, so it is valid only during the call.
+    ``take`` is refused with a :class:`TypeError` naming it.
     """
 
     draw: Callable[[float, int, np.random.Generator], np.ndarray]

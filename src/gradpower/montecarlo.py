@@ -13,9 +13,7 @@ processed in chunks of ``_CHUNK``, and d-bar has two sources:
   law for the prefix up to its last replicate, ``take = i + hi - lo`` for
   replicates ``lo..hi-1`` at offset ``i``: the law draws every uniform of the
   full layout but forms only those values, which equal the full draw's bit for
-  bit.  Philox is counter-based, so one generator per run serves every chunk:
-  before each law draw it is re-keyed to the chunk's key with a zero counter
-  and an empty buffer, the state a new ``Philox(key=...)`` starts in.
+  bit.
 * Otherwise replicate ``j`` draws ``n`` observations from its own Philox
   stream, keyed by ``(seed, j)``, and averages their ``d``.
 
@@ -40,14 +38,13 @@ without its per-value Python loop, and the largest magnitude of every power
 follows from one max/min pass over the chunk's statistic.  Every pass that
 changes no value on a clean chunk (one with no zero uniform, no non-positive
 gamma proposal and no failed row) is skipped.  For gamma with n = 50 a chunk of
-4096 drawn from the law takes about 0.40 ms: 0.19 ms to draw, 0.07 ms to
-evaluate, 0.07 ms for the six power sums and the rest for the rejection counts;
-re-keying the generator takes 1.4 us where a new one took 9 us.  A run of 5000
-is one pair, a full chunk and a last one of 904, and takes about 0.60 ms:
-0.29 ms to draw both (0.09 ms of it for the 904-value prefix), 0.08 ms to
-evaluate the pair and 0.11 ms for both chunks' power sums (2-vCPU x86-64
-shared with other tenants, numpy 2.4, the lowest of eight medians of 200
-in-process calls).
+4096 drawn from the law takes about 0.44 ms: 0.21 ms to draw (9 us of it to
+build the chunk's generator), 0.08 ms to evaluate, 0.08 ms for the six power
+sums and the rest for the rejection counts.  A run of 5000 is one pair, a full
+chunk and a last one of 904, and takes about 0.63 ms: 0.34 ms to draw both
+(0.10 ms of it for the 904-value prefix), 0.09 ms to evaluate the pair and
+0.11 ms for both chunks' power sums (2-vCPU x86-64 shared with other tenants,
+numpy 2.4, the lowest of eight medians of 200 in-process calls).
 
 Besides plain size/power estimation the module carries the two arbitration
 experiments this package is built around: which convention for the leading
@@ -203,27 +200,6 @@ def _chunk_stream(seed: int, c: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
-
-
-def _rekey(rng: np.random.Generator, seed: int, c: int) -> np.random.Generator:
-    """``rng``, its Philox put at the start of chunk ``c``'s stream.
-
-    Philox is counter-based, so a key with a zero counter and an empty buffer is
-    the whole state ``Philox(key=...)`` starts in: ``rng`` then draws what
-    ``_chunk_stream(seed, c)`` would, for a fraction of its construction cost.
-    """
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _PHILOX_ZEROS, "key": (seed & _MASK64, _CHUNK_KEY | c)},
-        "buffer": _PHILOX_ZEROS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
-
-
 def _takes_a_prefix(law) -> bool:
     # whether law's signature accepts the five positional arguments _law_dbars passes;
     # a callable whose signature cannot be read is given the benefit of the doubt
@@ -237,14 +213,12 @@ def _takes_a_prefix(law) -> bool:
 
 
 def _law_dbars(
-    law, theta_gen: float, n: int, seed: int, c: int, take: int = _CHUNK, rng=None
+    law, theta_gen: float, n: int, seed: int, c: int, take: int = _CHUNK
 ) -> np.ndarray:
     # the first take values of chunk c's law draw, always laid out as a full chunk, so
-    # that no replicate's d-bar depends on the replicate count; from rng re-keyed to
-    # the chunk's stream when one is given, else from a new generator
-    stream = _chunk_stream(seed, c) if rng is None else _rekey(rng, seed, c)
+    # that no replicate's d-bar depends on the replicate count
     try:
-        return law(theta_gen, n, _CHUNK, stream, take)
+        return law(theta_gen, n, _CHUNK, _chunk_stream(seed, c), take)
     except TypeError as exc:
         if _takes_a_prefix(law):  # the law's own fault
             raise
@@ -254,7 +228,7 @@ def _law_dbars(
         ) from exc
 
 
-def _dbars(model, theta_gen, n, seed, lo, hi, rng=None) -> np.ndarray:
+def _dbars(model, theta_gen, n, seed, lo, hi) -> np.ndarray:
     # the d-bar of replicates lo..hi-1: on the law route, for each chunk they reach,
     # the tail of the prefix of its law draw that reaches hi, in order; else one
     # observation mean per replicate stream
@@ -266,16 +240,16 @@ def _dbars(model, theta_gen, n, seed, lo, hi, rng=None) -> np.ndarray:
     for c in range(lo // _CHUNK, (hi - 1) // _CHUNK + 1):
         base = c * _CHUNK
         take = min(hi - base, _CHUNK)
-        parts.append(_law_dbars(law, theta_gen, n, seed, c, take, rng)[max(lo - base, 0):])
+        parts.append(_law_dbars(law, theta_gen, n, seed, c, take)[max(lo - base, 0):])
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _statistics(model, theta_gen, theta0, n, seed, lo, hi, rng=None):
+def _statistics(model, theta_gen, theta0, n, seed, lo, hi):
     # the statistics of replicates lo..hi-1, the mask of rows with an estimate and the
     # mask of usable rows; a failed row (a NaN theta_hat, or an estimate with a
     # non-finite statistic) is counted, so numpy's warnings are off
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d_bar = _dbars(model, theta_gen, n, seed, lo, hi, rng)
+        d_bar = _dbars(model, theta_gen, n, seed, lo, hi)
         theta_hat, s = statistics_from_dbar(model, theta0, d_bar, n)
         estimated = ~np.isnan(theta_hat)
         ok = estimated.copy()
@@ -370,11 +344,11 @@ def _power_sums(s4, edges):
     return sums
 
 
-def _run_chunks(model, theta_gen, theta0, n, seed, lo, hi, xcrit, rng):
+def _run_chunks(model, theta_gen, theta0, n, seed, lo, hi, xcrit):
     # replicates lo..hi-1, at most two chunks from the start of one, in one evaluation;
     # returns (rejection counts[4], joint34, failures by reason (estimation failed, a
     # statistic not finite), used, s4 power sums[6] of each chunk)
-    estimated, ok, s = _statistics(model, theta_gen, theta0, n, seed, lo, hi, rng)
+    estimated, ok, s = _statistics(model, theta_gen, theta0, n, seed, lo, hi)
     edges = [0, hi - lo] if hi - lo <= _CHUNK else [0, _CHUNK, hi - lo]
     if ok.all():
         stats = s
@@ -443,10 +417,9 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     for src in sources:  # an overflowing coefficient table is refused before any chunk runs
         config.query.coefficients(src)
 
-    rng = _chunk_stream(config.seed, 0)  # re-keyed for each chunk's law draw
     partials = [
         _run_chunks(model, theta_gen, config.theta0, config.n, config.seed, lo,
-                    min(lo + 2 * _CHUNK, config.reps), xcrit, rng)
+                    min(lo + 2 * _CHUNK, config.reps), xcrit)
         for lo in range(0, config.reps, 2 * _CHUNK)
     ]
 

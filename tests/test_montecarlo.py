@@ -6,6 +6,7 @@ import os
 import warnings
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -295,63 +296,6 @@ class TestRoutes:
         for j in (0, 1, 2 ** 63 - 1):
             assert not np.array_equal(u, replicate_stream(5, j).random(4))
 
-    @pytest.mark.parametrize("seed,c", [(0, 0), (5, 0), (5, 1), (5, 2 ** 51),
-                                        (2 ** 64 - 1, 0), (2 ** 64 - 1, 2 ** 51 - 1)])
-    def test_rekeyed_stream_is_a_new_chunk_stream(self, seed, c):
-        # re-keyed after draws that left the Philox buffer part-used (an odd count of
-        # doubles, then of float32s, which keep a spare uint32), a generator is in the
-        # state a new one starts in and draws the same doubles, float32s, uint32s and
-        # normals
-        rng = montecarlo._chunk_stream(7, 3)
-        left = []
-        for leftover in ({"doubles": 3}, {"doubles": 4, "words": 5}, {"words": 2}):
-            rng.random(leftover.get("doubles", 0))
-            rng.random(leftover.get("words", 0), dtype=np.float32)
-            state = rng.bit_generator.state
-            left.append((state["buffer_pos"], state["has_uint32"]))
-            assert montecarlo._rekey(rng, seed, c) is rng
-            fresh = montecarlo._chunk_stream(seed, c)
-            want, got = fresh.bit_generator.state, rng.bit_generator.state
-            assert want.keys() == got.keys()
-            for key in want:
-                if key == "state":
-                    for part in ("counter", "key"):
-                        assert np.array_equal(want[key][part], got[key][part])
-                elif key == "buffer":
-                    assert np.array_equal(want[key], got[key])
-                else:
-                    assert want[key] == got[key], key
-            for draw in (lambda g: g.random(5), lambda g: g.standard_normal(3),
-                         lambda g: g.random(3, dtype=np.float32),
-                         lambda g: g.integers(0, 2 ** 32, 7, dtype=np.uint32),
-                         lambda g: g.random(1)):
-                assert np.array_equal(draw(rng), draw(fresh))
-        # each re-key found the buffer part-used, and one of them a spare uint32 kept
-        assert all(pos < 4 for pos, _ in left) and any(spare for _, spare in left)
-
-    def test_one_generator_is_re_keyed_for_each_chunk(self, monkeypatch):
-        # simulate builds one generator and hands it, re-keyed, to each chunk's law call
-        made, seen = [], []
-        new_stream = montecarlo._chunk_stream
-
-        def counting(seed, c):
-            made.append((seed, c))
-            return new_stream(seed, c)
-
-        def recording(theta, n, size, rng, take=None):
-            seen.append((id(rng), tuple(rng.bit_generator.state["state"]["key"].tolist())))
-            return GAMMA.sampler.dbar(theta, n, size, rng, take=take)
-
-        monkeypatch.setattr(montecarlo, "_chunk_stream", counting)
-        model = dataclasses.replace(GAMMA, sampler=LawSampler(GAMMA.sampler.draw, recording))
-        cfg = SimulationConfig(model=model, theta0=1.0, eps=0.5, n=50, reps=9000,
-                               alpha=0.05, seed=2 ** 64 - 1)
-        rep = simulate(cfg)
-        assert len(made) == 1 and len({i for i, _ in seen}) == 1
-        assert [key for _, key in seen] == [(2 ** 64 - 1, 2 ** 63 | c) for c in range(3)]
-        monkeypatch.undo()
-        assert rep == simulate(dataclasses.replace(cfg, model=GAMMA))
-
 
 class TestAggregation:
     def test_size_sanity_at_null(self):
@@ -479,12 +423,6 @@ def _reference_chunks(model, theta, theta0, n, seed, lo, hi, xcrit):
             tuple(sum(r[2][i] for r in refs) for i in range(2)),
             sum(r[3] for r in refs),
             [r[4] for r in refs])
-
-
-def _run_chunks(model, theta, theta0, n, seed, lo, hi, xcrit):
-    # the evaluation simulate makes of replicates lo..hi-1, on a generator re-keyed for it
-    rng = montecarlo._chunk_stream(seed, 0)
-    return montecarlo._run_chunks(model, theta, theta0, n, seed, lo, hi, xcrit, rng)
 
 
 class TestExactSum:
@@ -648,13 +586,13 @@ class TestExactSum:
                 config = SimulationConfig(model=model, theta0=1.0, eps=eps, n=n,
                                           reps=reps, alpha=0.05, seed=11)
                 query = config.query
-                got = _run_chunks(config.model, query.theta_drifted, 1.0, n, 11, 0, reps,
-                                  query.crit)
+                got = montecarlo._run_chunks(config.model, query.theta_drifted, 1.0, n, 11,
+                                             0, reps, query.crit)
                 assert calls == [] and got[3] == reps
                 assert len(got[4]) == -(-reps // montecarlo._CHUNK)
 
     def _chunk_matches_reference(self, model, theta0, theta, n, lo, hi):
-        got = _run_chunks(model, theta, theta0, n, 5, lo, hi, 3.84)
+        got = montecarlo._run_chunks(model, theta, theta0, n, 5, lo, hi, 3.84)
         assert got == _reference_chunks(model, theta, theta0, n, 5, lo, hi, 3.84)
         rej, _, (unestimated, _), _, _ = got
         assert all(0 < r < hi - lo for r in rej)  # every count is tested on a mix
@@ -701,7 +639,7 @@ class TestExactSum:
         d_bar = _law_dbars(GAMMA, 1.0, 10, 5, 5000)
         failed = d_bar[:montecarlo._CHUNK] if empty == 0 else d_bar[montecarlo._CHUNK:]
         flaky = dataclasses.replace(GAMMA, mle_closed_form=partial(_failing_at, failed))
-        got = _run_chunks(flaky, 1.0, 1.0, 10, 5, 0, 5000, 3.84)
+        got = montecarlo._run_chunks(flaky, 1.0, 1.0, 10, 5, 0, 5000, 3.84)
         assert got == _reference_chunks(flaky, 1.0, 1.0, 10, 5, 0, 5000, 3.84)
         assert got[2] == (len(failed), 0) and got[3] == 5000 - len(failed)
         assert got[4][empty] == (0.0,) * 6
@@ -791,7 +729,7 @@ class TestFailureAccounting:
         q = config.query
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rej, _, failures, used, _ = _run_chunks(
+            rej, _, failures, used, _ = montecarlo._run_chunks(
                 model, q.theta_drifted, 7.0, 5, 3, 0, 200, q.crit)
         with np.errstate(all="ignore"):
             theta_hat, s = statistics_from_dbar(
@@ -802,9 +740,8 @@ class TestFailureAccounting:
         assert np.count_nonzero(np.isinf(stats[:, 1]) & estimated) > 100
         # the failed rows are exactly those whose true S_W = n (mu - 7)^2 lam / mu^3
         # passes the float range
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(30):
-            huge = [5 * (mp.mpf(t) - 7) ** 2 * mp.mpf(1e-155) / mp.mpf(t) ** 3
+        with mpmath.workdps(30):
+            huge = [5 * (mpmath.mpf(t) - 7) ** 2 * mpmath.mpf(1e-155) / mpmath.mpf(t) ** 3
                     > np.finfo(float).max for t in theta_hat.tolist()]
         assert np.array_equal(~finite, huge)
         assert (failures, used) == ((200 - np.count_nonzero(estimated),

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
@@ -194,10 +195,9 @@ class TestArrayForm:
         d_bar = np.array([1.9e-110, 1e-109, 1.3e-108, 1e-100, 0.5, 7.0, 1e30, 1e-140])
         with np.errstate(all="ignore"):
             theta_hat, s = statistics_from_dbar(model, theta0, d_bar, n)
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(40):
+        with mpmath.workdps(40):
             for i, t in enumerate(theta_hat.tolist()):
-                true = n * (mp.mpf(t) - theta0) ** 2 * mp.mpf(lam) / mp.mpf(t) ** 3
+                true = n * (mpmath.mpf(t) - theta0) ** 2 * mpmath.mpf(lam) / mpmath.mpf(t) ** 3
                 if true > np.finfo(float).max:
                     assert s[1][i] == math.inf, t
                 else:
