@@ -102,6 +102,8 @@ class CumulantTensors:
     k111: np.ndarray | None = None
 
     def __post_init__(self):
+        _check_integer("p", self.p)
+        _check_integer("q", self.q)
         if self.p < 1:
             raise DomainError(f"p must be >= 1, got {self.p}")
         if not (0 <= self.q < self.p):
@@ -516,13 +518,9 @@ def load_tensor_file(path) -> CumulantTensors:
     missing = {"p", "q", "K", "k3", "k21"} - set(doc)
     if missing:
         raise DomainError(f"{path}: missing tensor fields {sorted(missing)}")
-    counts = {}
-    for name in ("p", "q"):
-        # a whole number, 2 or 2.0; int() would truncate 2.9 and take true as 1
-        value = doc[name]
-        if not (type(value) is int or type(value) is float and value.is_integer()):
-            raise DomainError(f"{path}: {name} must be an integer, got {value!r}")
-        counts[name] = int(value)
+    # a whole JSON float such as 2.0 is its integer; CumulantTensors refuses any other non-integer
+    counts = {name: int(doc[name]) if type(doc[name]) is float and doc[name].is_integer()
+              else doc[name] for name in ("p", "q")}
     try:
         arrays = {name: np.asarray(doc[name], dtype=float)
                   for name in ("K", "k3", "k21", "k111") if name in doc}

@@ -77,6 +77,7 @@ _GAMMA_MAX_ROUNDS = 64
 # Brent root finder: absolute bracket tolerance and iteration cap
 _BRENT_XTOL = 1e-14
 _BRENT_MAX_ITER = 200
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -442,11 +443,15 @@ def _over_sq(c, t):
 
 
 def _over_cube(c, t):
-    q = c / t ** 3
-    if isinstance(q, np.ndarray) and not (np.isfinite(q).all() and q.all()):
-        # t**3 leaves the float range where c / t**3 may not: those rows of an array
-        # of estimates divide step by step; the scalar path keeps the direct form
-        redo = ~np.isfinite(q) | (q == 0.0)
+    t3 = t ** 3
+    q = c / t3
+    if isinstance(q, np.ndarray) and not (
+        np.isfinite(q).all() and q.all() and np.abs(t3).min(initial=math.inf) >= _TINY
+    ):
+        # t**3 leaves the float range, or keeps only a few bits as a subnormal, where
+        # c / t**3 may not: those rows of an array of estimates divide step by step;
+        # the scalar path keeps the direct form
+        redo = ~np.isfinite(q) | (q == 0.0) | (np.abs(t3) < _TINY)
         redo &= np.isfinite(t) & (t != 0.0)
         if math.isfinite(c) and c != 0.0 and redo.any():
             tr = t[redo]
@@ -1028,8 +1033,13 @@ def mle(model: ExpFamModel, data) -> float:
 def sample(
     model: ExpFamModel, theta: float, n: int, stream: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``n`` i.i.d. observations at ``theta``, consuming only ``stream``."""
+    """Draw ``n`` i.i.d. observations at ``theta``, consuming only ``stream``.
+
+    Raises :class:`DomainError` for a ``theta`` outside the parameter space and
+    for an ``n`` that is not an integer (a float or a bool included) or is below 1.
+    """
     model.require_theta(theta)
+    _check_integer("n", n)
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     return model.sampler(theta, int(n), stream)

@@ -175,9 +175,8 @@ def _check_seed(seed: int) -> None:
         raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
 
 
-def _check_replicate_key(seed: int, j: int) -> None:
-    # a seed or index out of range would wrap onto another replicate's key or a chunk's
-    _check_seed(seed)
+def _check_index(j: int) -> None:
+    # an index out of range would wrap onto another replicate's key or a chunk's
     _check_integer("replicate index", j)
     if not 0 <= j < _CHUNK_KEY:
         raise DomainError(f"replicate index must lie in [0, 2**63), got {j}")
@@ -190,7 +189,8 @@ def replicate_stream(seed: int, j: int) -> np.random.Generator:
     (a bool included), a seed outside [0, 2**64) or a ``j`` outside
     [0, 2**63), whose key would wrap onto another replicate's or a chunk's.
     """
-    _check_replicate_key(seed, j)
+    _check_seed(seed)
+    _check_index(j)
     return np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
 
 
@@ -228,10 +228,12 @@ def _law_dbars(
         ) from exc
 
 
-def _dbars(model, theta_gen, n, seed, lo, hi) -> np.ndarray:
+def _dbars(config: SimulationConfig, lo: int, hi: int) -> np.ndarray:
     # the d-bar of replicates lo..hi-1: on the law route, for each chunk they reach,
     # the tail of the prefix of its law draw that reaches hi, in order; else one
     # observation mean per replicate stream
+    model, n, seed = config.model, config.n, config.seed
+    theta_gen = config.query.theta_drifted
     law = getattr(model.sampler, "dbar", None)
     if law is None:
         return np.array([np.mean(model.d(model.sampler(theta_gen, n, replicate_stream(seed, j))))
@@ -244,13 +246,13 @@ def _dbars(model, theta_gen, n, seed, lo, hi) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _statistics(model, theta_gen, theta0, n, seed, lo, hi):
+def _statistics(config: SimulationConfig, lo: int, hi: int):
     # the statistics of replicates lo..hi-1, the mask of rows with an estimate and the
     # mask of usable rows; a failed row (a NaN theta_hat, or an estimate with a
     # non-finite statistic) is counted, so numpy's warnings are off
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d_bar = _dbars(model, theta_gen, n, seed, lo, hi)
-        theta_hat, s = statistics_from_dbar(model, theta0, d_bar, n)
+        d_bar = _dbars(config, lo, hi)
+        theta_hat, s = statistics_from_dbar(config.model, config.theta0, d_bar, config.n)
         estimated = ~np.isnan(theta_hat)
         ok = estimated.copy()
         for si in s:
@@ -258,23 +260,23 @@ def _statistics(model, theta_gen, theta0, n, seed, lo, hi):
     return estimated, ok, s
 
 
-def replicate_statistics(
-    model: ExpFamModel, theta_gen: float, theta0: float, n: int, seed: int, j: int
-) -> tuple[float, float, float, float]:
-    """Statistics of replicate ``j``: its row of the array evaluation :func:`simulate` makes.
+def replicate_statistics(config: SimulationConfig, j: int) -> tuple[float, float, float, float]:
+    """Statistics of replicate ``j``: its row of the array evaluation ``simulate(config)`` makes.
 
-    They depend on (seed, j) only, for a fixed model, ``theta_gen`` and ``n``.
-    Raises :class:`EstimationError` when the estimate fails or a statistic is
-    not finite, and :class:`DomainError` for a seed or ``j`` that is not an
-    integer, a seed outside [0, 2**64) or a ``j`` outside [0, 2**63), whose
-    stream key would wrap onto another replicate's or a chunk's.
+    They depend on (``config.seed``, j) only, for a fixed model, drifted parameter
+    and ``n``, so ``j`` may lie past ``config.reps``.  Raises
+    :class:`EstimationError` when the estimate fails or a statistic is not
+    finite, and :class:`DomainError` for a ``j`` that is not an integer or lies
+    outside [0, 2**63), whose stream key would wrap onto another replicate's or
+    a chunk's; every other input is checked by :class:`SimulationConfig`.
     """
-    _check_replicate_key(seed, j)
-    estimated, ok, s = _statistics(model, theta_gen, theta0, n, seed, j, j + 1)
+    _check_index(j)
+    estimated, ok, s = _statistics(config, j, j + 1)
+    name = config.model.name
     if not estimated[0]:
-        raise EstimationError(f"estimation failed in replicate {j} (model={model.name!r})")
+        raise EstimationError(f"estimation failed in replicate {j} (model={name!r})")
     if not ok[0]:
-        raise EstimationError(f"non-finite statistic in replicate {j} (model={model.name!r})")
+        raise EstimationError(f"non-finite statistic in replicate {j} (model={name!r})")
     return tuple(float(si[0]) for si in s)
 
 
@@ -344,11 +346,11 @@ def _power_sums(s4, edges):
     return sums
 
 
-def _run_chunks(model, theta_gen, theta0, n, seed, lo, hi, xcrit):
+def _run_chunks(config: SimulationConfig, lo: int, hi: int):
     # replicates lo..hi-1, at most two chunks from the start of one, in one evaluation;
     # returns (rejection counts[4], joint34, failures by reason (estimation failed, a
     # statistic not finite), used, s4 power sums[6] of each chunk)
-    estimated, ok, s = _statistics(model, theta_gen, theta0, n, seed, lo, hi)
+    estimated, ok, s = _statistics(config, lo, hi)
     edges = [0, hi - lo] if hi - lo <= _CHUNK else [0, _CHUNK, hi - lo]
     if ok.all():
         stats = s
@@ -357,6 +359,7 @@ def _run_chunks(model, theta_gen, theta0, n, seed, lo, hi, xcrit):
         edges = [int(np.count_nonzero(ok[:b])) for b in edges]  # of the kept rows
     used = len(stats[3])
     n_estimated = int(np.count_nonzero(estimated))
+    xcrit = config.query.crit
     reject = [si > xcrit for si in stats]
     joint34 = int(np.count_nonzero(reject[2] & reject[3]))
     rej = tuple(int(np.count_nonzero(r)) for r in reject)
@@ -410,18 +413,15 @@ def _moment_estimates(partials, used, config) -> MomentEstimates:
 def simulate(config: SimulationConfig) -> SimulationReport:
     """Run the experiment; deterministic for fixed (seed, reps, n, model)."""
     t_start = time.perf_counter()
-    model = config.model
-    theta_gen = config.query.theta_drifted
-    xcrit = config.query.crit
     sources = (SOURCE_CHAIN, SOURCE_TABLE) if config.compare_sources else (SOURCE_CHAIN,)
-    for src in sources:  # an overflowing coefficient table is refused before any chunk runs
-        config.query.coefficients(src)
-
-    partials = [
-        _run_chunks(model, theta_gen, config.theta0, config.n, config.seed, lo,
-                    min(lo + 2 * _CHUNK, config.reps), xcrit)
-        for lo in range(0, config.reps, 2 * _CHUNK)
-    ]
+    # builds and checks every coefficient table: an overflowing one is refused before
+    # any chunk runs
+    predicted = {
+        src: tuple(local_power(config.query, kind, src).value for kind in ALL_KINDS)
+        for src in sources
+    }
+    partials = [_run_chunks(config, lo, min(lo + 2 * _CHUNK, config.reps))
+                for lo in range(0, config.reps, 2 * _CHUNK)]
 
     rej = [sum(p[0][i] for p in partials) for i in range(4)]
     joint34 = sum(p[1] for p in partials)
@@ -435,18 +435,13 @@ def simulate(config: SimulationConfig) -> SimulationReport:
         raise EstimationError(
             f"{failures}/{config.reps} replicates failed: estimation failed in "
             f"{unestimated}, a statistic was not finite in {non_finite} "
-            f"(model={model.name!r}, theta0={config.theta0}, eps={config.eps}, "
+            f"(model={config.model.name!r}, theta0={config.theta0}, eps={config.eps}, "
             f"n={config.n}, seed={config.seed})"
         )
 
     moments = _moment_estimates(partials, used, config)
     rates = tuple(r / used for r in rej)
     stderr = tuple(math.sqrt(r * (1.0 - r) / used) for r in rates)
-
-    predicted = {
-        src: tuple(local_power(config.query, kind, src).value for kind in ALL_KINDS)
-        for src in sources
-    }
 
     return SimulationReport(
         rejection_rate=rates,
@@ -458,12 +453,12 @@ def simulate(config: SimulationConfig) -> SimulationReport:
         reps=config.reps,
         reps_used=used,
         seed=config.seed,
-        model_name=model.name,
+        model_name=config.model.name,
         theta0=config.theta0,
         eps=config.eps,
         n=config.n,
         alpha=config.alpha,
-        critical_value=xcrit,
+        critical_value=config.query.crit,
         workers=config.workers,
         wall_time=time.perf_counter() - t_start,
     )

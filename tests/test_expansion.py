@@ -584,6 +584,25 @@ class TestTensorValidation:
         with pytest.raises(DomainError):
             CumulantTensors(p=2, q=0, K=np.eye(3), k3=np.zeros((2, 2, 2)), k21=np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("counts,message", [
+        # accepted once, after which composite_coefficients raised a raw TypeError
+        ({"p": 2.0, "q": 0}, "^p must be an integer, got 2.0$"),
+        ({"p": True, "q": 0}, "^p must be an integer, got True$"),
+        ({"p": 2, "q": 0.0}, "^q must be an integer, got 0.0$"),
+        ({"p": 2, "q": False}, "^q must be an integer, got False$"),
+        ({"p": "2", "q": 0}, "^p must be an integer, got '2'$"),
+    ])
+    def test_counts_must_be_integers(self, counts, message):
+        with pytest.raises(DomainError, match=message):
+            CumulantTensors(**counts, K=np.eye(2), k3=np.zeros((2, 2, 2)),
+                            k21=np.zeros((2, 2, 2)))
+
+    def test_integer_counts_of_any_integral_type(self):
+        t = CumulantTensors(p=np.int64(2), q=np.int32(1), K=np.eye(2),
+                            k3=np.zeros((2, 2, 2)), k21=np.zeros((2, 2, 2)))
+        assert composite_coefficients(t, [0.5]) == composite_coefficients(
+            dataclasses.replace(t, p=2, q=1), [0.5])
+
 
 class TestEquivalenceFlags:
     def test_flags_on_catalog_models(self):

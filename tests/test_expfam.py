@@ -572,6 +572,20 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample(m, 1.0, 0, Generator(Philox(key=[1, 0])))
 
+    @pytest.mark.parametrize("n", [2.7, True, math.inf, math.nan])
+    def test_count_must_be_an_integer(self, n):
+        # int() once drew 2 observations for 2.7 and 1 for True, and raised a bare
+        # OverflowError for inf and ValueError for NaN
+        m = catalog_model("gamma", {"k": 1.0})
+        with pytest.raises(DomainError, match=f"^n must be an integer, got {n!r}$"):
+            sample(m, 1.0, n, Generator(Philox(key=[1, 0])))
+
+    def test_integer_counts_draw_as_before(self):
+        m = catalog_model("gamma", {"k": 1.0})
+        want = m.sampler(1.0, 5, Generator(Philox(key=[1, 0])))
+        for n in (5, np.int64(5)):
+            assert np.array_equal(sample(m, 1.0, n, Generator(Philox(key=[1, 0]))), want)
+
 
 def _dbar_cdf(name, theta, n, fixed=None):
     """scipy's CDF of d-bar over n observations of the catalog entry at theta."""

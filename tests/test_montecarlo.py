@@ -39,6 +39,15 @@ def _law_dbars(model, theta, n, seed, reps):
     )[:reps]
 
 
+def _config(model, theta, theta0, n, seed, reps=1):
+    # the run whose data are drawn at theta: eps = (theta - theta0) sqrt(n) reaches it
+    # exactly at every point these tests use
+    config = SimulationConfig(model=model, theta0=theta0, eps=(theta - theta0) * math.sqrt(n),
+                              n=n, reps=reps, alpha=0.05, seed=seed)
+    assert config.query.theta_drifted == theta
+    return config
+
+
 def _failing_closed_form(threshold, dbar):
     # gamma k=2's closed form, flagging a failed estimate above the threshold
     return np.where(dbar > threshold, math.nan, 2.0 / dbar)
@@ -113,10 +122,11 @@ class TestDeterminism:
         assert simulate(cfg).critical_value == cfg.query.crit
 
     def test_replicate_depends_only_on_seed_and_index(self):
-        a = replicate_statistics(GAMMA, 1.05, 1.0, 50, 31337, 12)
-        b = replicate_statistics(GAMMA, 1.05, 1.0, 50, 31337, 12)
+        config = _config(GAMMA, 1.05, 1.0, 50, 31337)
+        a = replicate_statistics(config, 12)
+        b = replicate_statistics(config, 12)
         assert a == b
-        c = replicate_statistics(GAMMA, 1.05, 1.0, 50, 31337, 13)
+        c = replicate_statistics(config, 13)
         assert a != c
 
     def test_streams_differ_across_replicates(self):
@@ -160,8 +170,9 @@ class TestRoutes:
             4097: (0.014362926441409407, 0.014478025942270647, 0.014478025942270763,
                    0.014305890785088713),
         }
+        config = _config(GAMMA_OBSERVED, 1.05, 1.0, 50, 31337)
         for j, s in captured.items():
-            assert replicate_statistics(GAMMA_OBSERVED, 1.05, 1.0, 50, 31337, j) == s
+            assert replicate_statistics(config, j) == s
 
     def test_replicate_depends_on_seed_and_index_only(self, monkeypatch):
         calls = []
@@ -193,9 +204,9 @@ class TestRoutes:
             for run in runs[1:]:
                 assert run[:counts[0]] == runs[0]
             assert runs[2] == runs[3]
-            theta = base.query.theta_drifted
+            config = dataclasses.replace(base, reps=counts[1])
             for j in rows:
-                assert replicate_statistics(model, theta, 1.0, n, 21, j) == runs[2][j]
+                assert replicate_statistics(config, j) == runs[2][j]
 
     def test_replicate_is_its_row_of_the_array_evaluation(self):
         # law draws of replicates 0..8999, and observation means of some of them
@@ -204,7 +215,8 @@ class TestRoutes:
         rows = (0, 3, 29, 37, 97, 127, 148, 201, 204, 4095, 4096, 8999)
         for name, model in all_models():
             theta0 = theta_grid(name)[1]
-            theta = theta0 + 0.1
+            config = _config(model, theta0 + 0.1, theta0, 20, 5, reps=9000)
+            theta = config.query.theta_drifted
             stripped = dataclasses.replace(model, sampler=model.sampler.draw)
             means = [np.mean(model.d(model.sampler(theta, 20, replicate_stream(5, j))))
                      for j in rows]
@@ -213,7 +225,7 @@ class TestRoutes:
                 _, s = statistics_from_dbar(m, theta0, d_bar, 20)
                 for i, j in zip(at, rows):
                     want = tuple(float(si[i]) for si in s)
-                    got = replicate_statistics(m, theta, theta0, 20, 5, j)
+                    got = replicate_statistics(dataclasses.replace(config, model=m), j)
                     assert got == want, (name, m is stripped, j)
 
     def test_failed_replicate_raises(self):
@@ -221,7 +233,7 @@ class TestRoutes:
             GAMMA, mle_closed_form=partial(_failing_closed_form, -1.0)
         )
         with pytest.raises(EstimationError, match="replicate 4097"):
-            replicate_statistics(always_fail, 1.0, 1.0, 20, 5, 4097)
+            replicate_statistics(_config(always_fail, 1.0, 1.0, 20, 5), 4097)
 
     def test_wrapper_that_hides_the_law_takes_the_observation_route(self):
         model = dataclasses.replace(GAMMA, sampler=HidesLaw(GAMMA.sampler))
@@ -231,7 +243,8 @@ class TestRoutes:
 
     def test_out_of_range_seed_or_index_refused(self):
         # a wrapped key would reuse another replicate's stream or a chunk's:
-        # masked to 64 bits, (5, 2**64 + 5) is replicate 5's and (5, 2**63) chunk 0's
+        # masked to 64 bits, (5, 2**64 + 5) is replicate 5's and (5, 2**63) chunk 0's.
+        # replicate_statistics takes its seed from a run, whose own check refuses it
         bad_keys = [
             (21, -1, "replicate index"),
             (21, 2 ** 63, "replicate index"),
@@ -245,8 +258,8 @@ class TestRoutes:
         for model in (GAMMA, GAMMA_OBSERVED):
             for seed, j, message in bad_keys:
                 with pytest.raises(DomainError, match=message):
-                    replicate_statistics(model, 1.05, 1.0, 20, seed, j)
-            s = replicate_statistics(model, 1.05, 1.0, 20, 2 ** 64 - 1, 2 ** 63 - 1)
+                    replicate_statistics(_config(model, 1.05, 1.0, 20, seed), j)
+            s = replicate_statistics(_config(model, 1.05, 1.0, 20, 2 ** 64 - 1), 2 ** 63 - 1)
             assert all(math.isfinite(si) for si in s)
         for seed, j, message in bad_keys:
             with pytest.raises(DomainError, match=message):
@@ -268,9 +281,10 @@ class TestRoutes:
         assert simulate(cfg) == simulate(dataclasses.replace(cfg, model=GAMMA))
         assert calls == [(montecarlo._CHUNK, montecarlo._CHUNK), (montecarlo._CHUNK, 904)]
         calls.clear()
-        got = replicate_statistics(model, 1.05, 1.0, 50, 11, montecarlo._CHUNK + 1)
+        got = replicate_statistics(cfg, montecarlo._CHUNK + 1)
         assert calls == [(montecarlo._CHUNK, 2)]
-        assert got == replicate_statistics(GAMMA, 1.05, 1.0, 50, 11, montecarlo._CHUNK + 1)
+        assert got == replicate_statistics(dataclasses.replace(cfg, model=GAMMA),
+                                           montecarlo._CHUNK + 1)
 
     def test_a_law_without_a_prefix_is_named(self):
         # a law on the four-argument form of earlier releases is refused with the
@@ -289,12 +303,55 @@ class TestRoutes:
             with pytest.raises(TypeError, match=message):
                 simulate(cfg)
             with pytest.raises(TypeError, match=message):
-                replicate_statistics(model, 1.05, 1.0, 50, 11, 3)
+                replicate_statistics(cfg, 3)
 
     def test_chunk_streams_are_not_replicate_streams(self):
         u = montecarlo._chunk_stream(5, 0).random(4)
         for j in (0, 1, 2 ** 63 - 1):
             assert not np.array_equal(u, replicate_stream(5, j).random(4))
+
+
+class TestReplicateStatistics:
+    """``replicate_statistics(config, j)`` is row j of ``simulate(config)``, on a checked run."""
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("n", 2.5, "^n must be an integer, got 2.5$"),
+        ("n", True, "^n must be an integer, got True$"),
+        ("n", 0, "^per-replicate sample size must be >= 2, got 0$"),
+        ("n", 1, "^per-replicate sample size must be >= 2, got 1$"),
+        ("theta0", -1.0, r"^theta=-1.0 outside parameter space \(0.0, inf\) of 'gamma'$"),
+        ("eps", -20.0, "^drifted parameter -1.828[0-9]* leaves the parameter space$"),
+        ("seed", -1, r"^seed must lie in \[0, 2\*\*64\), got -1$"),
+        ("seed", 1.5, "^seed must be an integer, got 1.5$"),
+    ])
+    def test_a_bad_run_is_refused_by_its_config(self, field, value, message):
+        # each of these once went into the loose arguments unchecked: n = 2.5 and
+        # True gave statistics, n = 0 a ZeroDivisionError and theta0 = -1 a ValueError
+        good = dict(model=GAMMA, theta0=1.0, eps=0.5, n=50, reps=10, alpha=0.05, seed=3)
+        for model in (GAMMA, GAMMA_OBSERVED):
+            with pytest.raises(DomainError, match=message):
+                replicate_statistics(SimulationConfig(**{**good, "model": model, field: value}), 0)
+
+    def test_the_loose_arguments_are_gone(self):
+        with pytest.raises(TypeError):
+            replicate_statistics(GAMMA, 1.05, 1.0, 50, 3, 0)
+
+    @pytest.mark.parametrize("model", [GAMMA, GAMMA_OBSERVED], ids=["law", "lawless"])
+    def test_each_replicate_is_its_row_of_simulate(self, monkeypatch, model):
+        rows = []
+
+        def recording(model, theta0, d_bar, n):
+            out = statistics_from_dbar(model, theta0, d_bar, n)
+            rows.extend(zip(*(s.tolist() for s in out[1])))
+            return out
+
+        config = SimulationConfig(model=model, theta0=1.0, eps=0.5, n=20, reps=300,
+                                  alpha=0.05, seed=9)
+        monkeypatch.setattr(montecarlo, "statistics_from_dbar", recording)
+        simulate(config)
+        monkeypatch.undo()
+        assert len(rows) == config.reps
+        assert [replicate_statistics(config, j) for j in range(config.reps)] == rows
 
 
 class TestAggregation:
@@ -397,15 +454,16 @@ def _fsum_power_sums(s4):
     return tuple(math.fsum(power.tolist()) for power in _chained_powers(s4))
 
 
-def _reference_chunk(model, theta, theta0, n, seed, lo, hi, xcrit):
+def _reference_chunk(config, lo, hi):
     # one chunk's whole result on a (rows, 4) stack of the statistics: rows
     # with a failed estimate dropped and counted, rejections counted down each column, and
     # the power sums by math.fsum
-    d_bar = montecarlo._law_dbars(model.sampler.dbar, theta, n, seed,
-                                  lo // montecarlo._CHUNK)[:hi - lo]
-    theta_hat, s = statistics_from_dbar(model, theta0, d_bar, n)
+    model, n = config.model, config.n
+    d_bar = montecarlo._law_dbars(model.sampler.dbar, config.query.theta_drifted, n,
+                                  config.seed, lo // montecarlo._CHUNK)[:hi - lo]
+    theta_hat, s = statistics_from_dbar(model, config.theta0, d_bar, n)
     stats = np.column_stack(s)[~np.isnan(theta_hat)]
-    reject = stats > xcrit
+    reject = stats > config.query.crit
     rej = tuple(int(c) for c in np.count_nonzero(reject, axis=0))
     joint34 = int(np.count_nonzero(reject[:, 2] & reject[:, 3]))
     # these chunks have no estimate with a non-finite statistic
@@ -413,10 +471,9 @@ def _reference_chunk(model, theta, theta0, n, seed, lo, hi, xcrit):
     return rej, joint34, failures, len(stats), _fsum_power_sums(stats[:, 3])
 
 
-def _reference_chunks(model, theta, theta0, n, seed, lo, hi, xcrit):
+def _reference_chunks(config, lo, hi):
     # _run_chunks' result from each chunk's reference: counts added, power sums by chunk
-    refs = [_reference_chunk(model, theta, theta0, n, seed, a, min(a + montecarlo._CHUNK, hi),
-                             xcrit)
+    refs = [_reference_chunk(config, a, min(a + montecarlo._CHUNK, hi))
             for a in range(lo, hi, montecarlo._CHUNK)]
     return (tuple(sum(r[0][i] for r in refs) for i in range(4)),
             sum(r[1] for r in refs),
@@ -585,15 +642,13 @@ class TestExactSum:
             for reps in (montecarlo._CHUNK, 5000):
                 config = SimulationConfig(model=model, theta0=1.0, eps=eps, n=n,
                                           reps=reps, alpha=0.05, seed=11)
-                query = config.query
-                got = montecarlo._run_chunks(config.model, query.theta_drifted, 1.0, n, 11,
-                                             0, reps, query.crit)
+                got = montecarlo._run_chunks(config, 0, reps)
                 assert calls == [] and got[3] == reps
                 assert len(got[4]) == -(-reps // montecarlo._CHUNK)
 
-    def _chunk_matches_reference(self, model, theta0, theta, n, lo, hi):
-        got = montecarlo._run_chunks(model, theta, theta0, n, 5, lo, hi, 3.84)
-        assert got == _reference_chunks(model, theta, theta0, n, 5, lo, hi, 3.84)
+    def _chunk_matches_reference(self, config, lo, hi):
+        got = montecarlo._run_chunks(config, lo, hi)
+        assert got == _reference_chunks(config, lo, hi)
         rej, _, (unestimated, _), _, _ = got
         assert all(0 < r < hi - lo for r in rej)  # every count is tested on a mix
         return unestimated
@@ -603,16 +658,18 @@ class TestExactSum:
         # catalog model
         for name, model in all_models():
             theta0 = theta_grid(name)[1]
+            config = _config(model, theta0 + 0.1, theta0, 20, 5)
             for lo, hi in ((0, montecarlo._CHUNK), (montecarlo._CHUNK, 5000), (0, 5000)):
-                self._chunk_matches_reference(model, theta0, theta0 + 0.1, 20, lo, hi)
+                self._chunk_matches_reference(config, lo, hi)
 
     def test_chunk_with_failed_rows(self):
         flaky = dataclasses.replace(
             GAMMA, mle_closed_form=partial(_failing_closed_form, 2.95)
         )
-        assert self._chunk_matches_reference(flaky, 1.0, 1.0, 10, 0, montecarlo._CHUNK) > 0
-        assert self._chunk_matches_reference(flaky, 1.0, 1.0, 10, montecarlo._CHUNK, 5000) > 0
-        assert self._chunk_matches_reference(flaky, 1.0, 1.0, 10, 0, 5000) > 0
+        config = _config(flaky, 1.0, 1.0, 10, 5)
+        assert self._chunk_matches_reference(config, 0, montecarlo._CHUNK) > 0
+        assert self._chunk_matches_reference(config, montecarlo._CHUNK, 5000) > 0
+        assert self._chunk_matches_reference(config, 0, 5000) > 0
 
     def test_chunk_with_one_failed_row(self):
         # the largest d-bar of the chunk fails: the other rows are gathered, not all of them
@@ -620,7 +677,8 @@ class TestExactSum:
         flaky = dataclasses.replace(
             GAMMA, mle_closed_form=partial(_failing_closed_form, math.nextafter(top, 0.0))
         )
-        assert self._chunk_matches_reference(flaky, 1.0, 1.0, 10, 0, montecarlo._CHUNK) == 1
+        config = _config(flaky, 1.0, 1.0, 10, 5)
+        assert self._chunk_matches_reference(config, 0, montecarlo._CHUNK) == 1
 
     @pytest.mark.parametrize("where", ["first", "second", "both"])
     def test_pair_with_failed_rows_in_either_chunk(self, where):
@@ -630,7 +688,8 @@ class TestExactSum:
         rows = {"first": [3, 17, 4095], "second": [4096, 4500, 4999],
                 "both": [0, 4095, 4096, 4999]}[where]
         flaky = dataclasses.replace(GAMMA, mle_closed_form=partial(_failing_at, d_bar[rows]))
-        assert self._chunk_matches_reference(flaky, 1.0, 1.0, 10, 0, 5000) == len(rows)
+        config = _config(flaky, 1.0, 1.0, 10, 5)
+        assert self._chunk_matches_reference(config, 0, 5000) == len(rows)
 
     @pytest.mark.parametrize("empty", [0, 1])
     def test_pair_with_a_chunk_without_usable_rows(self, empty):
@@ -639,8 +698,9 @@ class TestExactSum:
         d_bar = _law_dbars(GAMMA, 1.0, 10, 5, 5000)
         failed = d_bar[:montecarlo._CHUNK] if empty == 0 else d_bar[montecarlo._CHUNK:]
         flaky = dataclasses.replace(GAMMA, mle_closed_form=partial(_failing_at, failed))
-        got = montecarlo._run_chunks(flaky, 1.0, 1.0, 10, 5, 0, 5000, 3.84)
-        assert got == _reference_chunks(flaky, 1.0, 1.0, 10, 5, 0, 5000, 3.84)
+        config = _config(flaky, 1.0, 1.0, 10, 5)
+        got = montecarlo._run_chunks(config, 0, 5000)
+        assert got == _reference_chunks(config, 0, 5000)
         assert got[2] == (len(failed), 0) and got[3] == 5000 - len(failed)
         assert got[4][empty] == (0.0,) * 6
         assert all(math.copysign(1.0, v) == 1.0 for v in got[4][empty])
@@ -729,8 +789,7 @@ class TestFailureAccounting:
         q = config.query
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rej, _, failures, used, _ = montecarlo._run_chunks(
-                model, q.theta_drifted, 7.0, 5, 3, 0, 200, q.crit)
+            rej, _, failures, used, _ = montecarlo._run_chunks(config, 0, 200)
         with np.errstate(all="ignore"):
             theta_hat, s = statistics_from_dbar(
                 model, 7.0, _law_dbars(model, q.theta_drifted, 5, 3, 200), 5)
@@ -756,7 +815,7 @@ class TestFailureAccounting:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EstimationError, match=f"^non-finite statistic in replicate {j} "):
-                replicate_statistics(model, q.theta_drifted, 7.0, 5, 3, j)
+                replicate_statistics(config, j)
 
     def test_failures_counted_and_excluded(self):
         cfg = SimulationConfig(
@@ -837,7 +896,7 @@ class TestConfigValidation:
             with pytest.raises(DomainError, match=message):
                 replicate_stream(seed, j)
             with pytest.raises(DomainError, match=message):
-                replicate_statistics(GAMMA, 1.05, 1.0, 20, seed, j)
+                replicate_statistics(_config(GAMMA, 1.05, 1.0, 20, seed), j)
 
     @pytest.mark.parametrize("field,value,message", [
         ("workers", 0, "^workers must be >= 1, got 0$"),

@@ -207,6 +207,22 @@ class TestArrayForm:
         for i in (3, 4, 5, 6):
             assert s[1][i] == statistics_from_dbar(model, theta0, float(d_bar[i]), n)[1][1]
 
+    def test_wald_is_accurate_where_the_cube_of_a_small_estimate_is_subnormal(self):
+        # mu**3 is subnormal but not 0 there, so it keeps only a few bits: the direct
+        # quotient was 50% low at 1.352e-108, 39% high at 1.9e-108 and 50% high at 1.9485e-108
+        lam, theta0, n = 3e-110, 7.0, 5
+        model = catalog_model("invnormal-mu", {"theta": lam})
+        d_bar = np.array([1.352e-108, 1.9e-108, 1.9485e-108, 1e-100, 0.5])
+        assert ((0.0 < d_bar[:3] ** 3) & (d_bar[:3] ** 3 < np.finfo(float).tiny)).all()
+        theta_hat, s = statistics_from_dbar(model, theta0, d_bar, n)
+        with mpmath.workdps(40):
+            for t, got in zip(theta_hat.tolist(), s[1].tolist()):
+                true = n * (mpmath.mpf(t) - theta0) ** 2 * mpmath.mpf(lam) / mpmath.mpf(t) ** 3
+                assert abs(got - true) <= 8 * np.finfo(float).eps * true, t
+        # rows whose cube is a normal float are the scalar form's, bit for bit
+        for i in (3, 4):
+            assert s[1][i] == statistics_from_dbar(model, theta0, float(d_bar[i]), n)[1][1]
+
     @pytest.mark.parametrize("name,value", [
         ("gamma", -1.0), ("normal-mean", math.inf),
         ("pareto", math.log(CATALOG_FIXED["pareto"]["k"]) - 1.0)])
