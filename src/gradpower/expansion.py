@@ -114,7 +114,7 @@ class CumulantTensors:
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "k3", k3)
         object.__setattr__(self, "k21", k21)
-        p = self.p
+        p, q = self.p, self.q
         if K.shape != (p, p):
             raise DomainError(f"K must have shape ({p}, {p}), got {K.shape}")
         if k3.shape != (p, p, p) or k21.shape != (p, p, p):
@@ -134,8 +134,12 @@ class CumulantTensors:
         scale = max(1.0, float(np.max(np.abs(K))))
         if not _close(K, K.T, _SYM_TOL * scale):
             raise DomainError("K must be symmetric")
+        # K and its nuisance block (None at q = 0) are inverted once, here, for every
+        # expansion: a K that passes Cholesky can still be singular in floating point
         try:
             np.linalg.cholesky(K)
+            object.__setattr__(self, "_K_inv", np.linalg.inv(K))
+            object.__setattr__(self, "_K11_inv", np.linalg.inv(K[:q, :q]) if q else None)
         except np.linalg.LinAlgError:
             raise DomainError("K must be positive definite") from None
         _check_symmetric_3(k3, [(0, 2, 1), (1, 0, 2), (2, 1, 0)], "k3")
@@ -250,15 +254,10 @@ def _drift_terms(t: CumulantTensors, eps: np.ndarray):
     A = np.zeros((p, p))
     if q == 0:
         return -eps.astype(float), A, _half_quadratic(eps, t.K)
-    K11 = t.K[:q, :q]
     K12 = t.K[:q, q:]
-    K21 = t.K[q:, :q]
-    K11_inv = np.linalg.inv(K11)
-    eff = t.K[q:, q:] - K21 @ K11_inv @ K12
-    lam = _half_quadratic(eps, eff)
-    top = K11_inv @ K12 @ eps
-    A[:q, :q] = K11_inv
-    return np.concatenate([top, -eps]), A, lam
+    lam = _half_quadratic(eps, t.K[q:, q:] - t.K[q:, :q] @ t._K11_inv @ K12)
+    A[:q, :q] = t._K11_inv
+    return np.concatenate([t._K11_inv @ K12 @ eps, -eps]), A, lam
 
 
 def _telescoped(csum, C, cdf, density):
@@ -319,7 +318,6 @@ def composite_coefficients(t: CumulantTensors, eps) -> PowerExpansion:
     """Expansion for a composite null: nuisance block estimated, last p-q tested."""
     e = _validate_eps(t, eps)
     es, A, lam = _drift_terms(t, e)
-    K_inv = np.linalg.inv(t.K)
     k3, k21 = t.k3, t.k21
     k3k21s = _contract_vvv(k3 + 2.0 * k21, es, es, es)  # a term of both a1 and a2
     # first index of the block term runs over the tested coordinates only
@@ -327,12 +325,12 @@ def composite_coefficients(t: CumulantTensors, eps) -> PowerExpansion:
     e_pad[t.q :] = e
 
     a1 = 0.25 * (
-        _contract_mv(k3, K_inv, es)
+        _contract_mv(k3, t._K_inv, es)
         - _contract_mv(4.0 * k21 + 3.0 * k3, A, es)
         - 2.0 * k3k21s
         - 2.0 * _contract_vvv(k3 + k21, e_pad, es, es)
     )
-    a2 = -0.25 * (_contract_mv(k3, K_inv - A, es) - k3k21s)
+    a2 = -0.25 * (_contract_mv(k3, t._K_inv - A, es) - k3k21s)
     a3 = -_contract_vvv(k3, es, es, es) / 12.0
     a0 = -(a1 + a2 + a3)
     return PowerExpansion(f=t.p - t.q, lam=lam, a=(a0, a1, a2, a3))
@@ -348,10 +346,9 @@ def simple_coefficients(t: CumulantTensors, eps) -> PowerExpansion:
         raise DomainError(f"simple_coefficients requires q = 0, got q={t.q}")
     e = _validate_eps(t, eps)
     lam = _half_quadratic(e, t.K)
-    K_inv = np.linalg.inv(t.K)
     k3, k21 = t.k3, t.k21
 
-    kKe = _contract_mv(k3, K_inv, e)
+    kKe = _contract_mv(k3, t._K_inv, e)
     k3e = _contract_vvv(k3, e, e, e)
     k21e = _contract_vvv(k21, e, e, e)
 
@@ -452,10 +449,9 @@ def st_moments(t: CumulantTensors, eps, n) -> MomentSet:
     _check_n(n)
     e = _validate_eps(t, eps)
     es, A, lam = _drift_terms(t, e)
-    K_inv = np.linalg.inv(t.K)
     k3, k21 = t.k3, t.k21
 
-    kKe = _contract_mv(k3, K_inv, es)
+    kKe = _contract_mv(k3, t._K_inv, es)
     kAe = _contract_mv(k3, A, es)
     k21Ae = _contract_mv(k21, A, es)
     k3s = _contract_vvv(k3, es, es, es)

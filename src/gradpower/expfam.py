@@ -213,36 +213,36 @@ def _open_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     return u
 
 
-def _box_muller(u1: np.ndarray, u2: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Normals ``lo..hi-1`` of the Box-Muller layout over the uniform pairs ``(u1, u2)``.
+def _box_muller(r: np.ndarray, ang: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Normals ``lo..hi-1`` of the Box-Muller layout over the pairs' radii and angles.
 
-    Normal ``i`` is ``r cos(a)`` of pair ``i`` below ``m = u1.size`` and ``r sin(a)``
-    of pair ``i - m`` from ``m`` on, with ``r = sqrt(-2 log u1)`` and
-    ``a = 2 pi u2``.  The pairs are drawn in full by the caller, so the stream's
-    consumption is fixed by the layout alone.  Each call forms, in place, the
-    radii and angles of the pairs it first reaches, so the calls on one layout
-    must run in order from ``lo = 0``, each starting at the last one's ``hi``.
+    Normal ``i`` is ``r cos(a)`` of pair ``i`` below ``m = r.size`` and ``r sin(a)``
+    of pair ``i - m`` from ``m`` on, with ``r`` and ``a`` from
+    :func:`_box_muller_pairs`.  The pairs are drawn in full by the caller, so the
+    stream's consumption is fixed by the layout alone; ``r`` and ``ang`` are only
+    read, so any slice may be taken in any order.
     """
-    m = u1.size
+    m = r.size
     z = np.empty(hi - lo)
     if lo < m:
         top = min(hi, m)
-        r, ang = u1[lo:top], u2[lo:top]
-        np.log(r, out=r)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        ang *= 2.0 * math.pi
-        np.multiply(r, np.cos(ang), out=z[:top - lo])
+        np.multiply(r[lo:top], np.cos(ang[lo:top]), out=z[:top - lo])
     if hi > m:
         a = max(lo, m) - m
-        np.multiply(u1[a:hi - m], np.sin(u2[a:hi - m]), out=z[a + m - lo:])
+        np.multiply(r[a:hi - m], np.sin(ang[a:hi - m]), out=z[a + m - lo:])
     return z
 
 
 def _box_muller_pairs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # the (n + 1) // 2 uniform pairs of n Box-Muller normals
+    # the radii sqrt(-2 log u1) and angles 2 pi u2 of the (n + 1) // 2 uniform pairs
+    # of n Box-Muller normals
     m = (n + 1) // 2
-    return _open_unit(rng, m), rng.random(m)
+    r, ang = _open_unit(rng, m), rng.random(m)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    ang *= 2.0 * math.pi
+    return r, ang
 
 
 def _prefix(n: int, take: int | None) -> int:
@@ -280,7 +280,7 @@ def _gamma_unit_rate(
         if filled >= want:
             break
         m = n - filled
-        u1, u2 = _box_muller_pairs(rng, m)
+        r, ang = _box_muller_pairs(rng, m)
         u_round = _open_unit(rng, m)
         lo = 0
         while lo < m and filled < want:
@@ -288,7 +288,7 @@ def _gamma_unit_rate(
             # rate (about 95%, at shape one) nearly always covers
             need = want - filled
             hi = min(m, lo + need + (need >> 4) + 64)
-            z, u = _box_muller(u1, u2, lo, hi), u_round[lo:hi]
+            z, u = _box_muller(r, ang, lo, hi), u_round[lo:hi]
             lo = hi
             v = (1.0 + c * z) ** 3
             pos = v > 0.0
@@ -1013,8 +1013,11 @@ def _mle_from_dbars(model: ExpFamModel, d_bar: np.ndarray) -> np.ndarray:
 
 
 def checked_data(model: ExpFamModel, data) -> np.ndarray:
-    """``data`` as a float array, refused if empty or outside the model's support."""
-    x = np.asarray(data, dtype=float)
+    """``data`` as a float array, refused if not real numbers, empty or outside the support."""
+    try:
+        x = np.asarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric or too large
+        raise DomainError(f"data must be real numbers: {exc}") from None
     if x.size == 0:
         raise DomainError("data must be nonempty")
     if not model.support.contains(x):
@@ -1024,10 +1027,19 @@ def checked_data(model: ExpFamModel, data) -> np.ndarray:
     return x
 
 
+def _data_dbar(model: ExpFamModel, x: np.ndarray) -> float:
+    """The mean of ``d`` over checked data ``x``, with numpy's float warnings off.
+
+    ``d`` of extreme data may overflow; the estimate then refuses the
+    non-finite mean by name, so the warning would only come before the refusal.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return float(np.mean(model.d(x)))
+
+
 def mle(model: ExpFamModel, data) -> float:
     """Maximum likelihood estimate of theta from observations."""
-    x = checked_data(model, data)
-    return mle_from_dbar(model, float(np.mean(model.d(x))))
+    return mle_from_dbar(model, _data_dbar(model, checked_data(model, data)))
 
 
 def sample(

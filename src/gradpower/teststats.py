@@ -26,7 +26,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import GradpowerError
-from .expfam import ExpFamModel, checked_data, mle_from_dbar
+from .expfam import ExpFamModel, _data_dbar, checked_data, mle_from_dbar
 from .specfun import central_chisq_cdf  # noqa: F401 (unused; perfbench/tracing.py wraps it)
 from .specfun import central_chisq_sf
 
@@ -98,7 +98,7 @@ def compute_statistics(model: ExpFamModel, data, theta0: float) -> TestResult:
     """All four statistics and their chi-square(1) p-values for H0: theta = theta0."""
     model.require_theta(theta0)
     x = checked_data(model, data)
-    d_bar = float(np.mean(model.d(x)))
+    d_bar = _data_dbar(model, x)
     try:
         theta_hat, s = statistics_from_dbar(model, theta0, d_bar, x.size)
     except (ZeroDivisionError, OverflowError):  # a term past the float range
@@ -125,7 +125,7 @@ def compute_statistics_generic(
     model.require_theta(theta0)
     x = checked_data(model, data)
     n = x.size
-    theta_hat = mle_from_dbar(model, float(np.mean(model.d(x))))
+    theta_hat = mle_from_dbar(model, _data_dbar(model, x))
 
     def log_terms(theta):
         return -model.log_zeta(theta) - model.alpha(theta) * model.d(x) + model.v(x)

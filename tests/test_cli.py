@@ -1,5 +1,6 @@
 """Command-line interface: formats, determinism, exit codes."""
 
+import ast
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gradpower
@@ -307,6 +309,52 @@ class TestExpandCommand:
         assert "# mean_mixture=" in out and "# mean_literal=" in out
         _, rows = _csv_rows(out)
         assert float(rows[0]["cdf"]) == pytest.approx(0.72838988136047963, abs=1e-10)
+
+    @pytest.mark.parametrize("q, eps", [(0, "0.5,0.5"), (1, "0.5")])
+    def test_k_that_cannot_be_inverted_is_a_domain_error(self, capsys, tmp_path, q, eps):
+        # positive definite to Cholesky, singular to LU: refused when the tensors are
+        # built, not as a numeric failure from numpy's LinAlgError
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps({
+            "p": 2, "q": q, "k3": [[[0.0] * 2] * 2] * 2, "k21": [[[0.0] * 2] * 2] * 2,
+            "K": [[7.346861336999952, 2.2874649389799337],
+                  [2.2874649389799337, 0.7122083304758725]]}))
+        code, out, err = _capture(
+            capsys, ["expand", "--tensors", str(path), "--eps", eps, "--n", "50", "--x", "1"])
+        assert (code, out) == (2, "")
+        assert err == f"domain error: {path}: K must be positive definite\n"
+
+    def test_failed_inverse_is_a_domain_error(self, capsys, monkeypatch):
+        # the same refusal where numpy's inverse itself raises, whatever LAPACK decides
+        def failing(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", failing)
+        path = Path(__file__).with_name("normal_composite_tensors.json")
+        code, out, err = _capture(
+            capsys, ["expand", "--tensors", str(path), "--eps", "0.5", "--n", "50", "--x", "1"])
+        assert (code, out) == (2, "")
+        assert err == f"domain error: {path}: K must be positive definite\n"
+
+    @pytest.mark.parametrize("q, eps, inverses", [(0, "0.5,0.5", 1), (1, "0.5", 2)])
+    def test_one_command_inverts_each_matrix_once(self, capsys, monkeypatch, tmp_path,
+                                                  q, eps, inverses):
+        # K once, and the nuisance block once at q > 0
+        doc = json.loads(Path(__file__).with_name("normal_composite_tensors.json").read_text())
+        path = tmp_path / "tensors.json"
+        path.write_text(json.dumps({**doc, "q": q}))
+        calls = []
+        inv = np.linalg.inv
+
+        def counting(a):
+            calls.append(a.shape)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        code, _, err = _capture(
+            capsys, ["expand", "--tensors", str(path), "--eps", eps, "--n", "50", "--x", "1,2"])
+        assert (code, err) == (0, "")
+        assert len(calls) == inverses
 
     def test_builds_one_expansion(self, capsys, tensor_file, monkeypatch):
         built = []
@@ -949,6 +997,29 @@ class TestCliContract:
             want = _capture(capsys, ["power", *GAMMA_ARGS, "--eps", "0.5", "--n", "50",
                                      "--alpha", "0.05"])[1]
             assert got[1] == want.replace("fixed=k=2 ", "fixed=k=2, ")
+
+    @pytest.mark.parametrize("model", ["gamma", "tev"])
+    @pytest.mark.parametrize("fixed", ["=2", "k=2, =3", " = 2"])
+    def test_empty_fixed_key_is_usage_error(self, capsys, model, fixed):
+        # refused while parsing: the model's own refusal would name another fault, a
+        # missing k for gamma and a constant named '' for tev
+        entry = fixed.split(",")[-1].strip()
+        code, out, err = _capture(capsys, ["power", "--model", model, "--fixed", fixed,
+                                           "--theta0", "1", "--eps", "0.5", "--n", "50",
+                                           "--alpha", "0.05"])
+        assert (code, out) == (1, "")
+        assert err == f"usage error: --fixed entry {entry!r} must look like key=value\n"
+
+    def test_cli_module_uses_no_numpy(self):
+        # the CLI formats and catches only the package's own values and errors
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        imported += [node.module or "" for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)]
+        assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not names & {"np", "numpy"}
 
     @pytest.mark.parametrize("argv", [
         ["power", *GAMMA_ARGS, "--eps", "0.5", "--alpha", "0.05"],

@@ -604,6 +604,61 @@ class TestTensorValidation:
             dataclasses.replace(t, p=2, q=1), [0.5])
 
 
+# positive definite to Cholesky, yet LU finds an exactly zero pivot: np.linalg.inv
+# raises "Singular matrix" for it
+SINGULAR_K = [[7.346861336999952, 2.2874649389799337],
+              [2.2874649389799337, 0.7122083304758725]]
+
+
+def _tensors(K, q):
+    return CumulantTensors(p=2, q=q, K=K, k3=np.zeros((2, 2, 2)), k21=np.zeros((2, 2, 2)))
+
+
+class TestInverses:
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_k_that_passes_cholesky_but_cannot_be_inverted(self, q):
+        np.linalg.cholesky(np.array(SINGULAR_K))
+        with pytest.raises(DomainError, match="^K must be positive definite$"):
+            _tensors(SINGULAR_K, q)
+
+    @pytest.mark.parametrize("q, fails_at", [(0, 1), (1, 1), (1, 2)])
+    def test_any_failed_inverse_is_refused(self, monkeypatch, q, fails_at):
+        # without relying on LAPACK: the inverse of K (call 1), or of the nuisance
+        # block (call 2), raises numpy's LinAlgError, and the tensors refuse K
+        calls = []
+        inv = np.linalg.inv
+
+        def failing(a):
+            calls.append(a)
+            if len(calls) == fails_at:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", failing)
+        with pytest.raises(DomainError, match="^K must be positive definite$"):
+            _tensors(np.eye(2), q)
+        assert len(calls) == fails_at
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_every_expansion_reads_the_stored_inverses(self, monkeypatch, q):
+        t = _tensors([[2.0, 0.5], [0.5, 1.0]], q)
+        assert np.array_equal(t._K_inv, np.linalg.inv(t.K))
+        if q:
+            assert np.array_equal(t._K11_inv, np.linalg.inv(t.K[:1, :1]))
+        else:
+            assert t._K11_inv is None
+
+        def refused(a):
+            raise AssertionError("an expansion inverted a matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", refused)
+        eps = [0.5] * (2 - q)
+        composite_coefficients(t, eps)
+        st_moments(t, eps, 50)
+        if q == 0:
+            simple_coefficients(t, eps)
+
+
 class TestEquivalenceFlags:
     def test_flags_on_catalog_models(self):
         nm = tensors_from_cumulants(cumulants(catalog_model("normal-mean", {"theta": 1.0}), 0.5))

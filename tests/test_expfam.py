@@ -501,6 +501,20 @@ class TestSampling:
         assert np.array_equal(got, concatenated(want_rng, n))
         assert got_rng.random() == want_rng.random()
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 904, 4096])
+    def test_box_muller_slices_in_any_order(self, n):
+        # the layout is a pure function of the radii and angles: slices taken out of
+        # order equal the in-order ones and leave both arrays as they were
+        r, ang = expfam._box_muller_pairs(Generator(Philox(key=[29, n])), n)
+        r0, ang0 = r.copy(), ang.copy()
+        whole = expfam._box_muller(r, ang, 0, n)
+        cuts = sorted({0, n, n // 3, (n + 1) // 2, 2 * n // 3})
+        pieces = list(zip(cuts, cuts[1:]))
+        for lo, hi in reversed(pieces):
+            assert np.array_equal(expfam._box_muller(r, ang, lo, hi), whole[lo:hi])
+        assert np.array_equal(expfam._box_muller(r, ang, 0, n), whole)
+        assert np.array_equal(r, r0) and np.array_equal(ang, ang0)
+
     def test_stream_determinism(self):
         m = catalog_model("gamma", {"k": 2.0})
         a = sample(m, 1.0, 16, Generator(Philox(key=[9, 3])))

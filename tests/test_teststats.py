@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -11,7 +12,7 @@ from scipy import integrate
 from scipy.stats import chi2
 
 from gradpower.errors import DomainError, EstimationError, GradpowerError
-from gradpower.expfam import catalog_model, mle_from_dbar, sample
+from gradpower.expfam import catalog_model, mle, mle_from_dbar, sample
 from gradpower.teststats import (
     TestKind,
     compute_statistics,
@@ -294,6 +295,30 @@ class TestValidation:
         assert type(info.value) is GradpowerError
         assert str(info.value) == ("statistics of 'normal-mean' leave the float range at "
                                    "theta0=10000000000.0, dbar=1.5")
+
+    @pytest.mark.parametrize("data", [
+        ["a", 1.0], [[1.0, 2.0], [3.0]], [1 + 2j, 1.0], {"x": 1}, [10 ** 400, 1.0],
+    ], ids=["string", "ragged", "complex", "dict", "huge-int"])
+    @pytest.mark.parametrize("estimate", [
+        lambda model, data: compute_statistics(model, data, 1.0),
+        lambda model, data: mle(model, data),
+    ], ids=["compute_statistics", "mle"])
+    def test_data_that_are_not_real_numbers_are_a_domain_error(self, estimate, data):
+        # refused by name, never with numpy's own ValueError, TypeError or OverflowError
+        with pytest.raises(DomainError, match="^data must be real numbers: "):
+            estimate(catalog_model("gamma", {"k": 2.0}), data)
+
+    @pytest.mark.parametrize("estimate", [
+        lambda model, data: compute_statistics(model, data, 1.0),
+        lambda model, data: mle(model, data),
+    ], ids=["compute_statistics", "mle"])
+    def test_overflowing_d_is_refused_without_a_warning(self, estimate):
+        # tev's d(x) = expm1(x) overflows at x = 800: the mean is refused by name, and
+        # numpy's overflow warning is not raised on the way, even as an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match="^non-finite sufficient-statistic mean inf$"):
+                estimate(catalog_model("tev"), [800.0, 1.0])
 
     def test_generic_route_validates_like_the_dbar_route(self):
         model = catalog_model("power", {"phi": 2.0})
