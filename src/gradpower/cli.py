@@ -147,19 +147,29 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="gradpower", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"gradpower {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="{model,stat,power,order,expand,simulate}")
+    # the flags that several subcommands take, each declared once
+    shared = {
+        "--output": dict(default=None, help="write output to this file"),
+        "--alpha": dict(type=float, required=True, help="nominal size"),
+        "--source": dict(choices=sorted(_SOURCE_FLAG), default="consistent",
+                         help="gradient leading-coefficient convention"),
+    }
+
+    def add_shared(p, flag):
+        p.add_argument(flag, **shared[flag])
 
     def add_common(p):
         p.add_argument("--model", required=True, choices=CATALOG_NAMES,
                        help="catalog model name")
         p.add_argument("--fixed", default="",
                        help="fixed constants as key=value[,key=value...]")
-        p.add_argument("--output", default=None, help="write output to this file")
+        add_shared(p, "--output")
         p.add_argument("--theta0", type=float, required=True, help="null parameter value")
 
     p_model = sub.add_parser("model", help="list catalog models or show one")
     p_model.add_argument("action", choices=["list", "info"], help="what to show")
     p_model.add_argument("name", nargs="?", default=None, help="model name for 'info'")
-    p_model.add_argument("--output", default=None, help="write output to this file")
+    add_shared(p_model, "--output")
 
     p_stat = sub.add_parser("stat", help="test statistics from a data file")
     add_common(p_stat)
@@ -172,17 +182,15 @@ def _build_parser() -> _Parser:
     p_power.add_argument("--eps", required=True,
                          help="drift: number, start:stop:step, or 'grid' (0:2:0.1)")
     p_power.add_argument("--n", type=int, required=True, help="sample size")
-    p_power.add_argument("--alpha", type=float, required=True, help="nominal size")
-    p_power.add_argument("--source", choices=sorted(_SOURCE_FLAG), default="consistent",
-                         help="gradient leading-coefficient convention")
+    add_shared(p_power, "--alpha")
+    add_shared(p_power, "--source")
 
     p_order = sub.add_parser("order", help="power ordering with sign certificates")
     add_common(p_order)
-    p_order.add_argument("--alpha", type=float, required=True, help="nominal size")
+    add_shared(p_order, "--alpha")
     p_order.add_argument("--direction", choices=["above", "below"], required=True,
                          help="side of the alternative")
-    p_order.add_argument("--source", choices=sorted(_SOURCE_FLAG), default="consistent",
-                         help="gradient leading-coefficient convention")
+    add_shared(p_order, "--source")
     p_order.add_argument("--eps-grid", default=",".join(f"{e:g}" for e in _DEFAULT_EPS_GRID),
                          help="comma list of positive drift magnitudes")
 
@@ -192,14 +200,14 @@ def _build_parser() -> _Parser:
     p_expand.add_argument("--n", type=int, required=True, help="sample size")
     p_expand.add_argument("--x", required=True,
                           help="evaluation points: number, list, or start:stop:step")
-    p_expand.add_argument("--output", default=None, help="write output to this file")
+    add_shared(p_expand, "--output")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo size/power experiment")
     add_common(p_sim)
     p_sim.add_argument("--eps", type=float, required=True, help="drift")
     p_sim.add_argument("--n", type=int, required=True, help="per-replicate sample size")
     p_sim.add_argument("--reps", type=int, required=True, help="replicate count")
-    p_sim.add_argument("--alpha", type=float, required=True, help="nominal size")
+    add_shared(p_sim, "--alpha")
     p_sim.add_argument("--seed", type=int, required=True, help="stream seed")
     p_sim.add_argument("--compare-sources", action="store_true",
                        help="predict power under both coefficient conventions")
@@ -284,12 +292,9 @@ def _cmd_order(args) -> list[str]:
 def _cmd_expand(args) -> list[str]:
     tensors = load_tensor_file(args.tensors)
     eps = _parse_grid(args.eps, "--eps")
-    if len(eps) != tensors.p - tensors.q:
-        raise DomainError(
-            f"--eps must supply {tensors.p - tensors.q} component(s), got {len(eps)}"
-        )
-    xs = _parse_grid(args.x, "--x")
+    # refuses an eps of the wrong length before --x is read
     expansion = composite_coefficients(tensors, eps)
+    xs = _parse_grid(args.x, "--x")
     moments = st_moments(tensors, eps, args.n)
     lines = _config_header("expand", [
         ("tensors", args.tensors), ("eps", args.eps), ("n", args.n), ("x", args.x),

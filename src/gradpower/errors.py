@@ -37,8 +37,10 @@ def _check_float_size(name: str, value) -> None:
 
 
 def _check_sample_size(value) -> None:
-    # an integer up to the largest float, a whole float and inf pass; 50.5, NaN,
-    # True and 10**400 do not
+    # the n of every second-order evaluation: a positive integer up to the largest
+    # float, whole float or inf; 50.5, NaN, True, 10**400, 0 and -inf do not pass
     if not (isinstance(value, float) and (value.is_integer() or math.isinf(value))):
         _check_integer("n", value)
         _check_float_size("n", value)
+    if not (value > 0):
+        raise DomainError(f"n must be positive, got {value}")

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import _FLOAT_MAX, DomainError, GradpowerError, _check_float_size, _check_integer
 from .errors import _check_sample_size
-from .expfam import CumulantSet
+from .expfam import CumulantSet, _real_array
 from .specfun import ChiSquareParams, _check_noncentrality, _clamped_mixture, _mixture_grid
 from .specfun import _nc_chisq1_densities, nc_chisq1_tails, nc_chisq_mixture
 from .specfun import nc_chisq_cdf  # noqa: F401 (unused; perfbench/tracing.py wraps it)
@@ -69,18 +69,15 @@ _SYM_TOL = 1e-12
 # relative tolerance of power_equivalence_flags: a cumulant this small against
 # the largest one counts as zero
 _EQUIV_TOL = 1e-12
-
-
-def _check_symmetric_3(t: np.ndarray, perms, label: str) -> None:
-    scale = max(1.0, float(np.max(np.abs(t))) if t.size else 1.0)
-    for perm in perms:
-        if not _close(t, np.transpose(t, perm), _SYM_TOL * scale):
-            raise DomainError(f"{label} is not symmetric under axis order {perm}")
-
-
-def _close(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
-    # np.allclose(a, b, rtol=0, atol=atol) for the finite arrays checked before it
-    return bool(np.all(np.abs(a - b) <= atol))
+_FULL_SYMMETRY = ((0, 2, 1), (1, 0, 2), (2, 1, 0))
+# each array's rank and the axis orders it must be symmetric under, within
+# _SYM_TOL of its largest entry (or of 1)
+_TENSOR_RULES = {
+    "K": (2, ((1, 0),)),
+    "k3": (3, _FULL_SYMMETRY),
+    "k21": (3, ((0, 2, 1),)),
+    "k111": (3, _FULL_SYMMETRY),
+}
 
 
 @dataclass(frozen=True)
@@ -92,6 +89,10 @@ class CumulantTensors:
     the last two indices, first index is the singly-differentiated one), and
     the optional ``k111`` the third score cumulants (fully symmetric).  The
     first ``q`` coordinates are the nuisance block.
+
+    After ``p`` and ``q``, each array in turn must be real numbers of its shape,
+    finite and symmetric as ``_TENSOR_RULES`` says; K must then be positive
+    definite, with a finite inverse and, at q > 0, a finite nuisance-block inverse.
     """
 
     p: int
@@ -108,44 +109,36 @@ class CumulantTensors:
             raise DomainError(f"p must be >= 1, got {self.p}")
         if not (0 <= self.q < self.p):
             raise DomainError(f"q must satisfy 0 <= q < p, got q={self.q}, p={self.p}")
-        K = np.asarray(self.K, dtype=float)
-        k3 = np.asarray(self.k3, dtype=float)
-        k21 = np.asarray(self.k21, dtype=float)
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "k3", k3)
-        object.__setattr__(self, "k21", k21)
         p, q = self.p, self.q
-        if K.shape != (p, p):
-            raise DomainError(f"K must have shape ({p}, {p}), got {K.shape}")
-        if k3.shape != (p, p, p) or k21.shape != (p, p, p):
-            raise DomainError(f"k3 and k21 must have shape ({p}, {p}, {p})")
-        arrays = {"K": K, "k3": k3, "k21": k21}
-        if self.k111 is not None:
-            k111 = np.asarray(self.k111, dtype=float)
-            object.__setattr__(self, "k111", k111)
-            if k111.shape != (p, p, p):
-                raise DomainError(f"k111 must have shape ({p}, {p}, {p})")
-            arrays["k111"] = k111
-        # a NaN or inf entry would otherwise fail a symmetry check or a later step
-        # under another name
-        for name, a in arrays.items():
+        for name, (rank, orders) in _TENSOR_RULES.items():
+            value = getattr(self, name)
+            if value is None and name == "k111":  # the one optional array
+                continue
+            a = _real_array(name, value)
+            if a.shape != (p,) * rank:
+                raise DomainError(f"{name} must have shape {(p,) * rank}, got {a.shape}")
+            # a NaN or inf entry would otherwise fail a symmetry check or a later step
+            # under another name
             if not np.all(np.isfinite(a)):
                 raise DomainError(f"{name} must be finite")
-        scale = max(1.0, float(np.max(np.abs(K))))
-        if not _close(K, K.T, _SYM_TOL * scale):
-            raise DomainError("K must be symmetric")
+            atol = _SYM_TOL * max(1.0, float(np.max(np.abs(a))))
+            for order in orders:
+                if not np.all(np.abs(a - np.transpose(a, order)) <= atol):
+                    raise DomainError(f"{name} must be symmetric under axis order {order}")
+            object.__setattr__(self, name, a)
         # K and its nuisance block (None at q = 0) are inverted once, here, for every
-        # expansion: a K that passes Cholesky can still be singular in floating point
+        # expansion: a K that passes Cholesky can still be singular in floating point,
+        # or so near it that an inverse overflows to inf
         try:
-            np.linalg.cholesky(K)
-            object.__setattr__(self, "_K_inv", np.linalg.inv(K))
-            object.__setattr__(self, "_K11_inv", np.linalg.inv(K[:q, :q]) if q else None)
+            np.linalg.cholesky(self.K)
+            K_inv = np.linalg.inv(self.K)
+            K11_inv = np.linalg.inv(self.K[:q, :q]) if q else None
         except np.linalg.LinAlgError:
             raise DomainError("K must be positive definite") from None
-        _check_symmetric_3(k3, [(0, 2, 1), (1, 0, 2), (2, 1, 0)], "k3")
-        _check_symmetric_3(k21, [(0, 2, 1)], "k21")
-        if self.k111 is not None:
-            _check_symmetric_3(self.k111, [(0, 2, 1), (1, 0, 2), (2, 1, 0)], "k111")
+        if not all(np.isfinite(a).all() for a in (K_inv, K11_inv) if a is not None):
+            raise DomainError("K and its nuisance block must have finite inverses")
+        object.__setattr__(self, "_K_inv", K_inv)
+        object.__setattr__(self, "_K11_inv", K11_inv)
 
 
 @dataclass(frozen=True)
@@ -189,7 +182,7 @@ class PowerExpansion:
         mean, which carries the noncentrality once; simulation arbitrates
         between the two (see the montecarlo module).
         """
-        _check_n(n)
+        _check_sample_size(n)
         a = self.a
         return self.f + 2.0 * self.lam + 2.0 * _inv_sqrt(n) * (a[1] + 2.0 * a[2] + 3.0 * a[3])
 
@@ -280,13 +273,6 @@ def _weights(coeffs):
     return 0.0 + c0 + c1 + c2 + c3, (c1 + c2 + c3, c2 + c3, c3)
 
 
-def _check_n(n) -> None:
-    # the sample size of every second-order evaluation: positive, possibly inf
-    _check_sample_size(n)
-    if not (n > 0):
-        raise DomainError(f"n must be positive, got {n}")
-
-
 def _inv_sqrt(n) -> float:
     # the n^-1/2 factor of the second-order term; 0 at n = inf
     return 0.0 if math.isinf(n) else 1.0 / math.sqrt(n)
@@ -306,7 +292,7 @@ def _check_drift(eps) -> None:
 
 
 def _validate_eps(t: CumulantTensors, eps) -> np.ndarray:
-    e = np.asarray(eps, dtype=float).reshape(-1)
+    e = _real_array("eps", eps).reshape(-1)
     if e.size != t.p - t.q:
         raise DomainError(f"eps must have length p - q = {t.p - t.q}, got {e.size}")
     if not np.all(np.isfinite(e)):
@@ -411,7 +397,7 @@ def _settled(n, x):
     # the value at an x that needs no CDF, or None where it needs one
     if math.isnan(x):
         raise DomainError("x must not be NaN")
-    _check_n(n)
+    _check_sample_size(n)
     if x <= 0.0:
         # the distribution lives on [0, inf)
         return ClampedProbability(0.0, 0.0, False)
@@ -446,7 +432,7 @@ def st_moments(t: CumulantTensors, eps, n) -> MomentSet:
     through the CDF-mixture weights is
     ``composite_coefficients(t, eps).mixture_mean(n)``.
     """
-    _check_n(n)
+    _check_sample_size(n)
     e = _validate_eps(t, eps)
     es, A, lam = _drift_terms(t, e)
     k3, k21 = t.k3, t.k21
@@ -517,11 +503,7 @@ def load_tensor_file(path) -> CumulantTensors:
     # a whole JSON float such as 2.0 is its integer; CumulantTensors refuses any other non-integer
     counts = {name: int(doc[name]) if type(doc[name]) is float and doc[name].is_integer()
               else doc[name] for name in ("p", "q")}
-    try:
-        arrays = {name: np.asarray(doc[name], dtype=float)
-                  for name in ("K", "k3", "k21", "k111") if name in doc}
-    except (TypeError, ValueError) as exc:  # a ragged or non-numeric array
-        raise DomainError(f"{path}: malformed tensor arrays: {exc}") from None
+    arrays = {name: doc[name] for name in ("K", "k3", "k21", "k111") if name in doc}
     try:
         return CumulantTensors(**counts, **arrays)
     except DomainError as exc:

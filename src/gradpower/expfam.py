@@ -40,6 +40,7 @@ support, log zeta, a ``draw``); the two mean-tested normals bind every field.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Mapping, NamedTuple
@@ -860,8 +861,10 @@ def _checked_fixed(name: str, entry: _Entry, fixed: Mapping) -> dict[str, float]
     if key not in fixed:
         raise DomainError(f"model {name!r} requires fixed constant {key!r}")
     try:
+        if not isinstance(fixed[key], numbers.Real):  # float() would parse "2" or b"2"
+            raise TypeError
         val = float(fixed[key])
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, OverflowError):
         raise DomainError(f"fixed constant {key}={fixed[key]!r} must be a real number") from None
     if not math.isfinite(val):
         raise DomainError(f"fixed constant {key}={fixed[key]} must be finite")
@@ -1012,12 +1015,31 @@ def _mle_from_dbars(model: ExpFamModel, d_bar: np.ndarray) -> np.ndarray:
     return theta if ok.all() else np.where(ok, theta, math.nan)
 
 
+def _real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array: the one conversion of a caller's array.
+
+    Bool, integer and float arrays, and object arrays of real numbers (integers
+    past int64 among them), convert as ``np.asarray(value, dtype=float)`` would.
+    Strings, bytes, complex numbers, ragged nesting, a dict, None and an integer
+    past the float range are refused by ``name``, where numpy would parse the
+    text, drop the imaginary part with a warning or raise its own error.
+    """
+    try:
+        a = np.asarray(value)
+        if a.dtype.kind == "O":  # no common numpy type: each element must be a real number
+            for v in a.flat:
+                if not isinstance(v, numbers.Real):
+                    raise TypeError(f"got a {type(v).__name__}")
+        elif a.dtype.kind not in "biuf":
+            raise TypeError(f"got {a.dtype} values")
+        return a.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric or too large
+        raise DomainError(f"{name} must be real numbers: {exc}") from None
+
+
 def checked_data(model: ExpFamModel, data) -> np.ndarray:
     """``data`` as a float array, refused if not real numbers, empty or outside the support."""
-    try:
-        x = np.asarray(data, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric or too large
-        raise DomainError(f"data must be real numbers: {exc}") from None
+    x = _real_array("data", data)
     if x.size == 0:
         raise DomainError("data must be nonempty")
     if not model.support.contains(x):

@@ -140,8 +140,6 @@ class PowerQuery:
         self.model.require_theta(self.theta0)
         _check_alpha(self.alpha)
         _check_sample_size(self.n)
-        if not (self.n >= 1):
-            raise DomainError(f"n must be >= 1, got {self.n}")
         self._check_alternative()
 
     def _check_alternative(self) -> None:

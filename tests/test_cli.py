@@ -396,7 +396,29 @@ class TestExpandCommand:
             capsys,
             ["expand", "--tensors", tensor_file, "--eps", "1,2", "--n", "50", "--x", "1"],
         )
-        assert code == 2 and "--eps" in err
+        assert (code, err) == (2, "domain error: eps must have length p - q = 1, got 2\n")
+
+    def test_eps_length_is_reported_before_a_bad_x(self, capsys, tensor_file):
+        code, _, err = _capture(
+            capsys,
+            ["expand", "--tensors", tensor_file, "--eps", "1,2", "--n", "50", "--x", "one"],
+        )
+        assert (code, err) == (2, "domain error: eps must have length p - q = 1, got 2\n")
+
+    @pytest.mark.parametrize("K, q", [([[1e-320]], 0), ([[1e-320, 0.0], [0.0, 1.0]], 1)],
+                             ids=["K", "nuisance-block"])
+    def test_k_whose_inverse_is_not_finite_is_a_domain_error(self, capsys, tmp_path, K, q):
+        p = len(K)
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps({"p": p, "q": q, "K": K, "k3": np.zeros((p, p, p)).tolist(),
+                                    "k21": np.zeros((p, p, p)).tolist()}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _capture(
+                capsys, ["expand", "--tensors", str(path), "--eps", "0.5", "--n", "50",
+                         "--x", "1"])
+        assert (code, out) == (2, "")
+        assert err == f"domain error: {path}: K and its nuisance block must have finite inverses\n"
 
     def test_missing_file(self, capsys):
         code, _, err = _capture(
@@ -438,7 +460,7 @@ class TestExpandCommand:
         ("q", 1.5, "q must be an integer, got 1.5"),
         ("p", 2.9, "p must be an integer, got 2.9"),
         ("q", True, "q must be an integer, got True"),
-        ("K", [[1.0, 0.5], [0.0, 1.0]], "K must be symmetric"),
+        ("K", [[1.0, 0.5], [0.0, 1.0]], "K must be symmetric under axis order (1, 0)"),
     ])
     def test_bad_tensor_file_field_is_named(self, capsys, tmp_path, field, value, message):
         # a fractional or bool count is refused, not truncated into another model, and a

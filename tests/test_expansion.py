@@ -7,6 +7,7 @@ import math
 import random
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -18,7 +19,7 @@ from scipy.stats import chi2, nct, norm
 
 from gradpower import expansion, specfun
 from gradpower.errors import DomainError, GradpowerError
-from gradpower.expfam import CumulantSet, catalog_model, cumulants
+from gradpower.expfam import CumulantSet, catalog_model, checked_data, cumulants, mle
 from gradpower.expansion import (
     CumulantTensors,
     cdf_expansion,
@@ -36,6 +37,7 @@ from gradpower.specfun import (
     central_chisq_quantile,
     nc_chisq_cdf,
 )
+from gradpower.teststats import compute_statistics
 
 from helpers import CATALOG_FIXED, random_tensors
 
@@ -558,9 +560,9 @@ class TestTensorValidation:
 
     @pytest.mark.parametrize("p,k3,k21,k111,message", [
         (0, (0, 0, 0), (0, 0, 0), None, "p must be >= 1, got 0"),
-        (2, (2, 2), (2, 2, 2), None, r"k3 and k21 must have shape \(2, 2, 2\)"),
-        (2, (2, 2, 2), (2, 2, 3), None, r"k3 and k21 must have shape \(2, 2, 2\)"),
-        (2, (2, 2, 2), (2, 2, 2), (2, 2), r"k111 must have shape \(2, 2, 2\)"),
+        (2, (2, 2), (2, 2, 2), None, r"k3 must have shape \(2, 2, 2\), got \(2, 2\)"),
+        (2, (2, 2, 2), (2, 2, 3), None, r"k21 must have shape \(2, 2, 2\), got \(2, 2, 3\)"),
+        (2, (2, 2, 2), (2, 2, 2), (2, 2), r"k111 must have shape \(2, 2, 2\), got \(2, 2\)"),
     ])
     def test_bad_dimension_or_shape(self, p, k3, k21, k111, message):
         with pytest.raises(DomainError, match=f"^{message}$"):
@@ -658,6 +660,23 @@ class TestInverses:
         if q == 0:
             simple_coefficients(t, eps)
 
+    @pytest.mark.parametrize("call", [
+        lambda t: composite_coefficients(t, [0.5]),
+        lambda t: st_moments(t, [0.5], 50),
+    ], ids=["composite_coefficients", "st_moments"])
+    @pytest.mark.parametrize("K, q", [([[1e-320]], 0), ([[1e-320, 0.0], [0.0, 1.0]], 1)],
+                             ids=["K", "nuisance-block"])
+    def test_k_whose_inverse_is_not_finite_is_refused(self, call, K, q):
+        # Cholesky accepts a subnormal K11, and numpy inverts it to inf without raising;
+        # the tensors refuse it by K's name, before any moment or noncentrality is formed
+        p = len(K)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError,
+                               match="^K and its nuisance block must have finite inverses$"):
+                call(CumulantTensors(p=p, q=q, K=K, k3=np.zeros((p, p, p)),
+                                     k21=np.zeros((p, p, p))))
+
 
 class TestEquivalenceFlags:
     def test_flags_on_catalog_models(self):
@@ -737,7 +756,7 @@ class TestTensorFile:
         ("q", True, "q must be an integer, got True"),
         ("p", "2", "p must be an integer, got '2'"),
         ("q", None, "q must be an integer, got None"),
-        ("K", [[1.0, 0.0], [1.0, 1.0]], "K must be symmetric"),
+        ("K", [[1.0, 0.0], [1.0, 1.0]], "K must be symmetric under axis order (1, 0)"),
         ("K", [[1.0, 0.0], [0.0, -1.0]], "K must be positive definite"),
         ("K", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "K must have shape (2, 2), got (2, 3)"),
     ])
@@ -749,7 +768,7 @@ class TestTensorFile:
 
     def test_ragged_array_is_malformed(self, tmp_path):
         path = _edited_fixture(tmp_path, K=[[1.0, 0.0], [1.0]])
-        with pytest.raises(DomainError, match="^" + re.escape(f"{path}: malformed tensor arrays: ")):
+        with pytest.raises(DomainError, match="^" + re.escape(f"{path}: K must be real numbers: ")):
             load_tensor_file(path)
 
     def test_whole_float_counts_load(self, tmp_path):
@@ -767,6 +786,91 @@ class TestTensorFile:
         )
         with pytest.raises(DomainError, match="k3"):
             load_tensor_file(path)
+
+
+def _tensors_with(name, value):
+    # valid p = 2 tensors with one array replaced
+    arrays = {"K": np.eye(2), "k3": np.zeros((2, 2, 2)), "k21": np.zeros((2, 2, 2)),
+              "k111": np.zeros((2, 2, 2))}
+    arrays[name] = value
+    return CumulantTensors(p=2, q=0, **arrays)
+
+
+# every entry point that takes an array from its caller, with the name it refuses it by
+OUTSIDE_ARRAYS = {
+    "compute_statistics": ("data", lambda v: compute_statistics(
+        catalog_model("gamma", {"k": 2.0}), v, 1.0)),
+    "mle": ("data", lambda v: mle(catalog_model("gamma", {"k": 2.0}), v)),
+    **{f"CumulantTensors-{name}": (name, lambda v, name=name: _tensors_with(name, v))
+       for name in ("K", "k3", "k21", "k111")},
+    "composite_coefficients": ("eps", lambda v: composite_coefficients(gamma_tensors(), v)),
+    "st_moments": ("eps", lambda v: st_moments(gamma_tensors(), v, 50)),
+}
+
+NOT_REAL = {
+    "string": ["a", 1.0],
+    "text": "12",
+    "bytes": b"12",
+    "complex": [1 + 2j, 1.0],
+    "complex-array": np.array([1 + 2j, 2.0]),
+    "ragged": [[1.0, 2.0], [3.0]],
+    "dict": {"x": 1},
+    "huge-int": [10 ** 400, 1.0],
+}
+# the values a JSON tensor file can hold
+JSON_NOT_REAL = ("string", "text", "ragged", "dict", "huge-int")
+
+REAL = {
+    "ints": [1, 2, 3],
+    "2**70": 2 ** 70,
+    "float32": np.float32([0.1, 2.5]),
+    "bools": [True, False],
+    "nested": [[1, 2.5], [3, 4]],
+}
+
+
+class TestOutsideArrays:
+    """One conversion, and one refusal, for every array a caller passes in."""
+
+    @pytest.mark.parametrize("value", NOT_REAL.values(), ids=NOT_REAL.keys())
+    @pytest.mark.parametrize("entry", sorted(OUTSIDE_ARRAYS))
+    def test_values_that_are_not_real_numbers_are_refused_by_name(self, entry, value):
+        # never parsed (so "12" is not one observation of 12.0), never cast with numpy's
+        # ComplexWarning and never refused by numpy's own error
+        name, call = OUTSIDE_ARRAYS[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{name} must be real numbers: "):
+                call(value)
+
+    @pytest.mark.parametrize("value", [NOT_REAL[key] for key in JSON_NOT_REAL],
+                             ids=JSON_NOT_REAL)
+    def test_tensor_file_values_that_are_not_real_numbers_are_refused_by_name(
+            self, tmp_path, value):
+        path = _edited_fixture(tmp_path, K=value)
+        with pytest.raises(DomainError, match="^" + re.escape(f"{path}: K must be real numbers: ")):
+            load_tensor_file(path)
+
+    def test_a_bad_count_is_reported_before_a_malformed_array(self, tmp_path):
+        path = _edited_fixture(tmp_path, p=2.5, K=[[1.0, 0.0], [1.0]])
+        with pytest.raises(DomainError) as info:
+            load_tensor_file(path)
+        assert str(info.value) == f"{path}: p must be an integer, got 2.5"
+
+    @pytest.mark.parametrize("value", REAL.values(), ids=REAL.keys())
+    def test_real_data_convert_as_numpy_would(self, value):
+        want = np.asarray(value, dtype=float)
+        got = checked_data(catalog_model("normal-mean", {"theta": 1.5}), value)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("K", [
+        [[2, 0], [0, 1]], [[2 ** 70, 0], [0, 2 ** 70]], np.float32([[0.1, 0.0], [0.0, 2.5]]),
+        [[True, False], [False, True]],
+    ], ids=["ints", "2**70", "float32", "bools"])
+    def test_real_tensors_convert_as_numpy_would(self, K):
+        got = _tensors_with("K", K).K
+        assert got.dtype == np.float64 and np.array_equal(got, np.asarray(K, dtype=float))
 
 
 # normal(mu, v) at v = 1 with coordinates (mu, v): mu is the nuisance (q = 1)

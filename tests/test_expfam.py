@@ -72,8 +72,9 @@ class TestCatalog:
             catalog_model("tev", {"k": 1.0})
         with pytest.raises(DomainError, match="must be finite"):
             catalog_model("laplace", {"k": math.nan})
-        # a constant that float() cannot read is a domain error too
-        for bad in ("two", None, [2], 10 ** 400):
+        # a constant that is not a real number is a domain error too, even text that
+        # float() would read
+        for bad in ("two", "2", b"2", None, [2], 10 ** 400):
             with pytest.raises(DomainError, match="must be a real number"):
                 catalog_model("gamma", {"k": bad})
 

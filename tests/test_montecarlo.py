@@ -1,6 +1,7 @@
 """Simulation driver: determinism, worker invariance, exact power sums, failure accounting."""
 
 import dataclasses
+import inspect
 import math
 import os
 import warnings
@@ -304,6 +305,19 @@ class TestRoutes:
                 simulate(cfg)
             with pytest.raises(TypeError, match=message):
                 replicate_statistics(cfg, 3)
+
+    def test_a_law_whose_signature_cannot_be_read_keeps_its_own_error(self):
+        # a compiled law may show no signature; it is taken to accept a prefix, so a
+        # TypeError it raises is reported as its own.  max has no readable signature
+        # and cannot order a generator among numbers
+        with pytest.raises(ValueError):
+            inspect.signature(max)
+        assert montecarlo._takes_a_prefix(max)
+        model = dataclasses.replace(GAMMA, sampler=LawSampler(GAMMA.sampler.draw, max))
+        cfg = SimulationConfig(model=model, theta0=1.0, eps=0.5, n=50, reps=10,
+                               alpha=0.05, seed=11)
+        with pytest.raises(TypeError, match="^'>' not supported between instances of "):
+            simulate(cfg)
 
     def test_chunk_streams_are_not_replicate_streams(self):
         u = montecarlo._chunk_stream(5, 0).random(4)
